@@ -1,11 +1,12 @@
 """Finite dimensional spectral invariants: eta, spectral flow, index.
 
-The eigensolver is a cyclic Jacobi sweep for complex Hermitian matrices
-with a fixed pivot order, so results are deterministic given the input
-bits.  Eta invariants come in a closed form (half the signature) and a
-quadrature form for the heat-kernel integral; both support the two
-normalizations found in the literature (with and without the factor 2 in
-the denominator).
+Every eigensolve goes through LAPACK (numpy.linalg): ``eigvalsh`` where
+only eigenvalues are needed, ``eigh`` where eigenvectors are, the latter
+reporting the residual of the decomposition.  Both validate their input
+first: square, finite and Hermitian.  Eta invariants come in a closed form
+(half the signature) and a quadrature form for the heat-kernel integral;
+both support the two normalizations found in the literature (with and
+without the factor 2 in the denominator).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .phases import as_rational
 
 
 class SpectralError(ValueError):
-    """Raised for non-Hermitian input or insufficient quadrature windows."""
+    """Raised for non-finite or non-Hermitian input or insufficient quadrature windows."""
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -33,6 +34,8 @@ def _as_matrix(a) -> np.ndarray:
 
 def require_hermitian(a, tol: float = 1e-9) -> np.ndarray:
     mat = _as_matrix(a)
+    if not np.isfinite(mat).all():
+        raise SpectralError("matrix has non-finite entries")
     defect = float(np.abs(mat - mat.conj().T).max()) if mat.size else 0.0
     if defect > tol * max(1.0, float(np.abs(mat).max())):
         raise SpectralError(f"matrix is not Hermitian (defect {defect:.3e})")
@@ -43,75 +46,20 @@ def require_hermitian(a, tol: float = 1e-9) -> np.ndarray:
 class EigenDecomposition:
     eigenvalues: np.ndarray  # ascending
     vectors: np.ndarray  # columns, unitary
-    residual: float  # max column norm of A V - V diag(lambda)
-    sweeps: int
+    residual: float  # max entry of |A V - V diag(lambda)|
 
 
-def eigh(a, tol: float = 1e-13, max_sweeps: int = 60) -> EigenDecomposition:
-    """Cyclic Jacobi diagonalization of a complex Hermitian matrix.
-
-    Pivots run row major over the strict upper triangle every sweep;
-    sweeps stop when the off-diagonal Frobenius mass falls below
-    tol * ||A||.  Deterministic: identical input bits give identical
-    output bits.
-    """
+def eigh(a) -> EigenDecomposition:
+    """Eigenvalues and eigenvectors of a complex Hermitian matrix (LAPACK)."""
     a = require_hermitian(a)
-    n = a.shape[0]
-    if n == 0:
-        return EigenDecomposition(np.zeros(0), np.zeros((0, 0), dtype=complex), 0.0, 0)
-    work = a.astype(complex, copy=True)
-    vecs = np.eye(n, dtype=complex)
-    norm = float(np.linalg.norm(work))
-    if norm == 0.0:
-        return EigenDecomposition(np.zeros(n), vecs, 0.0, 0)
-    stop = tol * norm
-    rotate_tol = stop / max(1, n * n)
-    sweeps = 0
-    for sweep in range(max_sweeps):
-        off = float(np.linalg.norm(work - np.diag(np.diag(work))))
-        if off <= stop:
-            break
-        sweeps = sweep + 1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                r = abs(apq)
-                if r <= rotate_tol:
-                    continue
-                phi = apq / r
-                phibar = phi.conjugate()
-                app = work[p, p].real
-                aqq = work[q, q].real
-                tau = (aqq - app) / (2.0 * r)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # Unitary with (p, q) block [[c, s phi], [-s conj(phi), c]],
-                # chosen so the conjugated matrix has zero (p, q) entry.
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p - s * phibar * col_q
-                work[:, q] = s * phi * col_p + c * col_q
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p - s * phi * row_q
-                work[q, :] = s * phibar * row_p + c * row_q
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                vcol_p = vecs[:, p].copy()
-                vcol_q = vecs[:, q].copy()
-                vecs[:, p] = c * vcol_p - s * phibar * vcol_q
-                vecs[:, q] = s * phi * vcol_p + c * vcol_q
-    diag = np.real(np.diag(work))
-    order = np.argsort(diag, kind="stable")
-    eigenvalues = diag[order]
-    vectors = vecs[:, order]
-    residual = float(np.abs(a @ vectors - vectors * eigenvalues[None, :]).max())
-    return EigenDecomposition(eigenvalues, vectors, residual, sweeps)
+    eigenvalues, vectors = np.linalg.eigh(a)
+    residual = float(np.abs(a @ vectors - vectors * eigenvalues).max())
+    return EigenDecomposition(eigenvalues, vectors, residual)
 
 
-def eigvalsh(a, tol: float = 1e-13) -> np.ndarray:
-    return eigh(a, tol).eigenvalues
+def eigvalsh(a) -> np.ndarray:
+    """Ascending eigenvalues of a complex Hermitian matrix (LAPACK)."""
+    return np.linalg.eigvalsh(require_hermitian(a))
 
 
 def default_zero_tol(eigenvalues: np.ndarray) -> float:
@@ -151,7 +99,7 @@ def eta_closed_form(a, zero_tol: float | None = None, normalization: str = "half
     scale * sign(lambda), where scale is 1/2 ('half', the default) or 1
     ('full', the convention without the 2 in the denominator).
     """
-    ev = a if isinstance(a, np.ndarray) and a.ndim == 1 else eigh(a).eigenvalues
+    ev = a if isinstance(a, np.ndarray) and a.ndim == 1 else eigvalsh(a)
     if zero_tol is None:
         zero_tol = default_zero_tol(ev)
     scale = _eta_scale(normalization)
@@ -168,27 +116,45 @@ class EtaResult:
     kernel: KernelReport | None = None
 
 
+# Largest node-by-eigenvalue array _head_integral builds at once.
+_QUAD_BLOCK = 1 << 16
+
+
 def _head_integral(ev: np.ndarray, u_max: float, rel_tol: float) -> tuple[float, float]:
-    """Adaptive Simpson for (1/sqrt(pi)) * int_0^{u_max} sum(l exp(-u^2 l^2)) du."""
+    """Adaptive Simpson for (1/sqrt(pi)) * int_0^{u_max} sum(l exp(-u^2 l^2)) du.
 
-    def f(u: float) -> float:
-        return float(np.sum(ev * np.exp(-(u * u) * ev * ev))) / math.sqrt(math.pi)
+    Each level halves the step; the nodes of the previous level are the
+    even-indexed nodes of the next, so only the new odd-indexed nodes are
+    evaluated, in blocks of about _QUAD_BLOCK node-eigenvalue pairs.
+    """
+    ev2 = ev * ev
+    rows = max(1, _QUAD_BLOCK // ev.size)
 
-    panels = 8
+    def f(us: np.ndarray) -> np.ndarray:
+        out = np.empty(us.size)
+        for i in range(0, us.size, rows):
+            u = us[i:i + rows]
+            out[i:i + rows] = np.exp(-(u * u)[:, None] * ev2) @ ev
+        return out / math.sqrt(math.pi)
+
+    panels = 4
+    ys = f(np.linspace(0.0, u_max, 2 * panels + 1))
     prev = None
     estimate = 0.0
     change = 0.0
     for _ in range(14):
-        xs = np.linspace(0.0, u_max, 2 * panels + 1)
-        ys = np.array([f(x) for x in xs])
+        panels *= 2
         h = u_max / (2 * panels)
+        finer = np.empty(2 * panels + 1)
+        finer[0::2] = ys
+        finer[1::2] = f(h * np.arange(1, 2 * panels, 2))
+        ys = finer
         estimate = h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum())
         if prev is not None:
             change = abs(estimate - prev)
             if change <= rel_tol * (1.0 + abs(estimate)):
                 break
         prev = estimate
-        panels *= 2
     return estimate, change
 
 
@@ -202,7 +168,7 @@ def eta_quadrature(a, t_max: float | None = None, zero_tol: float | None = None,
     requested window makes the tail bound exceed 1e-6 the call fails and
     reports the t_max needed.
     """
-    ev = eigh(a).eigenvalues
+    ev = eigvalsh(a)
     if zero_tol is None:
         zero_tol = default_zero_tol(ev)
     nonzero = ev[np.abs(ev) > zero_tol]
@@ -227,7 +193,12 @@ def eta_quadrature(a, t_max: float | None = None, zero_tol: float | None = None,
 
 
 def _weights_of_trace(tau, group) -> dict:
-    """Finite weight map g -> c_g of a linear functional tau(x) = sum c_g x_g."""
+    """Finite weight map g -> c_g of a linear functional tau(x) = sum c_g x_g.
+
+    No functional, or the regular trace, weights the identity alone.
+    """
+    if tau is None or getattr(tau, "kind", "") == "regular":
+        return {group.identity(): 1.0 + 0.0j}
     weights = getattr(tau, "weights", None)
     if callable(weights):
         return weights()
@@ -251,8 +222,7 @@ def eta_operator(operator, tau=None, method: str = "bloch", normalization: str =
     germ {s: eta} is tabulated.
     """
     if method == "dense":
-        mat = require_hermitian(operator)
-        ev = eigh(mat).eigenvalues
+        ev = eigvalsh(operator)
         eta = eta_closed_form(ev, zero_tol, normalization)
         return EtaResult(eta, 0.0, "dense", {"normalization": normalization},
                          kernel=kernel_report(ev, zero_tol))
@@ -284,57 +254,44 @@ def _eta_bloch(a: AlgebraElement, tau, normalization: str, kgrid: int,
     from .representations import BlochMap
 
     bm = BlochMap(a.sigma)
-    ks = bm.grid(kgrid)
-    stack = bm.fiber_stack(a, ks, ks)
-    defect = float(np.abs(stack - stack.conj().transpose(0, 2, 1)).max())
-    if defect > 1e-9:
-        raise SpectralError("element is not self adjoint in its Bloch fibers")
-    evals, evecs = np.linalg.eigh(stack)
-    if zero_tol is None:
-        zero_tol = default_zero_tol(evals.reshape(-1))
-    signs = np.where(np.abs(evals) > zero_tol, np.sign(evals), 0.0)
-    # Spectral sign function per fiber: V diag(sign) V^*.
-    sign_ops = np.einsum("kij,kj,klj->kil", evecs, signs, evecs.conj())
+    weights = _weights_of_trace(tau, a.group)
     scale = _eta_scale(normalization)
-    if tau is None or getattr(tau, "kind", "") == "regular":
-        weights = {a.group.identity(): 1.0 + 0.0j}
-    else:
-        weights = _weights_of_trace(tau, a.group)
-    total = 0.0 + 0.0j
-    for g, c in weights.items():
-        total += complex(c) * bm.extract_coefficient(sign_ops, g, ks, ks)
-    eta = scale * total.real
-    # Grid sensitivity: compare with the half-resolution grid.
-    half = max(4, kgrid // 2)
-    ks2 = bm.grid(half)
-    stack2 = bm.fiber_stack(a, ks2, ks2)
-    evals2, evecs2 = np.linalg.eigh(stack2)
-    signs2 = np.where(np.abs(evals2) > zero_tol, np.sign(evals2), 0.0)
-    sign_ops2 = np.einsum("kij,kj,klj->kil", evecs2, signs2, evecs2.conj())
-    total2 = sum(
-        complex(c) * bm.extract_coefficient(sign_ops2, g, ks2, ks2) for g, c in weights.items()
-    )
-    error = abs(eta - scale * complex(total2).real)
-    return EtaResult(eta, error, "bloch",
+    etas = []
+    # The second grid, at half resolution, gives the grid sensitivity.
+    for n in (kgrid, max(4, kgrid // 2)):
+        ks = bm.grid(n)
+        stack = bm.fiber_stack(a, ks, ks)
+        defect = float(np.abs(stack - stack.conj().transpose(0, 2, 1)).max())
+        if defect > 1e-9:
+            raise SpectralError("element is not self adjoint in its Bloch fibers")
+        evals, evecs = np.linalg.eigh(stack)
+        if zero_tol is None:
+            zero_tol = default_zero_tol(evals.reshape(-1))
+        if not etas:
+            kernel = kernel_report(evals.reshape(-1), zero_tol)
+        signs = np.where(np.abs(evals) > zero_tol, np.sign(evals), 0.0)
+        # Spectral sign function per fiber: V diag(sign) V^*.
+        sign_ops = np.einsum("kij,kj,klj->kil", evecs, signs, evecs.conj())
+        total = sum(complex(c) * bm.extract_coefficient(sign_ops, g, ks, ks)
+                    for g, c in weights.items())
+        etas.append(scale * complex(total).real)
+    eta, eta_half = etas
+    return EtaResult(eta, abs(eta - eta_half), "bloch",
                      {"kgrid": kgrid, "zero_tol": zero_tol, "normalization": normalization},
-                     kernel=kernel_report(evals.reshape(-1), zero_tol))
+                     kernel=kernel)
 
 
 def _eta_truncation(a: AlgebraElement, tau, normalization: str, radius: int,
                     zero_tol: float | None, t_max: float | None) -> EtaResult:
     from .representations import left_regular
 
+    weights = _weights_of_trace(tau, a.group)
     values = []
     for r in (max(2, radius - 2), radius):
         op = left_regular(a, r)
-        mat = require_hermitian(op.matrix)
-        dec = eigh(mat)
+        dec = eigh(op.matrix)
         ev = dec.eigenvalues
         tol_r = default_zero_tol(ev) if zero_tol is None else zero_tol
-        if tau is None or getattr(tau, "kind", "") == "regular":
-            weights = {a.group.identity(): 1.0 + 0.0j}
-        else:
-            weights = _weights_of_trace(tau, a.group)
         signs = np.where(np.abs(ev) > tol_r, np.sign(ev), 0.0)
         sign_op = dec.vectors @ (signs[:, None] * dec.vectors.conj().T)
         e_col = op.index[a.group.identity()]
@@ -391,9 +348,8 @@ class MatrixPath:
     def eigenvalues(self, t: float) -> np.ndarray:
         key = round(t, 15)
         if key not in self._cache:
-            # Values only, sampled many times per flow computation; the
-            # batched LAPACK routine is used here instead of the Jacobi
-            # decomposition, which is reserved for calls needing vectors.
+            # Values only, sampled many times per flow computation.  Linear
+            # and sampled paths validated their matrices at construction.
             self._cache[key] = np.linalg.eigvalsh(self._fn(t))
         return self._cache[key]
 
@@ -511,7 +467,7 @@ class GradedMatrix:
         if min(block.shape) == 0:
             rank = 0
         else:
-            sv = np.sqrt(np.maximum(0.0, eigh(block.conj().T @ block).eigenvalues))
+            sv = np.sqrt(np.maximum(0.0, eigvalsh(block.conj().T @ block)))
             cutoff = max(1e-12, 1e-9 * (sv.max() if sv.size else 0.0))
             rank = int(np.sum(sv > cutoff))
         return (len(plus) - rank) - (len(minus) - rank)
@@ -558,28 +514,31 @@ def twisted_betti(even_block, odd_block, zero_tol: float | None = None,
     """Kernel traces of positive semidefinite even/odd Laplacian blocks.
 
     With tau = None the matrix trace is used, so the Betti numbers are
-    kernel dimensions.  A custom tau receives the kernel projection matrix
-    and must return a real number.  Eigenvalues inside the ambiguity band
-    [zero_tol/10, zero_tol*10] are reported, not silently resolved.
+    kernel dimensions, counted exactly from the eigenvalues.  A custom tau
+    receives the kernel projection matrix and must return a real number.
+    Eigenvalues inside the ambiguity band [zero_tol/10, zero_tol*10] are
+    reported, not silently resolved.
     """
     results = []
     ambiguous: list = []
     tol_used = zero_tol
     for block in (even_block, odd_block):
-        mat = require_hermitian(block)
-        dec = eigh(mat)
-        ev = dec.eigenvalues
+        if tau is None:
+            ev = eigvalsh(block)
+        else:
+            dec = eigh(block)
+            ev = dec.eigenvalues
         tol = default_zero_tol(ev) if zero_tol is None else zero_tol
         tol_used = tol if tol_used is None else max(tol_used, tol)
         if ev.size and float(ev.min()) < -tol * 10:
             raise SpectralError("Laplacian block is not positive semidefinite")
         ambiguous.extend(kernel_report(ev, tol).ambiguous)
-        kernel_cols = dec.vectors[:, np.abs(ev) <= tol]
-        projection = kernel_cols @ kernel_cols.conj().T
+        kernel = np.abs(ev) <= tol
         if tau is None:
-            results.append(float(np.real(np.trace(projection))))
+            results.append(float(np.count_nonzero(kernel)))
         else:
-            results.append(float(np.real(tau(projection))))
+            kernel_cols = dec.vectors[:, kernel]
+            results.append(float(np.real(tau(kernel_cols @ kernel_cols.conj().T))))
     b_even, b_odd = results
     index = int(round(b_even - b_odd))
     return BettiResult(b_even, b_odd, b_even - b_odd, index, ambiguous, tol_used or 0.0)

@@ -1,6 +1,10 @@
 """End to end tests of the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +99,33 @@ def test_spectral_flow_config(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["flow"] == 2
     assert payload["endpoint_formula"] == pytest.approx(2.0)
+
+
+def test_spectral_flow_rejects_non_finite_entries(capsys, tmp_path):
+    cfg = write_config(tmp_path, "flow.json", {
+        "path": {"A0": {"re": [[float("nan"), 0], [0, -1]]}, "A1": {"re": [[1, 0], [0, 1]]}},
+    })
+    code, out = run(capsys, ["spectral-flow", "--config", cfg])
+    assert code == 2
+    assert out == ""
+
+
+def test_eta_and_betti_stdout_repeat_with_pinned_threads(tmp_path):
+    eta_cfg = write_config(tmp_path, "eta.json", {
+        "group": "z2", "multiplier": MAGNETIC_JSON, "method": "truncation", "radius": 5,
+        "terms": [{"g": [0, 0], "re": 0.5}, {"g": [1, 0], "re": 1.0}, {"g": [-1, 0], "re": 1.0},
+                  {"g": [0, 1], "re": 1.0}, {"g": [0, -1], "re": 1.0}],
+    })
+    betti_cfg = write_config(tmp_path, "betti.json", {"cycle": 12})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    launch = [sys.executable, "-c", "import sys; from twistlab.cli import main; sys.exit(main())"]
+    for argv in (["eta", "--config", eta_cfg], ["betti", "--config", betti_cfg]):
+        runs = [subprocess.run(launch + argv, env=env, capture_output=True, timeout=120)
+                for _ in range(2)]
+        assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+        assert runs[0].stdout and runs[0].stdout == runs[1].stdout
 
 
 def test_betti_cycle_config(capsys, tmp_path):

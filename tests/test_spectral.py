@@ -12,6 +12,7 @@ from twistlab import (
     SpectralError,
     cycle_complex,
     eigh,
+    eigvalsh,
     eta_closed_form,
     eta_operator,
     eta_quadrature,
@@ -22,7 +23,7 @@ from twistlab import (
     spectral_flow,
     twisted_betti,
 )
-from twistlab.spectral import default_zero_tol, kernel_report, require_hermitian
+from twistlab.spectral import _head_integral, default_zero_tol, kernel_report, require_hermitian
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -40,22 +41,25 @@ def random_graded(rng: np.random.Generator, n_plus: int, n_minus: int) -> Graded
     return GradedMatrix(mat, grading)
 
 
-def test_jacobi_matches_lapack_eigenvalues():
+def test_eigh_residual_unitarity_and_order():
     rng = np.random.default_rng(0)
     for n in (1, 2, 5, 13, 24):
         a = random_hermitian(rng, n)
         dec = eigh(a)
-        assert np.abs(dec.eigenvalues - np.linalg.eigvalsh(a)).max() < 1e-11
         assert dec.residual < 1e-10
+        assert dec.residual == np.abs(a @ dec.vectors - dec.vectors * dec.eigenvalues).max()
         assert np.abs(dec.vectors @ dec.vectors.conj().T - np.eye(n)).max() < 1e-12
+        assert np.all(np.diff(dec.eigenvalues) >= 0)
+        assert np.abs(eigvalsh(a) - dec.eigenvalues).max() < 1e-12
 
 
-def test_jacobi_is_bitwise_deterministic():
+def test_eigh_is_bitwise_repeatable():
     rng = np.random.default_rng(1)
     a = random_hermitian(rng, 9)
     d1, d2 = eigh(a.copy()), eigh(a.copy())
     assert d1.eigenvalues.tobytes() == d2.eigenvalues.tobytes()
     assert d1.vectors.tobytes() == d2.vectors.tobytes()
+    assert eigvalsh(a).tobytes() == eigvalsh(a.copy()).tobytes()
 
 
 def test_require_hermitian_rejects_asymmetric():
@@ -63,6 +67,16 @@ def test_require_hermitian_rejects_asymmetric():
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(SpectralError):
         require_hermitian(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_require_hermitian_rejects_non_finite(bad):
+    a = np.eye(2, dtype=complex)
+    a[0, 0] = bad
+    with pytest.raises(SpectralError, match="non-finite"):
+        require_hermitian(a)
+    with pytest.raises(SpectralError):
+        MatrixPath.linear(a, np.eye(2))
 
 
 def test_eta_closed_form_counts_signs():
@@ -82,6 +96,39 @@ def test_eta_quadrature_matches_closed_form():
         worst = max(worst, abs(res.eta - eta_closed_form(a)))
         assert res.error_bound < 1e-6
     assert worst < 1e-6
+
+
+def scalar_head_integral(ev: np.ndarray, u_max: float, rel_tol: float) -> tuple[float, float]:
+    """Reference: Simpson node by node, every level evaluated from scratch."""
+
+    def f(u: float) -> float:
+        return float(np.sum(ev * np.exp(-(u * u) * ev * ev))) / math.sqrt(math.pi)
+
+    panels, prev, estimate, change = 8, None, 0.0, 0.0
+    for _ in range(14):
+        ys = np.array([f(x) for x in np.linspace(0.0, u_max, 2 * panels + 1)])
+        h = u_max / (2 * panels)
+        estimate = h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum())
+        if prev is not None:
+            change = abs(estimate - prev)
+            if change <= rel_tol * (1.0 + abs(estimate)):
+                break
+        prev = estimate
+        panels *= 2
+    return estimate, change
+
+
+@pytest.mark.parametrize("n", [1, 40, 5000])
+def test_head_integral_matches_scalar_simpson(n):
+    # 5000 eigenvalues split every level into several blocks.
+    rng = np.random.default_rng(9)
+    ev = rng.uniform(0.2, 3.0, n) * rng.choice([-1.0, 1.0], n)
+    got = _head_integral(ev, 25.0, 1e-9)
+    want = scalar_head_integral(ev, 25.0, 1e-9)
+    # Summation order differs, so allow rounding that grows with the term count.
+    tol = 100 * n * np.finfo(float).eps * max(1.0, abs(want[0]))
+    assert abs(got[0] - want[0]) <= tol
+    assert abs(got[1] - want[1]) <= tol
 
 
 def test_eta_is_odd_and_unitarily_invariant():
