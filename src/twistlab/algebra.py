@@ -6,16 +6,18 @@ twisted convolution
     (a * b)(g) = sum over g1 g2 = g of a(g1) b(g2) sigma(g1, g2)
 
 and involution (c delta_g)^* = conj(c) conj(sigma(g, g^-1)) delta_{g^-1}.
-Coefficients below PRUNE_TOL are dropped after every operation.
+Coefficients below PRUNE_TOL are dropped after every operation; NaN or
+infinite coefficients are rejected.
 """
 
 from __future__ import annotations
 
+import cmath
 import random
 from typing import Iterable, Mapping
 
 from .groups import Group, GroupError
-from .multipliers import Multiplier, MultiplierError, PhaseMap, is_cohomologous_via
+from .multipliers import Multiplier, MultiplierError, PhaseMap, decided_equal, is_cohomologous_via
 
 PRUNE_TOL = 1e-15
 
@@ -25,14 +27,7 @@ class AlgebraError(ValueError):
 
 
 def _same_multiplier(a: Multiplier, b: Multiplier) -> bool:
-    if a is b:
-        return True
-    if type(a) is not type(b):
-        return False
-    try:
-        return a.to_json() == b.to_json()
-    except MultiplierError:
-        return False
+    return a is b or decided_equal(a, b) is True
 
 
 class AlgebraElement:
@@ -52,6 +47,8 @@ class AlgebraElement:
             if g in data:
                 c = data[g] + c
             data[g] = c
+        if not all(map(cmath.isfinite, data.values())):
+            raise AlgebraError("coefficients must be finite")
         self.coeffs = {g: c for g, c in data.items() if abs(c) > PRUNE_TOL}
 
     @classmethod

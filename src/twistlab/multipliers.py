@@ -6,10 +6,17 @@ satisfies the normalized cocycle identity
     sigma(g1 g2, g3) sigma(g1, g2) = sigma(g1, g2 g3) sigma(g2, g3),
     sigma(e, g) = sigma(g, e) = 1.
 
-Supported constructions: the trivial multiplier, exact bilinear (magnetic)
-multipliers on Z^k, finite phase tables, pullbacks along homomorphisms,
-products, coboundaries of U(1) functions, rational powers, and the
-geometric construction from a lattice gauge potential.
+Multipliers with a closed form are held in a normal form: a rational
+pairing P with sigma(x, y) = exp(2 pi i x^T P y) on Z^k, a table of turns
+on a finite table group (the trivial multiplier has P = 0 or the zero
+table), and a ``ProductMultiplier`` of two normal forms on a product group.
+Powers, conjugates, coboundaries and twists by exact phase maps on finite
+table groups, lattice characters or quadratic gauge changes return normal
+forms, and two normal forms are equal exactly when their pairings or
+tables differ by integers (Kleppner, Math. Ann. 1965), factor by factor on
+products.  Twists by inexact or random lattice phase maps
+(``TwistedMultiplier``), pullbacks and the geometric construction from a
+lattice gauge potential stay lazy and are compared on a finite window.
 """
 
 from __future__ import annotations
@@ -49,6 +56,9 @@ class PhaseMap:
         self.exact = exact
         self.label = label
         self.character = character
+        # The matrix B with dz(g, h) = g^T B h in turns, for characters and
+        # quadratic gauge changes on Z^k; None when dz has no such form.
+        self.coboundary_pairing = None
 
     def turns(self, g):
         t = self._turns_fn(g)
@@ -62,26 +72,20 @@ class PhaseMap:
     def __call__(self, g) -> complex:
         return self.phase(g).value
 
+    def _rescaled(self, turns_fn: Callable, exact: bool, label: str, s) -> "PhaseMap":
+        out = PhaseMap(self.group, turns_fn, exact, label, self.character)
+        out.coboundary_pairing = _scaled_matrix(self.coboundary_pairing, s)
+        return out
+
     def conjugate(self) -> "PhaseMap":
-        return PhaseMap(
-            self.group,
-            lambda g: -self._turns_fn(g),
-            self.exact,
-            f"conj({self.label})",
-            self.character,
-        )
+        return self._rescaled(lambda g: -self._turns_fn(g), self.exact, f"conj({self.label})", -1)
 
     def scaled(self, s) -> "PhaseMap":
         if not self.exact:
             raise MultiplierError("rational scaling needs exact phase data")
         s = as_rational(s)
-        return PhaseMap(
-            self.group,
-            lambda g, _s=s: Fraction(self._turns_fn(g)) * _s,
-            True,
-            f"{self.label}^{rational_str(s)}",
-            self.character,
-        )
+        return self._rescaled(lambda g: Fraction(self._turns_fn(g)) * s, True,
+                              f"{self.label}^{rational_str(s)}", s)
 
     @classmethod
     def one(cls, group: Group) -> "PhaseMap":
@@ -102,13 +106,15 @@ class PhaseMap:
         vec = [as_rational(t) for t in turn_vector]
         if len(vec) != group.rank:
             raise MultiplierError("character needs one turn per lattice generator")
-        return cls(
+        z = cls(
             group,
             lambda g: sum(v * a for v, a in zip(vec, g)),
             True,
             "chi(" + ",".join(rational_str(v) for v in vec) + ")",
             character=True,
         )
+        z.coboundary_pairing = _zero_matrix(group.rank)
+        return z
 
     @classmethod
     def quadratic_on_lattice(cls, group: FreeAbelianGroup, coeff) -> "PhaseMap":
@@ -116,7 +122,9 @@ class PhaseMap:
         if group.rank != 2:
             raise MultiplierError("quadratic phase maps are defined on Z^2")
         c = as_rational(coeff)
-        return cls(group, lambda g: c * g[0] * g[1], True, f"quad({rational_str(c)})")
+        z = cls(group, lambda g: c * g[0] * g[1], True, f"quad({rational_str(c)})")
+        z.coboundary_pairing = ((Fraction(0), -c), (-c, Fraction(0)))
+        return z
 
     @classmethod
     def product(cls, group: ProductGroup, left: "PhaseMap", right: "PhaseMap") -> "PhaseMap":
@@ -188,10 +196,21 @@ def product_characters(group: ProductGroup) -> list[PhaseMap]:
     return out
 
 
+def _zero_matrix(n: int) -> tuple:
+    return ((Fraction(0),) * n,) * n
+
+
+def _scaled_matrix(m, s) -> tuple | None:
+    return None if m is None else tuple(tuple(x * s for x in row) for row in m)
+
+
 class Multiplier:
     """Base class; concrete multipliers implement ``turns``."""
 
     kind = "abstract"
+    # The normal form on Z^k or on a finite table group; None when lazy.
+    pairing = None
+    turn_table = None
 
     def __init__(self, group: Group, exact: bool = True):
         self.group = group
@@ -208,16 +227,27 @@ class Multiplier:
         return self.phase(g, h).value
 
     def conjugate(self) -> "Multiplier":
-        return ConjugateMultiplier(self)
+        return self.power(-1)
 
     def power(self, s) -> "Multiplier":
-        """sigma^s for exact rational s; requires exact base data."""
-        if not self.is_exact:
-            raise MultiplierError("power families need an exact base multiplier")
-        return ScaledMultiplier(self, as_rational(s))
+        """sigma^s for exact rational s."""
+        raise MultiplierError(f"{self.kind} multipliers have no rational power")
 
     def twist(self, z: PhaseMap) -> "Multiplier":
-        """sigma times the coboundary of z."""
+        """sigma times the coboundary of z, in normal form when sigma and z allow one."""
+        if z.group == self.group and z.exact:
+            if self.pairing is not None and z.coboundary_pairing is not None:
+                return BilinearMultiplier(self.group, [
+                    [p + b for p, b in zip(prow, brow)]
+                    for prow, brow in zip(self.pairing, z.coboundary_pairing)
+                ])
+            if self.turn_table is not None:
+                mul = self.group.mul_table
+                zt = [Fraction(z._turns_fn(g)) for g in range(self.group.n)]
+                return TableMultiplier(self.group, [
+                    [t + zt[g] + zt[h] - zt[mul[g][h]] for h, t in enumerate(row)]
+                    for g, row in enumerate(self.turn_table)
+                ])
         return TwistedMultiplier(self, z)
 
     def to_json(self) -> dict:
@@ -227,8 +257,19 @@ class Multiplier:
 class TrivialMultiplier(Multiplier):
     kind = "trivial"
 
+    def __init__(self, group: Group):
+        super().__init__(group, exact=True)
+        if isinstance(group, FreeAbelianGroup):
+            self.pairing = _zero_matrix(group.rank)
+        elif isinstance(group, FiniteTableGroup):
+            self.turn_table = _zero_matrix(group.n)
+
     def turns(self, g, h) -> Fraction:
         return Fraction(0)
+
+    def power(self, s) -> "TrivialMultiplier":
+        as_rational(s)  # rejects inexact exponents, as the other powers do
+        return self
 
     def to_json(self) -> dict:
         return {"kind": "trivial"}
@@ -265,12 +306,8 @@ class BilinearMultiplier(Multiplier):
 
     def power(self, s) -> "BilinearMultiplier":
         s = as_rational(s)
-        scaled = [[x * s for x in row] for row in self.pairing]
         theta = None if self.theta is None else self.theta * s
-        return BilinearMultiplier(self.group, scaled, self.gauge, theta)
-
-    def conjugate(self) -> "BilinearMultiplier":
-        return self.power(-1)
+        return BilinearMultiplier(self.group, _scaled_matrix(self.pairing, s), self.gauge, theta)
 
     def to_json(self) -> dict:
         if self.theta is not None and self.gauge in ("landau", "symmetric"):
@@ -301,7 +338,11 @@ def magnetic_multiplier(theta, gauge: str = "landau", rank: int = 2) -> Bilinear
 
 
 class TableMultiplier(Multiplier):
-    """Exact phase table on a finite group."""
+    """Exact phase table on a finite group.
+
+    Turns are kept as given, not reduced mod 1, so that rational powers of
+    a tabulated coboundary dz are the coboundaries of the powers of z.
+    """
 
     kind = "table"
 
@@ -309,27 +350,19 @@ class TableMultiplier(Multiplier):
         if not isinstance(group, FiniteTableGroup):
             raise MultiplierError("table multipliers need a finite table group")
         super().__init__(group, exact=True)
-        self.turn_table = tuple(
-            tuple(as_rational(x) % 1 for x in row) for row in turn_table
-        )
+        self.turn_table = tuple(tuple(as_rational(x) for x in row) for row in turn_table)
         if len(self.turn_table) != group.n or any(len(r) != group.n for r in self.turn_table):
             raise MultiplierError("phase table must be n x n")
         e = group.identity_index
         for i in range(group.n):
-            if self.turn_table[e][i] != 0 or self.turn_table[i][e] != 0:
+            if self.turn_table[e][i] % 1 != 0 or self.turn_table[i][e] % 1 != 0:
                 raise MultiplierError("table multiplier is not normalized at the identity")
 
     def turns(self, g, h) -> Fraction:
         return self.turn_table[g][h]
 
     def power(self, s) -> "TableMultiplier":
-        s = as_rational(s)
-        return TableMultiplier(
-            self.group, [[x * s for x in row] for row in self.turn_table]
-        )
-
-    def conjugate(self) -> "TableMultiplier":
-        return self.power(-1)
+        return TableMultiplier(self.group, _scaled_matrix(self.turn_table, as_rational(s)))
 
     def to_json(self) -> dict:
         return {
@@ -356,9 +389,6 @@ class PullbackMultiplier(Multiplier):
     def power(self, s) -> "PullbackMultiplier":
         return PullbackMultiplier(self.hom, self.base.power(s))
 
-    def conjugate(self) -> "PullbackMultiplier":
-        return PullbackMultiplier(self.hom, self.base.conjugate())
-
 
 class ProductMultiplier(Multiplier):
     """sigma((g1,g2),(h1,h2)) = left(g1,h1) right(g2,h2) on a product group."""
@@ -378,46 +408,9 @@ class ProductMultiplier(Multiplier):
     def power(self, s) -> "ProductMultiplier":
         return ProductMultiplier(self.group, self.left.power(s), self.right.power(s))
 
-    def conjugate(self) -> "ProductMultiplier":
-        return ProductMultiplier(self.group, self.left.conjugate(), self.right.conjugate())
-
-
-class ScaledMultiplier(Multiplier):
-    """sigma^s with all angles multiplied by a rational s."""
-
-    kind = "power"
-
-    def __init__(self, base: Multiplier, s: Fraction):
-        super().__init__(base.group, base.is_exact)
-        self.base = base
-        self.s = as_rational(s)
-
-    def turns(self, g, h):
-        return Fraction(self.base.turns(g, h)) * self.s
-
-    def power(self, s) -> "ScaledMultiplier":
-        return ScaledMultiplier(self.base, self.s * as_rational(s))
-
-    def to_json(self) -> dict:
-        return {"kind": "power", "base": self.base.to_json(), "s": rational_str(self.s)}
-
-
-class ConjugateMultiplier(Multiplier):
-    kind = "conjugate"
-
-    def __init__(self, base: Multiplier):
-        super().__init__(base.group, base.is_exact)
-        self.base = base
-
-    def turns(self, g, h):
-        return -self.base.turns(g, h)
-
-    def conjugate(self) -> Multiplier:
-        return self.base
-
 
 class TwistedMultiplier(Multiplier):
-    """sigma' = sigma * (coboundary of z)."""
+    """sigma' = sigma * (coboundary of z), kept lazy when sigma or dz has no normal form."""
 
     kind = "coboundary-twist"
 
@@ -437,10 +430,15 @@ class TwistedMultiplier(Multiplier):
             - self.z.turns(grp.multiply(g, h))
         )
 
+    def power(self, s) -> Multiplier:
+        # z is scaled before its turns are reduced mod 1, so a bilinear
+        # sigma twisted by a quadratic z stays bilinear under rational powers.
+        return self.base.power(s).twist(self.z.scaled(s))
+
 
 def coboundary(z: PhaseMap) -> Multiplier:
     """The multiplier dz(g, h) = z(g) z(h) / z(gh)."""
-    return TwistedMultiplier(TrivialMultiplier(z.group), z)
+    return TrivialMultiplier(z.group).twist(z)
 
 
 @dataclass(frozen=True)
@@ -456,12 +454,8 @@ class CocycleReport:
 
 
 def _sample_triples(group: Group, samples: int, seed: int, spread: int):
-    if group.is_finite() and getattr(group, "n", 10 ** 9) <= 24:
+    if group.is_finite() and len(group.elements()) <= 24:
         return list(itertools.product(group.elements(), repeat=3)), "exhaustive"
-    if isinstance(group, ProductGroup) and group.is_finite():
-        size = len(group.elements())
-        if size <= 24:
-            return list(itertools.product(group.elements(), repeat=3)), "exhaustive"
     rng = random.Random(seed)
     out = [
         (
@@ -509,31 +503,61 @@ def verify_cocycle(sigma: Multiplier, samples: int = 1000, seed: int = 0,
 
 
 def _pair_set(group: Group, radius: int):
-    if group.is_finite() and getattr(group, "n", 10 ** 9) <= 24:
+    if group.is_finite() and len(group.elements()) <= 24:
         return itertools.product(group.elements(), repeat=2)
-    if isinstance(group, ProductGroup) and group.is_finite():
-        elems = group.elements()
-        if len(elems) <= 24:
-            return itertools.product(elems, repeat=2)
     ball = group.ball(radius)
     return itertools.product(ball, repeat=2)
 
 
-def is_cohomologous_via(sigma: Multiplier, sigma_prime: Multiplier, z: PhaseMap,
-                        radius: int = 5, tol: float = 1e-12) -> bool:
-    """Whether sigma' = sigma * dz on an exhaustive finite or ball-restricted pair set."""
-    twisted = sigma.twist(z)
-    for g, h in _pair_set(sigma.group, radius):
-        if twisted.is_exact and sigma_prime.is_exact:
-            if Fraction(twisted.turns(g, h)) % 1 != Fraction(sigma_prime.turns(g, h)) % 1:
+def _normal_form(sigma: Multiplier):
+    """Hashable exact data of sigma, or None when sigma is lazy.
+
+    Pairings and tables are reduced mod 1, so two forms on the same group
+    agree exactly when the multipliers are equal.
+    """
+    matrix = sigma.turn_table if sigma.pairing is None else sigma.pairing
+    if matrix is not None:
+        return tuple(tuple(x % 1 for x in row) for row in matrix)
+    if isinstance(sigma, TrivialMultiplier) and isinstance(sigma.group, ProductGroup):
+        grp = sigma.group
+        sigma = ProductMultiplier(grp, TrivialMultiplier(grp.left), TrivialMultiplier(grp.right))
+    if isinstance(sigma, ProductMultiplier):
+        left, right = _normal_form(sigma.left), _normal_form(sigma.right)
+        if left is not None and right is not None:
+            return left, right
+    return None
+
+
+def decided_equal(a: Multiplier, b: Multiplier) -> bool | None:
+    """Whether a = b, decided from normal forms; None when either side is lazy."""
+    if a.group != b.group:
+        return False
+    form_a, form_b = _normal_form(a), _normal_form(b)
+    if form_a is None or form_b is None:
+        return None
+    return form_a == form_b
+
+
+def multipliers_equal(a: Multiplier, b: Multiplier, radius: int = 5, tol: float = 1e-12) -> bool:
+    """Whether a = b: decided from normal forms, else checked on an exhaustive
+    finite or ball-restricted pair set (as rational turns when exact, else to tol)."""
+    decided = decided_equal(a, b)
+    if decided is not None:
+        return decided
+    exact = a.is_exact and b.is_exact
+    for g, h in _pair_set(a.group, radius):
+        if exact:
+            if Fraction(a.turns(g, h)) % 1 != Fraction(b.turns(g, h)) % 1:
                 return False
-        elif abs(twisted.value(g, h) - sigma_prime.value(g, h)) > tol:
+        elif abs(a.value(g, h) - b.value(g, h)) > tol:
             return False
     return True
 
 
-def multipliers_equal(a: Multiplier, b: Multiplier, radius: int = 5, tol: float = 1e-12) -> bool:
-    return is_cohomologous_via(a, b, PhaseMap.one(a.group), radius, tol)
+def is_cohomologous_via(sigma: Multiplier, sigma_prime: Multiplier, z: PhaseMap,
+                        radius: int = 5, tol: float = 1e-12) -> bool:
+    """Whether sigma' = sigma * dz."""
+    return multipliers_equal(sigma.twist(z), sigma_prime, radius, tol)
 
 
 class LatticeGeometry:
@@ -622,6 +646,12 @@ class GeometricMultiplier(Multiplier):
             + self.geometry.psi_turns(g, hx0)
             - self.geometry.psi_turns(gh, x0)
         )
+
+    def power(self, s) -> "GeometricMultiplier":
+        # The turns are linear in theta and the offsets together.
+        geo, s = self.geometry, as_rational(s)
+        offsets = None if geo.offsets is None else (lambda g: s * as_rational(geo.offsets(g)))
+        return GeometricMultiplier(LatticeGeometry(geo.theta * s, geo.gauge, geo.base_point, offsets))
 
 
 def geometric_multiplier(geometry: LatticeGeometry) -> GeometricMultiplier:

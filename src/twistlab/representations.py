@@ -71,33 +71,6 @@ def harper_element(sigma: Multiplier, coefficients: Sequence[float] = (1.0, 1.0,
     return c1 * dx + c2 * dx.star() + c3 * dy + c4 * dy.star()
 
 
-def _probe_bilinear_turns(sigma: Multiplier, radius: int = 3):
-    """Recover the rational pairing matrix of a bilinear multiplier on Z^2.
-
-    Probes the generator pairs and then verifies the bilinear form against
-    sigma exactly on a ball; raises when sigma is not of that shape.
-    """
-    grp = sigma.group
-    if not isinstance(grp, FreeAbelianGroup) or grp.rank != 2:
-        raise MultiplierError("Bloch fibers need a multiplier on Z^2")
-    if not sigma.is_exact:
-        raise MultiplierError("Bloch fibers need exact phase data")
-    e1, e2 = (1, 0), (0, 1)
-    p = [[Fraction(sigma.turns(a, b)) for b in (e1, e2)] for a in (e1, e2)]
-    ball = grp.ball(radius)
-    for g in ball:
-        for h in ball:
-            expected = (
-                p[0][0] * g[0] * h[0]
-                + p[0][1] * g[0] * h[1]
-                + p[1][0] * g[1] * h[0]
-                + p[1][1] * g[1] * h[1]
-            )
-            if (expected - Fraction(sigma.turns(g, h))) % 1 != 0:
-                raise MultiplierError("multiplier is not bilinear; no Bloch fiber available")
-    return p
-
-
 class BlochMap:
     """Clock-and-shift fibers for a rational magnetic multiplier on Z^2.
 
@@ -108,38 +81,39 @@ class BlochMap:
     """
 
     def __init__(self, sigma: Multiplier):
+        pairing = sigma.pairing
+        if pairing is None or len(pairing) != 2:
+            raise MultiplierError("Bloch fibers need a bilinear multiplier on Z^2")
         self.sigma = sigma
-        pairing = _probe_bilinear_turns(sigma)
-        flux = pairing[0][1] - pairing[1][0]
-        theta = flux % 1
+        theta = (pairing[0][1] - pairing[1][0]) % 1
         self.theta = theta
         self.q = theta.denominator
         self.p = theta.numerator
         # Symmetric matrix m with T(g) = exp(-pi i g^T m g) u^g1 v^g2.
         self.correction = [
             [pairing[0][0], pairing[0][1]],
-            [pairing[1][0] + flux, pairing[1][1]],
+            [pairing[0][1], pairing[1][1]],
         ]
-        if self.correction[0][1] != self.correction[1][0]:
-            raise MultiplierError("pairing cannot be symmetrized for fiber phases")
-        q = self.q
-        self.zeta = cmath.exp(2j * cmath.pi * self.p / q)
-        self.clock_powers = np.arange(q)
+        self.zeta = cmath.exp(2j * cmath.pi * self.p / self.q)
 
     def phase_correction(self, g) -> complex:
         m = self.correction
         turns = -(m[0][0] * g[0] * g[0] + 2 * m[0][1] * g[0] * g[1] + m[1][1] * g[1] * g[1]) / 2
         return Phase(turns).value
 
-    def rep_matrix(self, g, k1: float, k2: float) -> np.ndarray:
-        """T(g) at Bloch momentum (k1, k2), a q x q unitary."""
+    def _clock_shift(self, g, scalar: complex) -> np.ndarray:
+        """scalar * u^g1 v^g2 without the Bloch momenta, a q x q matrix."""
         q = self.q
         mat = np.zeros((q, q), dtype=complex)
-        scalar = self.phase_correction(g) * cmath.exp(1j * (k1 * g[0] + k2 * g[1]))
         for j in range(q):
             i = (j + g[1]) % q
             mat[i, j] = scalar * self.zeta ** ((i * g[0]) % q)
         return mat
+
+    def rep_matrix(self, g, k1: float, k2: float) -> np.ndarray:
+        """T(g) at Bloch momentum (k1, k2), a q x q unitary."""
+        scalar = self.phase_correction(g) * cmath.exp(1j * (k1 * g[0] + k2 * g[1]))
+        return self._clock_shift(g, scalar)
 
     def fiber(self, a: AlgebraElement, k1: float, k2: float) -> np.ndarray:
         out = np.zeros((self.q, self.q), dtype=complex)
@@ -152,17 +126,10 @@ class BlochMap:
 
         Row order is lexicographic in (k1 index, k2 index).
         """
-        q = self.q
-        grid1, grid2 = np.meshgrid(k1s, k2s, indexing="ij")
-        k1f = grid1.reshape(-1)
-        k2f = grid2.reshape(-1)
-        stack = np.zeros((k1f.size, q, q), dtype=complex)
+        k1f, k2f = _flat_grid(k1s, k2s)
+        stack = np.zeros((k1f.size, self.q, self.q), dtype=complex)
         for g, c in a.coeffs.items():
-            base = np.zeros((q, q), dtype=complex)
-            scalar = self.phase_correction(g)
-            for j in range(q):
-                i = (j + g[1]) % q
-                base[i, j] = scalar * self.zeta ** ((i * g[0]) % q)
+            base = self._clock_shift(g, self.phase_correction(g))
             wave = np.exp(1j * (k1f * g[0] + k2f * g[1]))
             stack += c * wave[:, None, None] * base[None, :, :]
         return stack
@@ -177,19 +144,18 @@ class BlochMap:
         Uses (1/q) tr(X_k T_k(g)^*) averaged over the grid, which isolates
         the coefficient once the grid is finer than the support.
         """
-        grid1, grid2 = np.meshgrid(k1s, k2s, indexing="ij")
-        k1f = grid1.reshape(-1)
-        k2f = grid2.reshape(-1)
-        q = self.q
-        base = np.zeros((q, q), dtype=complex)
-        scalar = self.phase_correction(g)
-        for j in range(q):
-            i = (j + g[1]) % q
-            base[i, j] = scalar * self.zeta ** ((i * g[0]) % q)
+        k1f, k2f = _flat_grid(k1s, k2s)
+        base = self._clock_shift(g, self.phase_correction(g))
         wave = np.exp(1j * (k1f * g[0] + k2f * g[1]))
         tmats = wave[:, None, None] * base[None, :, :]
         inner = np.einsum("kij,kij->k", stack, tmats.conj())
-        return complex(inner.mean() / q)
+        return complex(inner.mean() / self.q)
+
+
+def _flat_grid(k1s: np.ndarray, k2s: np.ndarray):
+    """The k1 x k2 grid flattened in lexicographic (k1 index, k2 index) order."""
+    grid1, grid2 = np.meshgrid(k1s, k2s, indexing="ij")
+    return grid1.reshape(-1), grid2.reshape(-1)
 
 
 @dataclass

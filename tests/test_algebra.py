@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from twistlab import (
     AlgebraElement,
     AlgebraError,
+    BilinearMultiplier,
     FreeAbelianGroup,
     PhaseMap,
     ProductGroup,
@@ -204,3 +205,23 @@ def test_random_element_respects_requested_size():
     for sigma in SIGMAS.values():
         a = random_element(sigma, rng, n_terms=5)
         assert 1 <= len(a.support()) <= 5
+
+
+def test_separately_built_equal_multipliers_share_an_algebra():
+    z = PhaseMap.random_exact(S3, random.Random(71))
+    a = AlgebraElement.delta(coboundary(z), 1)
+    b = AlgebraElement.delta(coboundary(z), 2)
+    assert (a * b).support() == [S3.multiply(1, 2)]
+    c = AlgebraElement.delta(magnetic_multiplier("1/3"), (1, 0))
+    d = AlgebraElement.delta(BilinearMultiplier(Z2, [[0, Fraction(1, 3)], [0, 0]]), (0, 1))
+    assert sorted((c + d).support()) == [(0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1, float("-inf"))])
+def test_non_finite_coefficients_are_rejected(bad):
+    sigma = SIGMAS["lattice-magnetic"]
+    for check in (True, False):
+        with pytest.raises(AlgebraError):
+            AlgebraElement(sigma, [((1, 0), 1.0), ((0, 1), bad)], check=check)
+    with pytest.raises(AlgebraError):
+        bad * AlgebraElement.delta(sigma, (1, 0))

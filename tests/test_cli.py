@@ -68,6 +68,31 @@ def test_butterfly_rejects_bad_coefficients(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("coefficients", ["1,nan,1,1", "1,inf,1,1"])
+def test_butterfly_rejects_non_finite_coefficients(capsys, coefficients):
+    code, out = run(capsys, ["butterfly", "--qmax", "3", "--kgrid", "4",
+                             "--coefficients", coefficients])
+    assert code == 2
+    assert out == ""
+
+
+def test_eta_bloch_germ_of_a_coboundary_twist(capsys, tmp_path):
+    cfg = write_config(tmp_path, "eta.json", {
+        "group": "z2",
+        "multiplier": {"kind": "coboundary-twist",
+                       "base": {"kind": "magnetic", "theta": "2/5", "gauge": "symmetric"},
+                       "z": {"quadratic": "1/5"}},
+        "terms": [{"g": [1, 0], "re": 1.0}, {"g": [-1, 0], "re": 1.0},
+                  {"g": [0, 1], "re": 1.0}, {"g": [0, -1], "re": 1.0}, {"g": [0, 0], "re": 0.5}],
+        "method": "bloch", "kgrid": 16, "s_grid": ["1/2", "1"],
+    })
+    code, out = run(capsys, ["eta", "--config", cfg])
+    assert code == 0
+    payload = json.loads(out)
+    assert sorted(payload["germ"]) == ["1", "1/2"]
+    assert payload["germ"]["1"] == payload["eta"]
+
+
 def test_eta_dense_config(capsys, tmp_path):
     cfg = write_config(tmp_path, "eta.json",
                        {"matrix": {"re": [[1, 0, 0], [0, 2, 0], [0, 0, -3]]}})

@@ -22,7 +22,13 @@ from twistlab import (
     symmetric_group,
     verify_cocycle,
 )
-from twistlab.multipliers import ProductMultiplier, PullbackMultiplier, TableMultiplier
+from twistlab.multipliers import (
+    ProductMultiplier,
+    PullbackMultiplier,
+    TableMultiplier,
+    TwistedMultiplier,
+    decided_equal,
+)
 
 Z2 = FreeAbelianGroup(2)
 S3 = symmetric_group(3)
@@ -157,6 +163,17 @@ def test_geometry_offsets_shift_by_a_coboundary():
     assert is_cohomologous_via(plain, shifted, z)
 
 
+def test_geometric_power_matches_direct_power():
+    z = PhaseMap.random_exact(Z2, random.Random(9))
+    offsets = lambda g: z.turns(g) if g != (0, 0) else 0
+    for s in (Fraction(1, 2), -1):
+        geo = geometric_multiplier(LatticeGeometry(THETA, offsets=offsets)).power(s)
+        direct = magnetic_multiplier(THETA).power(s).twist(z.scaled(s))
+        assert multipliers_equal(geo, direct, radius=3)
+    geo = geometric_multiplier(LatticeGeometry(THETA))
+    assert multipliers_equal(geo.conjugate(), magnetic_multiplier(-THETA), radius=3)
+
+
 def test_plaquette_curvature_equals_flux():
     for gauge in ("landau", "symmetric"):
         geometry = LatticeGeometry(THETA, gauge=gauge)
@@ -232,10 +249,15 @@ def test_multiplier_json_round_trips():
         magnetic_multiplier(THETA, gauge="symmetric"),
         BilinearMultiplier(FreeAbelianGroup(3), [[0, 1, 0], [0, 0, 0], [Fraction(1, 2), 0, 0]]),
         TrivialMultiplier(Z2),
+        s3_coboundary()[0],
+        magnetic_multiplier(THETA).twist(PhaseMap.quadratic_on_lattice(Z2, Fraction(1, 5))),
+        TrivialMultiplier(S3),
     ]
     for sigma in cases:
         back = multiplier_from_json(sigma.to_json(), sigma.group)
         assert multipliers_equal(back, sigma)
+        # Both sides have normal forms, so equality is decided without a window.
+        assert decided_equal(back, sigma) is True
 
 
 def test_power_json_round_trip():
@@ -250,3 +272,78 @@ def test_bilinear_needs_matching_rank():
         BilinearMultiplier(Z2, [[0, 1]])
     with pytest.raises(MultiplierError):
         magnetic_multiplier(THETA, rank=3)
+
+
+def test_coboundary_twist_payload_writes_back_and_reads_again():
+    payloads = [
+        ({"kind": "coboundary-twist", "base": {"kind": "magnetic", "theta": "2/5", "gauge": "symmetric"},
+          "z": {"quadratic": "1/5"}}, Z2),
+        ({"kind": "coboundary-twist", "base": {"kind": "trivial"},
+          "z": {"entries": ["0", "1/3", "1/2", "2/3", "1/4", "5/6"]}}, S3),
+    ]
+    for data, group in payloads:
+        sigma = multiplier_from_json(data, group)
+        again = multiplier_from_json(sigma.to_json(), group)
+        assert decided_equal(again, sigma) is True
+
+
+def test_lazy_multipliers_have_no_json_form():
+    lazy = [
+        magnetic_multiplier(THETA).twist(PhaseMap.random_exact(Z2, random.Random(12))),
+        PullbackMultiplier(Homomorphism.projection(ProductGroup(Z2, S3), "left"),
+                           magnetic_multiplier(THETA)),
+        geometric_multiplier(LatticeGeometry(THETA)),
+    ]
+    for sigma in lazy:
+        with pytest.raises(MultiplierError):
+            sigma.to_json()
+
+
+def test_constructions_return_normal_forms():
+    sigma, z = s3_coboundary()
+    assert isinstance(sigma, TableMultiplier)
+    assert isinstance(TrivialMultiplier(S3).twist(z), TableMultiplier)
+    lan = magnetic_multiplier(THETA)
+    for z2 in (PhaseMap.quadratic_on_lattice(Z2, Fraction(1, 6)),
+               PhaseMap.character_on_lattice(Z2, ["1/5", "2/7"]).conjugate()):
+        assert isinstance(lan.twist(z2), BilinearMultiplier)
+    assert lan.twist(PhaseMap.quadratic_on_lattice(Z2, Fraction(1, 6))).pairing == (
+        (0, Fraction(1, 6)), (Fraction(-1, 6), 0))
+    assert isinstance(lan.twist(PhaseMap.random_exact(Z2, random.Random(3))), TwistedMultiplier)
+    assert decided_equal(lan.conjugate(), lan.power(-1)) is True
+
+
+def test_decided_equality_of_normal_forms():
+    shifted = BilinearMultiplier(Z2, [[2, THETA - 1], [-3, 0]])
+    assert decided_equal(shifted, magnetic_multiplier(THETA)) is True
+    assert decided_equal(magnetic_multiplier(THETA, "symmetric"), magnetic_multiplier(THETA)) is False
+    prod = ProductGroup(Z2, S3)
+    assert decided_equal(
+        TrivialMultiplier(prod),
+        ProductMultiplier(prod, TrivialMultiplier(Z2), TrivialMultiplier(S3)),
+    ) is True
+    assert decided_equal(TrivialMultiplier(S3), s3_coboundary()[0]) is False
+    assert decided_equal(TrivialMultiplier(Z2), TrivialMultiplier(FreeAbelianGroup(3))) is False
+    assert decided_equal(geometric_multiplier(LatticeGeometry(THETA)), magnetic_multiplier(THETA)) is None
+
+
+def test_rational_power_of_a_twist_twists_the_power():
+    sigma = magnetic_multiplier(Fraction(2, 5), gauge="symmetric")
+    z = PhaseMap.quadratic_on_lattice(Z2, Fraction(1, 5))
+    for s in (Fraction(1, 2), Fraction(-3, 7), 2):
+        power = sigma.twist(z).power(s)
+        assert power.pairing is not None
+        assert decided_equal(power, sigma.power(s).twist(z.scaled(s))) is True
+    # A tabulated coboundary keeps the turns of z unreduced, so its powers
+    # are the coboundaries of the powers of z.
+    _, z3 = s3_coboundary()
+    for s in (Fraction(1, 2), Fraction(2, 3)):
+        power = TrivialMultiplier(S3).twist(z3).power(s)
+        assert decided_equal(power, coboundary(z3.scaled(s))) is True
+        assert verify_cocycle(power)
+    # A lazy twist scales z before reducing its turns mod 1 as well.
+    lazy_z = PhaseMap.random_exact(Z2, random.Random(21))
+    half = sigma.twist(lazy_z).power(Fraction(1, 2))
+    assert multipliers_equal(half, sigma.power(Fraction(1, 2)).twist(lazy_z.scaled(Fraction(1, 2))),
+                             radius=3)
+    assert verify_cocycle(half, samples=200, seed=4)

@@ -8,9 +8,15 @@ import pytest
 
 from twistlab import (
     AlgebraElement,
+    BilinearMultiplier,
     BlochMap,
+    FreeAbelianGroup,
+    LatticeGeometry,
+    MultiplierError,
+    PhaseMap,
     TrivialMultiplier,
     butterfly_rows,
+    geometric_multiplier,
     harper_element,
     left_regular,
     magnetic_multiplier,
@@ -198,3 +204,15 @@ def test_trivial_multiplier_fiber_is_scalar():
     fiber = bloch.fiber(h, 0.7, 0.2)
     expected = 2 * math.cos(0.7) + 2 * math.cos(0.2)
     assert abs(fiber[0, 0] - expected) < 1e-12
+
+
+def test_bloch_map_needs_a_pairing_on_z2():
+    without_z2_pairing = [
+        geometric_multiplier(LatticeGeometry(Fraction(1, 3))),
+        magnetic_multiplier(Fraction(1, 3)).twist(
+            PhaseMap.random_exact(FreeAbelianGroup(2), random.Random(2))),
+        BilinearMultiplier(FreeAbelianGroup(3), [[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+    ]
+    for sigma in without_z2_pairing:
+        with pytest.raises(MultiplierError):
+            BlochMap(sigma)
