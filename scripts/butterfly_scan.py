@@ -41,8 +41,8 @@ def main(argv=None):
     coefficients = tuple(float(c) for c in args.coefficients.split(","))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
-            for line in butterfly_rows(args.qmax, args.kgrid, coefficients):
-                fh.write(line + "\n")
+            rows = butterfly_rows(args.qmax, args.kgrid, coefficients)
+            fh.writelines(line + "\n" for line in rows)
         print(f"wrote {args.csv}")
 
     for theta in reduced_fractions(args.qmax):

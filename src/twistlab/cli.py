@@ -5,7 +5,10 @@ magnetic butterfly scan, eta and spectral flow for configured operators,
 kernel Betti numbers, Sobolev norms with the derivation chain, and the
 circle pairing.  Outputs are deterministic for fixed inputs and seeds:
 JSON is emitted with sorted keys and one trailing newline, CSV with
-exact %.17g floats.
+exact %.17g floats.  ``emit`` is the one output sink: it takes a JSON
+payload, or for CSV an iterable of text chunks that it writes as they
+are made.  Every argument is checked before ``emit`` opens stdout or
+``--out``, so a rejected call writes nothing.
 
 Exit codes: 0 success, 1 a verification suite failed, 2 bad
 configuration or arguments.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -122,15 +126,13 @@ def element_from_config(cfg: dict):
 
 
 def emit(payload, out_path: str | None, as_json: bool = True) -> None:
-    if as_json:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        text = payload
+    """Write a JSON payload, or an iterable of CSV text chunks, to out_path or stdout."""
+    chunks = [json.dumps(payload, sort_keys=True, indent=2) + "\n"] if as_json else payload
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _cmd_verify(args) -> int:
@@ -149,8 +151,15 @@ def _cmd_butterfly(args) -> int:
     coefficients = tuple(float(x) for x in args.coefficients.split(","))
     if len(coefficients) != 4:
         raise ConfigError("--coefficients takes four comma separated values")
-    lines = list(butterfly_rows(args.qmax, args.kgrid, coefficients))
-    emit("".join(line + "\n" for line in lines), args.out, as_json=False)
+    if not all(math.isfinite(c) for c in coefficients):
+        raise ConfigError("--coefficients must be finite")
+    c1, c2, c3, c4 = coefficients
+    if c1 != c2 or c3 != c4:
+        raise ConfigError("--coefficients must give a self adjoint element: c1 = c2 and c3 = c4")
+    if args.qmax < 1 or args.kgrid < 1:
+        raise ConfigError("--qmax and --kgrid must be at least 1")
+    rows = butterfly_rows(args.qmax, args.kgrid, coefficients)
+    emit((line + "\n" for line in rows), args.out, as_json=False)
     return 0
 
 

@@ -10,6 +10,7 @@ index for tables, a tuple of ints for free abelian groups, and a pair
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 from typing import Iterable, Iterator, Sequence
@@ -570,8 +571,24 @@ def _perm_group_from(perms: list[tuple], gens: list[tuple], label: str) -> Finit
     return FiniteTableGroup(mul, identity, gen_idx, label=label)
 
 
+# Largest order of a tabulated group: S6, whose table has 720 x 720 entries.
+MAX_TABLE_ORDER = 720
+
+
+def _check_order(label: str, order: int) -> None:
+    """Refuse a group before any element or table is enumerated."""
+    if order > MAX_TABLE_ORDER:
+        raise GroupError(f"{label} has more than {MAX_TABLE_ORDER} elements, the cap for table groups")
+
+
+def _degree_factorial(n: int) -> int:
+    """n!, with n clipped to [0, MAX_TABLE_ORDER + 1] so a huge degree stays cheap."""
+    return math.factorial(min(max(n, 0), MAX_TABLE_ORDER + 1))
+
+
 def symmetric_group(n: int) -> FiniteTableGroup:
     """S_n as a table group generated by adjacent transpositions."""
+    _check_order(f"S{n}", _degree_factorial(n))
     perms = [tuple(p) for p in itertools.permutations(range(n))]
     gens = []
     for i in range(n - 1):
@@ -583,6 +600,7 @@ def symmetric_group(n: int) -> FiniteTableGroup:
 
 def alternating_group(n: int) -> FiniteTableGroup:
     """A_n as a table group generated by 3-cycles (0 1 i)."""
+    _check_order(f"A{n}", _degree_factorial(n) // 2)
     perms = []
     for p in itertools.permutations(range(n)):
         inversions = sum(
@@ -600,6 +618,7 @@ def alternating_group(n: int) -> FiniteTableGroup:
 
 def cyclic_group(n: int) -> FiniteTableGroup:
     """Z/n with generator 1 (and its inverse)."""
+    _check_order(f"C{n}", n)
     mul = [[(i + j) % n for j in range(n)] for i in range(n)]
     gens = [1 % n, (n - 1) % n] if n > 1 else [0]
     return FiniteTableGroup(mul, 0, gens, label=f"C{n}")

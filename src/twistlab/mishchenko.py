@@ -255,6 +255,8 @@ def lott_pairing_circle(cover: CircleCover, cochain: GroupCochain | None = None,
         cochain = GroupCochain(cover.group, 1, lambda g0, g1: float(g1[0] - g0[0]), "z")
     if cochain.degree != 1:
         raise CoverError("the circle pairing takes a degree one cochain")
+    if n_grid < 3:
+        raise CoverError(f"centered differences need n_grid >= 3, got {n_grid}")
     cbar = inhomogeneous(cochain)
     xs = cover.grid(n_grid)
     n = len(xs)

@@ -284,7 +284,9 @@ def reduced_fractions(qmax: int) -> Iterator[Fraction]:
 def butterfly_rows(qmax: int, kgrid: int, coefficients: Sequence[float] = (1.0, 1.0, 1.0, 1.0)) -> Iterator[str]:
     """CSV rows of the Hofstadter sweep, deterministic order, 17 digit floats.
 
-    Columns: theta_num,theta_den,k1,k2,band_index,eigenvalue.
+    Columns: theta_num,theta_den,k1,k2,band_index,eigenvalue.  Rows are
+    streamed, header first, and built one flux at a time, so memory holds
+    one flux's rows rather than the whole sweep.
     """
     yield "theta_num,theta_den,k1,k2,band_index,eigenvalue"
     for theta in reduced_fractions(qmax):
@@ -292,18 +294,13 @@ def butterfly_rows(qmax: int, kgrid: int, coefficients: Sequence[float] = (1.0, 
         h = harper_element(sigma, coefficients)
         bm = BlochMap(sigma)
         ks = bm.grid(kgrid)
+        kstr = [f"{k:.17g}" for k in ks.tolist()]
         eigs = np.linalg.eigvalsh(bm.fiber_stack(h, ks, ks))
-        q = bm.q
-        idx = 0
-        for i1 in range(kgrid):
-            for i2 in range(kgrid):
-                for b in range(q):
-                    val = eigs[idx, b]
-                    yield (
-                        f"{theta.numerator},{theta.denominator},"
-                        f"{ks[i1]:.17g},{ks[i2]:.17g},{b},{val:.17g}"
-                    )
-                idx += 1
+        flux = f"{theta.numerator},{theta.denominator},"
+        prefixes = [f"{flux}{k1},{k2}," for k1 in kstr for k2 in kstr]
+        yield from [f"{prefix}{b},{val:.17g}"
+                    for prefix, vals in zip(prefixes, eigs.tolist())
+                    for b, val in enumerate(vals)]
 
 
 def hausdorff_distance(a: Iterable[float], b: Iterable[float]) -> float:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from twistlab import butterfly_rows
 from twistlab.cli import main
 from twistlab.verify import suite_names
 
@@ -74,6 +75,68 @@ def test_butterfly_rejects_non_finite_coefficients(capsys, coefficients):
                              "--coefficients", coefficients])
     assert code == 2
     assert out == ""
+
+
+def test_butterfly_stdout_and_out_file_are_the_rows(capsys, tmp_path):
+    argv = ["butterfly", "--qmax", "4", "--kgrid", "5", "--coefficients", "0.5,0.5,2,2"]
+    expected = "".join(row + "\n" for row in butterfly_rows(4, 5, (0.5, 0.5, 2.0, 2.0)))
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert out == expected
+    target = tmp_path / "butterfly.csv"
+    code, out = run(capsys, argv + ["--out", str(target)])
+    assert code == 0
+    assert out == ""
+    assert target.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("extra", [
+    ["--qmax", "0"],
+    ["--kgrid", "0"],
+    ["--kgrid", "-2"],
+    ["--coefficients", "1,nan,1,1"],
+    ["--coefficients", "1,1,inf,1"],
+    ["--coefficients", "1,2,1,1"],
+    ["--coefficients", "1,1,1,0.5"],
+])
+def test_butterfly_rejects_arguments_before_any_output(capsys, tmp_path, extra):
+    argv = ["butterfly", "--qmax", "3", "--kgrid", "4"] + extra
+    missing = tmp_path / "missing.csv"
+    code, out = run(capsys, argv + ["--out", str(missing)])
+    assert (code, out) == (2, "")
+    assert not missing.exists()
+    kept = tmp_path / "kept.csv"
+    kept.write_text("previous\n", encoding="utf-8")
+    code, out = run(capsys, argv + ["--out", str(kept)])
+    assert (code, out) == (2, "")
+    assert kept.read_text(encoding="utf-8") == "previous\n"
+    code, out = run(capsys, argv)
+    assert (code, out) == (2, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM from procfs")
+def test_butterfly_streams_at_bounded_memory(tmp_path):
+    # The child reports VmHWM, the peak of its own address space.  Its
+    # ru_maxrss would also count this test process, because Linux carries
+    # the spawning process's peak across exec.
+    target = tmp_path / "butterfly.csv"
+    child = (
+        "import re, sys\n"
+        "from twistlab.cli import main\n"
+        "code = main(['butterfly', '--qmax', '8', '--kgrid', '64', '--out', sys.argv[1]])\n"
+        "status = open('/proc/self/status', encoding='ascii').read()\n"
+        "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", child, str(target)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb = (int(x) for x in proc.stdout.split())
+    assert code == 0
+    assert target.stat().st_size > 30_000_000
+    assert peak_kb / 1024 < 100, f"peak RSS {peak_kb / 1024:.1f} MB"
 
 
 def test_eta_bloch_germ_of_a_coboundary_twist(capsys, tmp_path):
@@ -181,6 +244,29 @@ def test_pairing_circle(capsys):
     code, out = run(capsys, ["pairing-circle", "--winding", "2", "--n-grid", "256"])
     assert code == 0
     assert json.loads(out)["pairing"] == pytest.approx(2.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("n_grid", ["0", "-3", "2"])
+def test_pairing_circle_rejects_grids_too_small_for_centered_differences(capsys, tmp_path, n_grid):
+    target = tmp_path / "pairing.json"
+    code, out = run(capsys, ["pairing-circle", f"--n-grid={n_grid}", "--out", str(target)])
+    assert (code, out) == (2, "")
+    assert not target.exists()
+    code, out = run(capsys, ["pairing-circle", f"--n-grid={n_grid}"])
+    assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("group", ["s10", "a8", "c100000000"])
+def test_table_groups_past_the_order_cap_are_config_errors(capsys, tmp_path, group):
+    cfg = write_config(tmp_path, "sobolev.json", {
+        "group": group, "multiplier": {"kind": "trivial"}, "terms": [{"g": 0, "re": 1.0}],
+    })
+    target = tmp_path / "sobolev_out.json"
+    code = main(["sobolev", "--config", cfg, "--out", str(target)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "cap for table groups" in captured.err
+    assert not target.exists()
 
 
 def test_missing_config_returns_user_error(capsys):

@@ -18,6 +18,7 @@ from twistlab import (
     symmetric_group,
     trivial_group,
 )
+from twistlab.groups import MAX_TABLE_ORDER
 
 Z2 = FreeAbelianGroup(2)
 S3 = symmetric_group(3)
@@ -169,6 +170,15 @@ def test_table_validation_catches_bad_tables():
         FiniteTableGroup([[0, 1], [1, 1]])
     with pytest.raises(GroupError):
         FiniteTableGroup([[1, 0], [0, 0]], identity_index=0)
+
+
+def test_table_group_orders_are_capped_before_enumeration():
+    assert cyclic_group(MAX_TABLE_ORDER).n == MAX_TABLE_ORDER
+    assert alternating_group(6).n == 360
+    for build, n in ((cyclic_group, MAX_TABLE_ORDER + 1), (cyclic_group, 10**8),
+                     (symmetric_group, 7), (symmetric_group, 10**8), (alternating_group, 7)):
+        with pytest.raises(GroupError, match="cap for table groups"):
+            build(n)
 
 
 def test_trivial_group():

@@ -179,6 +179,35 @@ def test_butterfly_rows_format_and_determinism():
     assert all(len(r.split(",")) == 6 for r in rows1[1:])
 
 
+def _reference_butterfly_rows(qmax, kgrid, coefficients):
+    """The row-by-row formatting loop that butterfly_rows replaced."""
+    yield "theta_num,theta_den,k1,k2,band_index,eigenvalue"
+    for theta in reduced_fractions(qmax):
+        sigma = magnetic_multiplier(theta, "landau")
+        h = harper_element(sigma, coefficients)
+        bm = BlochMap(sigma)
+        ks = bm.grid(kgrid)
+        eigs = np.linalg.eigvalsh(bm.fiber_stack(h, ks, ks))
+        idx = 0
+        for i1 in range(kgrid):
+            for i2 in range(kgrid):
+                for b in range(bm.q):
+                    val = eigs[idx, b]
+                    yield (
+                        f"{theta.numerator},{theta.denominator},"
+                        f"{ks[i1]:.17g},{ks[i2]:.17g},{b},{val:.17g}"
+                    )
+                idx += 1
+
+
+@pytest.mark.parametrize("qmax", [1, 5])
+@pytest.mark.parametrize("kgrid", [1, 3, 8])
+@pytest.mark.parametrize("coefficients", [(1.0, 1.0, 1.0, 1.0), (0.5, 0.5, 2.0, 2.0)])
+def test_butterfly_rows_match_row_by_row_reference(qmax, kgrid, coefficients):
+    rows = list(butterfly_rows(qmax, kgrid, coefficients))
+    assert rows == list(_reference_butterfly_rows(qmax, kgrid, coefficients))
+
+
 def test_reduced_fractions_enumeration():
     fracs = list(reduced_fractions(4))
     assert fracs == [
