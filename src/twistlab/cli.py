@@ -38,7 +38,7 @@ from .groups import (
 )
 from .mishchenko import CircleCover, lott_pairing_circle
 from .multipliers import MultiplierError, multiplier_from_json
-from .representations import butterfly_rows
+from .representations import MAX_FIBER_ENTRIES, butterfly_rows
 from .spectral import (
     MatrixPath,
     SpectralError,
@@ -158,6 +158,8 @@ def _cmd_butterfly(args) -> int:
         raise ConfigError("--coefficients must give a self adjoint element: c1 = c2 and c3 = c4")
     if args.qmax < 1 or args.kgrid < 1:
         raise ConfigError("--qmax and --kgrid must be at least 1")
+    if (args.kgrid * args.qmax) ** 2 > MAX_FIBER_ENTRIES:
+        raise ConfigError(f"--kgrid^2 * --qmax^2 must be at most {MAX_FIBER_ENTRIES}")
     rows = butterfly_rows(args.qmax, args.kgrid, coefficients)
     emit((line + "\n" for line in rows), args.out, as_json=False)
     return 0

@@ -1,4 +1,4 @@
-"""Group 2-cocycles with values in U(1), kept exact whenever possible.
+"""Group 2-cocycles with values in U(1), with exact rational turns.
 
 A multiplier sigma assigns a phase to each pair of group elements and
 satisfies the normalized cocycle identity
@@ -14,9 +14,9 @@ Powers, conjugates, coboundaries and twists by exact phase maps on finite
 table groups, lattice characters or quadratic gauge changes return normal
 forms, and two normal forms are equal exactly when their pairings or
 tables differ by integers (Kleppner, Math. Ann. 1965), factor by factor on
-products.  Twists by inexact or random lattice phase maps
-(``TwistedMultiplier``), pullbacks and the geometric construction from a
-lattice gauge potential stay lazy and are compared on a finite window.
+products.  Twists by random lattice phase maps (``TwistedMultiplier``),
+pullbacks and the geometric construction from a lattice gauge potential
+stay lazy and are compared, still as exact turns, on a finite window.
 """
 
 from __future__ import annotations
@@ -46,50 +46,40 @@ class PhaseMap:
     """A U(1)-valued function z on a group with z(e) = 1.
 
     Used for coboundaries, gauge changes and characters.  ``turns(g)``
-    returns the angle in turns, exact (Fraction) when possible.
+    returns the angle as a Fraction of a turn reduced mod 1.
     """
 
-    def __init__(self, group: Group, turns_fn: Callable, exact: bool = True, label: str = "",
-                 character: bool = False):
+    def __init__(self, group: Group, turns_fn: Callable, label: str = "", character: bool = False):
         self.group = group
         self._turns_fn = turns_fn
-        self.exact = exact
         self.label = label
         self.character = character
         # The matrix B with dz(g, h) = g^T B h in turns, for characters and
         # quadratic gauge changes on Z^k; None when dz has no such form.
         self.coboundary_pairing = None
 
-    def turns(self, g):
-        t = self._turns_fn(g)
-        if self.exact:
-            return Fraction(t) % 1
-        return float(t) % 1.0
-
-    def phase(self, g) -> Phase:
-        return Phase(self.turns(g), exact=self.exact)
+    def turns(self, g) -> Fraction:
+        return as_rational(self._turns_fn(g)) % 1
 
     def __call__(self, g) -> complex:
-        return self.phase(g).value
+        return Phase(self._turns_fn(g)).value
 
-    def _rescaled(self, turns_fn: Callable, exact: bool, label: str, s) -> "PhaseMap":
-        out = PhaseMap(self.group, turns_fn, exact, label, self.character)
+    def _rescaled(self, turns_fn: Callable, label: str, s) -> "PhaseMap":
+        out = PhaseMap(self.group, turns_fn, label, self.character)
         out.coboundary_pairing = _scaled_matrix(self.coboundary_pairing, s)
         return out
 
     def conjugate(self) -> "PhaseMap":
-        return self._rescaled(lambda g: -self._turns_fn(g), self.exact, f"conj({self.label})", -1)
+        return self._rescaled(lambda g: -self._turns_fn(g), f"conj({self.label})", -1)
 
     def scaled(self, s) -> "PhaseMap":
-        if not self.exact:
-            raise MultiplierError("rational scaling needs exact phase data")
         s = as_rational(s)
-        return self._rescaled(lambda g: Fraction(self._turns_fn(g)) * s, True,
+        return self._rescaled(lambda g: as_rational(self._turns_fn(g)) * s,
                               f"{self.label}^{rational_str(s)}", s)
 
     @classmethod
     def one(cls, group: Group) -> "PhaseMap":
-        return cls(group, lambda g: Fraction(0), True, "1", character=True)
+        return cls(group, lambda g: Fraction(0), "1", character=True)
 
     @classmethod
     def from_table(cls, group: FiniteTableGroup, turn_values: Sequence, label: str = "",
@@ -99,7 +89,7 @@ class PhaseMap:
             raise MultiplierError("phase table must list one turn per group element")
         if table[group.identity_index] != 0:
             raise MultiplierError("phase maps must send the identity to 1")
-        return cls(group, lambda g: table[g], True, label or "table", character=character)
+        return cls(group, lambda g: table[g], label or "table", character=character)
 
     @classmethod
     def character_on_lattice(cls, group: FreeAbelianGroup, turn_vector: Sequence) -> "PhaseMap":
@@ -109,7 +99,6 @@ class PhaseMap:
         z = cls(
             group,
             lambda g: sum(v * a for v, a in zip(vec, g)),
-            True,
             "chi(" + ",".join(rational_str(v) for v in vec) + ")",
             character=True,
         )
@@ -122,17 +111,15 @@ class PhaseMap:
         if group.rank != 2:
             raise MultiplierError("quadratic phase maps are defined on Z^2")
         c = as_rational(coeff)
-        z = cls(group, lambda g: c * g[0] * g[1], True, f"quad({rational_str(c)})")
+        z = cls(group, lambda g: c * g[0] * g[1], f"quad({rational_str(c)})")
         z.coboundary_pairing = ((Fraction(0), -c), (-c, Fraction(0)))
         return z
 
     @classmethod
     def product(cls, group: ProductGroup, left: "PhaseMap", right: "PhaseMap") -> "PhaseMap":
-        exact = left.exact and right.exact
         return cls(
             group,
             lambda g: left._turns_fn(g[0]) + right._turns_fn(g[1]),
-            exact,
             f"{left.label}x{right.label}",
             character=left.character and right.character,
         )
@@ -151,7 +138,7 @@ class PhaseMap:
                 for g in group.elements()
             }
             table[group.identity()] = Fraction(0)
-            return cls(group, lambda g: table[g], True, "random")
+            return cls(group, lambda g: table[g], "random")
         cache: dict = {group.identity(): Fraction(0)}
 
         def fn(g):
@@ -159,7 +146,7 @@ class PhaseMap:
                 cache[g] = Fraction(rng.randrange(denominator), denominator)
             return cache[g]
 
-        return cls(group, fn, True, "random")
+        return cls(group, fn, "random")
 
     def verify_character(self, samples: int = 100, seed: int = 5) -> bool:
         rng = random.Random(seed)
@@ -167,12 +154,7 @@ class PhaseMap:
         for _ in range(samples):
             a = grp.random_element(rng)
             b = grp.random_element(rng)
-            lhs = self.turns(grp.multiply(a, b))
-            rhs = (self.turns(a) + self.turns(b)) % 1 if self.exact else (self.turns(a) + self.turns(b)) % 1.0
-            if self.exact:
-                if lhs != rhs:
-                    return False
-            elif abs(Phase(lhs, exact=False).value - Phase(rhs, exact=False).value) > 1e-10:
+            if self.turns(grp.multiply(a, b)) != (self.turns(a) + self.turns(b)) % 1:
                 return False
         return True
 
@@ -212,19 +194,15 @@ class Multiplier:
     pairing = None
     turn_table = None
 
-    def __init__(self, group: Group, exact: bool = True):
+    def __init__(self, group: Group):
         self.group = group
-        self.is_exact = exact
 
-    def turns(self, g, h):
-        """Angle of sigma(g, h) in turns (Fraction when exact)."""
+    def turns(self, g, h) -> Fraction:
+        """Angle of sigma(g, h) as a Fraction of a turn."""
         raise NotImplementedError
 
-    def phase(self, g, h) -> Phase:
-        return Phase(self.turns(g, h), exact=self.is_exact)
-
     def value(self, g, h) -> complex:
-        return self.phase(g, h).value
+        return Phase(self.turns(g, h)).value
 
     def conjugate(self) -> "Multiplier":
         return self.power(-1)
@@ -235,7 +213,7 @@ class Multiplier:
 
     def twist(self, z: PhaseMap) -> "Multiplier":
         """sigma times the coboundary of z, in normal form when sigma and z allow one."""
-        if z.group == self.group and z.exact:
+        if z.group == self.group:
             if self.pairing is not None and z.coboundary_pairing is not None:
                 return BilinearMultiplier(self.group, [
                     [p + b for p, b in zip(prow, brow)]
@@ -243,7 +221,7 @@ class Multiplier:
                 ])
             if self.turn_table is not None:
                 mul = self.group.mul_table
-                zt = [Fraction(z._turns_fn(g)) for g in range(self.group.n)]
+                zt = [as_rational(z._turns_fn(g)) for g in range(self.group.n)]
                 return TableMultiplier(self.group, [
                     [t + zt[g] + zt[h] - zt[mul[g][h]] for h, t in enumerate(row)]
                     for g, row in enumerate(self.turn_table)
@@ -258,7 +236,7 @@ class TrivialMultiplier(Multiplier):
     kind = "trivial"
 
     def __init__(self, group: Group):
-        super().__init__(group, exact=True)
+        super().__init__(group)
         if isinstance(group, FreeAbelianGroup):
             self.pairing = _zero_matrix(group.rank)
         elif isinstance(group, FiniteTableGroup):
@@ -268,7 +246,7 @@ class TrivialMultiplier(Multiplier):
         return Fraction(0)
 
     def power(self, s) -> "TrivialMultiplier":
-        as_rational(s)  # rejects inexact exponents, as the other powers do
+        as_rational(s)  # rejects float exponents, as the other powers do
         return self
 
     def to_json(self) -> dict:
@@ -284,7 +262,7 @@ class BilinearMultiplier(Multiplier):
                  theta=None):
         if not isinstance(group, FreeAbelianGroup):
             raise MultiplierError("bilinear multipliers live on free abelian groups")
-        super().__init__(group, exact=True)
+        super().__init__(group)
         self.pairing = tuple(tuple(as_rational(x) for x in row) for row in pairing)
         if len(self.pairing) != group.rank or any(len(r) != group.rank for r in self.pairing):
             raise MultiplierError("pairing matrix must be rank x rank")
@@ -349,7 +327,7 @@ class TableMultiplier(Multiplier):
     def __init__(self, group: FiniteTableGroup, turn_table: Sequence[Sequence]):
         if not isinstance(group, FiniteTableGroup):
             raise MultiplierError("table multipliers need a finite table group")
-        super().__init__(group, exact=True)
+        super().__init__(group)
         self.turn_table = tuple(tuple(as_rational(x) for x in row) for row in turn_table)
         if len(self.turn_table) != group.n or any(len(r) != group.n for r in self.turn_table):
             raise MultiplierError("phase table must be n x n")
@@ -379,7 +357,7 @@ class PullbackMultiplier(Multiplier):
     def __init__(self, hom: Homomorphism, base: Multiplier):
         if base.group != hom.codomain:
             raise MultiplierError("base multiplier must live on the homomorphism codomain")
-        super().__init__(hom.domain, base.is_exact)
+        super().__init__(hom.domain)
         self.hom = hom
         self.base = base
 
@@ -398,7 +376,7 @@ class ProductMultiplier(Multiplier):
     def __init__(self, group: ProductGroup, left: Multiplier, right: Multiplier):
         if left.group != group.left or right.group != group.right:
             raise MultiplierError("factor multipliers must match the product factors")
-        super().__init__(group, left.is_exact and right.is_exact)
+        super().__init__(group)
         self.left = left
         self.right = right
 
@@ -417,7 +395,7 @@ class TwistedMultiplier(Multiplier):
     def __init__(self, base: Multiplier, z: PhaseMap):
         if z.group != base.group:
             raise MultiplierError("twisting phase map must live on the same group")
-        super().__init__(base.group, base.is_exact and z.exact)
+        super().__init__(base.group)
         self.base = base
         self.z = z
 
@@ -469,12 +447,12 @@ def _sample_triples(group: Group, samples: int, seed: int, spread: int):
 
 
 def verify_cocycle(sigma: Multiplier, samples: int = 1000, seed: int = 0,
-                   tol: float = 1e-12, spread: int = 4) -> CocycleReport:
-    """Check normalization and the 2-cocycle identity.
+                   spread: int = 4) -> CocycleReport:
+    """Check normalization and the 2-cocycle identity as rational turns.
 
-    Exhaustive on finite groups of order <= 24, randomized otherwise.
-    Exact multipliers are compared as rational turns, so a pass means the
-    identity holds with zero defect.
+    Exhaustive on finite groups of order <= 24, randomized otherwise.  A
+    pass means every checked identity holds with zero defect; the worst
+    defect is reported as a distance on the unit circle.
     """
     grp = sigma.group
     e = grp.identity()
@@ -482,24 +460,17 @@ def verify_cocycle(sigma: Multiplier, samples: int = 1000, seed: int = 0,
     worst = 0.0
     witness = None
     for g1, g2, g3 in triples:
-        if sigma.is_exact:
-            lhs = (Fraction(sigma.turns(grp.multiply(g1, g2), g3)) + Fraction(sigma.turns(g1, g2))) % 1
-            rhs = (Fraction(sigma.turns(g1, grp.multiply(g2, g3))) + Fraction(sigma.turns(g2, g3))) % 1
-            defect = 0.0 if lhs == rhs else abs(Phase(lhs).value - Phase(rhs).value)
-        else:
-            lhs_v = sigma.value(grp.multiply(g1, g2), g3) * sigma.value(g1, g2)
-            rhs_v = sigma.value(g1, grp.multiply(g2, g3)) * sigma.value(g2, g3)
-            defect = abs(lhs_v - rhs_v)
-        if defect > worst:
-            worst = defect
-            witness = (g1, g2, g3)
-        norm_defect = max(
-            abs(sigma.value(e, g1) - 1.0), abs(sigma.value(g1, e) - 1.0)
-        )
-        if norm_defect > worst:
-            worst = norm_defect
-            witness = (e, g1, None)
-    return CocycleReport(worst <= tol, len(triples), worst, witness, qualifier)
+        lhs = Phase(sigma.turns(grp.multiply(g1, g2), g3) + sigma.turns(g1, g2))
+        rhs = Phase(sigma.turns(g1, grp.multiply(g2, g3)) + sigma.turns(g2, g3))
+        if lhs != rhs:
+            defect = abs(lhs.value - rhs.value)
+            if witness is None or defect > worst:
+                worst, witness = defect, (g1, g2, g3)
+        if sigma.turns(e, g1) % 1 or sigma.turns(g1, e) % 1:
+            defect = max(abs(sigma.value(e, g1) - 1.0), abs(sigma.value(g1, e) - 1.0))
+            if witness is None or defect > worst:
+                worst, witness = defect, (e, g1, None)
+    return CocycleReport(witness is None, len(triples), worst, witness, qualifier)
 
 
 def _pair_set(group: Group, radius: int):
@@ -538,26 +509,19 @@ def decided_equal(a: Multiplier, b: Multiplier) -> bool | None:
     return form_a == form_b
 
 
-def multipliers_equal(a: Multiplier, b: Multiplier, radius: int = 5, tol: float = 1e-12) -> bool:
-    """Whether a = b: decided from normal forms, else checked on an exhaustive
-    finite or ball-restricted pair set (as rational turns when exact, else to tol)."""
+def multipliers_equal(a: Multiplier, b: Multiplier, radius: int = 5) -> bool:
+    """Whether a = b: decided from normal forms, else compared as rational
+    turns on an exhaustive finite or ball-restricted pair set."""
     decided = decided_equal(a, b)
     if decided is not None:
         return decided
-    exact = a.is_exact and b.is_exact
-    for g, h in _pair_set(a.group, radius):
-        if exact:
-            if Fraction(a.turns(g, h)) % 1 != Fraction(b.turns(g, h)) % 1:
-                return False
-        elif abs(a.value(g, h) - b.value(g, h)) > tol:
-            return False
-    return True
+    return all(Phase(a.turns(g, h)) == Phase(b.turns(g, h)) for g, h in _pair_set(a.group, radius))
 
 
 def is_cohomologous_via(sigma: Multiplier, sigma_prime: Multiplier, z: PhaseMap,
-                        radius: int = 5, tol: float = 1e-12) -> bool:
+                        radius: int = 5) -> bool:
     """Whether sigma' = sigma * dz."""
-    return multipliers_equal(sigma.twist(z), sigma_prime, radius, tol)
+    return multipliers_equal(sigma.twist(z), sigma_prime, radius)
 
 
 class LatticeGeometry:
@@ -634,7 +598,7 @@ class GeometricMultiplier(Multiplier):
     kind = "geometric"
 
     def __init__(self, geometry: LatticeGeometry):
-        super().__init__(geometry.group, exact=True)
+        super().__init__(geometry.group)
         self.geometry = geometry
 
     def turns(self, g, h) -> Fraction:

@@ -1,8 +1,8 @@
 """Unit complex phases stored as exact rational turns.
 
-A phase is exp(2*pi*i*t) with t kept as a Fraction whenever possible, so
-products, conjugates and rational powers stay exact until a complex value
-is requested.
+A phase is exp(2*pi*i*t) with t a Fraction reduced mod 1, so products,
+conjugates and rational powers are exact; a complex value is computed
+only when ``value`` is read.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from numbers import Integral
 def as_rational(value: object) -> Fraction:
     """Parse an exact rational from an int, Fraction or a "p/q" string.
 
-    Floats are rejected on purpose: callers that only hold an approximate
-    angle must say so by building an inexact Phase directly.
+    Floats are rejected on purpose: every phase in twistlab is an exact
+    rational number of turns.
     """
     if isinstance(value, bool):
         raise TypeError("bool is not a rational scalar")
@@ -43,29 +43,17 @@ def rational_str(value: Fraction) -> str:
 class Phase:
     """The unit complex number exp(2*pi*i*turns).
 
-    ``turns`` is a Fraction reduced mod 1 when the phase is exact, else a
-    float.  Arithmetic keeps exactness as long as both operands are exact.
+    ``turns`` is a Fraction reduced mod 1; a float raises ``TypeError``.
     """
 
-    __slots__ = ("turns", "exact")
+    __slots__ = ("turns",)
 
-    def __init__(self, turns: object, exact: bool | None = None):
-        if exact is None:
-            exact = not isinstance(turns, float)
-        if exact:
-            self.turns = as_rational(turns) % 1
-        else:
-            self.turns = float(turns) % 1.0
-        self.exact = bool(exact)
+    def __init__(self, turns: object):
+        self.turns = as_rational(turns) % 1
 
     @classmethod
     def one(cls) -> "Phase":
         return cls(0)
-
-    @classmethod
-    def from_angle(cls, radians: float) -> "Phase":
-        """Inexact phase from an angle in radians."""
-        return cls(radians / (2.0 * cmath.pi), exact=False)
 
     @property
     def value(self) -> complex:
@@ -74,51 +62,31 @@ class Phase:
     def __mul__(self, other: "Phase") -> "Phase":
         if not isinstance(other, Phase):
             return NotImplemented
-        if self.exact and other.exact:
-            return Phase(self.turns + other.turns)
-        return Phase(float(self.turns) + float(other.turns), exact=False)
+        return Phase(self.turns + other.turns)
 
     def conjugate(self) -> "Phase":
-        if self.exact:
-            return Phase(-self.turns)
-        return Phase(-float(self.turns), exact=False)
+        return Phase(-self.turns)
 
     def __pow__(self, exponent: int) -> "Phase":
         if not isinstance(exponent, Integral):
             return NotImplemented
-        if self.exact:
-            return Phase(self.turns * int(exponent))
-        return Phase(float(self.turns) * int(exponent), exact=False)
+        return Phase(self.turns * int(exponent))
 
     def scaled(self, s: object) -> "Phase":
         """Phase with turns multiplied by an exact rational s."""
-        s = as_rational(s)
-        if not self.exact:
-            raise ValueError("rational scaling needs an exact phase")
-        return Phase(self.turns * s)
+        return Phase(self.turns * as_rational(s))
 
     @property
     def is_one(self) -> bool:
-        if self.exact:
-            return self.turns == 0
-        return min(self.turns, 1.0 - self.turns) < 1e-12
+        return self.turns == 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Phase):
             return NotImplemented
-        if self.exact and other.exact:
-            return self.turns == other.turns
-        return abs(self.value - other.value) < 1e-12
+        return self.turns == other.turns
 
     def __hash__(self) -> int:
-        if self.exact:
-            return hash(("Phase", self.turns))
-        return hash(("Phase~", round(float(self.turns), 9)))
-
-    def approx_equal(self, other: "Phase", tol: float = 1e-12) -> bool:
-        return abs(self.value - other.value) <= tol
+        return hash(("Phase", self.turns))
 
     def __repr__(self) -> str:
-        if self.exact:
-            return f"Phase({rational_str(self.turns)})"
-        return f"Phase({float(self.turns):.12g}, exact=False)"
+        return f"Phase({rational_str(self.turns)})"

@@ -281,6 +281,12 @@ def reduced_fractions(qmax: int) -> Iterator[Fraction]:
                 yield Fraction(p, q)
 
 
+# Largest kgrid^2 * qmax^2 a butterfly sweep accepts.  One flux holds a
+# stack of kgrid^2 fibers of size q x q and, for small q, about as many
+# row strings: qmax 1 at kgrid 1024 peaks near 400 MB.
+MAX_FIBER_ENTRIES = 2**20
+
+
 def butterfly_rows(qmax: int, kgrid: int, coefficients: Sequence[float] = (1.0, 1.0, 1.0, 1.0)) -> Iterator[str]:
     """CSV rows of the Hofstadter sweep, deterministic order, 17 digit floats.
 

@@ -1,12 +1,17 @@
 """End to end tests of the command line interface."""
 
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twistlab import butterfly_rows
 from twistlab.cli import main
@@ -98,6 +103,7 @@ def test_butterfly_stdout_and_out_file_are_the_rows(capsys, tmp_path):
     ["--coefficients", "1,1,inf,1"],
     ["--coefficients", "1,2,1,1"],
     ["--coefficients", "1,1,1,0.5"],
+    ["--kgrid", "4096"],
 ])
 def test_butterfly_rejects_arguments_before_any_output(capsys, tmp_path, extra):
     argv = ["butterfly", "--qmax", "3", "--kgrid", "4"] + extra
@@ -267,6 +273,43 @@ def test_table_groups_past_the_order_cap_are_config_errors(capsys, tmp_path, gro
     assert (code, captured.out) == (2, "")
     assert "cap for table groups" in captured.err
     assert not target.exists()
+
+
+@st.composite
+def _fuzzed_call(draw):
+    """An argv for butterfly or pairing-circle, and the one bad input it holds (or None)."""
+    if draw(st.booleans()):
+        n_grid = draw(st.integers(-5, 40))
+        return ["pairing-circle", f"--n-grid={n_grid}"], "n-grid" if n_grid < 3 else None
+    sizes = [draw(st.integers(1, 5)), draw(st.integers(1, 6))]
+    c1, c3 = draw(st.floats(-3, 3)), draw(st.floats(-3, 3))
+    coefficients = [c1, c1, c3, c3]
+    fault = draw(st.sampled_from([None, "size", "huge", "unequal", "non-finite"]))
+    where = draw(st.integers(0, 3))
+    if fault == "size":
+        sizes[where % 2] = draw(st.integers(-2, 0))
+    elif fault == "huge":
+        sizes[where % 2] = draw(st.integers(4096, 10**9))
+    elif fault == "unequal":
+        coefficients[where] = draw(st.floats(-3, 3).filter(lambda c: c != coefficients[where]))
+    elif fault == "non-finite":
+        coefficients[where] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    argv = ["butterfly", f"--qmax={sizes[0]}", f"--kgrid={sizes[1]}",
+            "--coefficients=" + ",".join(repr(c) for c in coefficients)]
+    return argv, fault
+
+
+@given(_fuzzed_call())
+def test_cli_fuzz_exits_cleanly(call):
+    argv, fault = call
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (fault is None), fault
+    if code == 2:
+        assert out.getvalue() == ""
 
 
 def test_missing_config_returns_user_error(capsys):

@@ -14,6 +14,7 @@ from twistlab import (
     TrivialMultiplier,
     all_characters,
     coboundary,
+    cyclic_group,
     geometric_multiplier,
     is_cohomologous_via,
     magnetic_multiplier,
@@ -71,6 +72,16 @@ def test_small_finite_cocycle_check_is_exhaustive():
     report = verify_cocycle(sigma)
     assert report.qualifier == "exhaustive"
     assert report.checked == 6 ** 3
+
+
+def test_cocycle_check_is_exact_for_tiny_defects():
+    # sigma(1, 1) = 10^-15 turns and nothing else: not a cocycle, though its
+    # worst defect on the unit circle is only about 6.3e-15.
+    sigma = TableMultiplier(cyclic_group(3), [[0, 0, 0], [0, Fraction(1, 10**15), 0], [0, 0, 0]])
+    report = verify_cocycle(sigma)
+    assert report.passed is False
+    assert report.witness == (1, 1, 2)
+    assert 0 < report.worst_defect < 1e-14
 
 
 def test_landau_gauge_convention():

@@ -1,4 +1,3 @@
-import cmath
 from fractions import Fraction
 
 import pytest
@@ -37,7 +36,6 @@ def test_rational_str_round_trip(t):
 @given(rationals)
 def test_phase_turns_reduced_mod_one(t):
     p = Phase(t)
-    assert p.exact
     assert 0 <= p.turns < 1
     assert (t - p.turns) % 1 == 0
 
@@ -75,20 +73,9 @@ def test_phase_scaled_multiplies_reduced_turns(t, s):
     assert p.scaled(s) == Phase(p.turns * s)
 
 
-def test_phase_scaled_requires_exact():
-    with pytest.raises(ValueError):
-        Phase(0.3, exact=False).scaled("1/2")
-
-
-def test_from_angle_is_inexact_but_correct():
-    p = Phase.from_angle(cmath.pi / 3)
-    assert not p.exact
-    assert abs(p.value - cmath.exp(1j * cmath.pi / 3)) < 1e-12
-
-
-def test_exact_and_inexact_phases_compare_by_value():
-    assert Phase(Fraction(1, 3)) == Phase(1.0 / 3.0, exact=False)
-    assert Phase(Fraction(1, 3)) != Phase(0.25, exact=False)
+def test_phase_rejects_floats():
+    with pytest.raises(TypeError):
+        Phase(0.5)
 
 
 @given(rationals)
@@ -101,4 +88,3 @@ def test_phase_hash_consistent_with_eq(t):
 def test_is_one_flag():
     assert Phase(2).is_one
     assert not Phase(Fraction(1, 7)).is_one
-    assert Phase(1e-15, exact=False).is_one
