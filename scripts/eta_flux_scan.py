@@ -51,8 +51,7 @@ def mass_sweep(theta, masses, kgrid):
     h = harper_element(sigma)
     bloch = BlochMap(sigma)
     ks = bloch.grid(kgrid)
-    base = bloch.fiber_stack(h, ks, ks)
-    fibers = base.reshape(-1, bloch.q, bloch.q)
+    fibers = bloch.fiber_stack(h, ks, ks)
     eye = np.eye(bloch.q)
 
     prev_mass = None

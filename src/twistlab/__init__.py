@@ -20,7 +20,6 @@ from .groups import (
     character_turn_tables,
     cyclic_group,
     group_from_json,
-    permutation_of_index,
     symmetric_group,
     trivial_group,
 )

@@ -16,7 +16,7 @@ import cmath
 import random
 from typing import Iterable, Mapping
 
-from .groups import Group, GroupError
+from .groups import GroupError
 from .multipliers import Multiplier, MultiplierError, PhaseMap, decided_equal, is_cohomologous_via
 
 PRUNE_TOL = 1e-15
@@ -137,10 +137,6 @@ class AlgebraElement:
         """delta_g -> z(g) delta_g, reinterpreted over the target multiplier."""
         out = {g: c * z(g) for g, c in self.coeffs.items()}
         return AlgebraElement(target, out, check=False)
-
-    def approx_equal(self, other: "AlgebraElement", tol: float = 1e-10) -> bool:
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(abs(self.coefficient(g) - other.coefficient(g)) <= tol for g in keys)
 
     def to_json(self) -> dict:
         terms = []

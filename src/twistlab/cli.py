@@ -8,7 +8,8 @@ JSON is emitted with sorted keys and one trailing newline, CSV with
 exact %.17g floats.  ``emit`` is the one output sink: it takes a JSON
 payload, or for CSV an iterable of text chunks that it writes as they
 are made.  Every argument is checked before ``emit`` opens stdout or
-``--out``, so a rejected call writes nothing.
+``--out``, so a rejected call writes nothing; a failed one leaves no
+partial ``--out``.
 
 Exit codes: 0 success, 1 a verification suite failed, 2 bad
 configuration or arguments.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -126,13 +128,20 @@ def element_from_config(cfg: dict):
 
 
 def emit(payload, out_path: str | None, as_json: bool = True) -> None:
-    """Write a JSON payload, or an iterable of CSV text chunks, to out_path or stdout."""
+    """Write a JSON payload, or an iterable of CSV text chunks, to stdout or atomically to out_path."""
     chunks = [json.dumps(payload, sort_keys=True, indent=2) + "\n"] if as_json else payload
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-    else:
+    if not out_path:
         sys.stdout.writelines(chunks)
+        return
+    tmp = f"{out_path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, out_path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _cmd_verify(args) -> int:

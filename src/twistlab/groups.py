@@ -241,7 +241,7 @@ class FiniteTableGroup(Group):
         out = 1
         for g in range(self.n):
             o = self.element_order(g)
-            out = out * o // _gcd(out, o)
+            out = out * o // math.gcd(out, o)
         return out
 
     def commutator_subgroup(self) -> list[int]:
@@ -542,12 +542,6 @@ class Homomorphism:
                 raise GroupError(f"not a homomorphism at ({a!r}, {b!r})")
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 def _perm_compose(p: tuple, q: tuple) -> tuple:
     """(p . q)(i) = p[q[i]], apply q first."""
     return tuple([p[i] for i in q])
@@ -622,12 +616,6 @@ def cyclic_group(n: int) -> FiniteTableGroup:
 
 def trivial_group() -> FiniteTableGroup:
     return FiniteTableGroup([[0]], 0, [0], label="1")
-
-
-def permutation_of_index(group: FiniteTableGroup, degree: int, index: int) -> tuple:
-    """Recover the permutation behind an index of symmetric_group(degree)."""
-    perms = sorted(itertools.permutations(range(degree)))
-    return perms[index]
 
 
 def character_turn_tables(group: FiniteTableGroup) -> list[tuple]:

@@ -16,9 +16,8 @@ Stokes sum over the base grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .algebra import AlgebraElement
 from .cohomology import GroupCochain, inhomogeneous

@@ -1,8 +1,8 @@
 """Unit complex phases stored as exact rational turns.
 
-A phase is exp(2*pi*i*t) with t a Fraction reduced mod 1, so products,
-conjugates and rational powers are exact; a complex value is computed
-only when ``value`` is read.
+A phase is exp(2*pi*i*t) with t a Fraction reduced mod 1.  Phases compare
+and hash by their reduced turns, exactly; a complex value is computed only
+when ``value`` is read.
 """
 
 from __future__ import annotations
@@ -51,34 +51,9 @@ class Phase:
     def __init__(self, turns: object):
         self.turns = as_rational(turns) % 1
 
-    @classmethod
-    def one(cls) -> "Phase":
-        return cls(0)
-
     @property
     def value(self) -> complex:
         return cmath.exp(2j * cmath.pi * float(self.turns))
-
-    def __mul__(self, other: "Phase") -> "Phase":
-        if not isinstance(other, Phase):
-            return NotImplemented
-        return Phase(self.turns + other.turns)
-
-    def conjugate(self) -> "Phase":
-        return Phase(-self.turns)
-
-    def __pow__(self, exponent: int) -> "Phase":
-        if not isinstance(exponent, Integral):
-            return NotImplemented
-        return Phase(self.turns * int(exponent))
-
-    def scaled(self, s: object) -> "Phase":
-        """Phase with turns multiplied by an exact rational s."""
-        return Phase(self.turns * as_rational(s))
-
-    @property
-    def is_one(self) -> bool:
-        return self.turns == 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Phase):

@@ -3,7 +3,8 @@
 Two routes: ball-truncated compressions of the left regular
 representation, and clock-and-shift Bloch fibers for Z^2 elements with a
 rational magnetic multiplier.  The fiber route powers the Hofstadter
-butterfly sweep and the k-grid trace formulas.
+butterfly sweep and the k-grid trace formulas through one engine,
+``BlochMap.blocks``, which checks and solves the fibers block by block.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ from .algebra import AlgebraElement
 from .groups import FreeAbelianGroup
 from .multipliers import Multiplier, MultiplierError, magnetic_multiplier
 from .phases import Phase
+from .spectral import SpectralError, eigvalsh
+
+# Most fiber entries (fibers * q^2) one block of BlochMap.blocks holds: one
+# block per flux for every butterfly with qmax <= 8 at kgrid 64.
+_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass
@@ -138,18 +144,59 @@ class BlochMap:
         """Uniform Bloch grid on [0, 2 pi), endpoint excluded."""
         return 2.0 * np.pi * np.arange(n) / n
 
-    def extract_coefficient(self, stack: np.ndarray, g, k1s: np.ndarray, k2s: np.ndarray) -> complex:
-        """Coefficient at g of the element represented by the fiber stack.
+    def blocks(self, a: AlgebraElement, n: int, vectors: bool = False, only=None):
+        """Solved fibers of a over the uniform n x n grid, one block at a time.
 
-        Uses (1/q) tr(X_k T_k(g)^*) averaged over the grid, which isolates
-        the coefficient once the grid is finer than the support.
+        Blocks of at most _BLOCK_ENTRIES entries, or one fiber, run in
+        lexicographic (k1, k2) order.  Each is (part, eigenvalues, vectors):
+        its slice of the flat grid, eigenvalues ascending per fiber, and the
+        eigh vectors if asked for, else None.  With only, a boolean mask over
+        the flat grid, blocks without a marked fiber are skipped.  Raises
+        SpectralError if a fiber is not Hermitian.
         """
-        k1f, k2f = _flat_grid(k1s, k2s)
+        if n < 1:
+            raise SpectralError("a Bloch grid needs at least one point per axis")
+        # Entries are sums of c_g times unit phases: rounding leaves a defect
+        # near eps * |a|_1, so the bound scales with a once |a|_1 exceeds 1.
+        tol = 1e-9 * max(1.0, a.norm_l1())
+        ks = self.grid(n)
+        per_block = max(1, _BLOCK_ENTRIES // (self.q * self.q))
+        rows, cols = max(1, per_block // n), min(n, per_block)
+        for i in range(0, n, rows):
+            for j in range(0, n, cols):
+                k1s, k2s = ks[i:i + rows], ks[j:j + cols]
+                part = slice(i * n + j, i * n + j + k1s.size * k2s.size)
+                if only is not None and not only[part].any():
+                    continue
+                stack = self.fiber_stack(a, k1s, k2s)
+                # In place, so the check adds one copy of the block, not two.
+                flip = stack.conj().transpose(0, 2, 1)
+                flip -= stack
+                defect = float(np.abs(flip).max())
+                if not defect <= tol:
+                    raise SpectralError(f"Bloch fibers are not Hermitian (defect {defect:.2e})")
+                if vectors:
+                    yield (part, *np.linalg.eigh(stack))
+                else:
+                    yield part, np.linalg.eigvalsh(stack), None
+
+    def eigenvalues(self, a: AlgebraElement, n: int) -> np.ndarray:
+        """Fiber eigenvalues over the n x n grid, shape (n*n, q), in (k1, k2) order."""
+        out = np.empty((n * n, self.q))
+        for part, eigs, _ in self.blocks(a, n):
+            out[part] = eigs
+        return out
+
+    def extract_coefficient(self, stack: np.ndarray, g, k1f: np.ndarray, k2f: np.ndarray) -> np.ndarray:
+        """tr(X_k T_k(g)^*) per fiber X_k at the flat momenta (k1f, k2f).
+
+        Its grid mean over q is the coefficient at g of the element the
+        fibers represent, once the grid is finer than the support.
+        """
         base = self._clock_shift(g, self.phase_correction(g))
         wave = np.exp(1j * (k1f * g[0] + k2f * g[1]))
         tmats = wave[:, None, None] * base[None, :, :]
-        inner = np.einsum("kij,kij->k", stack, tmats.conj())
-        return complex(inner.mean() / self.q)
+        return np.einsum("kij,kij->k", stack, tmats.conj())
 
 
 def _flat_grid(k1s: np.ndarray, k2s: np.ndarray):
@@ -192,22 +239,13 @@ def spectrum_union(a: AlgebraElement, kgrid: int = 64, bloch: BlochMap | None = 
     count as touching.
     """
     bm = bloch if bloch is not None else BlochMap(a.sigma)
-    ks = bm.grid(kgrid)
-    stack = bm.fiber_stack(a, ks, ks)
-    herm_defect = float(np.abs(stack - stack.conj().transpose(0, 2, 1)).max())
-    if herm_defect > 1e-9:
-        raise ValueError(f"fiber matrices are not Hermitian (defect {herm_defect:.2e})")
-    eigs = np.linalg.eigvalsh(stack)
+    eigs = bm.eigenvalues(a, kgrid)
     lo = float(eigs.min())
     hi = float(eigs.max())
     threshold = max(1e-9, 1e-4 * (hi - lo))
     bands = [(float(eigs[:, b].min()), float(eigs[:, b].max())) for b in range(bm.q)]
-    gaps = []
-    for b in range(bm.q - 1):
-        gap_lo = bands[b][1]
-        gap_hi = bands[b + 1][0]
-        if gap_hi - gap_lo > threshold:
-            gaps.append((gap_lo, gap_hi))
+    gaps = [(top, bottom) for (_, top), (bottom, _) in zip(bands, bands[1:])
+            if bottom - top > threshold]
     return SpectrumResult(bm.theta, bm.q, kgrid, eigs, bands, gaps, threshold)
 
 
@@ -222,9 +260,7 @@ def algebraic_moment(a: AlgebraElement, n: int) -> complex:
 def grid_moment(a: AlgebraElement, n: int, kgrid: int, bloch: BlochMap | None = None) -> float:
     """k-grid average of the normalized fiber trace of the n-th power."""
     bm = bloch if bloch is not None else BlochMap(a.sigma)
-    ks = bm.grid(kgrid)
-    eigs = np.linalg.eigvalsh(bm.fiber_stack(a, ks, ks))
-    return float((eigs ** n).mean())
+    return float((bm.eigenvalues(a, kgrid) ** n).mean())
 
 
 @dataclass
@@ -251,24 +287,16 @@ def moment_match_study(a: AlgebraElement, n_max: int = 8, grids: Sequence[int] =
     scale = max(1.0, max(abs(v) for v in exact.values()))
     errors: dict = {n: [] for n in exact}
     for n_grid in grids:
-        ks = bm.grid(n_grid)
-        eigs = np.linalg.eigvalsh(bm.fiber_stack(a, ks, ks))
+        eigs = bm.eigenvalues(a, n_grid)
         for n in exact:
             approx = float((eigs ** n).mean())
             errors[n].append(abs(approx - exact[n].real))
     saturation = 1e-12 * scale
     convergence = {}
     for n, errs in errors.items():
-        if errs[-1] <= saturation:
-            convergence[n] = math.inf
-            continue
-        rates = []
-        for i in range(len(errs) - 1):
-            if errs[i] <= saturation or errs[i + 1] <= saturation:
-                rates.append(math.inf)
-            else:
-                rates.append(math.log2(errs[i] / errs[i + 1]))
-        convergence[n] = min(rates) if rates else math.inf
+        rates = [math.inf if e0 <= saturation or e1 <= saturation else math.log2(e0 / e1)
+                 for e0, e1 in zip(errs, errs[1:])]
+        convergence[n] = math.inf if errs[-1] <= saturation else min(rates, default=math.inf)
     return MomentStudy(list(exact), list(grids), errors, convergence, saturation)
 
 
@@ -281,9 +309,9 @@ def reduced_fractions(qmax: int) -> Iterator[Fraction]:
                 yield Fraction(p, q)
 
 
-# Largest kgrid^2 * qmax^2 a butterfly sweep accepts.  One flux holds a
-# stack of kgrid^2 fibers of size q x q and, for small q, about as many
-# row strings: qmax 1 at kgrid 1024 peaks near 400 MB.
+# Largest kgrid^2 * qmax^2 a butterfly sweep accepts.  Rows are made one
+# block at a time, so this bounds run time, not memory: qmax 1 at kgrid 1024
+# peaks at 109 MB (VmHWM; 31 MB after import), a block of 2^18 rows.
 MAX_FIBER_ENTRIES = 2**20
 
 
@@ -291,22 +319,23 @@ def butterfly_rows(qmax: int, kgrid: int, coefficients: Sequence[float] = (1.0, 
     """CSV rows of the Hofstadter sweep, deterministic order, 17 digit floats.
 
     Columns: theta_num,theta_den,k1,k2,band_index,eigenvalue.  Rows are
-    streamed, header first, and built one flux at a time, so memory holds
-    one flux's rows rather than the whole sweep.
+    streamed, header first, and built one block of fibers at a time.
+    Raises SpectralError if the coefficients give no self adjoint element.
     """
     yield "theta_num,theta_den,k1,k2,band_index,eigenvalue"
     for theta in reduced_fractions(qmax):
         sigma = magnetic_multiplier(theta, "landau")
         h = harper_element(sigma, coefficients)
         bm = BlochMap(sigma)
-        ks = bm.grid(kgrid)
-        kstr = [f"{k:.17g}" for k in ks.tolist()]
-        eigs = np.linalg.eigvalsh(bm.fiber_stack(h, ks, ks))
+        kstr = [f"{k:.17g}" for k in bm.grid(kgrid).tolist()]
         flux = f"{theta.numerator},{theta.denominator},"
-        prefixes = [f"{flux}{k1},{k2}," for k1 in kstr for k2 in kstr]
-        yield from [f"{prefix}{b},{val:.17g}"
-                    for prefix, vals in zip(prefixes, eigs.tolist())
-                    for b, val in enumerate(vals)]
+        # Blocks come in grid order, so one prefix generator serves them all;
+        # zip takes the eigenvalues first and so never skips a prefix.
+        prefixes = (f"{flux}{k1},{k2}," for k1 in kstr for k2 in kstr)
+        for _, eigs, _ in bm.blocks(h, kgrid):
+            yield from [f"{prefix}{b},{val:.17g}"
+                        for vals, prefix in zip(eigs.tolist(), prefixes)
+                        for b, val in enumerate(vals)]
 
 
 def hausdorff_distance(a: Iterable[float], b: Iterable[float]) -> float:
@@ -326,11 +355,7 @@ def _one_sided(av: np.ndarray, bv: np.ndarray) -> float:
 
 def truncation_spectrum(a: AlgebraElement, radius: int) -> np.ndarray:
     """Eigenvalues of the ball truncation (requires a self adjoint element)."""
-    op = left_regular(a, radius)
-    defect = float(np.abs(op.matrix - op.matrix.conj().T).max())
-    if defect > 1e-9:
-        raise ValueError(f"truncated matrix is not Hermitian (defect {defect:.2e})")
-    return np.linalg.eigvalsh(op.matrix)
+    return eigvalsh(left_regular(a, radius).matrix)
 
 
 def truncation_study(a: AlgebraElement, radii: Sequence[int], kgrid: int = 64) -> dict:

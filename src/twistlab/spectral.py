@@ -251,29 +251,39 @@ def eta_operator(operator, tau=None, method: str = "bloch", normalization: str =
 
 def _eta_bloch(a: AlgebraElement, tau, normalization: str, kgrid: int,
                zero_tol: float | None) -> EtaResult:
-    from .representations import BlochMap
+    from .representations import BlochMap, _flat_grid
 
     bm = BlochMap(a.sigma)
     weights = _weights_of_trace(tau, a.group)
     scale = _eta_scale(normalization)
+    # Each fiber is a sum of c_g times unitaries, so bound >= the default
+    # zero_tol.  Signs are taken against bound until that is known; then the
+    # blocks with an eigenvalue at or below either are solved again.
+    bound = max(1e-12, 1e-9 * a.norm_l1())
     etas = []
     # The second grid, at half resolution, gives the grid sensitivity.
     for n in (kgrid, max(4, kgrid // 2)):
         ks = bm.grid(n)
-        stack = bm.fiber_stack(a, ks, ks)
-        defect = float(np.abs(stack - stack.conj().transpose(0, 2, 1)).max())
-        if defect > 1e-9:
-            raise SpectralError("element is not self adjoint in its Bloch fibers")
-        evals, evecs = np.linalg.eigh(stack)
+        k1f, k2f = _flat_grid(ks, ks)
+        evals = np.empty((n * n, bm.q))
+        traces = {g: np.empty(n * n, dtype=complex) for g in weights}
+
+        def sign_traces(tol: float, only=None) -> None:
+            for part, ev, vecs in bm.blocks(a, n, vectors=True, only=only):
+                evals[part] = ev
+                signs = np.where(np.abs(ev) > tol, np.sign(ev), 0.0)
+                # Spectral sign function per fiber: V diag(sign) V^*.
+                sign_ops = np.einsum("kij,kj,klj->kil", vecs, signs, vecs.conj())
+                for g, trace in traces.items():
+                    trace[part] = bm.extract_coefficient(sign_ops, g, k1f[part], k2f[part])
+
+        sign_traces(bound if zero_tol is None else zero_tol)
         if zero_tol is None:
             zero_tol = default_zero_tol(evals.reshape(-1))
+            sign_traces(zero_tol, np.abs(evals).min(axis=1) <= max(bound, zero_tol))
         if not etas:
             kernel = kernel_report(evals.reshape(-1), zero_tol)
-        signs = np.where(np.abs(evals) > zero_tol, np.sign(evals), 0.0)
-        # Spectral sign function per fiber: V diag(sign) V^*.
-        sign_ops = np.einsum("kij,kj,klj->kil", evecs, signs, evecs.conj())
-        total = sum(complex(c) * bm.extract_coefficient(sign_ops, g, ks, ks)
-                    for g, c in weights.items())
+        total = sum(complex(c) * complex(traces[g].mean() / bm.q) for g, c in weights.items())
         etas.append(scale * complex(total).real)
     eta, eta_half = etas
     return EtaResult(eta, abs(eta - eta_half), "bloch",

@@ -275,7 +275,3 @@ def run_suite(name: str, seed: int = 0) -> SuiteReport:
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {', '.join(_SUITES)}")
     return _SUITES[name](seed)
-
-
-def run_all(seed: int = 0) -> list:
-    return [run_suite(name, seed) for name in _SUITES]

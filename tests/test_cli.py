@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twistlab import butterfly_rows
+from twistlab import SpectralError, butterfly_rows, cli
 from twistlab.cli import main
 from twistlab.verify import suite_names
 
@@ -120,29 +120,58 @@ def test_butterfly_rejects_arguments_before_any_output(capsys, tmp_path, extra):
     assert (code, out) == (2, "")
 
 
+def test_butterfly_failure_mid_stream_leaves_no_out_file(capsys, tmp_path, monkeypatch):
+    def failing_rows(*args):
+        yield "theta_num,theta_den,k1,k2,band_index,eigenvalue"
+        raise SpectralError("fiber failure after the header")
+
+    monkeypatch.setattr(cli, "butterfly_rows", failing_rows)
+    argv = ["butterfly", "--qmax", "3", "--kgrid", "4"]
+    missing = tmp_path / "missing.csv"
+    assert run(capsys, argv + ["--out", str(missing)]) == (2, "")
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"previous\n")
+    assert run(capsys, argv + ["--out", str(kept)]) == (2, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
+    assert kept.read_bytes() == b"previous\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM from procfs")
 def test_butterfly_streams_at_bounded_memory(tmp_path):
     # The child reports VmHWM, the peak of its own address space.  Its
     # ru_maxrss would also count this test process, because Linux carries
-    # the spawning process's peak across exec.
-    target = tmp_path / "butterfly.csv"
+    # the spawning process's peak across exec.  One child per case, so the
+    # test keeps one id.
+    config = write_config(tmp_path, "eta.json", {
+        "group": "z2", "multiplier": {"kind": "magnetic", "theta": "11/30", "gauge": "landau"},
+        "terms": [{"g": [1, 0], "re": 1.0}, {"g": [-1, 0], "re": 1.0},
+                  {"g": [0, 1], "re": 1.0}, {"g": [0, -1], "re": 1.0}, {"g": [0, 0], "re": 0.5}],
+        "method": "bloch", "kgrid": 48,
+    })
+    cases = [  # argv, smallest output in bytes, largest peak in MB
+        (["butterfly", "--qmax", "8", "--kgrid", "64"], 30_000_000, 100),
+        (["butterfly", "--qmax", "1", "--kgrid", "1024"], 50_000_000, 200),
+        (["eta", "--config", config], 100, 100),
+    ]
     child = (
-        "import re, sys\n"
+        "import json, re, sys\n"
         "from twistlab.cli import main\n"
-        "code = main(['butterfly', '--qmax', '8', '--kgrid', '64', '--out', sys.argv[1]])\n"
+        "code = main(json.loads(sys.argv[1]) + ['--out', sys.argv[2]])\n"
         "status = open('/proc/self/status', encoding='ascii').read()\n"
         "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", child, str(target)], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    code, peak_kb = (int(x) for x in proc.stdout.split())
-    assert code == 0
-    assert target.stat().st_size > 30_000_000
-    assert peak_kb / 1024 < 100, f"peak RSS {peak_kb / 1024:.1f} MB"
+    for argv, min_bytes, limit_mb in cases:
+        target = tmp_path / "artifact.out"
+        proc = subprocess.run([sys.executable, "-c", child, json.dumps(argv), str(target)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        code, peak_kb = (int(x) for x in proc.stdout.split())
+        assert code == 0
+        assert target.stat().st_size > min_bytes
+        assert peak_kb / 1024 < limit_mb, f"{argv[0]}: peak RSS {peak_kb / 1024:.1f} MB"
 
 
 def test_eta_bloch_germ_of_a_coboundary_twist(capsys, tmp_path):

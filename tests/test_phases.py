@@ -40,23 +40,6 @@ def test_phase_turns_reduced_mod_one(t):
     assert (t - p.turns) % 1 == 0
 
 
-@given(rationals, rationals)
-def test_phase_product_adds_turns(s, t):
-    assert Phase(s) * Phase(t) == Phase(s + t)
-
-
-@given(rationals)
-def test_phase_conjugate_inverts(t):
-    p = Phase(t)
-    assert p * p.conjugate() == Phase.one()
-    assert abs(p.conjugate().value - p.value.conjugate()) < 1e-12
-
-
-@given(rationals, st.integers(min_value=-6, max_value=6))
-def test_phase_integer_power(t, n):
-    assert Phase(t) ** n == Phase(t * n)
-
-
 @given(rationals)
 def test_phase_value_on_unit_circle(t):
     assert abs(abs(Phase(t).value) - 1.0) < 1e-12
@@ -65,12 +48,6 @@ def test_phase_value_on_unit_circle(t):
 def test_phase_value_at_quarter_turn():
     assert abs(Phase(Fraction(1, 4)).value - 1j) < 1e-15
     assert abs(Phase(Fraction(1, 2)).value + 1.0) < 1e-15
-
-
-@given(rationals, rationals)
-def test_phase_scaled_multiplies_reduced_turns(t, s):
-    p = Phase(t)
-    assert p.scaled(s) == Phase(p.turns * s)
 
 
 def test_phase_rejects_floats():
@@ -83,8 +60,3 @@ def test_phase_hash_consistent_with_eq(t):
     a, b = Phase(t), Phase(t + 3)
     assert a == b
     assert hash(a) == hash(b)
-
-
-def test_is_one_flag():
-    assert Phase(2).is_one
-    assert not Phase(Fraction(1, 7)).is_one

@@ -14,8 +14,10 @@ from twistlab import (
     LatticeGeometry,
     MultiplierError,
     PhaseMap,
+    SpectralError,
     TrivialMultiplier,
     butterfly_rows,
+    eta_operator,
     geometric_multiplier,
     harper_element,
     left_regular,
@@ -25,7 +27,13 @@ from twistlab import (
     spectrum_union,
     truncation_study,
 )
-from twistlab.representations import algebraic_moment, grid_moment, hausdorff_distance
+from twistlab import representations
+from twistlab.representations import (
+    algebraic_moment,
+    grid_moment,
+    hausdorff_distance,
+    truncation_spectrum,
+)
 
 THETAS = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]
 
@@ -245,3 +253,71 @@ def test_bloch_map_needs_a_pairing_on_z2():
     for sigma in without_z2_pairing:
         with pytest.raises(MultiplierError):
             BlochMap(sigma)
+
+
+def test_bloch_blocks_tile_the_grid_in_order(monkeypatch):
+    sigma = magnetic_multiplier(Fraction(1, 3))
+    h = harper_element(sigma, (1.0, 1.0, 0.5, 0.5))
+    bloch = BlochMap(sigma)
+    ks = bloch.grid(5)
+    whole = np.linalg.eigvalsh(bloch.fiber_stack(h, ks, ks))
+    # Fibers per block: part of one k1 row, or as many whole rows as fit.
+    for entries, fibers in ((1, 1), (9 * 3, 3), (9 * 7, 5), (9 * 12, 10), (9 * 25, 25)):
+        monkeypatch.setattr(representations, "_BLOCK_ENTRIES", entries)
+        parts = [(part, eigs) for part, eigs, _ in bloch.blocks(h, 5)]
+        assert [p.start for p, _ in parts] == [0] + [p.stop for p, _ in parts[:-1]]
+        assert parts[-1][0].stop == 25
+        assert max(p.stop - p.start for p, _ in parts) == fibers
+        assert np.array_equal(np.concatenate([e for _, e in parts]), whole)
+
+
+def _magnetic_harper(theta, mass=0.0):
+    sigma = magnetic_multiplier(theta)
+    h = harper_element(sigma)
+    return h + mass * AlgebraElement.unit(sigma) if mass else h
+
+
+def test_bloch_results_do_not_depend_on_the_block_size(monkeypatch):
+    h = _magnetic_harper(Fraction(1, 3), 0.5)
+    half = _magnetic_harper(Fraction(1, 2))
+
+    def results():
+        spec = spectrum_union(h, kgrid=12)
+        etas = [eta_operator(h, kgrid=32, s_grid=["9/10", "1", "11/10"]),
+                eta_operator(half, kgrid=16)]
+        return (spec.eigenvalues, spec.bands, spec.gaps, grid_moment(h, 4, kgrid=9),
+                list(butterfly_rows(3, 5)),
+                [(e.eta, e.error_bound, e.germ, e.params, e.kernel) for e in etas])
+
+    default = results()
+    # Harper at flux 1/2 has a kernel, so its blocks are solved again.
+    assert default[-1][1][4].dim > 0
+    # 40 entries: blocks of part of a k1 row at q = 2 and 3, one fiber at q >= 7.
+    monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 40)
+    blocked = results()
+    assert np.array_equal(blocked[0], default[0])
+    assert blocked[1:] == default[1:]
+
+
+def test_large_self_adjoint_elements_pass_the_hermitian_check():
+    # Rounding leaves a fiber defect above 1e-9 at coefficients of 1e6.
+    sigma = magnetic_multiplier(Fraction(2, 7))
+    big = harper_element(sigma, (1e6, 1e6, 1e6, 1e6))
+    assert len(list(butterfly_rows(8, 4, (1e6, 1e6, 1e6, 1e6)))) > 1
+    assert spectrum_union(big, kgrid=4).q == 7
+    assert eta_operator(big, kgrid=4).kernel is not None
+
+
+def test_non_self_adjoint_elements_raise_spectral_error():
+    sigma = magnetic_multiplier(Fraction(1, 3))
+    skew = harper_element(sigma, (1.0, 2.0, 1.0, 1.0))
+    with pytest.raises(SpectralError):
+        list(butterfly_rows(3, 4, (1.0, 2.0, 1.0, 1.0)))
+    with pytest.raises(SpectralError):
+        spectrum_union(skew, kgrid=4)
+    with pytest.raises(SpectralError):
+        grid_moment(skew, 2, kgrid=4)
+    with pytest.raises(SpectralError):
+        eta_operator(skew, kgrid=4)
+    with pytest.raises(SpectralError):
+        truncation_spectrum(skew, 2)
