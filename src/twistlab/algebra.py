@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import random
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .groups import GroupError
 from .multipliers import Multiplier, MultiplierError, PhaseMap, decided_equal, is_cohomologous_via

@@ -8,6 +8,9 @@ rational lifts, which makes the idempotent and self adjointness
 identities exact at the phase level; the only float content is the
 partition of unity.
 
+A lift of x mod 1 through a chart is x + shift with an integer shift, so
+transitions, the differences of lifts, are integer differences of shifts.
+
 The pairing of such a projection with a degree one group cochain
 recovers the winding of the transition cocycle by a discretized
 Stokes sum over the base grid.
@@ -40,17 +43,14 @@ def _chi_pair(x: float) -> tuple[float, float]:
     return abs(math.cos(math.pi * x)), abs(math.sin(math.pi * x))
 
 
-def _lift_frac(patch: int, x: Fraction) -> Fraction:
-    """Lift of x in [0,1) through the chart of circle patch 0 or 1.
+def _lift_shift(patch: int, x: Fraction) -> int:
+    """Integer s with x mod 1 + s the lift through circle patch 0 or 1.
 
-    Patch 0 charts (-1/2, 1/2] and patch 1 charts [0, 1); transition
-    values are differences of lifts, so they jump by one unit across the
-    component of the overlap containing x = 1/2... x = 1.
+    Patch 0 charts (-1/2, 1/2] and patch 1 charts [0, 1), so s is -1 on
+    patch 0 when x mod 1 > 1/2 and 0 otherwise; transition values are
+    differences of lifts and jump by one unit across x = 1/2.
     """
-    x = x % 1
-    if patch == 0:
-        return x if x <= Fraction(1, 2) else x - 1
-    return x
+    return -1 if patch == 0 and 2 * (x.numerator % x.denominator) > x.denominator else 0
 
 
 class CircleCover:
@@ -71,14 +71,8 @@ class CircleCover:
         return value[patch]
 
     def transition(self, i: int, j: int, x) -> tuple:
-        if isinstance(x, float):
-            xf = Fraction(x).limit_denominator(10 ** 9) % 1
-        else:
-            xf = as_rational(x) % 1
-        step = _lift_frac(i, xf) - _lift_frac(j, xf)
-        if step.denominator != 1:
-            raise CoverError(f"non integral transition at {x}")
-        return (self.winding * int(step),)
+        x = Fraction(x).limit_denominator(10 ** 9) if isinstance(x, float) else as_rational(x)
+        return (self.winding * (_lift_shift(i, x) - _lift_shift(j, x)),)
 
     def phase_turns(self, i: int, j: int, x) -> Fraction:
         return Fraction(0)
@@ -119,21 +113,18 @@ class TorusCover:
     def chi1(circle_patch: int, coord) -> float:
         return _chi_pair(float(coord) % 1.0)[circle_patch]
 
-    def lift(self, patch: int, x) -> tuple:
+    def _shift(self, patch: int, x) -> tuple:
+        """The integer part of the lift: lift(patch, x) = x mod 1 + shift."""
         p = self.patches[patch]
         s = self.lift_shifts[patch]
-        return (
-            _lift_frac(p[0], as_rational(x[0])) + s[0],
-            _lift_frac(p[1], as_rational(x[1])) + s[1],
-        )
+        return tuple(_lift_shift(p[c], as_rational(x[c])) + s[c] for c in (0, 1))
+
+    def lift(self, patch: int, x) -> tuple:
+        return tuple(as_rational(x[c]) % 1 + s for c, s in enumerate(self._shift(patch, x)))
 
     def transition(self, i: int, j: int, x) -> tuple:
-        li = self.lift(i, x)
-        lj = self.lift(j, x)
-        step = (li[0] - lj[0], li[1] - lj[1])
-        if step[0].denominator != 1 or step[1].denominator != 1:
-            raise CoverError(f"non integral transition at {x}")
-        return (int(step[0]), int(step[1]))
+        si, sj = self._shift(i, x), self._shift(j, x)
+        return (si[0] - sj[0], si[1] - sj[1])
 
     def phase_turns(self, i: int, j: int, x) -> Fraction:
         g = self.transition(i, j, x)

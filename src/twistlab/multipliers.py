@@ -17,11 +17,18 @@ tables differ by integers (Kleppner, Math. Ann. 1965), factor by factor on
 products.  Twists by random lattice phase maps (``TwistedMultiplier``),
 pullbacks and the geometric construction from a lattice gauge potential
 stay lazy and are compared, still as exact turns, on a finite window.
+
+Normal forms are evaluated through integer numerators n(g, h) over one
+common denominator D fixed at construction, lazy forms through ``Phase``;
+``k / D`` and ``float(Fraction(k, D))`` are the same correctly rounded
+quotient, so the two give bitwise equal values.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,6 +193,12 @@ def _scaled_matrix(m, s) -> tuple | None:
     return None if m is None else tuple(tuple(x * s for x in row) for row in m)
 
 
+def _integer_kernel(m) -> tuple[int, tuple]:
+    """The common denominator D of a rational matrix and D * m as integers."""
+    d = math.lcm(*(x.denominator for row in m for x in row))
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m)
+
+
 class Multiplier:
     """Base class; concrete multipliers implement ``turns``."""
 
@@ -193,6 +206,9 @@ class Multiplier:
     # The normal form on Z^k or on a finite table group; None when lazy.
     pairing = None
     turn_table = None
+    # The integer kernel: turns(g, h) = _numerator(g, h) / _denominator
+    # mod 1.  None when lazy.
+    _denominator = None
 
     def __init__(self, group: Group):
         self.group = group
@@ -202,7 +218,10 @@ class Multiplier:
         raise NotImplementedError
 
     def value(self, g, h) -> complex:
-        return Phase(self.turns(g, h)).value
+        d = self._denominator
+        if d is None:
+            return Phase(self.turns(g, h)).value
+        return cmath.exp(2j * cmath.pi * (self._numerator(g, h) % d / d))
 
     def conjugate(self) -> "Multiplier":
         return self.power(-1)
@@ -234,6 +253,7 @@ class Multiplier:
 
 class TrivialMultiplier(Multiplier):
     kind = "trivial"
+    _denominator = 1
 
     def __init__(self, group: Group):
         super().__init__(group)
@@ -244,6 +264,9 @@ class TrivialMultiplier(Multiplier):
 
     def turns(self, g, h) -> Fraction:
         return Fraction(0)
+
+    def _numerator(self, g, h) -> int:
+        return 0
 
     def power(self, s) -> "TrivialMultiplier":
         as_rational(s)  # rejects float exponents, as the other powers do
@@ -268,14 +291,14 @@ class BilinearMultiplier(Multiplier):
             raise MultiplierError("pairing matrix must be rank x rank")
         self.gauge = gauge
         self.theta = None if theta is None else as_rational(theta)
+        self._denominator, numerators = _integer_kernel(self.pairing)
+        self._terms = [(i, j, c) for i, row in enumerate(numerators) for j, c in enumerate(row) if c]
+
+    def _numerator(self, g, h) -> int:
+        return sum(c * g[i] * h[j] for i, j, c in self._terms)
 
     def turns(self, g, h) -> Fraction:
-        total = Fraction(0)
-        for i, gi in enumerate(g):
-            if gi:
-                row = self.pairing[i]
-                total += gi * sum(row[j] * hj for j, hj in enumerate(h) if hj)
-        return total
+        return Fraction(self._numerator(g, h), self._denominator)
 
     def antisymmetrized(self) -> tuple:
         p = self.pairing
@@ -335,6 +358,10 @@ class TableMultiplier(Multiplier):
         for i in range(group.n):
             if self.turn_table[e][i] % 1 != 0 or self.turn_table[i][e] % 1 != 0:
                 raise MultiplierError("table multiplier is not normalized at the identity")
+        self._denominator, self._numerators = _integer_kernel(self.turn_table)
+
+    def _numerator(self, g, h) -> int:
+        return self._numerators[g][h]
 
     def turns(self, g, h) -> Fraction:
         return self.turn_table[g][h]
@@ -379,6 +406,14 @@ class ProductMultiplier(Multiplier):
         super().__init__(group)
         self.left = left
         self.right = right
+        dl, dr = left._denominator, right._denominator
+        if dl is not None and dr is not None:
+            d = self._denominator = math.lcm(dl, dr)
+            self._scales = (d // dl, d // dr)
+
+    def _numerator(self, g, h) -> int:
+        sl, sr = self._scales
+        return self.left._numerator(g[0], h[0]) * sl + self.right._numerator(g[1], h[1]) * sr
 
     def turns(self, g, h):
         return self.left.turns(g[0], h[0]) + self.right.turns(g[1], h[1])
@@ -452,21 +487,24 @@ def verify_cocycle(sigma: Multiplier, samples: int = 1000, seed: int = 0,
 
     Exhaustive on finite groups of order <= 24, randomized otherwise.  A
     pass means every checked identity holds with zero defect; the worst
-    defect is reported as a distance on the unit circle.
+    defect is reported as a distance on the unit circle.  Normal forms are
+    decided on their integer numerators, lazy multipliers on their turns.
     """
     grp = sigma.group
     e = grp.identity()
     triples, qualifier = _sample_triples(grp, samples, seed, spread)
+    n, d = (sigma.turns, 1) if sigma._denominator is None else (sigma._numerator, sigma._denominator)
     worst = 0.0
     witness = None
     for g1, g2, g3 in triples:
-        lhs = Phase(sigma.turns(grp.multiply(g1, g2), g3) + sigma.turns(g1, g2))
-        rhs = Phase(sigma.turns(g1, grp.multiply(g2, g3)) + sigma.turns(g2, g3))
-        if lhs != rhs:
+        g12, g23 = grp.multiply(g1, g2), grp.multiply(g2, g3)
+        if (n(g12, g3) + n(g1, g2) - n(g1, g23) - n(g2, g3)) % d:
+            lhs = Phase(sigma.turns(g12, g3) + sigma.turns(g1, g2))
+            rhs = Phase(sigma.turns(g1, g23) + sigma.turns(g2, g3))
             defect = abs(lhs.value - rhs.value)
             if witness is None or defect > worst:
                 worst, witness = defect, (g1, g2, g3)
-        if sigma.turns(e, g1) % 1 or sigma.turns(g1, e) % 1:
+        if n(e, g1) % d or n(g1, e) % d:
             defect = max(abs(sigma.value(e, g1) - 1.0), abs(sigma.value(g1, e) - 1.0))
             if witness is None or defect > worst:
                 worst, witness = defect, (e, g1, None)

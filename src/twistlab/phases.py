@@ -2,7 +2,9 @@
 
 A phase is exp(2*pi*i*t) with t a Fraction reduced mod 1.  Phases compare
 and hash by their reduced turns, exactly; a complex value is computed only
-when ``value`` is read.
+when ``value`` is read.  Multipliers in normal form do not build phases:
+they evaluate integer numerators over a common denominator (see
+``twistlab.multipliers``); lazy multipliers are evaluated through ``Phase``.
 """
 
 from __future__ import annotations

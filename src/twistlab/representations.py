@@ -24,8 +24,9 @@ from .phases import Phase
 from .spectral import SpectralError, eigvalsh
 
 # Most fiber entries (fibers * q^2) one block of BlochMap.blocks holds: one
-# block per flux for every butterfly with qmax <= 8 at kgrid 64.
-_BLOCK_ENTRIES = 1 << 18
+# block per flux for q <= 4 at kgrid 64.  Blocks set the peak RSS of Bloch
+# sweeps: 2^18 costs 10-58 MB more for about 3% less butterfly time.
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -311,7 +312,7 @@ def reduced_fractions(qmax: int) -> Iterator[Fraction]:
 
 # Largest kgrid^2 * qmax^2 a butterfly sweep accepts.  Rows are made one
 # block at a time, so this bounds run time, not memory: qmax 1 at kgrid 1024
-# peaks at 109 MB (VmHWM; 31 MB after import), a block of 2^18 rows.
+# peaks at 51 MB (VmHWM; 31 MB after import), a block of 2^16 rows.
 MAX_FIBER_ENTRIES = 2**20
 
 

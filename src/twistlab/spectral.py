@@ -229,17 +229,14 @@ def eta_operator(operator, tau=None, method: str = "bloch", normalization: str =
     if not isinstance(operator, AlgebraElement):
         raise SpectralError("bloch/truncation methods need an algebra element")
     if s_grid is not None:
+        args = (tau, method, normalization, kgrid, radius, None, zero_tol, t_max)
+        base = eta_operator(operator, *args)
         germ = {}
-        base_sigma = operator.sigma
-        for s in s_grid:
-            s = as_rational(s)
-            sigma_s = base_sigma.power(s)
-            elem_s = AlgebraElement(sigma_s, operator.coeffs, check=False)
-            res = eta_operator(elem_s, tau, method, normalization, kgrid, radius,
-                              None, zero_tol, t_max)
+        for s in map(as_rational, s_grid):
+            # sigma^1 is sigma, so its eta is the base eta, bit for bit.
+            res = base if s == 1 else eta_operator(
+                AlgebraElement(operator.sigma.power(s), operator.coeffs, check=False), *args)
             germ[str(s)] = res.eta
-        base = eta_operator(operator, tau, method, normalization, kgrid, radius,
-                           None, zero_tol, t_max)
         base.germ = germ
         return base
     if method == "bloch":

@@ -103,3 +103,44 @@ def test_pairing_converges_at_second_order():
     errors = [abs(lott_pairing_circle(CircleCover(1), n_grid=n) - 1.0) for n in grids]
     slope = growth_fit([float(n) for n in grids], errors)
     assert slope == pytest.approx(-2.0, abs=0.01)
+
+
+def fraction_lift(patch: int, x: Fraction) -> Fraction:
+    """Lift of x mod 1 through circle patch 0 or 1, in Fraction arithmetic (the reference)."""
+    x = x % 1
+    if patch == 0:
+        return x if x <= Fraction(1, 2) else x - 1
+    return x
+
+
+@pytest.mark.parametrize("n_grid", [3, 7, 48, 1024])
+@pytest.mark.parametrize("winding", [1, 2, 3])
+def test_circle_transitions_are_fraction_lift_differences(n_grid, winding):
+    cover = CircleCover(winding)
+    points = cover.grid(n_grid) + [Fraction(-1, 3), Fraction(5, 2), Fraction(7, 4)]
+    for x in points:
+        for i in range(2):
+            for j in range(2):
+                step = fraction_lift(i, x) - fraction_lift(j, x)
+                assert step.denominator == 1
+                assert cover.transition(i, j, x) == (winding * int(step),)
+                assert cover.transition(i, j, float(x)) == (winding * int(step),)
+
+
+@pytest.mark.parametrize("n_grid", [3, 7, 48])
+def test_torus_transitions_and_lifts_match_fraction_lifts(n_grid):
+    shifts = [(1, 0), (0, 1), (2, 3), (-4, 0)]
+    cover = TorusCover(GEOMETRY, lift_shifts=shifts)
+    points = cover.grid(n_grid) + [(Fraction(3, 2), Fraction(-2, 3))]
+    for x in points:
+        lifts = [
+            tuple(fraction_lift(p[c], x[c]) + s[c] for c in (0, 1))
+            for p, s in zip(cover.patches, shifts)
+        ]
+        for i in range(4):
+            assert cover.lift(i, x) == lifts[i]
+            for j in range(4):
+                step = (lifts[i][0] - lifts[j][0], lifts[i][1] - lifts[j][1])
+                assert all(v.denominator == 1 for v in step)
+                assert cover.transition(i, j, x) == (int(step[0]), int(step[1]))
+                assert cover.phase_turns(i, j, x) == -GEOMETRY.psi_turns(step, lifts[j])

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twistlab import (
     BilinearMultiplier,
@@ -24,12 +27,14 @@ from twistlab import (
     verify_cocycle,
 )
 from twistlab.multipliers import (
+    CocycleReport,
     ProductMultiplier,
     PullbackMultiplier,
     TableMultiplier,
     TwistedMultiplier,
     decided_equal,
 )
+from twistlab.phases import Phase
 
 Z2 = FreeAbelianGroup(2)
 S3 = symmetric_group(3)
@@ -358,3 +363,130 @@ def test_rational_power_of_a_twist_twists_the_power():
     assert multipliers_equal(half, sigma.power(Fraction(1, 2)).twist(lazy_z.scaled(Fraction(1, 2))),
                              radius=3)
     assert verify_cocycle(half, samples=200, seed=4)
+
+
+# --- integer kernels against the Fraction arithmetic they replace ------------
+
+S4 = symmetric_group(4)
+BIG_PRIME = 10**9 + 7
+
+
+def fraction_loop_turns(pairing, g, h) -> Fraction:
+    """The bilinear turns as summed one Fraction at a time (the reference)."""
+    total = Fraction(0)
+    for i, gi in enumerate(g):
+        if gi:
+            row = pairing[i]
+            total += gi * sum(row[j] * hj for j, hj in enumerate(h) if hj)
+    return total
+
+
+def reference_cocycle_report(sigma, triples, qualifier) -> CocycleReport:
+    """verify_cocycle decided and measured entirely through Phase (the reference)."""
+    grp = sigma.group
+    e = grp.identity()
+    worst, witness = 0.0, None
+    for g1, g2, g3 in triples:
+        lhs = Phase(sigma.turns(grp.multiply(g1, g2), g3) + sigma.turns(g1, g2))
+        rhs = Phase(sigma.turns(g1, grp.multiply(g2, g3)) + sigma.turns(g2, g3))
+        if lhs != rhs:
+            defect = abs(lhs.value - rhs.value)
+            if witness is None or defect > worst:
+                worst, witness = defect, (g1, g2, g3)
+        if Phase(sigma.turns(e, g1)) != Phase(0) or Phase(sigma.turns(g1, e)) != Phase(0):
+            defect = max(abs(Phase(sigma.turns(e, g1)).value - 1.0),
+                         abs(Phase(sigma.turns(g1, e)).value - 1.0))
+            if witness is None or defect > worst:
+                worst, witness = defect, (e, g1, None)
+    return CocycleReport(witness is None, len(triples), worst, witness, qualifier)
+
+
+def assert_kernel_matches_phase(sigma, g, h):
+    turns = sigma.turns(g, h)
+    assert sigma.value(g, h) == Phase(turns).value  # bitwise, not approximately
+
+
+@st.composite
+def pairings_and_pairs(draw):
+    rank = draw(st.integers(1, 3))
+    denominators = st.one_of(st.integers(1, 60), st.integers(1, BIG_PRIME),
+                             st.just(BIG_PRIME))
+    entry = st.builds(Fraction, st.integers(-2 * BIG_PRIME, 2 * BIG_PRIME), denominators)
+    pairing = [[draw(entry) for _ in range(rank)] for _ in range(rank)]
+    vector = st.tuples(*[st.integers(-10**6, 10**6)] * rank)
+    return pairing, draw(vector), draw(vector)
+
+
+@given(pairings_and_pairs())
+def test_bilinear_kernel_equals_the_fraction_loop(case):
+    pairing, g, h = case
+    sigma = BilinearMultiplier(FreeAbelianGroup(len(pairing)), pairing)
+    assert sigma.turns(g, h) == fraction_loop_turns(pairing, g, h)
+    assert_kernel_matches_phase(sigma, g, h)
+
+
+def test_bilinear_kernel_at_a_large_prime_flux():
+    sigma = magnetic_multiplier(Fraction(123456789, BIG_PRIME), gauge="symmetric")
+    rng = random.Random(13)
+    for _ in range(2000):
+        g = (rng.randint(-999, 999), rng.randint(-999, 999))
+        h = (rng.randint(-999, 999), rng.randint(-999, 999))
+        assert sigma.turns(g, h) == fraction_loop_turns(sigma.pairing, g, h)
+        assert_kernel_matches_phase(sigma, g, h)
+
+
+@pytest.mark.parametrize("group", [S3, S4], ids=["S3", "S4"])
+@pytest.mark.parametrize("s", [1, Fraction(1, 3), Fraction(-5, 7), Fraction(22, 9)])
+def test_table_kernel_matches_phase_on_coboundary_powers(group, s):
+    z = PhaseMap.random_exact(group, random.Random(41), denominator=12)
+    sigma = coboundary(z).power(s)
+    assert isinstance(sigma, TableMultiplier)
+    scaled = coboundary(z.scaled(s))
+    for g in group.elements():
+        for h in group.elements():
+            # turns stay unreduced, so the power is the coboundary of z^s
+            assert sigma.turns(g, h) == scaled.turns(g, h)
+            assert_kernel_matches_phase(sigma, g, h)
+
+
+@given(pairings_and_pairs(), st.integers(0, 23), st.integers(0, 23))
+def test_product_kernel_matches_phase_of_summed_turns(case, a, b):
+    pairing, g, h = case
+    left = BilinearMultiplier(FreeAbelianGroup(len(pairing)), pairing)
+    right = coboundary(PhaseMap.random_exact(S4, random.Random(3), denominator=35)).power(
+        Fraction(7, 11))
+    sigma = ProductMultiplier(ProductGroup(left.group, S4), left, right)
+    assert sigma.turns((g, a), (h, b)) == left.turns(g, h) + right.turns(a, b)
+    assert_kernel_matches_phase(sigma, (g, a), (h, b))
+
+
+def perturbed_table(group, entries):
+    z = PhaseMap.random_exact(group, random.Random(17), denominator=12)
+    table = [list(row) for row in coboundary(z).turn_table]
+    for (g, h), shift in entries.items():
+        table[g][h] += shift
+    return TableMultiplier(group, table)
+
+
+@pytest.mark.parametrize("entries", [
+    {},
+    {(3, 5): Fraction(1, 7)},
+    {(3, 5): Fraction(1, 7), (5, 3): Fraction(1, 7), (20, 9): Fraction(-2, 5)},
+    {(1, 1): Fraction(1, 10**15), (7, 11): Fraction(1, 2), (11, 7): Fraction(1, 2)},
+    {(2, 4): 3, (4, 2): Fraction(-1, BIG_PRIME)},
+])
+def test_cocycle_check_on_perturbed_s4_tables_matches_the_phase_path(entries):
+    sigma = perturbed_table(S4, entries)
+    triples = list(itertools.product(S4.elements(), repeat=3))
+    assert verify_cocycle(sigma) == reference_cocycle_report(sigma, triples, "exhaustive")
+
+
+def test_sampled_cocycle_check_on_a_perturbed_product_matches_the_phase_path():
+    right = perturbed_table(S3, {(1, 2): Fraction(1, 9), (4, 4): Fraction(5, 6)})
+    prod = ProductGroup(Z2, S3)
+    sigma = ProductMultiplier(prod, magnetic_multiplier(THETA), right)
+    rng = random.Random(4)
+    triples = [tuple(prod.random_element(rng, 4) for _ in range(3)) for _ in range(400)]
+    report = verify_cocycle(sigma, samples=400, seed=4)
+    assert not report.passed
+    assert report == reference_cocycle_report(sigma, triples, "sampled")

@@ -285,3 +285,20 @@ def test_eta_operator_germ_tabulates_powers():
     res = eta_operator(shifted, kgrid=12, s_grid=["1", "2/3"])
     assert set(res.germ) == {"1", "2/3"}
     assert abs(res.germ["1"] - res.eta) < 1e-12
+
+
+@pytest.mark.parametrize("method", ["bloch", "truncation"])
+def test_eta_operator_germ_solves_each_power_once(monkeypatch, method):
+    from twistlab import spectral
+
+    solved = []
+    for name in ("_eta_bloch", "_eta_truncation"):
+        inner = getattr(spectral, name)
+        monkeypatch.setattr(spectral, name,
+                            lambda a, *args, inner=inner: solved.append(a.sigma) or inner(a, *args))
+    sigma = magnetic_multiplier(Fraction(1, 3))
+    shifted = harper_element(sigma) + 0.5 * AlgebraElement.unit(sigma)
+    res = eta_operator(shifted, method=method, kgrid=8, radius=3, s_grid=["9/10", "1", "11/10"])
+    assert list(res.germ) == ["9/10", "1", "11/10"]
+    assert res.germ["1"] == res.eta
+    assert [s.theta for s in solved] == [Fraction(1, 3), Fraction(3, 10), Fraction(11, 30)]
