@@ -10,6 +10,11 @@ partition of unity.
 
 A lift of x mod 1 through a chart is x + shift with an integer shift, so
 transitions, the differences of lifts, are integer differences of shifts.
+A cover computes a point's shifts, and the torus its lifts, once per
+point (``_point``); transitions and phases at that point are read from
+them.  Without gauge offsets the torus cover's geometric multiplier is
+the magnetic pairing exactly, as rationals, so the torus projection
+convolves over that normal form and its integer kernel.
 
 The pairing of such a projection with a degree one group cochain
 recovers the winding of the transition cocycle by a discretized
@@ -19,8 +24,9 @@ Stokes sum over the base grid.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .algebra import AlgebraElement
 from .cohomology import GroupCochain, inhomogeneous
@@ -30,6 +36,7 @@ from .multipliers import (
     Multiplier,
     TrivialMultiplier,
     geometric_multiplier,
+    magnetic_multiplier,
 )
 from .phases import Phase, as_rational
 
@@ -53,6 +60,33 @@ def _lift_shift(patch: int, x: Fraction) -> int:
     return -1 if patch == 0 and 2 * (x.numerator % x.denominator) > x.denominator else 0
 
 
+def _check_grid(n_grid: int) -> None:
+    if n_grid < 1:
+        raise CoverError(f"a cover grid needs n_grid >= 1, got {n_grid}")
+
+
+class _Point:
+    """A base point of a cover: its transitions, and the lifts for the phases.
+
+    The transition g_ij is shifts[i] - shifts[j] for integer lift shifts;
+    its phase is minus the gauge potential psi of g_ij at lifts[j], or zero
+    without a potential.
+    """
+
+    __slots__ = ("transitions", "lifts", "psi")
+
+    def __init__(self, shifts: list, lifts: list | None = None,
+                 psi: Callable | None = None):
+        self.transitions = [[tuple(map(operator.sub, si, sj)) for sj in shifts] for si in shifts]
+        self.lifts = lifts
+        self.psi = psi
+
+    def phase_turns(self, i: int, j: int) -> Fraction:
+        if self.psi is None:
+            return Fraction(0)
+        return -self.psi(self.transitions[i][j], self.lifts[j])
+
+
 class CircleCover:
     """Two patch cover of the circle with winding scaled transitions.
 
@@ -70,12 +104,16 @@ class CircleCover:
         value = _chi_pair(float(x) % 1.0)
         return value[patch]
 
-    def transition(self, i: int, j: int, x) -> tuple:
+    def _point(self, x) -> _Point:
+        """The point's lift shifts, times the winding."""
         x = Fraction(x).limit_denominator(10 ** 9) if isinstance(x, float) else as_rational(x)
-        return (self.winding * (_lift_shift(i, x) - _lift_shift(j, x)),)
+        return _Point([(self.winding * _lift_shift(p, x),) for p in (0, 1)])
+
+    def transition(self, i: int, j: int, x) -> tuple:
+        return self._point(x).transitions[i][j]
 
     def phase_turns(self, i: int, j: int, x) -> Fraction:
-        return Fraction(0)
+        return self._point(x).phase_turns(i, j)
 
     def grid(self, n: int) -> list:
         return [Fraction(k, n) for k in range(n)]
@@ -88,6 +126,7 @@ class TorusCover:
     in Z^2 and the off diagonal phases are minus the magnetic phase of
     the transition element at the rational lift, which closes the
     idempotent identity exactly against the geometric multiplier.
+    Without offsets that multiplier is held in its magnetic normal form.
     ``lift_shifts`` moves each patch lift by a fixed lattice vector,
     which conjugates the projection without changing its invariants.
     """
@@ -96,7 +135,12 @@ class TorusCover:
                  lift_shifts: Sequence[tuple] | None = None):
         self.geometry = geometry
         self.group = FreeAbelianGroup(2)
-        self.sigma: Multiplier = geometric_multiplier(geometry)
+        # psi_h(x0) + psi_g(h x0) - psi_gh(x0) is theta g1 h2 (landau) or
+        # theta (g1 h2 - g2 h1) / 2 (symmetric) at every base point x0.
+        self.sigma: Multiplier = (
+            magnetic_multiplier(geometry.theta, geometry.gauge) if geometry.offsets is None
+            else geometric_multiplier(geometry)
+        )
         self.patches = [(0, 0), (0, 1), (1, 0), (1, 1)]
         self.n_patches = 4
         if lift_shifts is None:
@@ -113,22 +157,24 @@ class TorusCover:
     def chi1(circle_patch: int, coord) -> float:
         return _chi_pair(float(coord) % 1.0)[circle_patch]
 
-    def _shift(self, patch: int, x) -> tuple:
-        """The integer part of the lift: lift(patch, x) = x mod 1 + shift."""
-        p = self.patches[patch]
-        s = self.lift_shifts[patch]
-        return tuple(_lift_shift(p[c], as_rational(x[c])) + s[c] for c in (0, 1))
+    def _point(self, x) -> _Point:
+        """Each patch's shift and lift: lift(patch, x) = x mod 1 + shift."""
+        frac = [as_rational(v) % 1 for v in x]
+        shifts = [
+            tuple(_lift_shift(p[c], frac[c]) + s[c] for c in (0, 1))
+            for p, s in zip(self.patches, self.lift_shifts)
+        ]
+        lifts = [(frac[0] + s[0], frac[1] + s[1]) for s in shifts]
+        return _Point(shifts, lifts, self.geometry.psi_turns)
 
     def lift(self, patch: int, x) -> tuple:
-        return tuple(as_rational(x[c]) % 1 + s for c, s in enumerate(self._shift(patch, x)))
+        return self._point(x).lifts[patch]
 
     def transition(self, i: int, j: int, x) -> tuple:
-        si, sj = self._shift(i, x), self._shift(j, x)
-        return (si[0] - sj[0], si[1] - sj[1])
+        return self._point(x).transitions[i][j]
 
     def phase_turns(self, i: int, j: int, x) -> Fraction:
-        g = self.transition(i, j, x)
-        return -self.geometry.psi_turns(g, self.lift(j, x))
+        return self._point(x).phase_turns(i, j)
 
     def grid(self, n: int) -> list:
         return [
@@ -148,6 +194,7 @@ class Projection:
         cover = self.cover
         n = cover.n_patches
         chis = [cover.chi(i, x) for i in range(n)]
+        point = cover._point(x)
         rows = []
         for i in range(n):
             row = []
@@ -156,8 +203,8 @@ class Projection:
                 if w == 0.0:
                     row.append(AlgebraElement(self.sigma, []))
                     continue
-                g = cover.transition(i, j, x)
-                phase = Phase(cover.phase_turns(i, j, x)).value
+                g = point.transitions[i][j]
+                phase = Phase(point.phase_turns(i, j)).value
                 row.append(AlgebraElement(self.sigma, [(g, w * phase)]))
             rows.append(row)
         return rows
@@ -194,6 +241,7 @@ class Projection:
         return worst_idem, worst_star
 
     def verify(self, n_grid: int = 32) -> dict:
+        _check_grid(n_grid)
         worst_idem = 0.0
         worst_star = 0.0
         count = 0
@@ -210,17 +258,18 @@ class Projection:
 
     def rank_trace(self, n_grid: int = 64) -> float:
         """Grid average of the fiberwise trace sum_i (P_ii)_e."""
+        _check_grid(n_grid)
         total = 0.0
         pts = self.cover.grid(n_grid)
         e = self.group.identity()
         for x in pts:
+            point = self.cover._point(x)
             for i in range(self.cover.n_patches):
                 chi = self.cover.chi(i, x)
                 if chi == 0.0:
                     continue
-                g = self.cover.transition(i, i, x)
-                if g == e:
-                    total += chi * chi * Phase(self.cover.phase_turns(i, i, x)).value.real
+                if point.transitions[i][i] == e:
+                    total += chi * chi * Phase(point.phase_turns(i, i)).value.real
         return total / len(pts)
 
 
@@ -241,6 +290,8 @@ def lott_pairing_circle(cover: CircleCover, cochain: GroupCochain | None = None,
     with centered differences; for the coordinate cochain this is the
     transition winding, normalized so winding one gives +1.
     """
+    if cover.group != FreeAbelianGroup(1):
+        raise CoverError(f"the circle pairing needs a cover over Z^1, not {cover.group!r}")
     if cochain is None:
         cochain = GroupCochain(cover.group, 1, lambda g0, g1: float(g1[0] - g0[0]), "z")
     if cochain.degree != 1:
@@ -250,21 +301,26 @@ def lott_pairing_circle(cover: CircleCover, cochain: GroupCochain | None = None,
     cbar = inhomogeneous(cochain)
     xs = cover.grid(n_grid)
     n = len(xs)
-    chi_sq = [
-        [cover.chi(i, x) ** 2 for x in xs] for i in range(cover.n_patches)
-    ]
+    patches = range(cover.n_patches)
+    chi_sq = [[cover.chi(i, x) ** 2 for x in xs] for i in patches]
+    # Transitions take few values (0 and +-winding): one cochain value each.
+    values: dict = {}
     total = 0.0
     for k, x in enumerate(xs):
-        for i0 in range(cover.n_patches):
+        point = cover._point(x)
+        diffs = [(row[(k + 1) % n] - row[(k - 1) % n]) / 2.0 for row in chi_sq]
+        for i0 in patches:
             w0 = chi_sq[i0][k]
             if w0 == 0.0:
                 continue
-            for i1 in range(cover.n_patches):
-                diff = (chi_sq[i1][(k + 1) % n] - chi_sq[i1][(k - 1) % n]) / 2.0
+            for i1 in patches:
+                diff = diffs[i1]
                 if diff == 0.0:
                     continue
-                g = cover.transition(i0, i1, xs[k])
-                value = cbar(g)
+                g = point.transitions[i0][i1]
+                value = values.get(g)
+                if value is None:
+                    value = values[g] = cbar(g)
                 if value:
                     total += w0 * diff * value.real
     return total

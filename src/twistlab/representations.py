@@ -102,6 +102,7 @@ class BlochMap:
             [pairing[0][1], pairing[1][1]],
         ]
         self.zeta = cmath.exp(2j * cmath.pi * self.p / self.q)
+        self._bases: dict = {}
 
     def phase_correction(self, g) -> complex:
         m = self.correction
@@ -116,6 +117,14 @@ class BlochMap:
             i = (j + g[1]) % q
             mat[i, j] = scalar * self.zeta ** ((i * g[0]) % q)
         return mat
+
+    def _base(self, g) -> np.ndarray:
+        """T(g) at zero momentum, built once per g and shared read-only."""
+        base = self._bases.get(g)
+        if base is None:
+            base = self._bases[g] = self._clock_shift(g, self.phase_correction(g))
+            base.flags.writeable = False
+        return base
 
     def rep_matrix(self, g, k1: float, k2: float) -> np.ndarray:
         """T(g) at Bloch momentum (k1, k2), a q x q unitary."""
@@ -136,7 +145,7 @@ class BlochMap:
         k1f, k2f = _flat_grid(k1s, k2s)
         stack = np.zeros((k1f.size, self.q, self.q), dtype=complex)
         for g, c in a.coeffs.items():
-            base = self._clock_shift(g, self.phase_correction(g))
+            base = self._base(g)
             wave = np.exp(1j * (k1f * g[0] + k2f * g[1]))
             stack += c * wave[:, None, None] * base[None, :, :]
         return stack
@@ -194,7 +203,7 @@ class BlochMap:
         Its grid mean over q is the coefficient at g of the element the
         fibers represent, once the grid is finer than the support.
         """
-        base = self._clock_shift(g, self.phase_correction(g))
+        base = self._base(g)
         wave = np.exp(1j * (k1f * g[0] + k2f * g[1]))
         tmats = wave[:, None, None] * base[None, :, :]
         return np.einsum("kij,kij->k", stack, tmats.conj())

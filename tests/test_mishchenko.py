@@ -1,11 +1,13 @@
 """Tests for cover-built projections and their cochain pairings."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from twistlab import FreeAbelianGroup
-from twistlab.cohomology import GroupCochain, growth_fit
+from twistlab.algebra import AlgebraElement
+from twistlab.cohomology import GroupCochain, growth_fit, inhomogeneous
 from twistlab.mishchenko import (
     CircleCover,
     CoverError,
@@ -14,7 +16,8 @@ from twistlab.mishchenko import (
     lott_pairing_circle,
     torus_projection,
 )
-from twistlab.multipliers import LatticeGeometry
+from twistlab.multipliers import BilinearMultiplier, GeometricMultiplier, LatticeGeometry
+from twistlab.phases import Phase
 
 GEOMETRY = LatticeGeometry("1/3")
 
@@ -144,3 +147,249 @@ def test_torus_transitions_and_lifts_match_fraction_lifts(n_grid):
                 assert all(v.denominator == 1 for v in step)
                 assert cover.transition(i, j, x) == (int(step[0]), int(step[1]))
                 assert cover.phase_turns(i, j, x) == -GEOMETRY.psi_turns(step, lifts[j])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: circle_projection(1),
+    lambda: torus_projection(GEOMETRY),
+])
+@pytest.mark.parametrize("n_grid", [0, -3])
+def test_projection_rejects_empty_grids(make, n_grid):
+    proj = make()
+    with pytest.raises(CoverError, match="n_grid >= 1"):
+        proj.verify(n_grid=n_grid)
+    with pytest.raises(CoverError, match="n_grid >= 1"):
+        proj.rank_trace(n_grid)
+
+
+def test_pairing_rejects_a_torus_cover():
+    with pytest.raises(CoverError, match="Z\\^1"):
+        lott_pairing_circle(torus_projection(GEOMETRY).cover, n_grid=16)
+
+
+WINDOW = range(-3, 4)
+
+
+@pytest.mark.parametrize("gauge", ["landau", "symmetric"])
+@pytest.mark.parametrize("theta", ["1/3", "2/7", "-5/4"])
+@pytest.mark.parametrize("base_point", [(0, 0), ("1/2", "-3/5"), (7, "2/3")])
+def test_torus_cover_convolves_over_the_magnetic_normal_form(gauge, theta, base_point):
+    geometry = LatticeGeometry(theta, gauge, base_point)
+    sigma = TorusCover(geometry).sigma
+    lazy = GeometricMultiplier(geometry)
+    assert isinstance(sigma, BilinearMultiplier)
+    for g in itertools.product(WINDOW, WINDOW):
+        for h in itertools.product(WINDOW, WINDOW):
+            assert sigma.turns(g, h) == lazy.turns(g, h)
+            assert sigma.value(g, h) == lazy.value(g, h)
+
+
+def test_torus_cover_with_offsets_keeps_the_geometric_multiplier():
+    geometry = LatticeGeometry("1/3", offsets=lambda g: Fraction(g[0] * g[1], 5))
+    sigma = TorusCover(geometry).sigma
+    assert isinstance(sigma, GeometricMultiplier)
+    assert sigma.geometry is geometry
+
+
+# The construction as it was before covers kept per-point data: lifts in
+# Fraction arithmetic for every (i, j) pair, phases through Phase, the torus
+# over the lazy geometric multiplier.  New results must equal it bitwise.
+
+def reference_sigma(cover):
+    if isinstance(cover, CircleCover):
+        return cover.sigma
+    return GeometricMultiplier(cover.geometry)
+
+
+def reference_lifts(cover, x):
+    if isinstance(cover, CircleCover):
+        return [(cover.winding * fraction_lift(p, x),) for p in (0, 1)]
+    return [
+        tuple(fraction_lift(p[c], x[c]) + s[c] for c in (0, 1))
+        for p, s in zip(cover.patches, cover.lift_shifts)
+    ]
+
+
+def reference_transition(cover, i, j, x):
+    lifts = reference_lifts(cover, x)
+    return tuple(int(a - b) for a, b in zip(lifts[i], lifts[j]))
+
+
+def reference_phase_turns(cover, i, j, x):
+    if isinstance(cover, CircleCover):
+        return Fraction(0)
+    g = reference_transition(cover, i, j, x)
+    return -cover.geometry.psi_turns(g, reference_lifts(cover, x)[j])
+
+
+def reference_matrix_at(cover, sigma, x):
+    n = cover.n_patches
+    chis = [cover.chi(i, x) for i in range(n)]
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            w = chis[i] * chis[j]
+            if w == 0.0:
+                row.append(AlgebraElement(sigma, []))
+                continue
+            g = reference_transition(cover, i, j, x)
+            phase = Phase(reference_phase_turns(cover, i, j, x)).value
+            row.append(AlgebraElement(sigma, [(g, w * phase)]))
+        rows.append(row)
+    return rows
+
+
+def reference_mat_mul(sigma, a, b):
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for k in range(n):
+            acc = AlgebraElement(sigma, [])
+            for j in range(n):
+                acc = acc + a[i][j].convolve(b[j][k])
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def reference_defects_at(cover, sigma, x):
+    p = reference_matrix_at(cover, sigma, x)
+    p2 = reference_mat_mul(sigma, p, p)
+    n = len(p)
+    ps = [[p[j][i].star() for j in range(n)] for i in range(n)]
+    worst_idem = 0.0
+    worst_star = 0.0
+    for i in range(n):
+        for j in range(n):
+            worst_idem = max(worst_idem, (p2[i][j] - p[i][j]).norm_l1())
+            worst_star = max(worst_star, (ps[i][j] - p[i][j]).norm_l1())
+    return worst_idem, worst_star
+
+
+def reference_verify(cover, n_grid):
+    sigma = reference_sigma(cover)
+    worst_idem = 0.0
+    worst_star = 0.0
+    count = 0
+    for x in cover.grid(n_grid):
+        idem, star = reference_defects_at(cover, sigma, x)
+        worst_idem = max(worst_idem, idem)
+        worst_star = max(worst_star, star)
+        count += 1
+    return {"points": count, "idempotent_defect": worst_idem, "selfadjoint_defect": worst_star}
+
+
+def reference_rank_trace(cover, n_grid):
+    total = 0.0
+    pts = cover.grid(n_grid)
+    e = cover.group.identity()
+    for x in pts:
+        for i in range(cover.n_patches):
+            chi = cover.chi(i, x)
+            if chi == 0.0:
+                continue
+            g = reference_transition(cover, i, i, x)
+            if g == e:
+                total += chi * chi * Phase(reference_phase_turns(cover, i, i, x)).value.real
+    return total / len(pts)
+
+
+def reference_pairing(cover, cochain, n_grid):
+    cbar = inhomogeneous(cochain)
+    xs = cover.grid(n_grid)
+    n = len(xs)
+    chi_sq = [[cover.chi(i, x) ** 2 for x in xs] for i in range(cover.n_patches)]
+    total = 0.0
+    for k, x in enumerate(xs):
+        for i0 in range(cover.n_patches):
+            w0 = chi_sq[i0][k]
+            if w0 == 0.0:
+                continue
+            for i1 in range(cover.n_patches):
+                diff = (chi_sq[i1][(k + 1) % n] - chi_sq[i1][(k - 1) % n]) / 2.0
+                if diff == 0.0:
+                    continue
+                value = cbar(reference_transition(cover, i0, i1, x))
+                if value:
+                    total += w0 * diff * value.real
+    return total
+
+
+def same_float(a, b):
+    return a.hex() == b.hex()
+
+
+def same_matrix(a, b):
+    return all(
+        x.coeffs == y.coeffs and list(x.coeffs) == list(y.coeffs)
+        for row_a, row_b in zip(a, b) for x, y in zip(row_a, row_b)
+    )
+
+
+@pytest.mark.parametrize("n_grid", [3, 7, 1024, 8000])
+@pytest.mark.parametrize("winding", [1, 2, 3])
+def test_pairing_equals_the_reference_loop_bitwise(n_grid, winding):
+    cover = CircleCover(winding)
+    coord = GroupCochain(cover.group, 1, lambda g0, g1: float(g1[0] - g0[0]), "z")
+    assert same_float(lott_pairing_circle(cover, n_grid=n_grid),
+                      reference_pairing(cover, coord, n_grid))
+
+
+def test_pairing_with_a_custom_cochain_equals_the_reference_bitwise():
+    calls = []
+
+    def fn(g0, g1):
+        calls.append(g1[0] - g0[0])
+        d = g1[0] - g0[0]
+        return complex(d ** 3 - 0.75 * d + 0.25, 0.5 * d)
+
+    cover = CircleCover(2)
+    cochain = GroupCochain(cover.group, 1, fn, "cubic")
+    want = reference_pairing(cover, cochain, 512)
+    calls.clear()
+    assert same_float(lott_pairing_circle(cover, cochain, n_grid=512), want)
+    # One evaluation per distinct transition: 0 and +-2.
+    assert sorted(calls) == [-2, 0, 2]
+
+
+@pytest.mark.parametrize("n_grid", [3, 7, 16])
+@pytest.mark.parametrize("winding", [1, 2, 3])
+def test_circle_projection_equals_the_reference_bitwise(n_grid, winding):
+    proj = circle_projection(winding)
+    cover = proj.cover
+    for x in cover.grid(n_grid):
+        assert same_matrix(proj.matrix_at(x), reference_matrix_at(cover, cover.sigma, x))
+        for i in range(2):
+            for j in range(2):
+                assert cover.phase_turns(i, j, x) == reference_phase_turns(cover, i, j, x)
+    assert proj.verify(n_grid) == reference_verify(cover, n_grid)
+    assert same_float(proj.rank_trace(n_grid), reference_rank_trace(cover, n_grid))
+
+
+TORUS_CASES = [
+    (LatticeGeometry("1/3"), None),
+    (LatticeGeometry("1/3"), [(1, 0), (0, 1), (2, 3), (-4, 0)]),
+    (LatticeGeometry("2/7", "symmetric"), None),
+    (LatticeGeometry("-5/4", "symmetric", ("1/2", "-3/5")), [(1, -1), (0, 2), (0, 0), (3, 1)]),
+    (LatticeGeometry("1/3", offsets=lambda g: Fraction(g[0] * g[1], 5)), None),
+]
+
+
+@pytest.mark.parametrize("geometry, shifts", TORUS_CASES)
+def test_torus_projection_equals_the_reference_bitwise(geometry, shifts):
+    proj = torus_projection(geometry, shifts)
+    cover = proj.cover
+    lazy = reference_sigma(cover)
+    for x in cover.grid(4):
+        p = proj.matrix_at(x)
+        ref = reference_matrix_at(cover, lazy, x)
+        assert same_matrix(p, ref)
+        # Convolution over the normal form equals convolution over the lazy form.
+        assert same_matrix(proj._mat_mul(p, p), reference_mat_mul(lazy, ref, ref))
+        assert proj.defects_at(x) == reference_defects_at(cover, lazy, x)
+    report = proj.verify(n_grid=5)
+    assert report == reference_verify(cover, 5)
+    assert report["idempotent_defect"] == 0.0 and report["selfadjoint_defect"] == 0.0
+    assert same_float(proj.rank_trace(6), reference_rank_trace(cover, 6))

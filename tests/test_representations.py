@@ -271,6 +271,22 @@ def test_bloch_blocks_tile_the_grid_in_order(monkeypatch):
         assert np.array_equal(np.concatenate([e for _, e in parts]), whole)
 
 
+def test_bloch_blocks_build_each_clock_shift_matrix_once(monkeypatch):
+    sigma = magnetic_multiplier(Fraction(2, 5))
+    h = harper_element(sigma, (1.0, 1.0, 0.5, 0.5))
+    bloch = BlochMap(sigma)
+    whole = np.linalg.eigvalsh(BlochMap(sigma).fiber_stack(h, bloch.grid(6), bloch.grid(6)))
+    built = []
+    clock_shift = bloch._clock_shift
+    monkeypatch.setattr(bloch, "_clock_shift", lambda g, scalar: built.append(g) or clock_shift(g, scalar))
+    monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 25 * 4)
+    for _ in range(2):
+        parts = [eigs for _, eigs, _ in bloch.blocks(h, 6)]
+        assert len(parts) == 12
+        assert np.array_equal(np.concatenate(parts), whole)
+    assert sorted(built) == sorted(h.coeffs)
+
+
 def _magnetic_harper(theta, mass=0.0):
     sigma = magnetic_multiplier(theta)
     h = harper_element(sigma)
