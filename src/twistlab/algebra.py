@@ -59,10 +59,6 @@ class AlgebraElement:
     def unit(cls, sigma: Multiplier) -> "AlgebraElement":
         return cls.delta(sigma, sigma.group.identity())
 
-    @classmethod
-    def zero(cls, sigma: Multiplier) -> "AlgebraElement":
-        return cls(sigma, {})
-
     def coefficient(self, g) -> complex:
         return self.coeffs.get(g, 0.0 + 0.0j)
 

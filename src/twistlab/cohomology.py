@@ -9,11 +9,12 @@ boundary, which is checked numerically rather than assumed.
 
 The module also carries the length filtration: Sobolev norms weighted by
 word length, the commutator chain with the length operator, and log-log
-growth fits for cochains and conjugacy data.
+growth fits for cochains.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -234,8 +235,8 @@ def to_cyclic(c: GroupCochain, sigma: Multiplier) -> CyclicCochain:
     if c.group != sigma.group:
         raise CohomologyError("cochain and multiplier must share a group")
     grp = c.group
-    n = c.degree
     e = grp.identity()
+    cbar = inhomogeneous(c)
 
     def basis(gammas):
         prod = gammas[0]
@@ -243,12 +244,9 @@ def to_cyclic(c: GroupCochain, sigma: Multiplier) -> CyclicCochain:
             prod = grp.multiply(prod, g)
         if prod != e:
             return 0.0 + 0.0j
-        args = [e]
-        for g in gammas[1:]:
-            args.append(grp.multiply(args[-1], g))
-        return convolution_phase(sigma, gammas) * c(*args)
+        return convolution_phase(sigma, gammas) * cbar(*gammas[1:])
 
-    return CyclicCochain(sigma, n, basis, f"tau[{c.label}]")
+    return CyclicCochain(sigma, c.degree, basis, f"tau[{c.label}]")
 
 
 def transfer_boundary_defect(c: GroupCochain, sigma: Multiplier, samples: int = 200,
@@ -372,7 +370,6 @@ def cochain_growth(c: GroupCochain, radii: Sequence[int]) -> float:
         rng = random.Random(29 + r)
         tuples_needed = c.degree
         if len(ball) ** tuples_needed <= 20000:
-            import itertools
             combos = itertools.product(ball, repeat=tuples_needed)
         else:
             combos = (
@@ -384,14 +381,3 @@ def cochain_growth(c: GroupCochain, radii: Sequence[int]) -> float:
         sups.append(worst)
     return growth_fit(list(radii), sups)
 
-
-def class_count_growth(group: Group, radii: Sequence[int]) -> float:
-    """Growth exponent of the number of conjugacy classes meeting a ball."""
-    counts = []
-    for r in radii:
-        reps = set()
-        for g in group.ball(r):
-            cls = group.conjugacy_class(g)
-            reps.add(min(cls, key=group.element_key))
-        counts.append(len(reps))
-    return growth_fit(list(radii), counts)

@@ -13,6 +13,7 @@ import itertools
 import math
 import random
 from collections import deque
+from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 
@@ -49,9 +50,6 @@ class Group:
         """Deterministic sort key used for canonical orderings."""
         raise NotImplementedError
 
-    def is_abelian(self) -> bool:
-        raise NotImplementedError
-
     def is_finite(self) -> bool:
         return False
 
@@ -78,9 +76,6 @@ class Group:
 
     def to_json(self) -> dict:
         raise NotImplementedError
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
 
 def _bfs_lengths(group: Group, start, generators: Sequence) -> dict:
@@ -114,7 +109,6 @@ class FiniteTableGroup(Group):
         generator_indices: Sequence[int] | None = None,
         inverse_table: Sequence[int] | None = None,
         label: str = "",
-        validate: bool = True,
     ):
         self.n = len(mul)
         self.mul_table = tuple(tuple(int(x) for x in row) for row in mul)
@@ -136,8 +130,7 @@ class FiniteTableGroup(Group):
                 gens.append(int(i))
         self.generator_indices = tuple(gens)
         self._lengths: dict | None = None
-        if validate:
-            self.validate()
+        self.validate()
 
     def _derive_inverses(self) -> list[int]:
         inv = [-1] * self.n
@@ -208,13 +201,6 @@ class FiniteTableGroup(Group):
     def element_key(self, g: int) -> int:
         return g
 
-    def is_abelian(self) -> bool:
-        return all(
-            self.mul_table[i][j] == self.mul_table[j][i]
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
-
     def is_finite(self) -> bool:
         return True
 
@@ -237,33 +223,11 @@ class FiniteTableGroup(Group):
             k += 1
         return k
 
-    def exponent(self) -> int:
-        out = 1
-        for g in range(self.n):
-            o = self.element_order(g)
-            out = out * o // math.gcd(out, o)
-        return out
-
     def commutator_subgroup(self) -> list[int]:
         """Subgroup generated by all commutators, as a sorted index list."""
-        e = self.identity_index
-        commutators = set()
-        for a in range(self.n):
-            for b in range(self.n):
-                c = self.mul_table[
-                    self.mul_table[self.mul_table[a][b]][self.inverse_table[a]]
-                ][self.inverse_table[b]]
-                commutators.add(c)
-        closure = {e}
-        frontier = deque([e])
-        while frontier:
-            x = frontier.popleft()
-            for c in commutators:
-                y = self.mul_table[x][c]
-                if y not in closure:
-                    closure.add(y)
-                    frontier.append(y)
-        return sorted(closure)
+        mul, inv = self.mul_table, self.inverse_table
+        commutators = {mul[mul[mul[a][b]][inv[a]]][inv[b]] for a in range(self.n) for b in range(self.n)}
+        return sorted(_bfs_lengths(self, self.identity_index, commutators))
 
     def random_element(self, rng: random.Random, spread: int = 3) -> int:
         return rng.randrange(self.n)
@@ -307,9 +271,9 @@ class FreeAbelianGroup(Group):
     kind = "free-abelian"
 
     def __init__(self, rank: int):
-        if rank < 1:
-            raise GroupError("rank must be at least 1")
-        self.rank = int(rank)
+        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+            raise GroupError(f"rank must be an integer of at least 1, got {rank!r}")
+        self.rank = rank
 
     def identity(self) -> tuple:
         return (0,) * self.rank
@@ -343,9 +307,6 @@ class FreeAbelianGroup(Group):
 
     def element_key(self, g):
         return g
-
-    def is_abelian(self) -> bool:
-        return True
 
     def _ball_elements(self, radius: int) -> Iterator[tuple]:
         def rec(prefix: tuple, budget: int, left: int):
@@ -421,9 +382,6 @@ class ProductGroup(Group):
 
     def element_key(self, g):
         return (self.left.element_key(g[0]), self.right.element_key(g[1]))
-
-    def is_abelian(self) -> bool:
-        return self.left.is_abelian() and self.right.is_abelian()
 
     def is_finite(self) -> bool:
         return self.left.is_finite() and self.right.is_finite()
@@ -521,11 +479,6 @@ class Homomorphism:
             return tuple(sum(r[i] * g[i] for i in range(domain.rank)) for r in rows)
 
         return cls(domain, codomain, fn, "matrix")
-
-    @classmethod
-    def trivial(cls, domain: Group) -> "Homomorphism":
-        codomain = trivial_group()
-        return cls(domain, codomain, lambda g: 0, "trivial")
 
     def verify(self, samples: int = 200, seed: int = 11, exhaustive: bool = False) -> None:
         """Check multiplicativity; raises GroupError on a violation."""
@@ -625,8 +578,6 @@ def character_turn_tables(group: FiniteTableGroup) -> list[tuple]:
     subgroup is computed first and candidates are enumerated on a small
     generating set of the quotient.
     """
-    from fractions import Fraction
-
     n = group.n
     comm = set(group.commutator_subgroup())
     # Coset decomposition: map each element to its minimal coset member.
@@ -642,26 +593,12 @@ def character_turn_tables(group: FiniteTableGroup) -> list[tuple]:
     quotient = FiniteTableGroup(qmul, rep_index[rep_of[group.identity_index]], label="ab")
 
     # Greedy generating set of the quotient.
-    def _closure(gens: list[int]) -> set[int]:
-        out = {quotient.identity_index}
-        frontier = deque([quotient.identity_index])
-        while frontier:
-            x = frontier.popleft()
-            for s in gens:
-                y = quotient.mul_table[x][s]
-                if y not in out:
-                    out.add(y)
-                    frontier.append(y)
-        return out
-
     qgens: list[int] = []
-    reached = _closure(qgens)
+    reached = {quotient.identity_index}
     for g in range(q):
         if g not in reached:
             qgens.append(g)
-            reached = _closure(qgens)
-        if len(reached) == q:
-            break
+            reached = _bfs_lengths(quotient, quotient.identity_index, qgens)
 
     orders = [quotient.element_order(g) for g in qgens]
     tables = []

@@ -293,7 +293,7 @@ def lott_pairing_circle(cover: CircleCover, cochain: GroupCochain | None = None,
     if cover.group != FreeAbelianGroup(1):
         raise CoverError(f"the circle pairing needs a cover over Z^1, not {cover.group!r}")
     if cochain is None:
-        cochain = GroupCochain(cover.group, 1, lambda g0, g1: float(g1[0] - g0[0]), "z")
+        cochain = GroupCochain.coordinate_z(cover.group, 0)
     if cochain.degree != 1:
         raise CoverError("the circle pairing takes a degree one cochain")
     if n_grid < 3:
@@ -302,7 +302,11 @@ def lott_pairing_circle(cover: CircleCover, cochain: GroupCochain | None = None,
     xs = cover.grid(n_grid)
     n = len(xs)
     patches = range(cover.n_patches)
-    chi_sq = [[cover.chi(i, x) ** 2 for x in xs] for i in patches]
+    chi_sq = ([], [])  # one _chi_pair per point serves both patches
+    for x in xs:
+        c0, c1 = _chi_pair(float(x) % 1.0)
+        chi_sq[0].append(c0 ** 2)
+        chi_sq[1].append(c1 ** 2)
     # Transitions take few values (0 and +-winding): one cochain value each.
     values: dict = {}
     total = 0.0

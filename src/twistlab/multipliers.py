@@ -155,16 +155,6 @@ class PhaseMap:
 
         return cls(group, fn, "random")
 
-    def verify_character(self, samples: int = 100, seed: int = 5) -> bool:
-        rng = random.Random(seed)
-        grp = self.group
-        for _ in range(samples):
-            a = grp.random_element(rng)
-            b = grp.random_element(rng)
-            if self.turns(grp.multiply(a, b)) != (self.turns(a) + self.turns(b)) % 1:
-                return False
-        return True
-
 
 def all_characters(group: FiniteTableGroup) -> list[PhaseMap]:
     """Every homomorphism of a finite table group into U(1)."""

@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -267,12 +267,6 @@ def algebraic_moment(a: AlgebraElement, n: int) -> complex:
     return power.coefficient(a.group.identity())
 
 
-def grid_moment(a: AlgebraElement, n: int, kgrid: int, bloch: BlochMap | None = None) -> float:
-    """k-grid average of the normalized fiber trace of the n-th power."""
-    bm = bloch if bloch is not None else BlochMap(a.sigma)
-    return float((bm.eigenvalues(a, kgrid) ** n).mean())
-
-
 @dataclass
 class MomentStudy:
     orders: list
@@ -346,13 +340,6 @@ def butterfly_rows(qmax: int, kgrid: int, coefficients: Sequence[float] = (1.0, 
             yield from [f"{prefix}{b},{val:.17g}"
                         for vals, prefix in zip(eigs.tolist(), prefixes)
                         for b, val in enumerate(vals)]
-
-
-def hausdorff_distance(a: Iterable[float], b: Iterable[float]) -> float:
-    """Symmetric Hausdorff distance between two finite point sets."""
-    av = np.asarray(sorted(a), dtype=float)
-    bv = np.asarray(sorted(b), dtype=float)
-    return max(_one_sided(av, bv), _one_sided(bv, av))
 
 
 def _one_sided(av: np.ndarray, bv: np.ndarray) -> float:

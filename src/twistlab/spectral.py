@@ -458,14 +458,6 @@ class GradedMatrix:
         if float(np.abs(anti).max()) > 1e-9 * max(1.0, float(np.abs(self.matrix).max())):
             raise SpectralError("operator does not anticommute with the grading")
 
-    @property
-    def n_plus(self) -> int:
-        return int(np.sum(self.grading > 0))
-
-    @property
-    def n_minus(self) -> int:
-        return int(np.sum(self.grading < 0))
-
     def index(self, zero_tol: float | None = None) -> int:
         """dim ker D+ - dim ker D-, via a singular value rank oracle."""
         plus = np.where(self.grading > 0)[0]

@@ -80,14 +80,6 @@ class TraceFunctional:
         """True when the identity coefficient does not contribute."""
         return self.weight(self.group.identity()) == 0
 
-    def scaled(self, c: complex) -> "TraceFunctional":
-        if self._weights is not None:
-            return TraceFunctional(self.sigma, {g: c * w for g, w in self._weights.items()},
-                                   kind="combination", label=f"{c}*{self.label}")
-        fn = self._weight_fn
-        return TraceFunctional(self.sigma, weight_fn=lambda g: c * complex(fn(g)),
-                               kind="combination", label=f"{c}*{self.label}")
-
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
@@ -302,40 +294,38 @@ def _sample_pairs(sigma: Multiplier, rng: random.Random, n_samples: int,
                random_element(sigma, rng, n_terms, spread))
 
 
+def _worst_case(law: str, samples, defect: Callable, tol: float) -> TraceCheck:
+    """Audit defect(*sample) over the samples, keeping the first worst witness."""
+    worst = 0.0
+    witness = None
+    checked = 0
+    for sample in samples:
+        d = defect(*sample)
+        checked += 1
+        if d > worst:
+            worst = d
+            witness = sample
+    return TraceCheck(law, worst <= tol, checked, worst, witness if worst > tol else None)
+
+
 def check_trace_property(tau: TraceFunctional, seed: int = 11, n_samples: int = 40,
                          n_terms: int = 3, spread: int = 2, tol: float = 1e-10) -> TraceCheck:
     """Sample tau(a b) = tau(b a); returns the worst witness pair."""
     rng = random.Random(seed)
-    worst = 0.0
-    witness = None
-    checked = 0
-    for a, b in _sample_pairs(tau.sigma, rng, n_samples, n_terms, spread):
-        defect = abs(tau(a.convolve(b)) - tau(b.convolve(a)))
-        checked += 1
-        if defect > worst:
-            worst = defect
-            witness = (a, b)
-    return TraceCheck("trace", worst <= tol, checked, worst,
-                      witness if worst > tol else None)
+    return _worst_case("trace", _sample_pairs(tau.sigma, rng, n_samples, n_terms, spread),
+                       lambda a, b: abs(tau(a.convolve(b)) - tau(b.convolve(a))), tol)
 
 
 def check_positivity(tau: TraceFunctional, seed: int = 12, n_samples: int = 40,
                      n_terms: int = 3, spread: int = 2, tol: float = 1e-10) -> TraceCheck:
     """Sample tau(a* a) real and nonnegative."""
-    rng = random.Random(seed)
-    worst = 0.0
-    witness = None
-    checked = 0
-    for _ in range(n_samples):
-        a = random_element(tau.sigma, rng, n_terms, spread)
+    def defect(a):
         v = tau(a.star().convolve(a))
-        defect = max(abs(v.imag), max(0.0, -v.real))
-        checked += 1
-        if defect > worst:
-            worst = defect
-            witness = (a,)
-    return TraceCheck("positivity", worst <= tol, checked, worst,
-                      witness if worst > tol else None)
+        return max(abs(v.imag), max(0.0, -v.real))
+
+    rng = random.Random(seed)
+    samples = ((random_element(tau.sigma, rng, n_terms, spread),) for _ in range(n_samples))
+    return _worst_case("positivity", samples, defect, tol)
 
 
 def check_invariance(tau: TraceFunctional, chi: PhaseMap, seed: int = 13,
@@ -347,19 +337,9 @@ def check_invariance(tau: TraceFunctional, chi: PhaseMap, seed: int = 13,
     weights sit where chi = 1.
     """
     rng = random.Random(seed)
-    worst = 0.0
-    witness = None
-    checked = 0
-    for _ in range(n_samples):
-        a = random_element(tau.sigma, rng, 3, 2)
-        twisted = a.apply_phase_map(chi, tau.sigma)
-        defect = abs(tau(twisted) - tau(a))
-        checked += 1
-        if defect > worst:
-            worst = defect
-            witness = (a,)
-    return TraceCheck("invariance", worst <= tol, checked, worst,
-                      witness if worst > tol else None)
+    samples = ((random_element(tau.sigma, rng, 3, 2),) for _ in range(n_samples))
+    return _worst_case("invariance", samples,
+                       lambda a: abs(tau(a.apply_phase_map(chi, tau.sigma)) - tau(a)), tol)
 
 
 def character_functionals(sigma: Multiplier) -> list[TraceFunctional]:

@@ -291,6 +291,16 @@ def test_pairing_circle_rejects_grids_too_small_for_centered_differences(capsys,
     assert (code, out) == (2, "")
 
 
+def test_non_integer_lattice_rank_is_a_config_error(capsys, tmp_path):
+    cfg = write_config(tmp_path, "eta.json", {
+        "group": {"kind": "free-abelian", "rank": 2.9},
+        "multiplier": {"kind": "magnetic", "theta": "1/3"},
+        "terms": [{"g": [1, 0], "re": 1.0}, {"g": [-1, 0], "re": 1.0}], "kgrid": 4,
+    })
+    code, out = run(capsys, ["eta", "--config", cfg])
+    assert (code, out) == (2, "")
+
+
 @pytest.mark.parametrize("group", ["s10", "a8", "c100000000"])
 def test_table_groups_past_the_order_cap_are_config_errors(capsys, tmp_path, group):
     cfg = write_config(tmp_path, "sobolev.json", {

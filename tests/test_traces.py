@@ -199,13 +199,6 @@ def test_linear_combination_merges_weights():
         linear_combination([(1.0, regular_trace(sigma)), (1.0, regular_trace(MAGNETIC))])
 
 
-def test_scaled_doubles_values(rng):
-    tau = summation_trace(LATTICE_TRIVIAL).scaled(2.0)
-    a = random_element(LATTICE_TRIVIAL, rng, 3, 2)
-    total = sum(a.coefficient(g) for g in a.support())
-    assert abs(tau(a) - 2.0 * total) <= 1e-12
-
-
 def test_character_functionals_are_traces_on_untwisted_s3():
     sigma = TrivialMultiplier(S3)
     taus = character_functionals(sigma)
