@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from twistlab import (
-    butterfly_rows,
+    butterfly_csv,
     harper_element,
     magnetic_multiplier,
     reduced_fractions,
@@ -41,8 +41,7 @@ def main(argv=None):
     coefficients = tuple(float(c) for c in args.coefficients.split(","))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
-            rows = butterfly_rows(args.qmax, args.kgrid, coefficients)
-            fh.writelines(line + "\n" for line in rows)
+            fh.writelines(butterfly_csv(args.qmax, args.kgrid, coefficients))
         print(f"wrote {args.csv}")
 
     for theta in reduced_fractions(args.qmax):

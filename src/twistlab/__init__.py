@@ -55,6 +55,7 @@ from .algebra import (
 from .representations import (
     BlochMap,
     SpectrumResult,
+    butterfly_csv,
     butterfly_rows,
     harper_element,
     left_regular,

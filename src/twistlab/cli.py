@@ -40,7 +40,7 @@ from .groups import (
 )
 from .mishchenko import CircleCover, lott_pairing_circle
 from .multipliers import MultiplierError, multiplier_from_json
-from .representations import MAX_FIBER_ENTRIES, butterfly_rows
+from .representations import MAX_FIBER_ENTRIES, butterfly_csv
 from .spectral import (
     MatrixPath,
     SpectralError,
@@ -169,8 +169,7 @@ def _cmd_butterfly(args) -> int:
         raise ConfigError("--qmax and --kgrid must be at least 1")
     if (args.kgrid * args.qmax) ** 2 > MAX_FIBER_ENTRIES:
         raise ConfigError(f"--kgrid^2 * --qmax^2 must be at most {MAX_FIBER_ENTRIES}")
-    rows = butterfly_rows(args.qmax, args.kgrid, coefficients)
-    emit((line + "\n" for line in rows), args.out, as_json=False)
+    emit(butterfly_csv(args.qmax, args.kgrid, coefficients), args.out, as_json=False)
     return 0
 
 

@@ -11,10 +11,11 @@ partition of unity.
 A lift of x mod 1 through a chart is x + shift with an integer shift, so
 transitions, the differences of lifts, are integer differences of shifts.
 A cover computes a point's shifts, and the torus its lifts, once per
-point (``_point``); transitions and phases at that point are read from
-them.  Without gauge offsets the torus cover's geometric multiplier is
-the magnetic pairing exactly, as rationals, so the torus projection
-convolves over that normal form and its integer kernel.
+point (``_point``, which keeps the last point it built); transitions and
+phases at that point are read from them.  Without gauge offsets the torus
+cover's geometric multiplier is the magnetic pairing exactly, as
+rationals, so the torus projection convolves over that normal form and
+its integer kernel.
 
 The pairing of such a projection with a degree one group cochain
 recovers the winding of the transition cocycle by a discretized
@@ -99,6 +100,7 @@ class CircleCover:
         self.group = FreeAbelianGroup(1)
         self.sigma: Multiplier = TrivialMultiplier(self.group)
         self.n_patches = 2
+        self._last: tuple | None = None  # (key, point) of the last _point call
 
     def chi(self, patch: int, x) -> float:
         value = _chi_pair(float(x) % 1.0)
@@ -107,7 +109,10 @@ class CircleCover:
     def _point(self, x) -> _Point:
         """The point's lift shifts, times the winding."""
         x = Fraction(x).limit_denominator(10 ** 9) if isinstance(x, float) else as_rational(x)
-        return _Point([(self.winding * _lift_shift(p, x),) for p in (0, 1)])
+        key = (x.numerator, x.denominator, self.winding)
+        if self._last is None or self._last[0] != key:
+            self._last = (key, _Point([(self.winding * _lift_shift(p, x),) for p in (0, 1)]))
+        return self._last[1]
 
     def transition(self, i: int, j: int, x) -> tuple:
         return self._point(x).transitions[i][j]
@@ -147,7 +152,9 @@ class TorusCover:
             lift_shifts = [(0, 0)] * 4
         if len(lift_shifts) != 4:
             raise CoverError("one lift shift per patch")
-        self.lift_shifts = [tuple(int(v) for v in s) for s in lift_shifts]
+        # A tuple, so the point memo, keyed on it, cannot go stale.
+        self.lift_shifts = tuple(tuple(int(v) for v in s) for s in lift_shifts)
+        self._last: tuple | None = None  # (key, point) of the last _point call
 
     def chi(self, patch: int, x) -> float:
         p = self.patches[patch]
@@ -159,13 +166,16 @@ class TorusCover:
 
     def _point(self, x) -> _Point:
         """Each patch's shift and lift: lift(patch, x) = x mod 1 + shift."""
-        frac = [as_rational(v) % 1 for v in x]
-        shifts = [
-            tuple(_lift_shift(p[c], frac[c]) + s[c] for c in (0, 1))
-            for p, s in zip(self.patches, self.lift_shifts)
-        ]
-        lifts = [(frac[0] + s[0], frac[1] + s[1]) for s in shifts]
-        return _Point(shifts, lifts, self.geometry.psi_turns)
+        frac = tuple(as_rational(v) % 1 for v in x)
+        key = (frac, self.lift_shifts)
+        if self._last is None or self._last[0] != key:
+            shifts = [
+                tuple(_lift_shift(p[c], frac[c]) + s[c] for c in (0, 1))
+                for p, s in zip(self.patches, self.lift_shifts)
+            ]
+            lifts = [(frac[0] + s[0], frac[1] + s[1]) for s in shifts]
+            self._last = (key, _Point(shifts, lifts, self.geometry.psi_turns))
+        return self._last[1]
 
     def lift(self, patch: int, x) -> tuple:
         return self._point(x).lifts[patch]

@@ -5,6 +5,8 @@ representation, and clock-and-shift Bloch fibers for Z^2 elements with a
 rational magnetic multiplier.  The fiber route powers the Hofstadter
 butterfly sweep and the k-grid trace formulas through one engine,
 ``BlochMap.blocks``, which checks and solves the fibers block by block.
+The butterfly CSV is made per block too: one %-template per block, filled
+with all of its eigenvalues at once, gives one text chunk.
 """
 
 from __future__ import annotations
@@ -313,33 +315,47 @@ def reduced_fractions(qmax: int) -> Iterator[Fraction]:
                 yield Fraction(p, q)
 
 
-# Largest kgrid^2 * qmax^2 a butterfly sweep accepts.  Rows are made one
+# Largest kgrid^2 * qmax^2 a butterfly sweep accepts.  The CSV is made one
 # block at a time, so this bounds run time, not memory: qmax 1 at kgrid 1024
-# peaks at 51 MB (VmHWM; 31 MB after import), a block of 2^16 rows.
+# peaks at 53 MB (VmHWM; 31 MB after import), one block of 2^16 rows and
+# its text.
 MAX_FIBER_ENTRIES = 2**20
 
 
-def butterfly_rows(qmax: int, kgrid: int, coefficients: Sequence[float] = (1.0, 1.0, 1.0, 1.0)) -> Iterator[str]:
-    """CSV rows of the Hofstadter sweep, deterministic order, 17 digit floats.
+def butterfly_csv(qmax: int, kgrid: int, coefficients: Sequence[float] = (1.0, 1.0, 1.0, 1.0)) -> Iterator[str]:
+    """CSV text of the Hofstadter sweep: the header, then one chunk per Bloch block.
 
-    Columns: theta_num,theta_den,k1,k2,band_index,eigenvalue.  Rows are
-    streamed, header first, and built one block of fibers at a time.
-    Raises SpectralError if the coefficients give no self adjoint element.
+    Columns: theta_num,theta_den,k1,k2,band_index,eigenvalue; every line
+    ends in a newline and floats carry 17 significant digits.  Each block
+    is formatted by one %-template with an eigenvalue slot per row.
+    Raises SpectralError for qmax or kgrid below 1, before any text, and
+    if the coefficients give no self adjoint element.
     """
-    yield "theta_num,theta_den,k1,k2,band_index,eigenvalue"
+    if qmax < 1 or kgrid < 1:
+        raise SpectralError("a butterfly sweep needs qmax >= 1 and kgrid >= 1")
+    yield "theta_num,theta_den,k1,k2,band_index,eigenvalue\n"
     for theta in reduced_fractions(qmax):
         sigma = magnetic_multiplier(theta, "landau")
         h = harper_element(sigma, coefficients)
         bm = BlochMap(sigma)
         kstr = [f"{k:.17g}" for k in bm.grid(kgrid).tolist()]
         flux = f"{theta.numerator},{theta.denominator},"
-        # Blocks come in grid order, so one prefix generator serves them all;
-        # zip takes the eigenvalues first and so never skips a prefix.
-        prefixes = (f"{flux}{k1},{k2}," for k1 in kstr for k2 in kstr)
-        for _, eigs, _ in bm.blocks(h, kgrid):
-            yield from [f"{prefix}{b},{val:.17g}"
-                        for vals, prefix in zip(eigs.tolist(), prefixes)
-                        for b, val in enumerate(vals)]
+        # Row tails in (k2, band) order; a k1 row is its prefix before each.
+        tails = [f"{k2},{b},%.17g\n" for k2 in kstr for b in range(bm.q)]
+        for part, eigs, _ in bm.blocks(h, kgrid):
+            segments = []
+            # A block is whole k1 rows, or part of one row.
+            for i in range(part.start // kgrid, (part.stop - 1) // kgrid + 1):
+                lo, hi = max(part.start - i * kgrid, 0), min(part.stop - i * kgrid, kgrid)
+                prefix = f"{flux}{kstr[i]},"
+                segments += (prefix, prefix.join(tails[lo * bm.q:hi * bm.q]))
+            yield "".join(segments) % tuple(eigs.ravel().tolist())
+
+
+def butterfly_rows(qmax: int, kgrid: int, coefficients: Sequence[float] = (1.0, 1.0, 1.0, 1.0)) -> Iterator[str]:
+    """The lines of butterfly_csv without their newlines, header first."""
+    for chunk in butterfly_csv(qmax, kgrid, coefficients):
+        yield from chunk.splitlines()
 
 
 def _one_sided(av: np.ndarray, bv: np.ndarray) -> float:

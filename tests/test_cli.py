@@ -121,11 +121,11 @@ def test_butterfly_rejects_arguments_before_any_output(capsys, tmp_path, extra):
 
 
 def test_butterfly_failure_mid_stream_leaves_no_out_file(capsys, tmp_path, monkeypatch):
-    def failing_rows(*args):
-        yield "theta_num,theta_den,k1,k2,band_index,eigenvalue"
+    def failing_chunks(*args):
+        yield "theta_num,theta_den,k1,k2,band_index,eigenvalue\n"
         raise SpectralError("fiber failure after the header")
 
-    monkeypatch.setattr(cli, "butterfly_rows", failing_rows)
+    monkeypatch.setattr(cli, "butterfly_csv", failing_chunks)
     argv = ["butterfly", "--qmax", "3", "--kgrid", "4"]
     missing = tmp_path / "missing.csv"
     assert run(capsys, argv + ["--out", str(missing)]) == (2, "")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistlab import FreeAbelianGroup
+from twistlab import FreeAbelianGroup, mishchenko
 from twistlab.algebra import AlgebraElement
 from twistlab.cohomology import GroupCochain, growth_fit, inhomogeneous
 from twistlab.mishchenko import (
@@ -147,6 +147,41 @@ def test_torus_transitions_and_lifts_match_fraction_lifts(n_grid):
                 assert all(v.denominator == 1 for v in step)
                 assert cover.transition(i, j, x) == (int(step[0]), int(step[1]))
                 assert cover.phase_turns(i, j, x) == -GEOMETRY.psi_turns(step, lifts[j])
+
+
+def test_covers_build_one_point_per_base_point(monkeypatch):
+    built = []
+
+    class CountingPoint(mishchenko._Point):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(mishchenko, "_Point", CountingPoint)
+    circle = CircleCover(2)
+    x = Fraction(5, 7)
+    for i, j in itertools.product(range(2), repeat=2):
+        circle.transition(i, j, x)
+        circle.phase_turns(i, j, x)
+        circle.transition(i, j, Fraction(5, 7))
+        circle.phase_turns(i, j, "5/7")
+    assert len(built) == 1
+    torus = TorusCover(GEOMETRY)
+    x = (Fraction(5, 7), Fraction(-1, 3))
+    for i, j in itertools.product(range(4), repeat=2):
+        torus.lift(i, x)
+        torus.transition(i, j, x)
+        torus.phase_turns(i, j, x)
+    assert len(built) == 2
+    # The memo follows what the point depends on, not only the argument.
+    circle.winding = 3
+    assert circle.transition(0, 1, x[0]) == (-3,)
+    torus.lift_shifts = ((1, 0), (0, 1), (2, 3), (-4, 0))
+    assert torus.lift(3, x) == (Fraction(5, 7) - 4, Fraction(2, 3))
+    assert torus.lift(3, (Fraction(5, 7) + 1, "-1/3")) == (Fraction(5, 7) - 4, Fraction(2, 3))
+    assert len(built) == 4
 
 
 @pytest.mark.parametrize("make", [

@@ -16,6 +16,7 @@ from twistlab import (
     PhaseMap,
     SpectralError,
     TrivialMultiplier,
+    butterfly_csv,
     butterfly_rows,
     eta_operator,
     geometric_multiplier,
@@ -27,7 +28,7 @@ from twistlab import (
     spectrum_union,
     truncation_study,
 )
-from twistlab import representations
+from twistlab import cli, representations
 from twistlab.representations import (
     algebraic_moment,
     truncation_spectrum,
@@ -212,6 +213,59 @@ def _reference_butterfly_rows(qmax, kgrid, coefficients):
 def test_butterfly_rows_match_row_by_row_reference(qmax, kgrid, coefficients):
     rows = list(butterfly_rows(qmax, kgrid, coefficients))
     assert rows == list(_reference_butterfly_rows(qmax, kgrid, coefficients))
+
+
+@pytest.mark.parametrize("entries", [None, 40, 1])
+@pytest.mark.parametrize("qmax, kgrid, coefficients", [
+    (1, 1, (1.0, 1.0, 1.0, 1.0)),
+    (3, 4, (0.0, 0.0, 0.0, 0.0)),
+    (4, 7, (0.5, 0.5, 2.0, 2.0)),
+    (6, 3, (1e6, 1e6, 1e6, 1e6)),
+    (2, 9, (1.0, 1.0, -3.5, -3.5)),
+])
+def test_butterfly_csv_is_the_reference_rows(monkeypatch, entries, qmax, kgrid, coefficients):
+    # 40 entries: blocks split k1 rows wherever 40 // q^2 < kgrid.  1 entry:
+    # blocks of a single fiber.
+    if entries is not None:
+        monkeypatch.setattr(representations, "_BLOCK_ENTRIES", entries)
+    text = "".join(butterfly_csv(qmax, kgrid, coefficients))
+    reference = list(_reference_butterfly_rows(qmax, kgrid, coefficients))
+    assert text == "\n".join(reference) + "\n"
+    assert list(butterfly_rows(qmax, kgrid, coefficients)) == reference
+
+
+def test_percent_and_format_spec_give_the_same_digits():
+    rng = np.random.default_rng(3)
+    values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e17, -1e300]
+    values += rng.standard_normal(500).tolist() + (rng.standard_normal(200) * 1e12).tolist()
+    assert "".join(f"{v:.17g}," for v in values) == ("%.17g," * len(values)) % tuple(values)
+
+
+@pytest.mark.parametrize("qmax, kgrid", [(0, 4), (-1, 4), (3, 0), (3, -2)])
+def test_butterfly_sweeps_reject_empty_sizes_before_the_header(qmax, kgrid):
+    for sweep in (butterfly_csv, butterfly_rows):
+        rows = sweep(qmax, kgrid)
+        with pytest.raises(SpectralError, match="qmax >= 1 and kgrid >= 1"):
+            next(rows)
+
+
+def test_cli_writes_one_chunk_per_bloch_block(monkeypatch, capsys):
+    monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 40)
+    solved = []
+    fiber_stack = BlochMap.fiber_stack
+    monkeypatch.setattr(BlochMap, "fiber_stack",
+                        lambda self, *args: solved.append(self.q) or fiber_stack(self, *args))
+    written = []
+    monkeypatch.setattr(cli, "emit", lambda payload, out, as_json: written.extend(payload))
+    assert cli.main(["butterfly", "--qmax", "4", "--kgrid", "5"]) == 0
+    assert capsys.readouterr().out == ""
+    # 40 entries: the whole grid at q = 1, two k1 rows at q = 2, and parts of
+    # a row at q = 3 (4 + 1 fibers) and q = 4 (2 + 2 + 1), for two fluxes each.
+    assert solved == [1] + [2] * 3 + [3] * 20 + [4] * 30
+    assert len(written) == 1 + len(solved)
+    assert written[0] == "theta_num,theta_den,k1,k2,band_index,eigenvalue\n"
+    assert all(chunk.endswith("\n") for chunk in written)
+    assert "".join(written) == "\n".join(_reference_butterfly_rows(4, 5, (1.0,) * 4)) + "\n"
 
 
 def test_reduced_fractions_enumeration():
