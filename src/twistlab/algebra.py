@@ -166,7 +166,7 @@ def element_from_json(sigma: Multiplier, data: dict) -> AlgebraElement:
 
 
 def projective_iso(z: PhaseMap, a: AlgebraElement, target: Multiplier,
-                   check: bool = True, radius: int = 4) -> AlgebraElement:
+                   check: bool = True) -> AlgebraElement:
     """The isomorphism b_z: delta_g -> z(g) delta_g between twisted algebras.
 
     Multiplying coefficients by z shifts the multiplier by the coboundary
@@ -174,7 +174,7 @@ def projective_iso(z: PhaseMap, a: AlgebraElement, target: Multiplier,
     with check=True that relation is verified on a finite pair set before
     mapping.
     """
-    if check and not is_cohomologous_via(a.sigma, target, z.conjugate(), radius=radius):
+    if check and not is_cohomologous_via(a.sigma, target, z.conjugate(), radius=4):
         raise MultiplierError("target multiplier is not sigma * d(conj z) for the given z")
     return a.apply_phase_map(z, target)
 

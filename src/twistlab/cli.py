@@ -120,6 +120,14 @@ def load_config(path: str) -> dict:
     return data
 
 
+def _config_int(cfg: dict, key: str, default: int | None = None) -> int:
+    """cfg[key] (or the default) as a JSON integer; floats, bools and strings are rejected."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, not {value!r}")
+    return value
+
+
 def element_from_config(cfg: dict):
     group = parse_group(cfg.get("group", "z2"))
     sigma = multiplier_from_json(cfg["multiplier"], group)
@@ -206,10 +214,9 @@ def _cmd_eta(args) -> int:
         res = eta_operator(
             element,
             method=method,
-            kgrid=int(cfg.get("kgrid", 64)),
-            radius=int(cfg.get("radius", 8)),
+            kgrid=_config_int(cfg, "kgrid", 64),
+            radius=_config_int(cfg, "radius", 8),
             s_grid=cfg.get("s_grid"),
-            t_max=cfg.get("t_max"),
             **kwargs,
         )
     emit(_eta_result_json(res), args.out)
@@ -228,8 +235,8 @@ def _cmd_spectral_flow(args) -> int:
     res = spectral_flow(
         path,
         zero_tol=cfg.get("zero_tol"),
-        initial_samples=int(cfg.get("initial_samples", 17)),
-        max_refinements=int(cfg.get("max_refinements", 12)),
+        initial_samples=_config_int(cfg, "initial_samples", 17),
+        max_refinements=_config_int(cfg, "max_refinements", 12),
     )
     emit(
         {
@@ -247,7 +254,7 @@ def _cmd_spectral_flow(args) -> int:
 def _cmd_betti(args) -> int:
     cfg = load_config(args.config)
     if "cycle" in cfg:
-        even, odd = cycle_complex(int(cfg["cycle"]))
+        even, odd = cycle_complex(_config_int(cfg, "cycle"))
     else:
         even = parse_matrix(cfg["even"])
         odd = parse_matrix(cfg["odd"])
@@ -272,7 +279,7 @@ def _cmd_sobolev(args) -> int:
     orders = cfg.get("s", [0, 1, 2])
     payload = {"norms": {str(s): sobolev_norm(element, float(s)) for s in orders}}
     if "chain_j_max" in cfg:
-        chain = derivation_chain(element, j_max=int(cfg["chain_j_max"]))
+        chain = derivation_chain(element, j_max=_config_int(cfg, "chain_j_max"))
         payload["chain"] = {
             "j_max": chain.j_max,
             "radius": chain.radius,

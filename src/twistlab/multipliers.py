@@ -56,11 +56,10 @@ class PhaseMap:
     returns the angle as a Fraction of a turn reduced mod 1.
     """
 
-    def __init__(self, group: Group, turns_fn: Callable, label: str = "", character: bool = False):
+    def __init__(self, group: Group, turns_fn: Callable, label: str = ""):
         self.group = group
         self._turns_fn = turns_fn
         self.label = label
-        self.character = character
         # The matrix B with dz(g, h) = g^T B h in turns, for characters and
         # quadratic gauge changes on Z^k; None when dz has no such form.
         self.coboundary_pairing = None
@@ -72,7 +71,7 @@ class PhaseMap:
         return Phase(self._turns_fn(g)).value
 
     def _rescaled(self, turns_fn: Callable, label: str, s) -> "PhaseMap":
-        out = PhaseMap(self.group, turns_fn, label, self.character)
+        out = PhaseMap(self.group, turns_fn, label)
         out.coboundary_pairing = _scaled_matrix(self.coboundary_pairing, s)
         return out
 
@@ -86,29 +85,24 @@ class PhaseMap:
 
     @classmethod
     def one(cls, group: Group) -> "PhaseMap":
-        return cls(group, lambda g: Fraction(0), "1", character=True)
+        return cls(group, lambda g: Fraction(0), "1")
 
     @classmethod
-    def from_table(cls, group: FiniteTableGroup, turn_values: Sequence, label: str = "",
-                   character: bool = False) -> "PhaseMap":
+    def from_table(cls, group: FiniteTableGroup, turn_values: Sequence, label: str = "") -> "PhaseMap":
         table = [as_rational(t) % 1 for t in turn_values]
         if len(table) != group.n:
             raise MultiplierError("phase table must list one turn per group element")
         if table[group.identity_index] != 0:
             raise MultiplierError("phase maps must send the identity to 1")
-        return cls(group, lambda g: table[g], label or "table", character=character)
+        return cls(group, lambda g: table[g], label or "table")
 
     @classmethod
     def character_on_lattice(cls, group: FreeAbelianGroup, turn_vector: Sequence) -> "PhaseMap":
         vec = [as_rational(t) for t in turn_vector]
         if len(vec) != group.rank:
             raise MultiplierError("character needs one turn per lattice generator")
-        z = cls(
-            group,
-            lambda g: sum(v * a for v, a in zip(vec, g)),
-            "chi(" + ",".join(rational_str(v) for v in vec) + ")",
-            character=True,
-        )
+        z = cls(group, lambda g: sum(v * a for v, a in zip(vec, g)),
+                "chi(" + ",".join(rational_str(v) for v in vec) + ")")
         z.coboundary_pairing = _zero_matrix(group.rank)
         return z
 
@@ -124,16 +118,11 @@ class PhaseMap:
 
     @classmethod
     def product(cls, group: ProductGroup, left: "PhaseMap", right: "PhaseMap") -> "PhaseMap":
-        return cls(
-            group,
-            lambda g: left._turns_fn(g[0]) + right._turns_fn(g[1]),
-            f"{left.label}x{right.label}",
-            character=left.character and right.character,
-        )
+        return cls(group, lambda g: left._turns_fn(g[0]) + right._turns_fn(g[1]),
+                   f"{left.label}x{right.label}")
 
     @classmethod
-    def random_exact(cls, group: Group, rng: random.Random, denominator: int = 24,
-                     spread: int = 4) -> "PhaseMap":
+    def random_exact(cls, group: Group, rng: random.Random, denominator: int = 24) -> "PhaseMap":
         """Random rational-turn phase map; on infinite groups values are cached lazily."""
         if isinstance(group, FiniteTableGroup):
             turns = [Fraction(rng.randrange(denominator), denominator) for _ in range(group.n)]
@@ -159,7 +148,7 @@ class PhaseMap:
 def all_characters(group: FiniteTableGroup) -> list[PhaseMap]:
     """Every homomorphism of a finite table group into U(1)."""
     return [
-        PhaseMap.from_table(group, table, f"chi{i}", character=True)
+        PhaseMap.from_table(group, table, f"chi{i}")
         for i, table in enumerate(character_turn_tables(group))
     ]
 
@@ -309,14 +298,12 @@ class BilinearMultiplier(Multiplier):
         }
 
 
-def magnetic_multiplier(theta, gauge: str = "landau", rank: int = 2) -> BilinearMultiplier:
+def magnetic_multiplier(theta, gauge: str = "landau") -> BilinearMultiplier:
     """Magnetic multiplier on Z^2 at rational flux theta.
 
     landau gauge:    sigma(x, y) = exp(2 pi i theta x_1 y_2)
     symmetric gauge: sigma(x, y) = exp(pi i theta (x_1 y_2 - x_2 y_1))
     """
-    if rank != 2:
-        raise MultiplierError("magnetic multipliers are defined on Z^2")
     theta = as_rational(theta)
     group = FreeAbelianGroup(2)
     if gauge == "landau":
@@ -456,23 +443,14 @@ class CocycleReport:
         return self.passed
 
 
-def _sample_triples(group: Group, samples: int, seed: int, spread: int):
+def _sample_triples(group: Group, samples: int, seed: int):
     if group.is_finite() and len(group.elements()) <= 24:
         return list(itertools.product(group.elements(), repeat=3)), "exhaustive"
     rng = random.Random(seed)
-    out = [
-        (
-            group.random_element(rng, spread),
-            group.random_element(rng, spread),
-            group.random_element(rng, spread),
-        )
-        for _ in range(samples)
-    ]
-    return out, "sampled"
+    return [tuple(group.random_element(rng, 4) for _ in range(3)) for _ in range(samples)], "sampled"
 
 
-def verify_cocycle(sigma: Multiplier, samples: int = 1000, seed: int = 0,
-                   spread: int = 4) -> CocycleReport:
+def verify_cocycle(sigma: Multiplier, samples: int = 1000, seed: int = 0) -> CocycleReport:
     """Check normalization and the 2-cocycle identity as rational turns.
 
     Exhaustive on finite groups of order <= 24, randomized otherwise.  A
@@ -482,7 +460,7 @@ def verify_cocycle(sigma: Multiplier, samples: int = 1000, seed: int = 0,
     """
     grp = sigma.group
     e = grp.identity()
-    triples, qualifier = _sample_triples(grp, samples, seed, spread)
+    triples, qualifier = _sample_triples(grp, samples, seed)
     n, d = (sigma.turns, 1) if sigma._denominator is None else (sigma._numerator, sigma._denominator)
     worst = 0.0
     witness = None
@@ -607,10 +585,10 @@ class LatticeGeometry:
         a4 = self.vector_potential_turns((x1, x2), 1)
         return a1 + a2 - a3 - a4
 
-    def verify_curvature(self, window: int = 4) -> bool:
-        """Flux per plaquette equals theta on an exhaustive window."""
-        for x1 in range(-window, window + 1):
-            for x2 in range(-window, window + 1):
+    def verify_curvature(self) -> bool:
+        """Flux per plaquette equals theta on the exhaustive window [-4, 4]^2."""
+        for x1 in range(-4, 5):
+            for x2 in range(-4, 5):
                 if self.plaquette_curvature_turns((x1, x2)) != self.theta:
                     return False
         return True

@@ -243,14 +243,14 @@ class SpectrumResult:
         return count
 
 
-def spectrum_union(a: AlgebraElement, kgrid: int = 64, bloch: BlochMap | None = None) -> SpectrumResult:
+def spectrum_union(a: AlgebraElement, kgrid: int = 64) -> SpectrumResult:
     """Union of Bloch fiber spectra over a uniform k-grid.
 
     Band intervals are read per sorted eigenvalue index, so touching bands
     are kept separate; gaps below the threshold max(1e-9, 1e-4 * width)
     count as touching.
     """
-    bm = bloch if bloch is not None else BlochMap(a.sigma)
+    bm = BlochMap(a.sigma)
     eigs = bm.eigenvalues(a, kgrid)
     lo = float(eigs.min())
     hi = float(eigs.max())

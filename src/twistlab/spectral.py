@@ -12,6 +12,7 @@ without the factor 2 in the denominator).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -32,12 +33,12 @@ def _as_matrix(a) -> np.ndarray:
     return mat
 
 
-def require_hermitian(a, tol: float = 1e-9) -> np.ndarray:
+def require_hermitian(a) -> np.ndarray:
     mat = _as_matrix(a)
     if not np.isfinite(mat).all():
         raise SpectralError("matrix has non-finite entries")
     defect = float(np.abs(mat - mat.conj().T).max()) if mat.size else 0.0
-    if defect > tol * max(1.0, float(np.abs(mat).max())):
+    if defect > 1e-9 * max(1.0, float(np.abs(mat).max(initial=0.0))):
         raise SpectralError(f"matrix is not Hermitian (defect {defect:.3e})")
     return mat
 
@@ -68,6 +69,15 @@ def default_zero_tol(eigenvalues: np.ndarray) -> float:
     return max(1e-12, 1e-9 * radius)
 
 
+def _zero_tol(zero_tol, eigenvalues: np.ndarray | None = None):
+    """A checked zero_tol, or for None the default of the eigenvalues (None without them)."""
+    if zero_tol is None:
+        return None if eigenvalues is None else default_zero_tol(eigenvalues)
+    if isinstance(zero_tol, bool) or not isinstance(zero_tol, numbers.Real) or not 0 <= zero_tol < math.inf:
+        raise SpectralError(f"zero_tol must be a finite number >= 0, not {zero_tol!r}")
+    return zero_tol
+
+
 def _eta_scale(normalization: str) -> float:
     if normalization == "half":
         return 0.5
@@ -85,8 +95,7 @@ class KernelReport:
 
 def kernel_report(eigenvalues: np.ndarray, zero_tol: float | None = None) -> KernelReport:
     ev = np.asarray(eigenvalues, dtype=float)
-    if zero_tol is None:
-        zero_tol = default_zero_tol(ev)
+    zero_tol = _zero_tol(zero_tol, ev)
     dim = int(np.sum(np.abs(ev) <= zero_tol))
     band = [float(x) for x in ev if zero_tol / 10 < abs(x) < zero_tol * 10]
     return KernelReport(dim, zero_tol, band)
@@ -100,8 +109,7 @@ def eta_closed_form(a, zero_tol: float | None = None, normalization: str = "half
     ('full', the convention without the 2 in the denominator).
     """
     ev = a if isinstance(a, np.ndarray) and a.ndim == 1 else eigvalsh(a)
-    if zero_tol is None:
-        zero_tol = default_zero_tol(ev)
+    zero_tol = _zero_tol(zero_tol, ev)
     scale = _eta_scale(normalization)
     return scale * float(np.sum(np.sign(ev[np.abs(ev) > zero_tol])))
 
@@ -158,8 +166,7 @@ def _head_integral(ev: np.ndarray, u_max: float, rel_tol: float) -> tuple[float,
     return estimate, change
 
 
-def eta_quadrature(a, t_max: float | None = None, zero_tol: float | None = None,
-                   normalization: str = "half", rel_tol: float = 1e-9) -> EtaResult:
+def eta_quadrature(a, t_max: float | None = None, normalization: str = "half") -> EtaResult:
     """Eta via the heat-kernel integral (1/(2 sqrt(pi))) int t^{-1/2} Tr(A e^{-t A^2}) dt.
 
     The integral over [0, t_max] is evaluated with adaptive Simpson after
@@ -169,8 +176,7 @@ def eta_quadrature(a, t_max: float | None = None, zero_tol: float | None = None,
     reports the t_max needed.
     """
     ev = eigvalsh(a)
-    if zero_tol is None:
-        zero_tol = default_zero_tol(ev)
+    zero_tol = default_zero_tol(ev)
     nonzero = ev[np.abs(ev) > zero_tol]
     scale = _eta_scale(normalization)
     if nonzero.size == 0:
@@ -184,7 +190,7 @@ def eta_quadrature(a, t_max: float | None = None, zero_tol: float | None = None,
         raise SpectralError(
             f"tail bound {tail_bound:.2e} exceeds 1e-6; use t_max >= {required:.6g}"
         )
-    head, quad_err = _head_integral(nonzero, math.sqrt(t_max), rel_tol)
+    head, quad_err = _head_integral(nonzero, math.sqrt(t_max), 1e-9)
     eta = 2.0 * scale * head
     error = 2.0 * scale * (quad_err + tail_bound)
     return EtaResult(eta, error, "quadrature",
@@ -207,20 +213,22 @@ def _weights_of_trace(tau, group) -> dict:
 
 def eta_operator(operator, tau=None, method: str = "bloch", normalization: str = "half",
                  kgrid: int = 64, radius: int = 8, s_grid: Sequence | None = None,
-                 zero_tol: float | None = None, t_max: float | None = None) -> EtaResult:
+                 zero_tol: float | None = None) -> EtaResult:
     """Eta invariant of a self adjoint algebra element against a trace.
 
     method 'bloch': Z^2 with rational magnetic multiplier; the spectral
     sign function is computed per Bloch fiber and the trace weights are
     read off by fiber coefficient extraction.
-    method 'truncation': heat-kernel quadrature of coefficients of the
-    ball truncation, with the radius sensitivity reported as the error.
+    method 'truncation': the sign of the left regular truncation to the
+    ball of radius r, read at the identity column against the trace
+    weights; the change from radius r - 2 is reported as the error.
     method 'dense': plain matrix input with the matrix trace; reduces to
     eta_closed_form.
 
     With s_grid the multiplier is raised to each rational power s and the
     germ {s: eta} is tabulated.
     """
+    zero_tol = _zero_tol(zero_tol)
     if method == "dense":
         ev = eigvalsh(operator)
         eta = eta_closed_form(ev, zero_tol, normalization)
@@ -229,7 +237,7 @@ def eta_operator(operator, tau=None, method: str = "bloch", normalization: str =
     if not isinstance(operator, AlgebraElement):
         raise SpectralError("bloch/truncation methods need an algebra element")
     if s_grid is not None:
-        args = (tau, method, normalization, kgrid, radius, None, zero_tol, t_max)
+        args = (tau, method, normalization, kgrid, radius, None, zero_tol)
         base = eta_operator(operator, *args)
         germ = {}
         for s in map(as_rational, s_grid):
@@ -242,7 +250,7 @@ def eta_operator(operator, tau=None, method: str = "bloch", normalization: str =
     if method == "bloch":
         return _eta_bloch(operator, tau, normalization, kgrid, zero_tol)
     if method == "truncation":
-        return _eta_truncation(operator, tau, normalization, radius, zero_tol, t_max)
+        return _eta_truncation(operator, tau, normalization, radius, zero_tol)
     raise SpectralError(f"unknown eta method {method!r}")
 
 
@@ -289,16 +297,18 @@ def _eta_bloch(a: AlgebraElement, tau, normalization: str, kgrid: int,
 
 
 def _eta_truncation(a: AlgebraElement, tau, normalization: str, radius: int,
-                    zero_tol: float | None, t_max: float | None) -> EtaResult:
+                    zero_tol: float | None) -> EtaResult:
     from .representations import left_regular
 
+    if radius < 0:
+        raise SpectralError(f"truncation radius must be >= 0, not {radius}")
     weights = _weights_of_trace(tau, a.group)
     values = []
     for r in (max(2, radius - 2), radius):
         op = left_regular(a, r)
         dec = eigh(op.matrix)
         ev = dec.eigenvalues
-        tol_r = default_zero_tol(ev) if zero_tol is None else zero_tol
+        tol_r = _zero_tol(zero_tol, ev)
         signs = np.where(np.abs(ev) > tol_r, np.sign(ev), 0.0)
         sign_op = dec.vectors @ (signs[:, None] * dec.vectors.conj().T)
         e_col = op.index[a.group.identity()]
@@ -375,6 +385,9 @@ def spectral_flow(path: MatrixPath, zero_tol: float | None = None,
     the result equals [eta + ker/2](end) - [eta + ker/2](start) and is an
     integer whenever the endpoint kernels match the convention.
     """
+    zero_tol = _zero_tol(zero_tol)
+    if initial_samples < 2 or max_refinements < 0:
+        raise SpectralError("spectral flow needs initial_samples >= 2 and max_refinements >= 0")
     ev0 = path.eigenvalues(0.0)
     ev1 = path.eigenvalues(1.0)
     if zero_tol is None:
@@ -458,7 +471,7 @@ class GradedMatrix:
         if float(np.abs(anti).max()) > 1e-9 * max(1.0, float(np.abs(self.matrix).max())):
             raise SpectralError("operator does not anticommute with the grading")
 
-    def index(self, zero_tol: float | None = None) -> int:
+    def index(self) -> int:
         """dim ker D+ - dim ker D-, via a singular value rank oracle."""
         plus = np.where(self.grading > 0)[0]
         minus = np.where(self.grading < 0)[0]
@@ -518,6 +531,7 @@ def twisted_betti(even_block, odd_block, zero_tol: float | None = None,
     Eigenvalues inside the ambiguity band [zero_tol/10, zero_tol*10] are
     reported, not silently resolved.
     """
+    zero_tol = _zero_tol(zero_tol)
     results = []
     ambiguous: list = []
     tol_used = zero_tol
@@ -527,7 +541,7 @@ def twisted_betti(even_block, odd_block, zero_tol: float | None = None,
         else:
             dec = eigh(block)
             ev = dec.eigenvalues
-        tol = default_zero_tol(ev) if zero_tol is None else zero_tol
+        tol = _zero_tol(zero_tol, ev)
         tol_used = tol if tol_used is None else max(tol_used, tol)
         if ev.size and float(ev.min()) < -tol * 10:
             raise SpectralError("Laplacian block is not positive semidefinite")

@@ -1,0 +1,74 @@
+"""Every function parameter in the package is read by its function body.
+
+A parameter that the body never reads is an option that does nothing:
+callers can set it, and the result does not change.  The few parameters
+that must exist without being read are named below.
+"""
+
+import ast
+from pathlib import Path
+
+from twistlab import verify
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "twistlab"
+
+# Overrides that keep their base signature, and a base method that raises
+# a package error instead of NotImplementedError.
+UNREAD_ALLOWED = {
+    "multipliers.Multiplier.power": {"s"},
+    "multipliers.TrivialMultiplier.turns": {"g", "h"},
+    "multipliers.TrivialMultiplier._numerator": {"g", "h"},
+    "groups.FiniteTableGroup.random_element": {"spread"},
+}
+# The suites share one call signature, run_suite(name, seed).
+UNREAD_ALLOWED.update({f"verify.{fn.__name__}": {"seed"} for fn in verify._SUITES.values()})
+
+
+def _is_stub(fn: ast.FunctionDef) -> bool:
+    """True when the body (after a docstring) is a single raise NotImplementedError."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    if len(body) != 1 or not isinstance(body[0], ast.Raise):
+        return False
+    exc = body[0].exc
+    exc = exc.func if isinstance(exc, ast.Call) else exc
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def _functions(node, prefix):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child
+            yield from _functions(child, prefix + child.name + ".")
+        elif isinstance(child, ast.ClassDef):
+            yield from _functions(child, prefix + child.name + ".")
+        else:
+            yield from _functions(child, prefix)
+
+
+def unread_parameters() -> list[str]:
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for name, fn in _functions(ast.parse(path.read_text(encoding="utf-8")), path.stem + "."):
+            if _is_stub(fn):
+                continue
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            allowed = UNREAD_ALLOWED.get(name, set()) | {"self", "cls"}
+            found += [f"{name}({p})" for p in params if p not in read and p not in allowed]
+    return found
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []
+
+
+def test_the_allowed_names_still_exist():
+    # A stale exception would hide a parameter that comes back under the same name.
+    names = set()
+    for path in sorted(SRC.glob("*.py")):
+        names.update(name for name, _ in _functions(ast.parse(path.read_text(encoding="utf-8")),
+                                                    path.stem + "."))
+    assert set(UNREAD_ALLOWED) <= names

@@ -301,6 +301,57 @@ def test_non_integer_lattice_rank_is_a_config_error(capsys, tmp_path):
     assert (code, out) == (2, "")
 
 
+HARPER_TERMS = [{"g": [1, 0], "re": 1.0}, {"g": [-1, 0], "re": 1.0},
+                {"g": [0, 1], "re": 1.0}, {"g": [0, -1], "re": 1.0}]
+ELEMENT = {"group": "z2", "multiplier": MAGNETIC_JSON, "terms": HARPER_TERMS}
+BLOCH = dict(ELEMENT, method="bloch", kgrid=8)
+TRUNCATION = dict(ELEMENT, method="truncation", radius=3)
+DENSE = {"matrix": {"re": [[1, 0], [0, -2]]}}
+FLOW = {"path": {"A0": {"re": [[-1, 0], [0, 1]]}, "A1": {"re": [[1, 0], [0, 1]]}}}
+SOBOLEV = dict(ELEMENT, s=[0, 1])
+
+
+@pytest.mark.parametrize("command, config, named", [
+    ("eta", dict(BLOCH, zero_tol=math.nan), "zero_tol"),
+    ("eta", dict(DENSE, zero_tol=math.nan), "zero_tol"),
+    ("eta", dict(DENSE, zero_tol="nan"), "zero_tol"),
+    ("eta", dict(DENSE, zero_tol=-1.0), "zero_tol"),
+    ("eta", dict(DENSE, zero_tol=math.inf), "zero_tol"),
+    ("eta", dict(DENSE, zero_tol=True), "zero_tol"),
+    ("eta", dict(TRUNCATION, zero_tol=math.nan), "zero_tol"),
+    ("betti", {"cycle": 12, "zero_tol": math.nan}, "zero_tol"),
+    ("spectral-flow", dict(FLOW, zero_tol=math.nan), "zero_tol"),
+    ("spectral-flow", dict(FLOW, initial_samples=1), "initial_samples"),
+    ("spectral-flow", dict(FLOW, initial_samples=0), "initial_samples"),
+    ("spectral-flow", dict(FLOW, max_refinements=-1), "max_refinements"),
+    ("sobolev", dict(SOBOLEV, chain_j_max=-1), "j_max"),
+    ("sobolev", dict(SOBOLEV, s=[math.nan]), "order"),
+    ("eta", dict(TRUNCATION, radius=-1), "radius"),
+    ("eta", dict(BLOCH, kgrid=8.9), "kgrid"),
+    ("eta", dict(BLOCH, kgrid="8"), "kgrid"),
+    ("eta", dict(TRUNCATION, radius=3.5), "radius"),
+    ("betti", {"cycle": 12.9}, "cycle"),
+    ("betti", {"cycle": 40.0}, "cycle"),
+    ("sobolev", dict(SOBOLEV, chain_j_max=2.5), "chain_j_max"),
+    ("spectral-flow", dict(FLOW, initial_samples=17.5), "initial_samples"),
+    ("spectral-flow", dict(FLOW, max_refinements=True), "max_refinements"),
+])
+def test_bad_config_values_exit_2_with_one_error_line(capsys, tmp_path, command, config, named):
+    cfg = write_config(tmp_path, "config.json", config)
+    code = main([command, "--config", cfg])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+    assert named in captured.err and "Traceback" not in captured.err
+
+
+def test_eta_truncation_ignores_a_t_max_key(capsys, tmp_path):
+    plain = write_config(tmp_path, "plain.json", TRUNCATION)
+    with_t_max = write_config(tmp_path, "t_max.json", dict(TRUNCATION, t_max=3.0))
+    outputs = [run(capsys, ["eta", "--config", cfg]) for cfg in (plain, with_t_max)]
+    assert outputs[0][0] == 0 and outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("group", ["s10", "a8", "c100000000"])
 def test_table_groups_past_the_order_cap_are_config_errors(capsys, tmp_path, group):
     cfg = write_config(tmp_path, "sobolev.json", {

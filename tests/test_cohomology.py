@@ -160,6 +160,16 @@ def test_derivation_chain_identity_column_is_exact(rng):
         assert rep.chain_norms[0] == pytest.approx(a.norm_l2(), abs=1e-12)
 
 
+def test_chain_order_and_sobolev_order_are_checked():
+    a = AlgebraElement(magnetic_multiplier("1/3"), [((1, 0), 1.0)])
+    with pytest.raises(CohomologyError, match="j_max"):
+        derivation_chain(a, j_max=-1)
+    assert derivation_chain(a, j_max=0).chain_norms == pytest.approx([1.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(CohomologyError, match="finite"):
+            sobolev_norm(a, bad)
+
+
 def test_binomial_constant_is_needed():
     # A single generator delta has chain norms all 1 but Sobolev norm 2^j,
     # so a sqrt(j + 1) constant fails at j = 4 while binom(4, 2) holds.

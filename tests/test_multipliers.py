@@ -288,8 +288,6 @@ def test_power_json_round_trip():
 def test_bilinear_needs_matching_rank():
     with pytest.raises(MultiplierError):
         BilinearMultiplier(Z2, [[0, 1]])
-    with pytest.raises(MultiplierError):
-        magnetic_multiplier(THETA, rank=3)
 
 
 def test_coboundary_twist_payload_writes_back_and_reads_again():

@@ -69,6 +69,45 @@ def test_require_hermitian_rejects_asymmetric():
         require_hermitian(np.ones((2, 3)))
 
 
+def test_require_hermitian_accepts_the_empty_matrix():
+    assert require_hermitian(np.zeros((0, 0))).shape == (0, 0)
+
+
+@pytest.mark.parametrize("zero_tol", [math.nan, math.inf, -1e-9, True, "1e-9"])
+def test_bad_zero_tol_raises_on_entry(zero_tol):
+    calls = []
+    path = MatrixPath(lambda t: calls.append(t) or np.diag([t - 0.5, 1.0]))
+    even, odd = cycle_complex(6)
+    with pytest.raises(SpectralError, match="zero_tol"):
+        eta_operator(np.eye(2), method="dense", zero_tol=zero_tol)
+    with pytest.raises(SpectralError, match="zero_tol"):
+        twisted_betti(even, odd, zero_tol=zero_tol)
+    with pytest.raises(SpectralError, match="zero_tol"):
+        spectral_flow(path, zero_tol=zero_tol)
+    assert calls == []  # the path was never sampled
+
+
+def test_an_integer_zero_tol_is_kept_as_given():
+    even, odd = cycle_complex(6)
+    for tol in (1, 2):
+        assert type(kernel_report(np.array([0.0, 2.0]), tol).zero_tol) is int
+        assert type(twisted_betti(even, odd, zero_tol=tol).zero_tol) is int
+
+
+@pytest.mark.parametrize("sizes", [(1, 12), (0, 12), (17, -1)])
+def test_spectral_flow_rejects_too_few_samples(sizes):
+    path = MatrixPath.linear(np.diag([-1.0, 1.0]), np.diag([1.0, 1.0]))
+    with pytest.raises(SpectralError, match="initial_samples"):
+        spectral_flow(path, initial_samples=sizes[0], max_refinements=sizes[1])
+
+
+def test_truncation_eta_rejects_a_negative_radius():
+    a = harper_element(magnetic_multiplier("1/3"))
+    with pytest.raises(SpectralError, match="radius"):
+        eta_operator(a, method="truncation", radius=-1)
+    assert eta_operator(a, method="truncation", radius=0).method == "truncation"
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
 def test_require_hermitian_rejects_non_finite(bad):
     a = np.eye(2, dtype=complex)
