@@ -199,16 +199,22 @@ class BlochMap:
             out[part] = eigs
         return out
 
-    def extract_coefficient(self, stack: np.ndarray, g, k1f: np.ndarray, k2f: np.ndarray) -> np.ndarray:
-        """tr(X_k T_k(g)^*) per fiber X_k at the flat momenta (k1f, k2f).
+    def sign_traces(self, vecs: np.ndarray, signs: np.ndarray, g, k1f: np.ndarray,
+                    k2f: np.ndarray) -> np.ndarray:
+        """tr(S_k T_k(g)^*) per fiber, S_k = V_k diag(signs_k) V_k^*, at the flat momenta (k1f, k2f).
 
-        Its grid mean over q is the coefficient at g of the element the
-        fibers represent, once the grid is finer than the support.
+        T_k(g) has one nonzero per row, row i at column (i - g2) mod q, so
+        only those q entries of S_k are formed, each the same j-ordered sum
+        as in the full product.  The grid mean over q is the coefficient at
+        g of the element the fibers represent, once the grid is finer than
+        the support.
         """
-        base = self._base(g)
+        rows = np.arange(self.q)
+        cols = (rows - g[1]) % self.q
+        entries = np.einsum("kij,kj,kij->ki", vecs, signs, vecs[:, cols, :].conj())
         wave = np.exp(1j * (k1f * g[0] + k2f * g[1]))
-        tmats = wave[:, None, None] * base[None, :, :]
-        return np.einsum("kij,kij->k", stack, tmats.conj())
+        tmats = wave[:, None, None] * self._base(g)[None, :, :]
+        return np.einsum("ki,ki->k", entries, tmats[:, rows, cols].conj())
 
 
 def _flat_grid(k1s: np.ndarray, k2s: np.ndarray):

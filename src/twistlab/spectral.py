@@ -218,7 +218,10 @@ def eta_operator(operator, tau=None, method: str = "bloch", normalization: str =
 
     method 'bloch': Z^2 with rational magnetic multiplier; the spectral
     sign function is computed per Bloch fiber and the trace weights are
-    read off by fiber coefficient extraction.
+    read off by fiber coefficient extraction.  The error is the change from
+    the every-other-point subgrid, or for odd kgrid or kgrid < 8 from a
+    separate max(4, kgrid // 2) grid; kgrid^2 * q is at most
+    MAX_FIBER_ENTRIES.
     method 'truncation': the sign of the left regular truncation to the
     ball of radius r, read at the identity column against the trace
     weights; the change from radius r - 2 is reported as the error.
@@ -256,40 +259,58 @@ def eta_operator(operator, tau=None, method: str = "bloch", normalization: str =
 
 def _eta_bloch(a: AlgebraElement, tau, normalization: str, kgrid: int,
                zero_tol: float | None) -> EtaResult:
-    from .representations import BlochMap, _flat_grid
+    """Bloch eta on the kgrid x kgrid grid; error_bound is its change on a coarser grid.
+
+    That is every other point of the full grid for even kgrid >= 8 (2 pi i / m
+    is 2 pi (2i) / (2m) bit for bit, so nothing is solved again), else a
+    separate max(4, kgrid // 2) grid.
+    """
+    from .representations import MAX_FIBER_ENTRIES, BlochMap, _flat_grid
 
     bm = BlochMap(a.sigma)
+    # The eigenvalue array below holds kgrid^2 * q floats at once.
+    if kgrid * kgrid * bm.q > MAX_FIBER_ENTRIES:
+        raise SpectralError(f"Bloch eta needs kgrid^2 * q at most {MAX_FIBER_ENTRIES}, "
+                            f"not {kgrid}^2 * {bm.q}")
     weights = _weights_of_trace(tau, a.group)
     scale = _eta_scale(normalization)
     # Each fiber is a sum of c_g times unitaries, so bound >= the default
     # zero_tol.  Signs are taken against bound until that is known; then the
     # blocks with an eigenvalue at or below either are solved again.
     bound = max(1e-12, 1e-9 * a.norm_l1())
+    subgrid = kgrid % 2 == 0 and kgrid >= 8
+
+    def eta_of(traces: dict) -> float:
+        total = sum(complex(c) * complex(traces[g].mean() / bm.q) for g, c in weights.items())
+        return scale * complex(total).real
+
     etas = []
-    # The second grid, at half resolution, gives the grid sensitivity.
-    for n in (kgrid, max(4, kgrid // 2)):
+    for n in (kgrid,) if subgrid else (kgrid, max(4, kgrid // 2)):
         ks = bm.grid(n)
         k1f, k2f = _flat_grid(ks, ks)
         evals = np.empty((n * n, bm.q))
         traces = {g: np.empty(n * n, dtype=complex) for g in weights}
 
-        def sign_traces(tol: float, only=None) -> None:
+        def solve(tol: float, only=None) -> None:
             for part, ev, vecs in bm.blocks(a, n, vectors=True, only=only):
                 evals[part] = ev
                 signs = np.where(np.abs(ev) > tol, np.sign(ev), 0.0)
-                # Spectral sign function per fiber: V diag(sign) V^*.
-                sign_ops = np.einsum("kij,kj,klj->kil", vecs, signs, vecs.conj())
                 for g, trace in traces.items():
-                    trace[part] = bm.extract_coefficient(sign_ops, g, k1f[part], k2f[part])
+                    trace[part] = bm.sign_traces(vecs, signs, g, k1f[part], k2f[part])
 
-        sign_traces(bound if zero_tol is None else zero_tol)
+        solve(bound if zero_tol is None else zero_tol)
         if zero_tol is None:
+            # Blocks left alone have no eigenvalue at or below either, so
+            # after this every fiber's signs are taken against zero_tol.
             zero_tol = default_zero_tol(evals.reshape(-1))
-            sign_traces(zero_tol, np.abs(evals).min(axis=1) <= max(bound, zero_tol))
+            solve(zero_tol, np.abs(evals).min(axis=1) <= max(bound, zero_tol))
         if not etas:
             kernel = kernel_report(evals.reshape(-1), zero_tol)
-        total = sum(complex(c) * complex(traces[g].mean() / bm.q) for g, c in weights.items())
-        etas.append(scale * complex(total).real)
+        etas.append(eta_of(traces))
+    if subgrid:
+        # A copy, so the mean sums in the order of a separately solved grid.
+        etas.append(eta_of({g: np.ascontiguousarray(t.reshape(kgrid, kgrid)[::2, ::2]).reshape(-1)
+                            for g, t in traces.items()}))
     eta, eta_half = etas
     return EtaResult(eta, abs(eta - eta_half), "bloch",
                      {"kgrid": kgrid, "zero_tol": zero_tol, "normalization": normalization},
@@ -543,7 +564,9 @@ def twisted_betti(even_block, odd_block, zero_tol: float | None = None,
             ev = dec.eigenvalues
         tol = _zero_tol(zero_tol, ev)
         tol_used = tol if tol_used is None else max(tol_used, tol)
-        if ev.size and float(ev.min()) < -tol * 10:
+        # Rounding leaves a zero eigenvalue near -eps * |block|, whatever
+        # kernel threshold the caller chose.
+        if ev.size and float(ev.min()) < -10 * max(tol, default_zero_tol(ev)):
             raise SpectralError("Laplacian block is not positive semidefinite")
         ambiguous.extend(kernel_report(ev, tol).ambiguous)
         kernel = np.abs(ev) <= tol

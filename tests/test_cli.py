@@ -259,6 +259,17 @@ def test_betti_cycle_config(capsys, tmp_path):
     assert (payload["b_even"], payload["b_odd"], payload["euler"]) == (1, 1, 0)
 
 
+@pytest.mark.parametrize("zero_tol", [0, 1e-300])
+def test_betti_cycle_with_a_tiny_zero_tol_is_no_config_error(capsys, tmp_path, zero_tol):
+    cfg = write_config(tmp_path, "betti.json", {"cycle": 12, "zero_tol": zero_tol})
+    code, out = run(capsys, ["betti", "--config", cfg])
+    assert code == 0
+    payload = json.loads(out)
+    # The zero eigenvalue rounds to about -7e-16: not positive, and not
+    # inside a kernel threshold this small.
+    assert (payload["b_even"], payload["b_odd"], payload["zero_tol"]) == (0, 0, zero_tol)
+
+
 def test_sobolev_config(capsys, tmp_path):
     cfg = write_config(tmp_path, "sobolev.json", {
         "group": "z2",
@@ -335,6 +346,7 @@ SOBOLEV = dict(ELEMENT, s=[0, 1])
     ("sobolev", dict(SOBOLEV, chain_j_max=2.5), "chain_j_max"),
     ("spectral-flow", dict(FLOW, initial_samples=17.5), "initial_samples"),
     ("spectral-flow", dict(FLOW, max_refinements=True), "max_refinements"),
+    ("eta", dict(BLOCH, kgrid=10_000_000), "kgrid"),
 ])
 def test_bad_config_values_exit_2_with_one_error_line(capsys, tmp_path, command, config, named):
     cfg = write_config(tmp_path, "config.json", config)

@@ -295,6 +295,12 @@ def test_twisted_betti_rejects_indefinite_blocks():
         twisted_betti(np.diag([-1.0, 1.0]), np.diag([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("zero_tol", [0, 1e-300])
+def test_twisted_betti_rejects_indefinite_blocks_under_a_tiny_zero_tol(zero_tol):
+    with pytest.raises(SpectralError, match="positive semidefinite"):
+        twisted_betti(np.diag([-1e-6, 1.0]), np.diag([1.0, 1.0]), zero_tol=zero_tol)
+
+
 def test_twisted_betti_custom_functional():
     even, odd = cycle_complex(5)
     res = twisted_betti(even, odd, tau=lambda p: 2.0 * np.trace(p))
@@ -341,3 +347,158 @@ def test_eta_operator_germ_solves_each_power_once(monkeypatch, method):
     assert list(res.germ) == ["9/10", "1", "11/10"]
     assert res.germ["1"] == res.eta
     assert [s.theta for s in solved] == [Fraction(1, 3), Fraction(3, 10), Fraction(11, 30)]
+
+
+def _reference_eta_bloch(a, tau, normalization, kgrid, zero_tol):
+    """Bloch eta as first written: every fiber's full q x q sign operator,
+    its Frobenius pairing with T_k(g), and a separately solved half grid."""
+    from twistlab.representations import BlochMap, _flat_grid
+    from twistlab.spectral import EtaResult, _eta_scale, _weights_of_trace
+
+    bm = BlochMap(a.sigma)
+    weights = _weights_of_trace(tau, a.group)
+    scale = _eta_scale(normalization)
+    bound = max(1e-12, 1e-9 * a.norm_l1())
+    etas = []
+    for n in (kgrid, max(4, kgrid // 2)):
+        ks = bm.grid(n)
+        k1f, k2f = _flat_grid(ks, ks)
+        evals = np.empty((n * n, bm.q))
+        traces = {g: np.empty(n * n, dtype=complex) for g in weights}
+
+        def sign_traces(tol, only=None):
+            for part, ev, vecs in bm.blocks(a, n, vectors=True, only=only):
+                evals[part] = ev
+                signs = np.where(np.abs(ev) > tol, np.sign(ev), 0.0)
+                sign_ops = np.einsum("kij,kj,klj->kil", vecs, signs, vecs.conj())
+                for g, trace in traces.items():
+                    wave = np.exp(1j * (k1f[part] * g[0] + k2f[part] * g[1]))
+                    tmats = wave[:, None, None] * bm._base(g)[None, :, :]
+                    trace[part] = np.einsum("kij,kij->k", sign_ops, tmats.conj())
+
+        sign_traces(bound if zero_tol is None else zero_tol)
+        if zero_tol is None:
+            zero_tol = default_zero_tol(evals.reshape(-1))
+            sign_traces(zero_tol, np.abs(evals).min(axis=1) <= max(bound, zero_tol))
+        if not etas:
+            kernel = kernel_report(evals.reshape(-1), zero_tol)
+        total = sum(complex(c) * complex(traces[g].mean() / bm.q) for g, c in weights.items())
+        etas.append(scale * complex(total).real)
+    eta, eta_half = etas
+    return EtaResult(eta, abs(eta - eta_half), "bloch",
+                     {"kgrid": kgrid, "zero_tol": zero_tol, "normalization": normalization},
+                     kernel=kernel)
+
+
+def _eta_fields(res):
+    return (res.eta, res.error_bound, res.method, res.germ, res.params, res.kernel)
+
+
+def _assert_bloch_eta_matches_reference(monkeypatch, element, **kwargs):
+    from twistlab import spectral
+
+    new = _eta_fields(eta_operator(element, **kwargs))
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_eta_bloch", _reference_eta_bloch)
+        old = _eta_fields(eta_operator(element, **kwargs))
+    # == on floats is bit equality here: no field is NaN, and the signed
+    # zeros of eta and error_bound are compared by their repr as well.
+    assert new == old, kwargs
+    assert repr(new) == repr(old)
+    return new
+
+
+@pytest.mark.parametrize("theta", ["0", "1/7", "1/3", "2/5", "3/7", "1/2", "5/11"])
+def test_bloch_eta_is_bit_equal_to_the_full_sign_operator(monkeypatch, theta):
+    from twistlab import TraceFunctional
+
+    kernels = 0
+    for gauge in ("landau", "symmetric"):
+        sigma = magnetic_multiplier(Fraction(theta), gauge)
+        h = harper_element(sigma)
+        for mass in (0.0, 0.5, 2.0):
+            element = h + mass * AlgebraElement.unit(sigma) if mass else h
+            grids = (1, 3, 4, 6, 7, 8, 9, 16, 17, 32) if gauge == "landau" else (7, 16)
+            for kgrid in grids:
+                res = _assert_bloch_eta_matches_reference(monkeypatch, element, kgrid=kgrid)
+                kernels += res[-1].dim > 0
+            for zero_tol in (0, 1e-6):
+                _assert_bloch_eta_matches_reference(monkeypatch, element, kgrid=16, zero_tol=zero_tol)
+        _assert_bloch_eta_matches_reference(monkeypatch, h, kgrid=12, normalization="full",
+                                            s_grid=["1/2", "1", "2"])
+        for weights in ({(3, 0): 1.0}, {(0, 3): 1.0, (3, 3): 0.5j},
+                        {(1, 0): 1.0, (0, 0): -0.25, (2, -1): 2.0}):
+            tau = TraceFunctional(sigma, weights)
+            for kgrid in (9, 16):
+                _assert_bloch_eta_matches_reference(monkeypatch, h + 0.5 * AlgebraElement.unit(sigma),
+                                                    tau=tau, kgrid=kgrid)
+    # Harper without a mass has zero modes on these grids, so the re-solve
+    # of kernel blocks is covered.
+    assert kernels > 0
+
+
+def test_gathered_sign_entries_and_traces_equal_the_full_einsum():
+    from twistlab.representations import BlochMap
+
+    rng = np.random.default_rng(20141)
+    for q in range(1, 41):
+        bm = BlochMap(magnetic_multiplier(Fraction(1, q)))
+        assert bm.q == q
+        k = int(rng.integers(1, 6))
+        m = rng.normal(size=(k, q, q)) + 1j * rng.normal(size=(k, q, q))
+        ev, vecs = np.linalg.eigh((m + m.conj().transpose(0, 2, 1)) / 2)
+        signs = np.where(np.abs(ev) > 0.3, np.sign(ev), 0.0)
+        full = np.einsum("kij,kj,klj->kil", vecs, signs, vecs.conj())
+        k1f, k2f = rng.uniform(0.0, 2 * np.pi, size=(2, k))
+        for _ in range(3):
+            g = tuple(int(x) for x in rng.integers(-2 * q - 3, 2 * q + 4, size=2))
+            rows = np.arange(q)
+            cols = (rows - g[1]) % q
+            entries = np.einsum("kij,kj,kij->ki", vecs, signs, vecs[:, cols, :].conj())
+            assert np.array_equal(entries, full[:, rows, cols])
+            wave = np.exp(1j * (k1f * g[0] + k2f * g[1]))
+            tmats = wave[:, None, None] * bm._base(g)[None, :, :]
+            assert set(zip(*np.nonzero(bm._base(g)))) == set(zip(rows, cols))
+            expected = np.einsum("kij,kij->k", full, tmats.conj())
+            assert np.array_equal(bm.sign_traces(vecs, signs, g, k1f, k2f), expected)
+
+
+@pytest.mark.parametrize("kgrid, fibers", [(32, 32 ** 2), (33, 33 ** 2 + 16 ** 2),
+                                           (6, 6 ** 2 + 4 ** 2)])
+def test_bloch_eta_solves_the_half_grid_only_when_it_is_no_subgrid(monkeypatch, kgrid, fibers):
+    from twistlab.representations import BlochMap
+
+    solved, einsums = [], []
+    fiber_stack, einsum = BlochMap.fiber_stack, np.einsum
+    monkeypatch.setattr(BlochMap, "fiber_stack", lambda self, a, k1s, k2s: solved.append(
+        k1s.size * k2s.size) or fiber_stack(self, a, k1s, k2s))
+
+    def recording_einsum(*args):
+        out = einsum(*args)
+        einsums.append(out.shape)
+        return out
+
+    monkeypatch.setattr(np, "einsum", recording_einsum)
+    sigma = magnetic_multiplier(Fraction(1, 3))
+    # Gapped (|lambda| >= 0.5 on every fiber), so no block is solved again.
+    res = eta_operator(harper_element(sigma) + 1.5 * AlgebraElement.unit(sigma), kgrid=kgrid)
+    monkeypatch.undo()
+    assert res.kernel.dim == 0
+    assert sum(solved) == fibers
+    # Per-fiber entries and traces only: no (k, q, q) sign operator.
+    assert einsums and all(len(shape) <= 2 for shape in einsums)
+
+
+def test_bloch_eta_bounds_the_grid_of_every_power(monkeypatch):
+    from twistlab import representations
+
+    sigma = magnetic_multiplier(Fraction(1, 3))
+    h = harper_element(sigma)
+    with pytest.raises(SpectralError, match="kgrid"):
+        eta_operator(h, kgrid=10_000_000)
+    assert eta_operator(h, kgrid=8, s_grid=["11/10"]).germ
+    # q = 3 at s = 1, q = 30 at s = 11/10.
+    monkeypatch.setattr(representations, "MAX_FIBER_ENTRIES", 8 * 8 * 3)
+    assert eta_operator(h, kgrid=8).kernel is not None
+    with pytest.raises(SpectralError, match=r"8\^2 \* 30"):
+        eta_operator(h, kgrid=8, s_grid=["11/10"])
