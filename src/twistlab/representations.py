@@ -5,8 +5,10 @@ representation, and clock-and-shift Bloch fibers for Z^2 elements with a
 rational magnetic multiplier.  The fiber route powers the Hofstadter
 butterfly sweep and the k-grid trace formulas through one engine,
 ``BlochMap.blocks``, which checks and solves the fibers block by block.
-The butterfly CSV is made per block too: one %-template per block, filled
-with all of its eigenvalues at once, gives one text chunk.
+A fiber has one nonzero per row and term, so blocks are built and checked
+at those entries only.  The butterfly CSV is made per block too: one
+%-template per block, filled with all of its eigenvalues at once, gives one
+text chunk.
 """
 
 from __future__ import annotations
@@ -26,9 +28,13 @@ from .phases import Phase
 from .spectral import SpectralError, eigvalsh
 
 # Most fiber entries (fibers * q^2) one block of BlochMap.blocks holds: one
-# block per flux for q <= 4 at kgrid 64.  Blocks set the peak RSS of Bloch
-# sweeps: 2^18 costs 10-58 MB more for about 3% less butterfly time.
-_BLOCK_ENTRIES = 1 << 16
+# block per flux for q <= 2 at kgrid 64.  Blocks set the peak RSS of Bloch
+# sweeps, mostly through a butterfly chunk's text.  Measured VmHWM of
+# butterfly --qmax 1 --kgrid 1024 and --qmax 8 --kgrid 64 (2 vCPU): 36 and
+# 34 MB here; 2^16 takes 49 and 37 MB, 2^12 32 and 33 MB.  Building and
+# checking the 206 blocks of the second costs 0.12-0.15 s, as the 60 of 2^16
+# do (0.18 s built dense); the 953 of 2^12 cost 0.22 s.
+_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass
@@ -128,6 +134,10 @@ class BlochMap:
             base.flags.writeable = False
         return base
 
+    def _columns(self, g) -> np.ndarray:
+        """Column (i - g2) mod q of the one nonzero of T(g) in row i, for each row i."""
+        return (np.arange(self.q) - g[1]) % self.q
+
     def rep_matrix(self, g, k1: float, k2: float) -> np.ndarray:
         """T(g) at Bloch momentum (k1, k2), a q x q unitary."""
         scalar = self.phase_correction(g) * cmath.exp(1j * (k1 * g[0] + k2 * g[1]))
@@ -145,11 +155,14 @@ class BlochMap:
         Row order is lexicographic in (k1 index, k2 index).
         """
         k1f, k2f = _flat_grid(k1s, k2s)
+        rows = np.arange(self.q)
         stack = np.zeros((k1f.size, self.q, self.q), dtype=complex)
         for g, c in a.coeffs.items():
-            base = self._base(g)
+            cols = self._columns(g)
             wave = np.exp(1j * (k1f * g[0] + k2f * g[1]))
-            stack += c * wave[:, None, None] * base[None, :, :]
+            # Only the q nonzeros of T(g): the rest of a dense c T_k(g) would
+            # add signed zeros, which leave every sum as it is.
+            stack[:, rows, cols] += (c * wave)[:, None] * self._base(g)[rows, cols]
         return stack
 
     def grid(self, n: int) -> np.ndarray:
@@ -162,12 +175,21 @@ class BlochMap:
         Blocks of at most _BLOCK_ENTRIES entries, or one fiber, run in
         lexicographic (k1, k2) order.  Each is (part, eigenvalues, vectors):
         its slice of the flat grid, eigenvalues ascending per fiber, and the
-        eigh vectors if asked for, else None.  With only, a boolean mask over
-        the flat grid, blocks without a marked fiber are skipped.  Raises
-        SpectralError if a fiber is not Hermitian.
+        eigh vectors if asked for, else None; nothing else of a block stays
+        alive while the caller holds it.  With only, a boolean mask over the
+        flat grid, blocks without a marked fiber are skipped.  Raises
+        SpectralError if a fiber is not Hermitian, checked at the nonzero
+        pattern of a's terms and its transpose.
         """
         if n < 1:
             raise SpectralError("a Bloch grid needs at least one point per axis")
+        # Fibers are zero off the clock-and-shift pattern of a's terms, and
+        # the defect at an entry equals the defect at its transpose, so the
+        # pattern entries give the defect of the whole fiber.
+        pattern = np.zeros((self.q, self.q), dtype=bool)
+        for g in a.coeffs:
+            pattern[np.arange(self.q), self._columns(g)] = True
+        entries = np.nonzero(pattern)
         # Entries are sums of c_g times unit phases: rounding leaves a defect
         # near eps * |a|_1, so the bound scales with a once |a|_1 exceeds 1.
         tol = 1e-9 * max(1.0, a.norm_l1())
@@ -180,17 +202,17 @@ class BlochMap:
                 part = slice(i * n + j, i * n + j + k1s.size * k2s.size)
                 if only is not None and not only[part].any():
                     continue
-                stack = self.fiber_stack(a, k1s, k2s)
-                # In place, so the check adds one copy of the block, not two.
-                flip = stack.conj().transpose(0, 2, 1)
-                flip -= stack
-                defect = float(np.abs(flip).max())
-                if not defect <= tol:
-                    raise SpectralError(f"Bloch fibers are not Hermitian (defect {defect:.2e})")
-                if vectors:
-                    yield (part, *np.linalg.eigh(stack))
-                else:
-                    yield part, np.linalg.eigvalsh(stack), None
+                yield (part, *self._solve(a, k1s, k2s, entries, tol, vectors))
+
+    def _solve(self, a: AlgebraElement, k1s: np.ndarray, k2s: np.ndarray, entries, tol: float,
+               vectors: bool):
+        """Eigenvalues and eigh vectors (or None) of one block of fibers, checked at entries."""
+        stack = self.fiber_stack(a, k1s, k2s)
+        rows, cols = entries
+        defect = float(np.abs(stack[:, cols, rows].conj() - stack[:, rows, cols]).max(initial=0.0))
+        if not defect <= tol:
+            raise SpectralError(f"Bloch fibers are not Hermitian (defect {defect:.2e})")
+        return np.linalg.eigh(stack) if vectors else (np.linalg.eigvalsh(stack), None)
 
     def eigenvalues(self, a: AlgebraElement, n: int) -> np.ndarray:
         """Fiber eigenvalues over the n x n grid, shape (n*n, q), in (k1, k2) order."""
@@ -204,17 +226,15 @@ class BlochMap:
         """tr(S_k T_k(g)^*) per fiber, S_k = V_k diag(signs_k) V_k^*, at the flat momenta (k1f, k2f).
 
         T_k(g) has one nonzero per row, row i at column (i - g2) mod q, so
-        only those q entries of S_k are formed, each the same j-ordered sum
-        as in the full product.  The grid mean over q is the coefficient at
+        only those q entries of S_k and of T_k(g) are formed, each the same
+        j-ordered sum or product as in the full matrices.  The grid mean over q is the coefficient at
         g of the element the fibers represent, once the grid is finer than
         the support.
         """
-        rows = np.arange(self.q)
-        cols = (rows - g[1]) % self.q
+        rows, cols = np.arange(self.q), self._columns(g)
         entries = np.einsum("kij,kj,kij->ki", vecs, signs, vecs[:, cols, :].conj())
         wave = np.exp(1j * (k1f * g[0] + k2f * g[1]))
-        tmats = wave[:, None, None] * self._base(g)[None, :, :]
-        return np.einsum("ki,ki->k", entries, tmats[:, rows, cols].conj())
+        return np.einsum("ki,ki->k", entries, (wave[:, None] * self._base(g)[rows, cols]).conj())
 
 
 def _flat_grid(k1s: np.ndarray, k2s: np.ndarray):
@@ -323,7 +343,7 @@ def reduced_fractions(qmax: int) -> Iterator[Fraction]:
 
 # Largest kgrid^2 * qmax^2 a butterfly sweep accepts.  The CSV is made one
 # block at a time, so this bounds run time, not memory: qmax 1 at kgrid 1024
-# peaks at 53 MB (VmHWM; 31 MB after import), one block of 2^16 rows and
+# peaks at 36 MB (VmHWM; 31 MB after import), one block of 2^14 rows and
 # its text.
 MAX_FIBER_ENTRIES = 2**20
 

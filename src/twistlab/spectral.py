@@ -219,8 +219,8 @@ def eta_operator(operator, tau=None, method: str = "bloch", normalization: str =
     method 'bloch': Z^2 with rational magnetic multiplier; the spectral
     sign function is computed per Bloch fiber and the trace weights are
     read off by fiber coefficient extraction.  The error is the change from
-    the every-other-point subgrid, or for odd kgrid or kgrid < 8 from a
-    separate max(4, kgrid // 2) grid; kgrid^2 * q is at most
+    the every-other-point subgrid for kgrid 4 and even kgrid >= 8, else from
+    a separate max(4, kgrid // 2) grid; kgrid^2 * q is at most
     MAX_FIBER_ENTRIES.
     method 'truncation': the sign of the left regular truncation to the
     ball of radius r, read at the identity column against the trace
@@ -261,9 +261,9 @@ def _eta_bloch(a: AlgebraElement, tau, normalization: str, kgrid: int,
                zero_tol: float | None) -> EtaResult:
     """Bloch eta on the kgrid x kgrid grid; error_bound is its change on a coarser grid.
 
-    That is every other point of the full grid for even kgrid >= 8 (2 pi i / m
-    is 2 pi (2i) / (2m) bit for bit, so nothing is solved again), else a
-    separate max(4, kgrid // 2) grid.
+    That is every other point of the full grid for kgrid 4 and even kgrid >= 8
+    (2 pi i / m is 2 pi (2i) / (2m) bit for bit, so nothing is solved again),
+    else a separate max(4, kgrid // 2) grid.
     """
     from .representations import MAX_FIBER_ENTRIES, BlochMap, _flat_grid
 
@@ -278,14 +278,16 @@ def _eta_bloch(a: AlgebraElement, tau, normalization: str, kgrid: int,
     # zero_tol.  Signs are taken against bound until that is known; then the
     # blocks with an eigenvalue at or below either are solved again.
     bound = max(1e-12, 1e-9 * a.norm_l1())
-    subgrid = kgrid % 2 == 0 and kgrid >= 8
+    # kgrid 4 against a 4-grid of its own would bound nothing.
+    coarse = 2 if kgrid == 4 else max(4, kgrid // 2)
+    subgrid = 2 * coarse == kgrid
 
     def eta_of(traces: dict) -> float:
         total = sum(complex(c) * complex(traces[g].mean() / bm.q) for g, c in weights.items())
         return scale * complex(total).real
 
     etas = []
-    for n in (kgrid,) if subgrid else (kgrid, max(4, kgrid // 2)):
+    for n in (kgrid,) if subgrid else (kgrid, coarse):
         ks = bm.grid(n)
         k1f, k2f = _flat_grid(ks, ks)
         evals = np.empty((n * n, bm.q))
@@ -549,8 +551,9 @@ def twisted_betti(even_block, odd_block, zero_tol: float | None = None,
     With tau = None the matrix trace is used, so the Betti numbers are
     kernel dimensions, counted exactly from the eigenvalues.  A custom tau
     receives the kernel projection matrix and must return a real number.
-    Eigenvalues inside the ambiguity band [zero_tol/10, zero_tol*10] are
-    reported, not silently resolved.
+    Eigenvalues inside the ambiguity band (zero_tol/10, 10 * max(zero_tol,
+    default_zero_tol)) are reported, not silently resolved: a zero_tol below
+    rounding still flags the rounded zero eigenvalues.
     """
     zero_tol = _zero_tol(zero_tol)
     results = []
@@ -566,9 +569,10 @@ def twisted_betti(even_block, odd_block, zero_tol: float | None = None,
         tol_used = tol if tol_used is None else max(tol_used, tol)
         # Rounding leaves a zero eigenvalue near -eps * |block|, whatever
         # kernel threshold the caller chose.
-        if ev.size and float(ev.min()) < -10 * max(tol, default_zero_tol(ev)):
+        margin = 10 * max(tol, default_zero_tol(ev))
+        if ev.size and float(ev.min()) < -margin:
             raise SpectralError("Laplacian block is not positive semidefinite")
-        ambiguous.extend(kernel_report(ev, tol).ambiguous)
+        ambiguous += [float(x) for x in ev if tol / 10 < abs(x) < margin]
         kernel = np.abs(ev) <= tol
         if tau is None:
             results.append(float(np.count_nonzero(kernel)))

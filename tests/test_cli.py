@@ -149,9 +149,9 @@ def test_butterfly_streams_at_bounded_memory(tmp_path):
         "method": "bloch", "kgrid": 48,
     })
     cases = [  # argv, smallest output in bytes, largest peak in MB
-        (["butterfly", "--qmax", "8", "--kgrid", "64"], 30_000_000, 100),
-        (["butterfly", "--qmax", "1", "--kgrid", "1024"], 50_000_000, 200),
-        (["eta", "--config", config], 100, 100),
+        (["butterfly", "--qmax", "8", "--kgrid", "64"], 30_000_000, 45),
+        (["butterfly", "--qmax", "1", "--kgrid", "1024"], 50_000_000, 45),
+        (["eta", "--config", config], 100, 45),
     ]
     child = (
         "import json, re, sys\n"
@@ -257,6 +257,7 @@ def test_betti_cycle_config(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert (payload["b_even"], payload["b_odd"], payload["euler"]) == (1, 1, 0)
+    assert payload["ambiguous"] == []
 
 
 @pytest.mark.parametrize("zero_tol", [0, 1e-300])
@@ -266,8 +267,10 @@ def test_betti_cycle_with_a_tiny_zero_tol_is_no_config_error(capsys, tmp_path, z
     assert code == 0
     payload = json.loads(out)
     # The zero eigenvalue rounds to about -7e-16: not positive, and not
-    # inside a kernel threshold this small.
+    # inside a kernel threshold this small, so it is flagged as ambiguous.
     assert (payload["b_even"], payload["b_odd"], payload["zero_tol"]) == (0, 0, zero_tol)
+    assert len(payload["ambiguous"]) == 2
+    assert all(-1e-15 < x < 0 for x in payload["ambiguous"])
 
 
 def test_sobolev_config(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -334,6 +335,27 @@ def test_bloch_blocks_build_each_clock_shift_matrix_once(monkeypatch):
     assert sorted(built) == sorted(h.coeffs)
 
 
+def test_bloch_blocks_keep_no_fiber_stack_alive_between_blocks(monkeypatch):
+    sigma = magnetic_multiplier(Fraction(2, 5))
+    h = harper_element(sigma)
+    stacks = []
+    fiber_stack = BlochMap.fiber_stack
+
+    def recording_fiber_stack(self, *args):
+        stack = fiber_stack(self, *args)
+        stacks.append(weakref.ref(stack))
+        return stack
+
+    monkeypatch.setattr(BlochMap, "fiber_stack", recording_fiber_stack)
+    monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 25 * 4)
+    for vectors in (False, True):
+        blocks = BlochMap(sigma).blocks(h, 6, vectors=vectors)
+        for _ in range(3):
+            next(blocks)
+            assert stacks[-1]() is None
+    assert len(stacks) == 6
+
+
 def _magnetic_harper(theta, mass=0.0):
     sigma = magnetic_multiplier(theta)
     h = harper_element(sigma)
@@ -384,3 +406,95 @@ def test_non_self_adjoint_elements_raise_spectral_error():
         eta_operator(skew, kgrid=4)
     with pytest.raises(SpectralError):
         truncation_spectrum(skew, 2)
+
+
+def _dense_fiber_stack(bloch, a, k1s, k2s):
+    """BlochMap.fiber_stack as first written: a dense q x q product per term."""
+    k1f, k2f = representations._flat_grid(k1s, k2s)
+    stack = np.zeros((k1f.size, bloch.q, bloch.q), dtype=complex)
+    for g, c in a.coeffs.items():
+        base = bloch._base(g)
+        wave = np.exp(1j * (k1f * g[0] + k2f * g[1]))
+        stack += c * wave[:, None, None] * base[None, :, :]
+    return stack
+
+
+def _dense_hermitian_check(a, stack):
+    """The Hermitian check of BlochMap.blocks as first written, over every entry."""
+    flip = stack.conj().transpose(0, 2, 1)
+    flip -= stack
+    defect = float(np.abs(flip).max())
+    if not defect <= 1e-9 * max(1.0, a.norm_l1()):
+        raise SpectralError(f"Bloch fibers are not Hermitian (defect {defect:.2e})")
+
+
+def _random_element(rng, sigma, terms):
+    """Random complex terms on Z^2, some of their parts +0.0 or -0.0."""
+    parts = (0.0, -0.0, 1.0, -1.0)
+    coeffs = {}
+    for _ in range(terms):
+        g = tuple(int(x) for x in rng.integers(-9, 10, size=2))
+        re, im = (float(rng.normal()) if rng.random() < 0.6 else parts[rng.integers(4)]
+                  for _ in range(2))
+        coeffs[g] = complex(re, im) if re or im else complex(re, 1.5)
+    return AlgebraElement(sigma, coeffs)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 7, 8, 30])
+def test_fiber_stacks_are_bit_equal_to_the_dense_sum(monkeypatch, q):
+    # At q = 1 and 2 different terms share entries, so the term order counts.
+    rng = np.random.default_rng(1500 + q)
+    for gauge in ("landau", "symmetric"):
+        sigma = magnetic_multiplier(Fraction(1 if q > 1 else 0, q), gauge)
+        bloch = BlochMap(sigma)
+        assert bloch.q == q
+        for kgrid in range(1, 9):
+            a = _random_element(rng, sigma, int(rng.integers(1, 9)))
+            ks = bloch.grid(kgrid)
+            assert np.array_equal(_bits(bloch.fiber_stack(a, ks, ks)),
+                                  _bits(_dense_fiber_stack(bloch, a, ks, ks)))
+            k1s, k2s = rng.uniform(-7.0, 7.0, size=(2, kgrid))
+            assert np.array_equal(_bits(bloch.fiber_stack(a, k1s, k2s[:3])),
+                                  _bits(_dense_fiber_stack(bloch, a, k1s, k2s[:3])))
+        # Blocks of a self-adjoint element, cut by a small block size: each
+        # stack and its eigenvalues are those of the dense sum.
+        h = _random_element(rng, sigma, 5)
+        h = h + h.star()
+        built = []
+        fiber_stack = BlochMap.fiber_stack
+        monkeypatch.setattr(BlochMap, "fiber_stack", lambda self, a, k1s, k2s: built.append(
+            (k1s, k2s, fiber_stack(self, a, k1s, k2s))) or built[-1][2])
+        monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 3 * q * q)
+        eigs = [e for _, e, _ in bloch.blocks(h, 5)]
+        monkeypatch.undo()
+        assert len(built) == len(eigs) > 1
+        for (k1s, k2s, stack), e in zip(built, eigs):
+            dense = _dense_fiber_stack(bloch, h, k1s, k2s)
+            assert np.array_equal(_bits(stack), _bits(dense))
+            _dense_hermitian_check(h, dense)
+            assert np.array_equal(_bits(e), _bits(np.linalg.eigvalsh(dense)))
+
+
+@pytest.mark.parametrize("theta", ["0", "1/2", "1/3", "3/8", "7/30"])
+def test_the_hermitian_check_reads_the_dense_defect(monkeypatch, theta):
+    rng = np.random.default_rng(len(theta))
+    sigma = magnetic_multiplier(Fraction(theta))
+    bloch = BlochMap(sigma)
+    ks = bloch.grid(4)
+    # The 4 x 4 grid in one block, so the first block holds every defect.
+    monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 16 * bloch.q * bloch.q)
+    for _ in range(4):
+        a = _random_element(rng, sigma, 4)
+        with pytest.raises(SpectralError) as dense:
+            _dense_hermitian_check(a, _dense_fiber_stack(bloch, a, ks, ks))
+        with pytest.raises(SpectralError) as sparse:
+            next(bloch.blocks(a, 4))
+        assert str(sparse.value) == str(dense.value)
+    # A zero element has no nonzero entry to check, and passes.
+    zero = AlgebraElement(sigma, {})
+    _dense_hermitian_check(zero, _dense_fiber_stack(bloch, zero, ks, ks))
+    assert np.array_equal(bloch.eigenvalues(zero, 4), np.zeros((16, bloch.q)))

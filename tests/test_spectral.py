@@ -351,7 +351,8 @@ def test_eta_operator_germ_solves_each_power_once(monkeypatch, method):
 
 def _reference_eta_bloch(a, tau, normalization, kgrid, zero_tol):
     """Bloch eta as first written: every fiber's full q x q sign operator,
-    its Frobenius pairing with T_k(g), and a separately solved half grid."""
+    its Frobenius pairing with T_k(g), and a separately solved half grid
+    (kgrid 4 against the 2-grid, as _eta_bloch does)."""
     from twistlab.representations import BlochMap, _flat_grid
     from twistlab.spectral import EtaResult, _eta_scale, _weights_of_trace
 
@@ -360,7 +361,7 @@ def _reference_eta_bloch(a, tau, normalization, kgrid, zero_tol):
     scale = _eta_scale(normalization)
     bound = max(1e-12, 1e-9 * a.norm_l1())
     etas = []
-    for n in (kgrid, max(4, kgrid // 2)):
+    for n in (kgrid, 2 if kgrid == 4 else max(4, kgrid // 2)):
         ks = bm.grid(n)
         k1f, k2f = _flat_grid(ks, ks)
         evals = np.empty((n * n, bm.q))
@@ -464,7 +465,7 @@ def test_gathered_sign_entries_and_traces_equal_the_full_einsum():
 
 
 @pytest.mark.parametrize("kgrid, fibers", [(32, 32 ** 2), (33, 33 ** 2 + 16 ** 2),
-                                           (6, 6 ** 2 + 4 ** 2)])
+                                           (6, 6 ** 2 + 4 ** 2), (4, 4 ** 2)])
 def test_bloch_eta_solves_the_half_grid_only_when_it_is_no_subgrid(monkeypatch, kgrid, fibers):
     from twistlab.representations import BlochMap
 
@@ -487,6 +488,17 @@ def test_bloch_eta_solves_the_half_grid_only_when_it_is_no_subgrid(monkeypatch, 
     assert sum(solved) == fibers
     # Per-fiber entries and traces only: no (k, q, q) sign operator.
     assert einsums and all(len(shape) <= 2 for shape in einsums)
+
+
+def test_bloch_eta_at_kgrid_4_is_bounded_by_the_2_grid():
+    sigma = magnetic_multiplier(Fraction(1, 3))
+    shifted = harper_element(sigma) + 0.5 * AlgebraElement.unit(sigma)
+    res, two = eta_operator(shifted, kgrid=4), eta_operator(shifted, kgrid=2)
+    assert res.error_bound == abs(res.eta - two.eta) == 0.0625
+    # The 4-grid is 0.011 off the 64-grid value; a bound of 0 claimed it exact.
+    assert abs(res.eta - eta_operator(shifted, kgrid=64).eta) < res.error_bound
+    # kgrid 2 keeps comparing with the 4-grid.
+    assert two.error_bound == res.error_bound
 
 
 def test_bloch_eta_bounds_the_grid_of_every_power(monkeypatch):
