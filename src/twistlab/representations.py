@@ -8,13 +8,20 @@ butterfly sweep and the k-grid trace formulas through one engine,
 A fiber has one nonzero per row and term, so blocks are built and checked
 at those entries only.  The butterfly CSV is made per block too: one
 %-template per block, filled with all of its eigenvalues at once, gives one
-text chunk.
+text chunk.  With two usable CPUs a forked helper builds, solves and
+formats every other block of the sweep, and the chunks still come out in
+grid order.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import os
+import pickle
+import signal
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -31,9 +38,11 @@ from .spectral import SpectralError, eigvalsh
 # block per flux for q <= 2 at kgrid 64.  Blocks set the peak RSS of Bloch
 # sweeps, mostly through a butterfly chunk's text.  Measured VmHWM of
 # butterfly --qmax 1 --kgrid 1024 and --qmax 8 --kgrid 64 (2 vCPU): 36 and
-# 34 MB here; 2^16 takes 49 and 37 MB, 2^12 32 and 33 MB.  Building and
-# checking the 206 blocks of the second costs 0.12-0.15 s, as the 60 of 2^16
-# do (0.18 s built dense); the 953 of 2^12 cost 0.22 s.
+# 34 MB here, and 30 and 29 MB for the helper that formats half the blocks;
+# one process with 2^16 took 49 and 37 MB, with 2^12 32 and 33 MB.  Building
+# and checking the 206 blocks of the second cost 0.12-0.15 s in one process,
+# as the 60 of 2^16 did (0.18 s built dense), and the 953 of 2^12 0.22 s;
+# with the helper each process does half of that work.
 _BLOCK_ENTRIES = 1 << 14
 
 
@@ -181,6 +190,16 @@ class BlochMap:
         SpectralError if a fiber is not Hermitian, checked at the nonzero
         pattern of a's terms and its transpose.
         """
+        entries, tol, parts = self._plan(a, n, only)
+        for part, k1s, k2s in parts:
+            yield (part, *self._solve(a, k1s, k2s, entries, tol, vectors))
+
+    def _plan(self, a: AlgebraElement, n: int, only=None):
+        """(entries, tol, parts): the Hermitian check of a's fibers and the blocks of blocks().
+
+        parts yields (part, k1s, k2s) per block: its slice of the flat grid
+        and its momenta.
+        """
         if n < 1:
             raise SpectralError("a Bloch grid needs at least one point per axis")
         # Fibers are zero off the clock-and-shift pattern of a's terms, and
@@ -189,20 +208,18 @@ class BlochMap:
         pattern = np.zeros((self.q, self.q), dtype=bool)
         for g in a.coeffs:
             pattern[np.arange(self.q), self._columns(g)] = True
-        entries = np.nonzero(pattern)
         # Entries are sums of c_g times unit phases: rounding leaves a defect
         # near eps * |a|_1, so the bound scales with a once |a|_1 exceeds 1.
         tol = 1e-9 * max(1.0, a.norm_l1())
         ks = self.grid(n)
         per_block = max(1, _BLOCK_ENTRIES // (self.q * self.q))
         rows, cols = max(1, per_block // n), min(n, per_block)
-        for i in range(0, n, rows):
-            for j in range(0, n, cols):
-                k1s, k2s = ks[i:i + rows], ks[j:j + cols]
-                part = slice(i * n + j, i * n + j + k1s.size * k2s.size)
-                if only is not None and not only[part].any():
-                    continue
-                yield (part, *self._solve(a, k1s, k2s, entries, tol, vectors))
+        parts = ((slice(i * n + j, i * n + j + min(rows, n - i) * min(cols, n - j)),
+                  ks[i:i + rows], ks[j:j + cols])
+                 for i in range(0, n, rows) for j in range(0, n, cols))
+        if only is not None:
+            parts = (block for block in parts if only[block[0]].any())
+        return np.nonzero(pattern), tol, parts
 
     def _solve(self, a: AlgebraElement, k1s: np.ndarray, k2s: np.ndarray, entries, tol: float,
                vectors: bool):
@@ -343,8 +360,8 @@ def reduced_fractions(qmax: int) -> Iterator[Fraction]:
 
 # Largest kgrid^2 * qmax^2 a butterfly sweep accepts.  The CSV is made one
 # block at a time, so this bounds run time, not memory: qmax 1 at kgrid 1024
-# peaks at 36 MB (VmHWM; 31 MB after import), one block of 2^14 rows and
-# its text.
+# peaks at 36 MB (VmHWM; 31 MB after import) and its helper at 30 MB, each
+# holding one block of 2^14 rows and its text.
 MAX_FIBER_ENTRIES = 2**20
 
 
@@ -353,13 +370,20 @@ def butterfly_csv(qmax: int, kgrid: int, coefficients: Sequence[float] = (1.0, 1
 
     Columns: theta_num,theta_den,k1,k2,band_index,eigenvalue; every line
     ends in a newline and floats carry 17 significant digits.  Each block
-    is formatted by one %-template with an eigenvalue slot per row.
-    Raises SpectralError for qmax or kgrid below 1, before any text, and
-    if the coefficients give no self adjoint element.
+    is built and solved in this process or in a forked helper (see
+    _in_order), which also formats it by one %-template with an eigenvalue
+    slot per row; the chunks come out in grid order either way.  Raises SpectralError for qmax
+    or kgrid below 1, before any text, and if the coefficients give no self
+    adjoint element.
     """
     if qmax < 1 or kgrid < 1:
         raise SpectralError("a butterfly sweep needs qmax >= 1 and kgrid >= 1")
     yield "theta_num,theta_den,k1,k2,band_index,eigenvalue\n"
+    yield from _in_order(_butterfly_blocks(qmax, kgrid, coefficients), _butterfly_chunk)
+
+
+def _butterfly_blocks(qmax: int, kgrid: int, coefficients: Sequence[float]):
+    """The sweep's Bloch blocks in CSV order, each with its flux's map, check and strings."""
     for theta in reduced_fractions(qmax):
         sigma = magnetic_multiplier(theta, "landau")
         h = harper_element(sigma, coefficients)
@@ -368,14 +392,102 @@ def butterfly_csv(qmax: int, kgrid: int, coefficients: Sequence[float] = (1.0, 1
         flux = f"{theta.numerator},{theta.denominator},"
         # Row tails in (k2, band) order; a k1 row is its prefix before each.
         tails = [f"{k2},{b},%.17g\n" for k2 in kstr for b in range(bm.q)]
-        for part, eigs, _ in bm.blocks(h, kgrid):
-            segments = []
-            # A block is whole k1 rows, or part of one row.
-            for i in range(part.start // kgrid, (part.stop - 1) // kgrid + 1):
-                lo, hi = max(part.start - i * kgrid, 0), min(part.stop - i * kgrid, kgrid)
-                prefix = f"{flux}{kstr[i]},"
-                segments += (prefix, prefix.join(tails[lo * bm.q:hi * bm.q]))
-            yield "".join(segments) % tuple(eigs.ravel().tolist())
+        entries, tol, parts = bm._plan(h, kgrid)
+        for part, k1s, k2s in parts:
+            yield bm, h, entries, tol, kstr, flux, tails, part, k1s, k2s
+
+
+def _butterfly_chunk(block) -> str:
+    """The CSV text of one block from _butterfly_blocks."""
+    bm, h, entries, tol, kstr, flux, tails, part, k1s, k2s = block
+    eigs, _ = bm._solve(h, k1s, k2s, entries, tol, False)
+    kgrid = len(kstr)
+    segments = []
+    # A block is whole k1 rows, or part of one row.
+    for i in range(part.start // kgrid, (part.stop - 1) // kgrid + 1):
+        lo, hi = max(part.start - i * kgrid, 0), min(part.stop - i * kgrid, kgrid)
+        prefix = f"{flux}{kstr[i]},"
+        segments += (prefix, prefix.join(tails[lo * bm.q:hi * bm.q]))
+    return "".join(segments) % tuple(eigs.ravel().tolist())
+
+
+# Length of one message from the helper of _in_order.
+_HEADER = struct.Struct("<Q")
+# Pipe size asked for by _in_order.  Butterfly chunks reach 0.5 MB; with the
+# default 64 KiB the helper waits on a full pipe, and hofstadter took 4% more
+# wall time (0.768 against 0.736 s, 4 alternating pairs of runs, 2 vCPU).
+_PIPE_BYTES = 1 << 20
+
+
+def _in_order(tasks, work):
+    """work(task) for each task, in task order, computed by two processes.
+
+    With two or more usable CPUs, a helper forked here runs the odd-numbered
+    tasks and sends each result through a pipe, pickled and length-prefixed,
+    while this process runs the even-numbered ones and reads the helper's
+    results in turn.  An exception of the helper is raised here at its
+    task's place.  Both processes walk their own copy of tasks, so it must
+    give the same tasks in each.  Fork keeps the built state, which a spawned
+    helper would import and build again; the helper leaves through os._exit,
+    so it runs no exit hooks and flushes no stdio buffer it inherited.
+    Otherwise this is map(work, tasks).
+    """
+    cpus = getattr(os, "sched_getaffinity", None)
+    if cpus is None or len(cpus(0)) < 2:
+        yield from map(work, tasks)
+        return
+    import fcntl
+
+    read_fd, write_fd = os.pipe()
+    try:
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except OSError:
+        pass  # the default size is slower, not wrong
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                try:
+                    for task in itertools.islice(tasks, 1, None, 2):
+                        _send(pipe, (False, work(task)))
+                except Exception as exc:
+                    _send(pipe, (True, exc))
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            for index, task in enumerate(tasks):
+                yield _receive(pipe, index) if index % 2 else work(task)
+    finally:
+        # Killing a helper that has already exited does nothing; waitpid reaps it either way.
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _send(pipe, message) -> None:
+    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    pipe.write(_HEADER.pack(len(data)))
+    pipe.write(data)
+    pipe.flush()
+
+
+def _receive(pipe, index: int):
+    header = pipe.read(_HEADER.size)
+    size = _HEADER.unpack(header)[0] if len(header) == _HEADER.size else 0
+    data = pipe.read(size)
+    if not size or len(data) < size:
+        raise ChildProcessError(f"the helper process ended before sending task {index}")
+    raised, value = pickle.loads(data)
+    if raised:
+        raise value
+    return value
 
 
 def butterfly_rows(qmax: int, kgrid: int, coefficients: Sequence[float] = (1.0, 1.0, 1.0, 1.0)) -> Iterator[str]:

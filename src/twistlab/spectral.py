@@ -224,7 +224,8 @@ def eta_operator(operator, tau=None, method: str = "bloch", normalization: str =
     MAX_FIBER_ENTRIES.
     method 'truncation': the sign of the left regular truncation to the
     ball of radius r, read at the identity column against the trace
-    weights; the change from radius r - 2 is reported as the error.
+    weights; the change from radius max(2, r - 2), or from radius 0 at
+    r = 2, is reported as the error.
     method 'dense': plain matrix input with the matrix trace; reduces to
     eta_closed_form.
 
@@ -327,7 +328,8 @@ def _eta_truncation(a: AlgebraElement, tau, normalization: str, radius: int,
         raise SpectralError(f"truncation radius must be >= 0, not {radius}")
     weights = _weights_of_trace(tau, a.group)
     values = []
-    for r in (max(2, radius - 2), radius):
+    # Radius 2 compares with 0, not with itself; radii 0 and 1 with the finer 2.
+    for r in (0 if radius == 2 else max(2, radius - 2), radius):
         op = left_regular(a, r)
         dec = eigh(op.matrix)
         ev = dec.eigenvalues

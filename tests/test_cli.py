@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twistlab import SpectralError, butterfly_rows, cli
+from twistlab import SpectralError, butterfly_csv, butterfly_rows, cli
 from twistlab.cli import main
 from twistlab.verify import suite_names
 
@@ -153,12 +153,15 @@ def test_butterfly_streams_at_bounded_memory(tmp_path):
         (["butterfly", "--qmax", "1", "--kgrid", "1024"], 50_000_000, 45),
         (["eta", "--config", config], 100, 45),
     ]
+    # It also reports the ru_maxrss of its own children: the helper that
+    # formats half of a butterfly's blocks (0 where there is none).
     child = (
-        "import json, re, sys\n"
+        "import json, re, resource, sys\n"
         "from twistlab.cli import main\n"
         "code = main(json.loads(sys.argv[1]) + ['--out', sys.argv[2]])\n"
         "status = open('/proc/self/status', encoding='ascii').read()\n"
-        "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n"
+        "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1),\n"
+        "      resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OMP_NUM_THREADS="1")
@@ -168,10 +171,29 @@ def test_butterfly_streams_at_bounded_memory(tmp_path):
         proc = subprocess.run([sys.executable, "-c", child, json.dumps(argv), str(target)],
                               env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        code, peak_kb = (int(x) for x in proc.stdout.split())
+        code, peak_kb, helper_kb = (int(x) for x in proc.stdout.split())
         assert code == 0
         assert target.stat().st_size > min_bytes
         assert peak_kb / 1024 < limit_mb, f"{argv[0]}: peak RSS {peak_kb / 1024:.1f} MB"
+        assert helper_kb / 1024 < limit_mb, f"{argv[0]}: helper peak RSS {helper_kb / 1024:.1f} MB"
+
+
+def test_butterfly_stdout_is_the_out_file_and_the_one_process_csv(monkeypatch, tmp_path):
+    # A helper that flushed the stdout buffer it inherits would write the
+    # header, already buffered when it is forked, a second time.  Without
+    # PYTHONUNBUFFERED a piped stdout is block-buffered.
+    argv = ["butterfly", "--qmax", "3", "--kgrid", "8"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    target = tmp_path / "butterfly.csv"
+    runs = [subprocess.run([sys.executable, "-m", "twistlab.cli"] + argv + extra, env=env,
+                           capture_output=True, timeout=120) for extra in ([], ["--out", str(target)])]
+    assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    one_process = "".join(butterfly_csv(3, 8)).encode("ascii")
+    assert runs[0].stdout == target.read_bytes() == one_process
+    assert runs[1].stdout == b""
 
 
 def test_eta_bloch_germ_of_a_coboundary_twist(capsys, tmp_path):
@@ -323,6 +345,18 @@ TRUNCATION = dict(ELEMENT, method="truncation", radius=3)
 DENSE = {"matrix": {"re": [[1, 0], [0, -2]]}}
 FLOW = {"path": {"A0": {"re": [[-1, 0], [0, 1]]}, "A1": {"re": [[1, 0], [0, 1]]}}}
 SOBOLEV = dict(ELEMENT, s=[0, 1])
+
+
+def test_truncation_eta_at_radius_2_compares_with_radius_0(capsys, tmp_path):
+    terms = HARPER_TERMS + [{"g": [0, 0], "re": 0.5}]
+    payloads = {}
+    for radius in (0, 2):
+        cfg = write_config(tmp_path, "eta.json", dict(TRUNCATION, terms=terms, radius=radius))
+        code, out = run(capsys, ["eta", "--config", cfg])
+        assert code == 0
+        payloads[radius] = json.loads(out)
+    assert payloads[2]["error_bound"] == pytest.approx(1 / 3)
+    assert payloads[2]["error_bound"] == abs(payloads[2]["eta"] - payloads[0]["eta"])
 
 
 @pytest.mark.parametrize("command, config, named", [

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import random
 import weakref
 from fractions import Fraction
@@ -250,7 +251,17 @@ def test_butterfly_sweeps_reject_empty_sizes_before_the_header(qmax, kgrid):
             next(rows)
 
 
+def _schedule(monkeypatch, cpus):
+    """Make butterfly_csv run its blocks in one process (cpus 1) or in two (cpus 2)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process schedule forks")
+
+
 def test_cli_writes_one_chunk_per_bloch_block(monkeypatch, capsys):
+    # One process, so every block is built here and counted.
+    _schedule(monkeypatch, 1)
     monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 40)
     solved = []
     fiber_stack = BlochMap.fiber_stack
@@ -267,6 +278,92 @@ def test_cli_writes_one_chunk_per_bloch_block(monkeypatch, capsys):
     assert written[0] == "theta_num,theta_den,k1,k2,band_index,eigenvalue\n"
     assert all(chunk.endswith("\n") for chunk in written)
     assert "".join(written) == "\n".join(_reference_butterfly_rows(4, 5, (1.0,) * 4)) + "\n"
+
+
+# The hopping sets of the benchmark's butterfly workloads.
+HOPPINGS = ((1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 0.5, 0.5), (0.5, 0.5, 1.0, 1.0), (1.0, 1.0, 2.0, 2.0))
+
+
+@needs_fork
+@pytest.mark.parametrize("qmax, kgrid, coefficients", [
+    (qmax, kgrid, HOPPINGS[i % len(HOPPINGS)])
+    for i, (qmax, kgrid) in enumerate([*itertools.product((1, 4, 8), (1, 5, 16, 64)), (2, 7)])
+])
+def test_butterfly_chunks_do_not_depend_on_the_schedule(monkeypatch, qmax, kgrid, coefficients):
+    # 40 entries: many small blocks, one fiber each from q = 7 on.  The block
+    # count is odd at qmax 1 for kgrid 1 and 5 (one block, so no helper
+    # task) and at qmax 2, kgrid 7 (nine).  At qmax 8, kgrid 64 they would
+    # give 72256 blocks and take about 15 s, so that case keeps the default
+    # size: 206 blocks of up to 8192 rows, about 0.5 MB of text each, which
+    # is more than a pipe holds by default.
+    if (qmax, kgrid) != (8, 64):
+        monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 40)
+    solved = []
+    solve = BlochMap._solve
+    monkeypatch.setattr(BlochMap, "_solve", lambda self, *args: solved.append(1) or solve(self, *args))
+    schedules = []
+    for cpus in (1, 2):
+        _schedule(monkeypatch, cpus)
+        solved.clear()
+        schedules.append((list(butterfly_csv(qmax, kgrid, coefficients)), len(solved)))
+    (one, blocks), (two, here) = schedules
+    assert two == one
+    assert len(one) == 1 + blocks
+    # With two processes this one solves the even-numbered blocks only.
+    assert here == (blocks + 1) // 2
+
+
+@needs_fork
+@pytest.mark.parametrize("failing", [7, 12])  # a helper's block, then one of this process
+def test_two_processes_fail_where_one_would(monkeypatch, failing):
+    monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 40)
+    _schedule(monkeypatch, 1)
+    keys = []
+    solve = BlochMap._solve
+    monkeypatch.setattr(BlochMap, "_solve", lambda self, a, k1s, k2s, *args: (
+        keys.append((self.theta, k1s[0], k2s[0])) or solve(self, a, k1s, k2s, *args)))
+    list(butterfly_csv(4, 5))
+
+    def failing_solve(self, a, k1s, k2s, *args):
+        if (self.theta, k1s[0], k2s[0]) == keys[failing]:
+            raise SpectralError(f"block {failing} is not Hermitian")
+        return solve(self, a, k1s, k2s, *args)
+
+    monkeypatch.setattr(BlochMap, "_solve", failing_solve)
+    outcomes = []
+    for cpus in (1, 2):
+        _schedule(monkeypatch, cpus)
+        chunks = []
+        with pytest.raises(SpectralError) as info:
+            for chunk in butterfly_csv(4, 5):
+                chunks.append(chunk)
+        outcomes.append((chunks, type(info.value), str(info.value)))
+    assert outcomes[1] == outcomes[0]
+    assert len(outcomes[0][0]) == 1 + failing
+    assert outcomes[0][2] == f"block {failing} is not Hermitian"
+
+
+@needs_fork
+def test_two_processes_leave_no_child_behind(monkeypatch):
+    _schedule(monkeypatch, 2)
+    monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 40)
+    chunks = butterfly_csv(4, 5)
+    # The header and blocks 0 and 1; block 1 comes from the helper.
+    for _ in range(3):
+        next(chunks)
+    chunks.close()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+    def consume():
+        for index, chunk in enumerate(butterfly_csv(4, 5)):
+            if index == 3:
+                raise OSError("the sink is full")
+
+    with pytest.raises(OSError, match="the sink is full"):
+        consume()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_reduced_fractions_enumeration():
