@@ -14,9 +14,9 @@ Powers, conjugates, coboundaries and twists by exact phase maps on finite
 table groups, lattice characters or quadratic gauge changes return normal
 forms, and two normal forms are equal exactly when their pairings or
 tables differ by integers (Kleppner, Math. Ann. 1965), factor by factor on
-products.  Twists by random lattice phase maps (``TwistedMultiplier``),
-pullbacks and the geometric construction from a lattice gauge potential
-stay lazy and are compared, still as exact turns, on a finite window.
+products.  Twists by random lattice phase maps (``TwistedMultiplier``)
+and the geometric construction from a lattice gauge potential stay lazy
+and are compared, still as exact turns, on a finite window.
 
 Normal forms are evaluated through integer numerators n(g, h) over one
 common denominator D fixed at construction, lazy forms through ``Phase``;
@@ -38,7 +38,6 @@ from .groups import (
     FiniteTableGroup,
     FreeAbelianGroup,
     Group,
-    Homomorphism,
     ProductGroup,
     character_turn_tables,
 )
@@ -351,25 +350,6 @@ class TableMultiplier(Multiplier):
             "kind": "table",
             "phases": [[rational_str(x) for x in row] for row in self.turn_table],
         }
-
-
-class PullbackMultiplier(Multiplier):
-    """sigma(g, h) = base(pi(g), pi(h)) along a homomorphism pi."""
-
-    kind = "pullback"
-
-    def __init__(self, hom: Homomorphism, base: Multiplier):
-        if base.group != hom.codomain:
-            raise MultiplierError("base multiplier must live on the homomorphism codomain")
-        super().__init__(hom.domain)
-        self.hom = hom
-        self.base = base
-
-    def turns(self, g, h):
-        return self.base.turns(self.hom(g), self.hom(h))
-
-    def power(self, s) -> "PullbackMultiplier":
-        return PullbackMultiplier(self.hom, self.base.power(s))
 
 
 class ProductMultiplier(Multiplier):

@@ -21,7 +21,6 @@ import math
 import os
 import pickle
 import signal
-import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -53,8 +52,6 @@ class TruncatedOperator:
     basis: list
     index: dict
     matrix: np.ndarray
-    radius: int
-    element: AlgebraElement
 
     @property
     def dim(self) -> int:
@@ -78,7 +75,7 @@ def left_regular(a: AlgebraElement, radius: int) -> TruncatedOperator:
             row = index.get(gx)
             if row is not None:
                 mat[row, index[x]] += c * a.sigma.value(g, x)
-    return TruncatedOperator(basis, index, mat, radius, a)
+    return TruncatedOperator(basis, index, mat)
 
 
 def harper_element(sigma: Multiplier, coefficients: Sequence[float] = (1.0, 1.0, 1.0, 1.0)) -> AlgebraElement:
@@ -119,44 +116,39 @@ class BlochMap:
             [pairing[0][1], pairing[1][1]],
         ]
         self.zeta = cmath.exp(2j * cmath.pi * self.p / self.q)
-        self._bases: dict = {}
+        self._terms: dict = {}
 
     def phase_correction(self, g) -> complex:
         m = self.correction
         turns = -(m[0][0] * g[0] * g[0] + 2 * m[0][1] * g[0] * g[1] + m[1][1] * g[1] * g[1]) / 2
         return Phase(turns).value
 
-    def _clock_shift(self, g, scalar: complex) -> np.ndarray:
-        """scalar * u^g1 v^g2 without the Bloch momenta, a q x q matrix."""
+    def _nonzeros(self, g, scalar: complex):
+        """(columns, values) of scalar * u^g1 v^g2 without the Bloch momenta.
+
+        Row i holds its one nonzero, values[i], at column columns[i].
+        """
         q = self.q
-        mat = np.zeros((q, q), dtype=complex)
-        for j in range(q):
-            i = (j + g[1]) % q
-            mat[i, j] = scalar * self.zeta ** ((i * g[0]) % q)
-        return mat
+        columns = (np.arange(q) - g[1]) % q
+        values = np.array([scalar * self.zeta ** ((i * g[0]) % q) for i in range(q)], dtype=complex)
+        return columns, values
 
-    def _base(self, g) -> np.ndarray:
-        """T(g) at zero momentum, built once per g and shared read-only."""
-        base = self._bases.get(g)
-        if base is None:
-            base = self._bases[g] = self._clock_shift(g, self.phase_correction(g))
-            base.flags.writeable = False
-        return base
-
-    def _columns(self, g) -> np.ndarray:
-        """Column (i - g2) mod q of the one nonzero of T(g) in row i, for each row i."""
-        return (np.arange(self.q) - g[1]) % self.q
+    def _term(self, g):
+        """_nonzeros of T(g) at zero momentum, built once per g and shared read-only."""
+        term = self._terms.get(g)
+        if term is None:
+            term = self._terms[g] = self._nonzeros(g, self.phase_correction(g))
+            for part in term:
+                part.flags.writeable = False
+        return term
 
     def rep_matrix(self, g, k1: float, k2: float) -> np.ndarray:
         """T(g) at Bloch momentum (k1, k2), a q x q unitary."""
         scalar = self.phase_correction(g) * cmath.exp(1j * (k1 * g[0] + k2 * g[1]))
-        return self._clock_shift(g, scalar)
-
-    def fiber(self, a: AlgebraElement, k1: float, k2: float) -> np.ndarray:
-        out = np.zeros((self.q, self.q), dtype=complex)
-        for g, c in a.coeffs.items():
-            out += c * self.rep_matrix(g, k1, k2)
-        return out
+        columns, values = self._nonzeros(g, scalar)
+        mat = np.zeros((self.q, self.q), dtype=complex)
+        mat[np.arange(self.q), columns] = values
+        return mat
 
     def fiber_stack(self, a: AlgebraElement, k1s: np.ndarray, k2s: np.ndarray) -> np.ndarray:
         """Stacked fibers over the k1 x k2 grid, shape (len(k1s)*len(k2s), q, q).
@@ -167,11 +159,11 @@ class BlochMap:
         rows = np.arange(self.q)
         stack = np.zeros((k1f.size, self.q, self.q), dtype=complex)
         for g, c in a.coeffs.items():
-            cols = self._columns(g)
+            cols, values = self._term(g)
             wave = np.exp(1j * (k1f * g[0] + k2f * g[1]))
             # Only the q nonzeros of T(g): the rest of a dense c T_k(g) would
             # add signed zeros, which leave every sum as it is.
-            stack[:, rows, cols] += (c * wave)[:, None] * self._base(g)[rows, cols]
+            stack[:, rows, cols] += (c * wave)[:, None] * values
         return stack
 
     def grid(self, n: int) -> np.ndarray:
@@ -207,7 +199,7 @@ class BlochMap:
         # pattern entries give the defect of the whole fiber.
         pattern = np.zeros((self.q, self.q), dtype=bool)
         for g in a.coeffs:
-            pattern[np.arange(self.q), self._columns(g)] = True
+            pattern[np.arange(self.q), self._term(g)[0]] = True
         # Entries are sums of c_g times unit phases: rounding leaves a defect
         # near eps * |a|_1, so the bound scales with a once |a|_1 exceeds 1.
         tol = 1e-9 * max(1.0, a.norm_l1())
@@ -240,18 +232,19 @@ class BlochMap:
 
     def sign_traces(self, vecs: np.ndarray, signs: np.ndarray, g, k1f: np.ndarray,
                     k2f: np.ndarray) -> np.ndarray:
-        """tr(S_k T_k(g)^*) per fiber, S_k = V_k diag(signs_k) V_k^*, at the flat momenta (k1f, k2f).
+        """tr(S_k T_k(g)^*) per fiber at the flat momenta (k1f, k2f).
 
-        T_k(g) has one nonzero per row, row i at column (i - g2) mod q, so
-        only those q entries of S_k and of T_k(g) are formed, each the same
-        j-ordered sum or product as in the full matrices.  The grid mean over q is the coefficient at
-        g of the element the fibers represent, once the grid is finer than
-        the support.
+        S_k = V_k diag(signs_k) V_k^*.  T_k(g) has one nonzero per row, row i
+        at column (i - g2) mod q, so only those q entries of S_k and of
+        T_k(g) are formed, each the same j-ordered sum or product as in the
+        full matrices.  The grid mean over q is the coefficient at g of the
+        element the fibers represent, once the grid is finer than the
+        support.
         """
-        rows, cols = np.arange(self.q), self._columns(g)
+        cols, values = self._term(g)
         entries = np.einsum("kij,kj,kij->ki", vecs, signs, vecs[:, cols, :].conj())
         wave = np.exp(1j * (k1f * g[0] + k2f * g[1]))
-        return np.einsum("ki,ki->k", entries, (wave[:, None] * self._base(g)[rows, cols]).conj())
+        return np.einsum("ki,ki->k", entries, (wave[:, None] * values).conj())
 
 
 def _flat_grid(k1s: np.ndarray, k2s: np.ndarray):
@@ -372,9 +365,9 @@ def butterfly_csv(qmax: int, kgrid: int, coefficients: Sequence[float] = (1.0, 1
     ends in a newline and floats carry 17 significant digits.  Each block
     is built and solved in this process or in a forked helper (see
     _in_order), which also formats it by one %-template with an eigenvalue
-    slot per row; the chunks come out in grid order either way.  Raises SpectralError for qmax
-    or kgrid below 1, before any text, and if the coefficients give no self
-    adjoint element.
+    slot per row; the chunks come out in grid order either way.  Raises
+    SpectralError for qmax or kgrid below 1, before any text, and if the
+    coefficients give no self adjoint element.
     """
     if qmax < 1 or kgrid < 1:
         raise SpectralError("a butterfly sweep needs qmax >= 1 and kgrid >= 1")
@@ -411,8 +404,6 @@ def _butterfly_chunk(block) -> str:
     return "".join(segments) % tuple(eigs.ravel().tolist())
 
 
-# Length of one message from the helper of _in_order.
-_HEADER = struct.Struct("<Q")
 # Pipe size asked for by _in_order.  Butterfly chunks reach 0.5 MB; with the
 # default 64 KiB the helper waits on a full pipe, and hofstadter took 4% more
 # wall time (0.768 against 0.736 s, 4 alternating pairs of runs, 2 vCPU).
@@ -423,14 +414,14 @@ def _in_order(tasks, work):
     """work(task) for each task, in task order, computed by two processes.
 
     With two or more usable CPUs, a helper forked here runs the odd-numbered
-    tasks and sends each result through a pipe, pickled and length-prefixed,
-    while this process runs the even-numbered ones and reads the helper's
-    results in turn.  An exception of the helper is raised here at its
-    task's place.  Both processes walk their own copy of tasks, so it must
-    give the same tasks in each.  Fork keeps the built state, which a spawned
-    helper would import and build again; the helper leaves through os._exit,
-    so it runs no exit hooks and flushes no stdio buffer it inherited.
-    Otherwise this is map(work, tasks).
+    tasks and pickles each result into a pipe, while this process runs the
+    even-numbered ones and unpickles the helper's results in turn.  An
+    exception of the helper is raised here at its task's place.  Both
+    processes walk their own copy of tasks, so it must give the same tasks
+    in each.  Fork keeps the built state, which a spawned helper would
+    import and build again; the helper leaves through os._exit, so it runs
+    no exit hooks and flushes no stdio buffer it inherited.  Otherwise this
+    is map(work, tasks).
     """
     cpus = getattr(os, "sched_getaffinity", None)
     if cpus is None or len(cpus(0)) < 2:
@@ -472,19 +463,15 @@ def _in_order(tasks, work):
 
 
 def _send(pipe, message) -> None:
-    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-    pipe.write(_HEADER.pack(len(data)))
-    pipe.write(data)
+    pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
     pipe.flush()
 
 
 def _receive(pipe, index: int):
-    header = pipe.read(_HEADER.size)
-    size = _HEADER.unpack(header)[0] if len(header) == _HEADER.size else 0
-    data = pipe.read(size)
-    if not size or len(data) < size:
-        raise ChildProcessError(f"the helper process ended before sending task {index}")
-    raised, value = pickle.loads(data)
+    try:
+        raised, value = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        raise ChildProcessError(f"the helper process ended before sending task {index}") from None
     if raised:
         raise value
     return value

@@ -217,11 +217,11 @@ def eta_operator(operator, tau=None, method: str = "bloch", normalization: str =
     """Eta invariant of a self adjoint algebra element against a trace.
 
     method 'bloch': Z^2 with rational magnetic multiplier; the spectral
-    sign function is computed per Bloch fiber and the trace weights are
-    read off by fiber coefficient extraction.  The error is the change from
-    the every-other-point subgrid for kgrid 4 and even kgrid >= 8, else from
-    a separate max(4, kgrid // 2) grid; kgrid^2 * q is at most
-    MAX_FIBER_ENTRIES.
+    sign function is computed per Bloch fiber, and the trace weights are
+    read off the gathered sign entries of BlochMap.sign_traces.  The error
+    is the change from the every-other-point subgrid for kgrid 4 and even
+    kgrid >= 8, else from a separate max(4, kgrid // 2) grid; kgrid^2 * q
+    is at most MAX_FIBER_ENTRIES.
     method 'truncation': the sign of the left regular truncation to the
     ball of radius r, read at the identity column against the trace
     weights; the change from radius max(2, r - 2), or from radius 0 at

@@ -276,7 +276,6 @@ class TraceCheck:
     checked: int
     worst_defect: float
     witness: tuple | None = None
-    note: str = ""
 
 
 def _sample_pairs(sigma: Multiplier, rng: random.Random):

@@ -2,10 +2,13 @@
 
 A parameter that the body never reads is an option that does nothing:
 callers can set it, and the result does not change.  The few parameters
-that must exist without being read are named below.
+that must exist without being read are named below.  Likewise every
+private function, method and class is referenced somewhere in the package
+outside its own body.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 from twistlab import verify
@@ -72,3 +75,35 @@ def test_the_allowed_names_still_exist():
         names.update(name for name, _ in _functions(ast.parse(path.read_text(encoding="utf-8")),
                                                     path.stem + "."))
     assert set(UNREAD_ALLOWED) <= names
+
+
+def _private_definitions(tree):
+    """(name, node) of every function, method and class whose name starts with one underscore."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_") and not node.name.endswith("__"):
+                yield node.name, node
+
+
+def unreferenced_private_names() -> list[str]:
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    # The nodes that name each identifier, as a variable or an attribute.
+    uses = defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses[node.id].append(node)
+            elif isinstance(node, ast.Attribute):
+                uses[node.attr].append(node)
+    found = []
+    for stem, tree in trees.items():
+        for name, definition in _private_definitions(tree):
+            inside = {id(n) for n in ast.walk(definition)}
+            if all(id(node) in inside for node in uses[name]):
+                found.append(f"{stem}.{name}")
+    return found
+
+
+def test_every_private_definition_is_used_in_the_package():
+    # A private helper that only tests call is code the package does not need.
+    assert unreferenced_private_names() == []

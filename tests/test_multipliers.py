@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from twistlab import (
     BilinearMultiplier,
     FreeAbelianGroup,
-    Homomorphism,
     LatticeGeometry,
     MultiplierError,
     PhaseMap,
@@ -29,7 +28,6 @@ from twistlab import (
 from twistlab.multipliers import (
     CocycleReport,
     ProductMultiplier,
-    PullbackMultiplier,
     TableMultiplier,
     TwistedMultiplier,
     decided_equal,
@@ -197,18 +195,6 @@ def test_plaquette_curvature_equals_flux():
         assert geometry.plaquette_curvature_turns((5, -3)) == THETA
 
 
-def test_pullback_multiplier_along_projection():
-    prod = ProductGroup(Z2, S3)
-    pi = Homomorphism.projection(prod, "left")
-    sigma = PullbackMultiplier(pi, magnetic_multiplier(THETA))
-    rng = random.Random(6)
-    for _ in range(30):
-        g = prod.random_element(rng)
-        h = prod.random_element(rng)
-        assert sigma.turns(g, h) == magnetic_multiplier(THETA).turns(g[0], h[0])
-    assert verify_cocycle(sigma, samples=200, seed=3)
-
-
 def test_product_multiplier_adds_turns():
     prod = ProductGroup(Z2, S3)
     right, _ = s3_coboundary()
@@ -306,8 +292,6 @@ def test_coboundary_twist_payload_writes_back_and_reads_again():
 def test_lazy_multipliers_have_no_json_form():
     lazy = [
         magnetic_multiplier(THETA).twist(PhaseMap.random_exact(Z2, random.Random(12))),
-        PullbackMultiplier(Homomorphism.projection(ProductGroup(Z2, S3), "left"),
-                           magnetic_multiplier(THETA)),
         geometric_multiplier(LatticeGeometry(THETA)),
     ]
     for sigma in lazy:

@@ -1,3 +1,5 @@
+import cmath
+import io
 import itertools
 import math
 import os
@@ -84,6 +86,13 @@ def test_bloch_fibers_are_unitary():
         g = (rng.randint(-3, 3), rng.randint(-3, 3))
         m = bloch.rep_matrix(g, 0.3, 1.1)
         assert np.abs(m @ m.conj().T - np.eye(bloch.q)).max() < 1e-12
+        scalar = bloch.phase_correction(g) * cmath.exp(1j * (0.3 * g[0] + 1.1 * g[1]))
+        assert np.array_equal(_bits(m), _bits(_dense_clock_shift(bloch, g, scalar)))
+
+
+def _fiber(bloch, a, k1, k2):
+    """The fiber of a at (k1, k2) as the sum of its terms' dense T_k(g)."""
+    return sum(c * bloch.rep_matrix(g, k1, k2) for g, c in a.coeffs.items())
 
 
 def test_fiber_stack_matches_single_fibers():
@@ -94,7 +103,7 @@ def test_fiber_stack_matches_single_fibers():
     stack = bloch.fiber_stack(h, ks, ks)
     for i, k1 in enumerate(ks):
         for j, k2 in enumerate(ks):
-            assert np.abs(stack[i * 4 + j] - bloch.fiber(h, k1, k2)).max() < 1e-12
+            assert np.abs(stack[i * 4 + j] - _fiber(bloch, h, k1, k2)).max() < 1e-12
 
 
 def test_spectrum_at_zero_flux_fills_the_free_band():
@@ -366,6 +375,44 @@ def test_two_processes_leave_no_child_behind(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+@needs_fork
+def test_a_helper_that_exits_without_sending_raises_child_process_error(monkeypatch):
+    monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 40)
+    _schedule(monkeypatch, 1)
+    keys = []
+    solve = BlochMap._solve
+    monkeypatch.setattr(BlochMap, "_solve", lambda self, a, k1s, k2s, *args: (
+        keys.append((self.theta, k1s[0], k2s[0])) or solve(self, a, k1s, k2s, *args)))
+    whole = list(butterfly_csv(4, 5))
+    failing = 7  # a helper's block
+
+    def exiting_solve(self, a, k1s, k2s, *args):
+        # SystemExit passes the helper's except Exception, so nothing is sent.
+        if (self.theta, k1s[0], k2s[0]) == keys[failing]:
+            raise SystemExit(3)
+        return solve(self, a, k1s, k2s, *args)
+
+    monkeypatch.setattr(BlochMap, "_solve", exiting_solve)
+    _schedule(monkeypatch, 2)
+    chunks = []
+    with pytest.raises(ChildProcessError, match=f"before sending task {failing}$"):
+        for chunk in butterfly_csv(4, 5):
+            chunks.append(chunk)
+    assert chunks == whole[:1 + failing]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_cut_message_raises_child_process_error():
+    sent = io.BytesIO()
+    representations._send(sent, (False, "0,1,0,0,0,-4\n" * 100))
+    data = sent.getvalue()
+    assert representations._receive(io.BytesIO(data), 5) == "0,1,0,0,0,-4\n" * 100
+    for cut in (len(data), len(data) // 2, 1):
+        with pytest.raises(ChildProcessError, match="before sending task 5$"):
+            representations._receive(io.BytesIO(data[:-cut]), 5)
+
+
 def test_reduced_fractions_enumeration():
     fracs = list(reduced_fractions(4))
     assert fracs == [
@@ -383,7 +430,7 @@ def test_trivial_multiplier_fiber_is_scalar():
     h = harper_element(sigma)
     bloch = BlochMap(sigma)
     assert bloch.q == 1
-    fiber = bloch.fiber(h, 0.7, 0.2)
+    fiber = _fiber(bloch, h, 0.7, 0.2)
     expected = 2 * math.cos(0.7) + 2 * math.cos(0.2)
     assert abs(fiber[0, 0] - expected) < 1e-12
 
@@ -422,14 +469,16 @@ def test_bloch_blocks_build_each_clock_shift_matrix_once(monkeypatch):
     bloch = BlochMap(sigma)
     whole = np.linalg.eigvalsh(BlochMap(sigma).fiber_stack(h, bloch.grid(6), bloch.grid(6)))
     built = []
-    clock_shift = bloch._clock_shift
-    monkeypatch.setattr(bloch, "_clock_shift", lambda g, scalar: built.append(g) or clock_shift(g, scalar))
+    nonzeros = bloch._nonzeros
+    monkeypatch.setattr(bloch, "_nonzeros", lambda g, scalar: built.append(g) or nonzeros(g, scalar))
     monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 25 * 4)
     for _ in range(2):
         parts = [eigs for _, eigs, _ in bloch.blocks(h, 6)]
         assert len(parts) == 12
         assert np.array_equal(np.concatenate(parts), whole)
     assert sorted(built) == sorted(h.coeffs)
+    # Each term keeps its q nonzeros only, not a dense q x q matrix.
+    assert all(part.shape == (bloch.q,) for term in bloch._terms.values() for part in term)
 
 
 def test_bloch_blocks_keep_no_fiber_stack_alive_between_blocks(monkeypatch):
@@ -505,12 +554,22 @@ def test_non_self_adjoint_elements_raise_spectral_error():
         truncation_spectrum(skew, 2)
 
 
+def _dense_clock_shift(bloch, g, scalar):
+    """scalar * u^g1 v^g2 as a dense q x q matrix, built as BlochMap first did."""
+    q = bloch.q
+    mat = np.zeros((q, q), dtype=complex)
+    for j in range(q):
+        i = (j + g[1]) % q
+        mat[i, j] = scalar * bloch.zeta ** ((i * g[0]) % q)
+    return mat
+
+
 def _dense_fiber_stack(bloch, a, k1s, k2s):
     """BlochMap.fiber_stack as first written: a dense q x q product per term."""
     k1f, k2f = representations._flat_grid(k1s, k2s)
     stack = np.zeros((k1f.size, bloch.q, bloch.q), dtype=complex)
     for g, c in a.coeffs.items():
-        base = bloch._base(g)
+        base = _dense_clock_shift(bloch, g, bloch.phase_correction(g))
         wave = np.exp(1j * (k1f * g[0] + k2f * g[1]))
         stack += c * wave[:, None, None] * base[None, :, :]
     return stack

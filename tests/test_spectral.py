@@ -349,6 +349,16 @@ def test_eta_operator_germ_solves_each_power_once(monkeypatch, method):
     assert [s.theta for s in solved] == [Fraction(1, 3), Fraction(3, 10), Fraction(11, 30)]
 
 
+def _dense_term(bloch, g):
+    """T(g) at zero momentum as a dense q x q matrix, built as BlochMap first did."""
+    q, scalar = bloch.q, bloch.phase_correction(g)
+    mat = np.zeros((q, q), dtype=complex)
+    for j in range(q):
+        i = (j + g[1]) % q
+        mat[i, j] = scalar * bloch.zeta ** ((i * g[0]) % q)
+    return mat
+
+
 def _reference_eta_bloch(a, tau, normalization, kgrid, zero_tol):
     """Bloch eta as first written: every fiber's full q x q sign operator,
     its Frobenius pairing with T_k(g), and a separately solved half grid
@@ -358,6 +368,7 @@ def _reference_eta_bloch(a, tau, normalization, kgrid, zero_tol):
 
     bm = BlochMap(a.sigma)
     weights = _weights_of_trace(tau, a.group)
+    dense = {g: _dense_term(bm, g) for g in weights}
     scale = _eta_scale(normalization)
     bound = max(1e-12, 1e-9 * a.norm_l1())
     etas = []
@@ -374,7 +385,7 @@ def _reference_eta_bloch(a, tau, normalization, kgrid, zero_tol):
                 sign_ops = np.einsum("kij,kj,klj->kil", vecs, signs, vecs.conj())
                 for g, trace in traces.items():
                     wave = np.exp(1j * (k1f[part] * g[0] + k2f[part] * g[1]))
-                    tmats = wave[:, None, None] * bm._base(g)[None, :, :]
+                    tmats = wave[:, None, None] * dense[g][None, :, :]
                     trace[part] = np.einsum("kij,kij->k", sign_ops, tmats.conj())
 
         sign_traces(bound if zero_tol is None else zero_tol)
@@ -458,8 +469,9 @@ def test_gathered_sign_entries_and_traces_equal_the_full_einsum():
             entries = np.einsum("kij,kj,kij->ki", vecs, signs, vecs[:, cols, :].conj())
             assert np.array_equal(entries, full[:, rows, cols])
             wave = np.exp(1j * (k1f * g[0] + k2f * g[1]))
-            tmats = wave[:, None, None] * bm._base(g)[None, :, :]
-            assert set(zip(*np.nonzero(bm._base(g)))) == set(zip(rows, cols))
+            dense = _dense_term(bm, g)
+            tmats = wave[:, None, None] * dense[None, :, :]
+            assert set(zip(*np.nonzero(dense))) == set(zip(rows, cols))
             expected = np.einsum("kij,kij->k", full, tmats.conj())
             assert np.array_equal(bm.sign_traces(vecs, signs, g, k1f, k2f), expected)
 
