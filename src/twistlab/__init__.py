@@ -33,16 +33,15 @@ from .multipliers import (
     PhaseMap,
     ProductMultiplier,
     TableMultiplier,
-    TrivialMultiplier,
     all_characters,
     coboundary,
-    geometric_multiplier,
     is_cohomologous_via,
     magnetic_multiplier,
     multiplier_from_json,
     multipliers_equal,
     phase_map_from_json,
     product_characters,
+    trivial_multiplier,
     verify_cocycle,
 )
 from .algebra import (

@@ -226,6 +226,8 @@ def _cmd_eta(args) -> int:
 def _cmd_spectral_flow(args) -> int:
     cfg = load_config(args.config)
     pcfg = cfg.get("path", cfg)
+    if not isinstance(pcfg, dict):
+        raise ConfigError("path must be an object")
     if "samples" in pcfg:
         path = MatrixPath.from_samples([parse_matrix(m) for m in pcfg["samples"]])
     elif pcfg.get("generator", "linear") == "linear":

@@ -33,11 +33,11 @@ from .algebra import AlgebraElement
 from .cohomology import GroupCochain, inhomogeneous
 from .groups import FreeAbelianGroup
 from .multipliers import (
+    GeometricMultiplier,
     LatticeGeometry,
     Multiplier,
-    TrivialMultiplier,
-    geometric_multiplier,
     magnetic_multiplier,
+    trivial_multiplier,
 )
 from .phases import Phase, as_rational
 
@@ -98,7 +98,7 @@ class CircleCover:
     def __init__(self, winding: int = 1):
         self.winding = int(winding)
         self.group = FreeAbelianGroup(1)
-        self.sigma: Multiplier = TrivialMultiplier(self.group)
+        self.sigma: Multiplier = trivial_multiplier(self.group)
         self.n_patches = 2
         self._last: tuple | None = None  # (key, point) of the last _point call
 
@@ -144,7 +144,7 @@ class TorusCover:
         # theta (g1 h2 - g2 h1) / 2 (symmetric) at every base point x0.
         self.sigma: Multiplier = (
             magnetic_multiplier(geometry.theta, geometry.gauge) if geometry.offsets is None
-            else geometric_multiplier(geometry)
+            else GeometricMultiplier(geometry)
         )
         self.patches = [(0, 0), (0, 1), (1, 0), (1, 1)]
         self.n_patches = 4

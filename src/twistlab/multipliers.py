@@ -8,8 +8,9 @@ satisfies the normalized cocycle identity
 
 Multipliers with a closed form are held in a normal form: a rational
 pairing P with sigma(x, y) = exp(2 pi i x^T P y) on Z^k, a table of turns
-on a finite table group (the trivial multiplier has P = 0 or the zero
-table), and a ``ProductMultiplier`` of two normal forms on a product group.
+on a finite table group, and a ``ProductMultiplier`` of two normal forms on
+a product group.  sigma = 1 is no class of its own: ``trivial_multiplier``
+returns the zero pairing, the zero table, or a pair of those on a product.
 Powers, conjugates, coboundaries and twists by exact phase maps on finite
 table groups, lattice characters or quadratic gauge changes return normal
 forms, and two normal forms are equal exactly when their pairings or
@@ -22,6 +23,9 @@ Normal forms are evaluated through integer numerators n(g, h) over one
 common denominator D fixed at construction, lazy forms through ``Phase``;
 ``k / D`` and ``float(Fraction(k, D))`` are the same correctly rounded
 quotient, so the two give bitwise equal values.
+
+Pairings and tables have a JSON form; product multipliers have none, and
+``{"kind": "trivial"}`` reads on every group kind.
 """
 
 from __future__ import annotations
@@ -229,31 +233,6 @@ class Multiplier:
         raise MultiplierError(f"{self.kind} multipliers have no JSON form")
 
 
-class TrivialMultiplier(Multiplier):
-    kind = "trivial"
-    _denominator = 1
-
-    def __init__(self, group: Group):
-        super().__init__(group)
-        if isinstance(group, FreeAbelianGroup):
-            self.pairing = _zero_matrix(group.rank)
-        elif isinstance(group, FiniteTableGroup):
-            self.turn_table = _zero_matrix(group.n)
-
-    def turns(self, g, h) -> Fraction:
-        return Fraction(0)
-
-    def _numerator(self, g, h) -> int:
-        return 0
-
-    def power(self, s) -> "TrivialMultiplier":
-        as_rational(s)  # rejects float exponents, as the other powers do
-        return self
-
-    def to_json(self) -> dict:
-        return {"kind": "trivial"}
-
-
 class BilinearMultiplier(Multiplier):
     """sigma(x, y) = exp(2 pi i x^T P y) on Z^k with rational P."""
 
@@ -312,6 +291,18 @@ def magnetic_multiplier(theta, gauge: str = "landau") -> BilinearMultiplier:
     else:
         raise MultiplierError(f"unknown gauge {gauge!r}")
     return BilinearMultiplier(group, pairing, gauge, theta)
+
+
+def trivial_multiplier(group: Group) -> Multiplier:
+    """sigma = 1 in normal form: the zero pairing on Z^k, the zero table on a
+    finite table group, and the pair of the factors' zero forms on a product."""
+    if isinstance(group, FreeAbelianGroup):
+        return BilinearMultiplier(group, _zero_matrix(group.rank))
+    if isinstance(group, FiniteTableGroup):
+        return TableMultiplier(group, _zero_matrix(group.n))
+    if isinstance(group, ProductGroup):
+        return ProductMultiplier(group, trivial_multiplier(group.left), trivial_multiplier(group.right))
+    raise MultiplierError("trivial multiplier needs an explicit group")
 
 
 class TableMultiplier(Multiplier):
@@ -408,7 +399,7 @@ class TwistedMultiplier(Multiplier):
 
 def coboundary(z: PhaseMap) -> Multiplier:
     """The multiplier dz(g, h) = z(g) z(h) / z(gh)."""
-    return TrivialMultiplier(z.group).twist(z)
+    return trivial_multiplier(z.group).twist(z)
 
 
 @dataclass(frozen=True)
@@ -475,9 +466,6 @@ def _normal_form(sigma: Multiplier):
     matrix = sigma.turn_table if sigma.pairing is None else sigma.pairing
     if matrix is not None:
         return tuple(tuple(x % 1 for x in row) for row in matrix)
-    if isinstance(sigma, TrivialMultiplier) and isinstance(sigma.group, ProductGroup):
-        grp = sigma.group
-        sigma = ProductMultiplier(grp, TrivialMultiplier(grp.left), TrivialMultiplier(grp.right))
     if isinstance(sigma, ProductMultiplier):
         left, right = _normal_form(sigma.left), _normal_form(sigma.right)
         if left is not None and right is not None:
@@ -604,24 +592,18 @@ class GeometricMultiplier(Multiplier):
         return GeometricMultiplier(LatticeGeometry(geo.theta * s, geo.gauge, geo.base_point, offsets))
 
 
-def geometric_multiplier(geometry: LatticeGeometry) -> GeometricMultiplier:
-    return GeometricMultiplier(geometry)
-
-
 def multiplier_from_json(data: dict, group: Group | None = None) -> Multiplier:
     """Build a multiplier from its JSON form.
 
     ``group`` supplies the underlying group for kinds that need one
-    (table, coboundary twists on finite groups); magnetic and bilinear
+    (trivial, table, coboundary twists on finite groups); magnetic and bilinear
     kinds carry their own Z^2 or Z^k structure.
     """
     if not isinstance(data, dict) or "kind" not in data:
         raise MultiplierError("multiplier payload must be an object with a 'kind'")
     kind = data["kind"]
     if kind == "trivial":
-        if group is None:
-            raise MultiplierError("trivial multiplier needs an explicit group")
-        return TrivialMultiplier(group)
+        return trivial_multiplier(group)
     if kind == "magnetic":
         return magnetic_multiplier(data["theta"], data.get("gauge", "landau"))
     if kind == "bilinear":

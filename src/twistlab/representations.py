@@ -447,7 +447,7 @@ def _in_order(tasks, work):
                 try:
                     for task in itertools.islice(tasks, 1, None, 2):
                         _send(pipe, (False, work(task)))
-                except Exception as exc:
+                except BaseException as exc:
                     _send(pipe, (True, exc))
         finally:
             os._exit(0)

@@ -63,7 +63,7 @@ def _suite_multiplier(seed: int) -> SuiteReport:
     rep = SuiteReport("multiplier")
     z2 = groups.FreeAbelianGroup(2)
     for label, sigma in [
-        ("trivial", multipliers.TrivialMultiplier(z2)),
+        ("trivial", multipliers.trivial_multiplier(z2)),
         ("landau-1/3", multipliers.magnetic_multiplier("1/3", "landau")),
         ("symmetric-1/3", multipliers.magnetic_multiplier("1/3", "symmetric")),
     ]:
@@ -78,7 +78,7 @@ def _suite_multiplier(seed: int) -> SuiteReport:
     gauge = multipliers.PhaseMap.quadratic_on_lattice(z2, "1/4")
     ok = multipliers.is_cohomologous_via(lan, sym, gauge, radius=4)
     rep.results.append(CheckResult("gauge[landau~symmetric]", ok))
-    geom = multipliers.geometric_multiplier(multipliers.LatticeGeometry("1/3", "landau"))
+    geom = multipliers.GeometricMultiplier(multipliers.LatticeGeometry("1/3", "landau"))
     direct = multipliers.magnetic_multiplier("1/3", "landau")
     same = multipliers.multipliers_equal(geom, direct, radius=4)
     rep.results.append(CheckResult("geometric=direct", same))
@@ -164,7 +164,7 @@ def _suite_traces(seed: int) -> SuiteReport:
     bad = traces.check_trace_property(traces.summation_trace(sigma), seed=seed)
     rep.results.append(CheckResult("summation-fails-when-twisted", not bad.passed, bad.worst_defect))
     s3 = groups.symmetric_group(3)
-    triv = multipliers.TrivialMultiplier(s3)
+    triv = multipliers.trivial_multiplier(s3)
     transposition = next(g for g in s3.elements() if s3.element_order(g) == 2)
     cls = traces.conjugacy_functional(triv, transposition)
     chk = traces.check_trace_property(cls, seed=seed)
@@ -215,7 +215,7 @@ def _suite_cohomology(seed: int) -> SuiteReport:
     z2 = groups.FreeAbelianGroup(2)
     area = cohomology.GroupCochain.area_z2(z2)
     for theta in ("0", "1/3"):
-        sigma = (multipliers.TrivialMultiplier(z2) if theta == "0"
+        sigma = (multipliers.trivial_multiplier(z2) if theta == "0"
                  else multipliers.magnetic_multiplier(theta, "landau"))
         d = cohomology.transfer_boundary_defect(area, sigma, samples=150, seed=seed)
         rep.results.append(CheckResult(f"transfer[theta={theta}]", d <= 1e-12, d))

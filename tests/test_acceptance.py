@@ -25,7 +25,6 @@ from twistlab import (
     ProductGroup,
     ProductMultiplier,
     TableMultiplier,
-    TrivialMultiplier,
     UnitaryRep,
     alternating_group,
     check_invariance,
@@ -48,6 +47,7 @@ from twistlab import (
     spectral_flow,
     summation_trace,
     symmetric_group,
+    trivial_multiplier,
     unitary_trace,
     verify_cocycle,
 )
@@ -66,7 +66,7 @@ from twistlab.mishchenko import (
     lott_pairing_circle,
     torus_projection,
 )
-from twistlab.multipliers import LatticeGeometry, geometric_multiplier
+from twistlab.multipliers import GeometricMultiplier, LatticeGeometry
 from twistlab.representations import (
     harper_element,
     moment_match_study,
@@ -122,10 +122,10 @@ def _fixture_zoo():
     s3_table = _s3_table_multiplier()
     pg = ProductGroup(S3, C3)
     return {
-        "lattice-trivial": TrivialMultiplier(Z2),
+        "lattice-trivial": trivial_multiplier(Z2),
         "lattice-magnetic": magnetic_multiplier("1/3"),
         "s3-table": s3_table,
-        "product": ProductMultiplier(pg, s3_table, TrivialMultiplier(C3)),
+        "product": ProductMultiplier(pg, s3_table, trivial_multiplier(C3)),
     }
 
 
@@ -195,7 +195,7 @@ def test_criterion_02_gauge_independence():
     for gauge, direct in (("landau", landau), ("symmetric", symmetric)):
         for x1 in (0, Fraction(1, 2), 1):
             for x2 in (0, Fraction(1, 2), 1):
-                geo = geometric_multiplier(
+                geo = GeometricMultiplier(
                     LatticeGeometry("1/3", gauge=gauge, base_point=(x1, x2)))
                 assert multipliers_equal(geo, direct, radius=4)
 
@@ -211,9 +211,9 @@ def test_criterion_03_trace_laws():
     # every character of the product restricts trivially to the support.
     A5 = alternating_group(5)
     pg = ProductGroup(A5, C3)
-    sigma = ProductMultiplier(pg, TrivialMultiplier(A5), TrivialMultiplier(C3))
+    sigma = ProductMultiplier(pg, trivial_multiplier(A5), trivial_multiplier(C3))
     five_cycle = next(g for g in A5.elements() if A5.element_order(g) == 5)
-    tau = product_trace(conjugacy_functional(TrivialMultiplier(A5), five_cycle), sigma)
+    tau = product_trace(conjugacy_functional(trivial_multiplier(A5), five_cycle), sigma)
     characters = product_characters(pg)
     assert len(characters) == 3
     for character in characters:
@@ -222,7 +222,7 @@ def test_criterion_03_trace_laws():
 
     # With the trivial target group, the weighted value is dim(u) a_e for
     # every representation u.
-    triv = TrivialMultiplier(S3)
+    triv = trivial_multiplier(S3)
     ident = Homomorphism.identity(S3)
     base = regular_trace(triv)
     u1 = UnitaryRep.regular(S3)
@@ -252,7 +252,7 @@ def test_criterion_03_trace_laws():
     # A delocalized functional over a lattice factor loses invariance
     # under a character that is nontrivial on its support.
     Z1 = FreeAbelianGroup(1)
-    deloc = conjugacy_functional(TrivialMultiplier(Z1), (1,))
+    deloc = conjugacy_functional(trivial_multiplier(Z1), (1,))
     assert not check_invariance(deloc, PhaseMap.character_on_lattice(Z1, ["1/5"])).passed
 
 

@@ -12,13 +12,13 @@ from twistlab import (
     FreeAbelianGroup,
     PhaseMap,
     ProductGroup,
-    TrivialMultiplier,
     coboundary,
     element_from_json,
     magnetic_multiplier,
     projective_iso,
     random_element,
     symmetric_group,
+    trivial_multiplier,
 )
 from twistlab.multipliers import ProductMultiplier
 
@@ -27,7 +27,7 @@ S3 = symmetric_group(3)
 THETA = Fraction(1, 3)
 
 SIGMAS = {
-    "lattice-trivial": TrivialMultiplier(Z2),
+    "lattice-trivial": trivial_multiplier(Z2),
     "lattice-magnetic": magnetic_multiplier(THETA),
     "s3-coboundary": coboundary(PhaseMap.random_exact(S3, random.Random(71))),
     "product": ProductMultiplier(

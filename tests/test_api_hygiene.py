@@ -19,8 +19,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "twistlab"
 # a package error instead of NotImplementedError.
 UNREAD_ALLOWED = {
     "multipliers.Multiplier.power": {"s"},
-    "multipliers.TrivialMultiplier.turns": {"g", "h"},
-    "multipliers.TrivialMultiplier._numerator": {"g", "h"},
     "groups.FiniteTableGroup.random_element": {"spread"},
 }
 # The suites share one call signature, run_suite(name, seed).

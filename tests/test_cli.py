@@ -384,6 +384,8 @@ def test_truncation_eta_at_radius_2_compares_with_radius_0(capsys, tmp_path):
     ("spectral-flow", dict(FLOW, initial_samples=17.5), "initial_samples"),
     ("spectral-flow", dict(FLOW, max_refinements=True), "max_refinements"),
     ("eta", dict(BLOCH, kgrid=10_000_000), "kgrid"),
+    ("spectral-flow", {"path": [1, 2]}, "path"),
+    ("spectral-flow", {"path": "x"}, "path"),
 ])
 def test_bad_config_values_exit_2_with_one_error_line(capsys, tmp_path, command, config, named):
     cfg = write_config(tmp_path, "config.json", config)

@@ -8,8 +8,8 @@ import pytest
 from twistlab import (
     AlgebraElement,
     FreeAbelianGroup,
-    TrivialMultiplier,
     magnetic_multiplier,
+    trivial_multiplier,
 )
 from twistlab.algebra import random_element
 from twistlab.cohomology import (
@@ -85,7 +85,7 @@ def test_cochain_arity_is_enforced():
 
 
 def test_transfer_of_constant_recovers_canonical_trace(rng):
-    for sigma in (TrivialMultiplier(Z2), magnetic_multiplier("1/3")):
+    for sigma in (trivial_multiplier(Z2), magnetic_multiplier("1/3")):
         tau = to_cyclic(GroupCochain.constant(Z2), sigma)
         for _ in range(10):
             a = random_element(sigma, rng, 4, 3)

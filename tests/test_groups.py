@@ -1,4 +1,7 @@
+import itertools
 import random
+import time
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -18,7 +21,7 @@ from twistlab import (
     symmetric_group,
     trivial_group,
 )
-from twistlab.groups import MAX_TABLE_ORDER
+from twistlab.groups import MAX_TABLE_ORDER, _bfs_lengths
 
 Z2 = FreeAbelianGroup(2)
 S3 = symmetric_group(3)
@@ -134,6 +137,79 @@ def test_characters_of_abelian_groups_that_need_two_generators(group):
         for a in group.elements():
             for b in group.elements():
                 assert (table[a] + table[b]) % 1 == table[group.multiply(a, b)]
+
+
+def _characters_with_full_table_check(group):
+    """character_turn_tables as written before it trusted its edge walk:
+    each choice is checked again on the whole quotient table, and repeats
+    are dropped.  Cubic in the order of a cyclic quotient; the reference."""
+    n = group.n
+    comm = set(group.commutator_subgroup())
+    rep_of = {g: min(group.mul_table[g][c] for c in comm) for g in range(n)}
+    reps = sorted(set(rep_of.values()))
+    rep_index = {r: i for i, r in enumerate(reps)}
+    q = len(reps)
+    qmul = [[rep_index[rep_of[group.mul_table[a][b]]] for b in reps] for a in reps]
+    quotient = FiniteTableGroup(qmul, rep_index[rep_of[group.identity_index]], label="ab")
+    qgens = []
+    reached = {quotient.identity_index}
+    for g in range(q):
+        if g not in reached:
+            qgens.append(g)
+            reached = _bfs_lengths(quotient, quotient.identity_index, qgens)
+    orders = [quotient.element_order(g) for g in qgens]
+    tables = []
+    seen = set()
+    for choice in itertools.product(*(range(o) for o in orders)):
+        turns = {quotient.identity_index: Fraction(0)}
+        ok = True
+        frontier = deque([quotient.identity_index])
+        assign = {g: Fraction(k, o) for g, k, o in zip(qgens, choice, orders)}
+        while frontier and ok:
+            x = frontier.popleft()
+            for g, t in assign.items():
+                y = quotient.mul_table[x][g]
+                val = (turns[x] + t) % 1
+                if y in turns:
+                    if turns[y] != val:
+                        ok = False
+                        break
+                else:
+                    turns[y] = val
+                    frontier.append(y)
+        if not ok or len(turns) != q:
+            continue
+        if not all((turns[a] + turns[b]) % 1 == turns[quotient.mul_table[a][b]]
+                   for a in range(q) for b in range(q)):
+            continue
+        full = tuple(turns[rep_index[rep_of[g]]] for g in range(n))
+        if full not in seen:
+            seen.add(full)
+            tables.append(full)
+    return sorted(tables)
+
+
+CHARACTER_GROUPS = [
+    S3, S4, alternating_group(4), alternating_group(5),
+    *(cyclic_group(n) for n in range(1, 25)),
+    FiniteTableGroup([[i ^ j for j in range(4)] for i in range(4)], label="V4"),
+    FiniteTableGroup(_table_product(cyclic_group(2), cyclic_group(4)), label="C2xC4"),
+    FiniteTableGroup(_table_product(cyclic_group(3), S3), label="C3xS3"),
+    FiniteTableGroup(_table_product(cyclic_group(4), cyclic_group(6)), label="C4xC6"),
+]
+
+
+def test_characters_match_the_full_table_check():
+    for group in CHARACTER_GROUPS:
+        assert character_turn_tables(group) == _characters_with_full_table_check(group), group.label
+
+
+def test_characters_of_a_large_cyclic_group_are_fast():
+    c200 = cyclic_group(200)
+    start = time.perf_counter()
+    tables = character_turn_tables(c200)
+    assert time.perf_counter() - start < 5.0
+    assert [t[1] for t in tables] == [Fraction(k, 200) for k in range(200)]
 
 
 def test_cyclic_group_characters_are_roots_of_unity():

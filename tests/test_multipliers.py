@@ -1,5 +1,6 @@
 import itertools
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -9,20 +10,21 @@ from hypothesis import strategies as st
 from twistlab import (
     BilinearMultiplier,
     FreeAbelianGroup,
+    GeometricMultiplier,
     LatticeGeometry,
     MultiplierError,
     PhaseMap,
     ProductGroup,
-    TrivialMultiplier,
     all_characters,
     coboundary,
     cyclic_group,
-    geometric_multiplier,
     is_cohomologous_via,
     magnetic_multiplier,
     multiplier_from_json,
     multipliers_equal,
     symmetric_group,
+    trivial_group,
+    trivial_multiplier,
     verify_cocycle,
 )
 from twistlab.multipliers import (
@@ -46,7 +48,7 @@ def s3_coboundary():
 
 
 MULTIPLIER_ZOO = [
-    TrivialMultiplier(Z2),
+    trivial_multiplier(Z2),
     magnetic_multiplier(THETA),
     magnetic_multiplier(THETA, gauge="symmetric"),
     magnetic_multiplier(Fraction(1, 2)),
@@ -54,6 +56,7 @@ MULTIPLIER_ZOO = [
     ProductMultiplier(
         ProductGroup(Z2, S3), magnetic_multiplier(THETA), s3_coboundary()[0]
     ),
+    trivial_multiplier(ProductGroup(S3, ProductGroup(cyclic_group(3), FreeAbelianGroup(1)))),
 ]
 
 
@@ -120,7 +123,7 @@ def test_landau_symmetric_cohomologous_via_quadratic():
 
 def test_coboundary_is_cohomologous_to_trivial():
     sigma, z = s3_coboundary()
-    assert is_cohomologous_via(TrivialMultiplier(S3), sigma, z)
+    assert is_cohomologous_via(trivial_multiplier(S3), sigma, z)
 
 
 def test_twist_matches_explicit_coboundary_turns():
@@ -145,13 +148,13 @@ def test_power_scales_bilinear_turns():
         h = Z2.random_element(rng)
         assert half.turns(g, h) == sigma.turns(g, h) / 2
     assert multipliers_equal(sigma.power(1), sigma)
-    assert multipliers_equal(sigma.power(0), TrivialMultiplier(Z2))
+    assert multipliers_equal(sigma.power(0), trivial_multiplier(Z2))
     assert multipliers_equal(sigma.conjugate(), sigma.power(-1))
 
 
 def test_geometric_multiplier_matches_direct_formula():
     for gauge in ("landau", "symmetric"):
-        geo = geometric_multiplier(LatticeGeometry(THETA, gauge=gauge))
+        geo = GeometricMultiplier(LatticeGeometry(THETA, gauge=gauge))
         direct = magnetic_multiplier(THETA, gauge=gauge)
         for g in Z2.ball(3):
             for h in Z2.ball(2):
@@ -159,10 +162,10 @@ def test_geometric_multiplier_matches_direct_formula():
 
 
 def test_geometric_multiplier_base_point_independent():
-    reference = geometric_multiplier(LatticeGeometry(THETA))
+    reference = GeometricMultiplier(LatticeGeometry(THETA))
     for bx in range(3):
         for by in range(3):
-            moved = geometric_multiplier(LatticeGeometry(THETA, base_point=(bx, by)))
+            moved = GeometricMultiplier(LatticeGeometry(THETA, base_point=(bx, by)))
             for g in Z2.ball(3):
                 for h in Z2.ball(2):
                     assert moved.turns(g, h) == reference.turns(g, h)
@@ -170,8 +173,8 @@ def test_geometric_multiplier_base_point_independent():
 
 def test_geometry_offsets_shift_by_a_coboundary():
     z = PhaseMap.random_exact(Z2, random.Random(9))
-    plain = geometric_multiplier(LatticeGeometry(THETA))
-    shifted = geometric_multiplier(
+    plain = GeometricMultiplier(LatticeGeometry(THETA))
+    shifted = GeometricMultiplier(
         LatticeGeometry(THETA, offsets=lambda g: z.turns(g) if g != (0, 0) else 0)
     )
     assert is_cohomologous_via(plain, shifted, z)
@@ -181,10 +184,10 @@ def test_geometric_power_matches_direct_power():
     z = PhaseMap.random_exact(Z2, random.Random(9))
     offsets = lambda g: z.turns(g) if g != (0, 0) else 0
     for s in (Fraction(1, 2), -1):
-        geo = geometric_multiplier(LatticeGeometry(THETA, offsets=offsets)).power(s)
+        geo = GeometricMultiplier(LatticeGeometry(THETA, offsets=offsets)).power(s)
         direct = magnetic_multiplier(THETA).power(s).twist(z.scaled(s))
         assert multipliers_equal(geo, direct, radius=3)
-    geo = geometric_multiplier(LatticeGeometry(THETA))
+    geo = GeometricMultiplier(LatticeGeometry(THETA))
     assert multipliers_equal(geo.conjugate(), magnetic_multiplier(-THETA), radius=3)
 
 
@@ -205,6 +208,46 @@ def test_product_multiplier_adds_turns():
         h = prod.random_element(rng)
         expected = magnetic_multiplier(THETA).turns(g[0], h[0]) + right.turns(g[1], h[1])
         assert sigma.turns(g, h) % 1 == expected % 1
+
+
+ZERO_FORM_GROUPS = {
+    "Z1": FreeAbelianGroup(1),
+    "Z2": Z2,
+    "Z3": FreeAbelianGroup(3),
+    "S3": S3,
+    "point": trivial_group(),
+    "Z2xS3": ProductGroup(Z2, S3),
+    "S3x(C3xZ)": ProductGroup(S3, ProductGroup(cyclic_group(3), FreeAbelianGroup(1))),
+}
+
+
+@pytest.mark.parametrize("name", ZERO_FORM_GROUPS)
+def test_trivial_multiplier_is_a_zero_normal_form(name):
+    group = ZERO_FORM_GROUPS[name]
+    sigma = trivial_multiplier(group)
+    one = struct.pack("<dd", 1.0, 0.0)
+    rng = random.Random(13)
+    for _ in range(40):
+        g, h = group.random_element(rng), group.random_element(rng)
+        value = sigma.value(g, h)
+        assert struct.pack("<dd", value.real, value.imag) == one
+        assert sigma.turns(g, h) == 0
+    assert verify_cocycle(sigma, samples=200, seed=5)
+    assert decided_equal(sigma, multiplier_from_json({"kind": "trivial"}, group)) is True
+    for s in (0, 2, Fraction(-3, 7)):
+        assert decided_equal(sigma.power(s), sigma) is True
+    with pytest.raises(TypeError):
+        sigma.power(0.5)
+    if isinstance(group, ProductGroup):
+        with pytest.raises(MultiplierError, match="no JSON form"):
+            sigma.to_json()
+    else:
+        assert decided_equal(multiplier_from_json(sigma.to_json(), group), sigma) is True
+
+
+def test_trivial_multiplier_needs_a_group():
+    with pytest.raises(MultiplierError, match="needs an explicit group"):
+        multiplier_from_json({"kind": "trivial"})
 
 
 def test_table_multiplier_round_trip():
@@ -252,10 +295,10 @@ def test_multiplier_json_round_trips():
         magnetic_multiplier(THETA),
         magnetic_multiplier(THETA, gauge="symmetric"),
         BilinearMultiplier(FreeAbelianGroup(3), [[0, 1, 0], [0, 0, 0], [Fraction(1, 2), 0, 0]]),
-        TrivialMultiplier(Z2),
+        trivial_multiplier(Z2),
         s3_coboundary()[0],
         magnetic_multiplier(THETA).twist(PhaseMap.quadratic_on_lattice(Z2, Fraction(1, 5))),
-        TrivialMultiplier(S3),
+        trivial_multiplier(S3),
     ]
     for sigma in cases:
         back = multiplier_from_json(sigma.to_json(), sigma.group)
@@ -292,7 +335,7 @@ def test_coboundary_twist_payload_writes_back_and_reads_again():
 def test_lazy_multipliers_have_no_json_form():
     lazy = [
         magnetic_multiplier(THETA).twist(PhaseMap.random_exact(Z2, random.Random(12))),
-        geometric_multiplier(LatticeGeometry(THETA)),
+        GeometricMultiplier(LatticeGeometry(THETA)),
     ]
     for sigma in lazy:
         with pytest.raises(MultiplierError):
@@ -302,7 +345,7 @@ def test_lazy_multipliers_have_no_json_form():
 def test_constructions_return_normal_forms():
     sigma, z = s3_coboundary()
     assert isinstance(sigma, TableMultiplier)
-    assert isinstance(TrivialMultiplier(S3).twist(z), TableMultiplier)
+    assert isinstance(trivial_multiplier(S3).twist(z), TableMultiplier)
     lan = magnetic_multiplier(THETA)
     for z2 in (PhaseMap.quadratic_on_lattice(Z2, Fraction(1, 6)),
                PhaseMap.character_on_lattice(Z2, ["1/5", "2/7"]).conjugate()):
@@ -319,12 +362,12 @@ def test_decided_equality_of_normal_forms():
     assert decided_equal(magnetic_multiplier(THETA, "symmetric"), magnetic_multiplier(THETA)) is False
     prod = ProductGroup(Z2, S3)
     assert decided_equal(
-        TrivialMultiplier(prod),
-        ProductMultiplier(prod, TrivialMultiplier(Z2), TrivialMultiplier(S3)),
+        trivial_multiplier(prod),
+        ProductMultiplier(prod, trivial_multiplier(Z2), trivial_multiplier(S3)),
     ) is True
-    assert decided_equal(TrivialMultiplier(S3), s3_coboundary()[0]) is False
-    assert decided_equal(TrivialMultiplier(Z2), TrivialMultiplier(FreeAbelianGroup(3))) is False
-    assert decided_equal(geometric_multiplier(LatticeGeometry(THETA)), magnetic_multiplier(THETA)) is None
+    assert decided_equal(trivial_multiplier(S3), s3_coboundary()[0]) is False
+    assert decided_equal(trivial_multiplier(Z2), trivial_multiplier(FreeAbelianGroup(3))) is False
+    assert decided_equal(GeometricMultiplier(LatticeGeometry(THETA)), magnetic_multiplier(THETA)) is None
 
 
 def test_rational_power_of_a_twist_twists_the_power():
@@ -338,7 +381,7 @@ def test_rational_power_of_a_twist_twists_the_power():
     # are the coboundaries of the powers of z.
     _, z3 = s3_coboundary()
     for s in (Fraction(1, 2), Fraction(2, 3)):
-        power = TrivialMultiplier(S3).twist(z3).power(s)
+        power = trivial_multiplier(S3).twist(z3).power(s)
         assert decided_equal(power, coboundary(z3.scaled(s))) is True
         assert verify_cocycle(power)
     # A lazy twist scales z before reducing its turns mod 1 as well.

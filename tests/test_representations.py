@@ -15,21 +15,21 @@ from twistlab import (
     BilinearMultiplier,
     BlochMap,
     FreeAbelianGroup,
+    GeometricMultiplier,
     LatticeGeometry,
     MultiplierError,
     PhaseMap,
     SpectralError,
-    TrivialMultiplier,
     butterfly_csv,
     butterfly_rows,
     eta_operator,
-    geometric_multiplier,
     harper_element,
     left_regular,
     magnetic_multiplier,
     moment_match_study,
     reduced_fractions,
     spectrum_union,
+    trivial_multiplier,
     truncation_study,
 )
 from twistlab import cli, representations
@@ -387,9 +387,9 @@ def test_a_helper_that_exits_without_sending_raises_child_process_error(monkeypa
     failing = 7  # a helper's block
 
     def exiting_solve(self, a, k1s, k2s, *args):
-        # SystemExit passes the helper's except Exception, so nothing is sent.
+        # os._exit ends the helper at once, so nothing is sent.
         if (self.theta, k1s[0], k2s[0]) == keys[failing]:
-            raise SystemExit(3)
+            os._exit(3)
         return solve(self, a, k1s, k2s, *args)
 
     monkeypatch.setattr(BlochMap, "_solve", exiting_solve)
@@ -401,6 +401,35 @@ def test_a_helper_that_exits_without_sending_raises_child_process_error(monkeypa
     assert chunks == whole[:1 + failing]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_a_helper_system_exit_reaches_the_caller_in_both_schedules(monkeypatch):
+    monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 40)
+    _schedule(monkeypatch, 1)
+    keys = []
+    solve = BlochMap._solve
+    monkeypatch.setattr(BlochMap, "_solve", lambda self, a, k1s, k2s, *args: (
+        keys.append((self.theta, k1s[0], k2s[0])) or solve(self, a, k1s, k2s, *args)))
+    whole = list(butterfly_csv(4, 5))
+    failing = 7  # a helper's block
+
+    def exiting_solve(self, a, k1s, k2s, *args):
+        if (self.theta, k1s[0], k2s[0]) == keys[failing]:
+            raise SystemExit(3)
+        return solve(self, a, k1s, k2s, *args)
+
+    monkeypatch.setattr(BlochMap, "_solve", exiting_solve)
+    for cpus in (1, 2):
+        _schedule(monkeypatch, cpus)
+        chunks = []
+        with pytest.raises(SystemExit) as info:
+            for chunk in butterfly_csv(4, 5):
+                chunks.append(chunk)
+        assert info.value.code == 3
+        assert chunks == whole[:1 + failing]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_cut_message_raises_child_process_error():
@@ -426,7 +455,7 @@ def test_reduced_fractions_enumeration():
 
 
 def test_trivial_multiplier_fiber_is_scalar():
-    sigma = TrivialMultiplier(magnetic_multiplier(0).group)
+    sigma = trivial_multiplier(magnetic_multiplier(0).group)
     h = harper_element(sigma)
     bloch = BlochMap(sigma)
     assert bloch.q == 1
@@ -437,7 +466,7 @@ def test_trivial_multiplier_fiber_is_scalar():
 
 def test_bloch_map_needs_a_pairing_on_z2():
     without_z2_pairing = [
-        geometric_multiplier(LatticeGeometry(Fraction(1, 3))),
+        GeometricMultiplier(LatticeGeometry(Fraction(1, 3))),
         magnetic_multiplier(Fraction(1, 3)).twist(
             PhaseMap.random_exact(FreeAbelianGroup(2), random.Random(2))),
         BilinearMultiplier(FreeAbelianGroup(3), [[0, 1, 0], [0, 0, 0], [0, 0, 0]]),

@@ -14,7 +14,6 @@ from twistlab import (
     ProductMultiplier,
     TraceError,
     TraceFunctional,
-    TrivialMultiplier,
     UnitaryRep,
     all_characters,
     character_functionals,
@@ -33,6 +32,7 @@ from twistlab import (
     summation_trace,
     symmetric_group,
     trace_from_json,
+    trivial_multiplier,
     unitary_trace,
 )
 from twistlab.algebra import random_element
@@ -40,7 +40,7 @@ from twistlab.algebra import random_element
 S3 = symmetric_group(3)
 TRANSPOSITION = next(g for g in S3.elements() if S3.element_order(g) == 2)
 MAGNETIC = magnetic_multiplier("1/3")
-LATTICE_TRIVIAL = TrivialMultiplier(FreeAbelianGroup(2))
+LATTICE_TRIVIAL = trivial_multiplier(FreeAbelianGroup(2))
 
 
 def test_regular_trace_satisfies_all_laws_on_magnetic_algebra():
@@ -81,7 +81,7 @@ def test_summation_defect_on_delta_pair_matches_commutator_phase():
 
 def test_conjugacy_functional_is_trace_without_twist():
     for sigma, g in [
-        (TrivialMultiplier(S3), TRANSPOSITION),
+        (trivial_multiplier(S3), TRANSPOSITION),
         (LATTICE_TRIVIAL, (1, 0)),
     ]:
         rep = check_trace_property(conjugacy_functional(sigma, g))
@@ -101,30 +101,30 @@ def test_conjugacy_functional_breaks_under_generic_coboundary():
 def test_product_trace_weights_and_law():
     C3 = cyclic_group(3)
     pg = ProductGroup(S3, C3)
-    sigma = ProductMultiplier(pg, TrivialMultiplier(S3), TrivialMultiplier(C3))
-    left = conjugacy_functional(TrivialMultiplier(S3), TRANSPOSITION)
+    sigma = ProductMultiplier(pg, trivial_multiplier(S3), trivial_multiplier(C3))
+    left = conjugacy_functional(trivial_multiplier(S3), TRANSPOSITION)
     tau = product_trace(left, sigma)
     e_r = C3.identity()
     assert tau.weights() == {(g, e_r): 1.0 for g in S3.conjugacy_class(TRANSPOSITION)}
     assert check_trace_property(tau).passed
     # The canonical trace on a product is the product of canonical traces.
-    assert product_trace(regular_trace(TrivialMultiplier(S3)), sigma).weights() == \
+    assert product_trace(regular_trace(trivial_multiplier(S3)), sigma).weights() == \
         regular_trace(sigma).weights()
 
 
 def test_product_trace_rejects_wrong_factor():
     C3 = cyclic_group(3)
     pg = ProductGroup(S3, C3)
-    sigma = ProductMultiplier(pg, TrivialMultiplier(S3), TrivialMultiplier(C3))
+    sigma = ProductMultiplier(pg, trivial_multiplier(S3), trivial_multiplier(C3))
     with pytest.raises(TraceError):
-        product_trace(regular_trace(TrivialMultiplier(C3)), sigma)
+        product_trace(regular_trace(trivial_multiplier(C3)), sigma)
 
 
 def test_pullback_to_point_group_sums_coefficients(rng):
     point = cyclic_group(1)
     collapse = Homomorphism.from_table(S3, point, [0] * 6)
-    sigma = TrivialMultiplier(S3)
-    tau = pullback_trace(collapse, regular_trace(TrivialMultiplier(point)), sigma)
+    sigma = trivial_multiplier(S3)
+    tau = pullback_trace(collapse, regular_trace(trivial_multiplier(point)), sigma)
     a = random_element(sigma, rng, 4, 2)
     total = sum(a.coefficient(g) for g in a.support())
     assert abs(tau(a) - total) <= 1e-12
@@ -137,7 +137,7 @@ def test_pullback_weights_need_finite_support():
 
 
 def test_unitary_trace_value_independent_of_representation(rng):
-    sigma = TrivialMultiplier(S3)
+    sigma = trivial_multiplier(S3)
     ident = Homomorphism.identity(S3)
     base = regular_trace(sigma)
     u1 = UnitaryRep.regular(S3)
@@ -185,7 +185,7 @@ def test_matrix_trace_is_cyclic(rng):
 
 
 def test_linear_combination_merges_weights():
-    sigma = TrivialMultiplier(S3)
+    sigma = trivial_multiplier(S3)
     tau = linear_combination([
         (2.0, regular_trace(sigma)),
         (-1.0, conjugacy_functional(sigma, TRANSPOSITION)),
@@ -200,7 +200,7 @@ def test_linear_combination_merges_weights():
 
 
 def test_character_functionals_are_traces_on_untwisted_s3():
-    sigma = TrivialMultiplier(S3)
+    sigma = trivial_multiplier(S3)
     taus = character_functionals(sigma)
     assert len(taus) == 2
     for tau in taus:
@@ -215,7 +215,7 @@ def test_delocalization_flags():
 
 def test_gauge_invariance_separates_localized_from_delocalized():
     Z1 = FreeAbelianGroup(1)
-    sigma = TrivialMultiplier(Z1)
+    sigma = trivial_multiplier(Z1)
     chi = PhaseMap.character_on_lattice(Z1, ["1/5"])
     assert check_invariance(regular_trace(sigma), chi).passed
     bad = check_invariance(conjugacy_functional(sigma, (1,)), chi)
@@ -224,7 +224,7 @@ def test_gauge_invariance_separates_localized_from_delocalized():
 
 
 def test_trace_json_round_trip():
-    sigma = TrivialMultiplier(S3)
+    sigma = trivial_multiplier(S3)
     tau = conjugacy_functional(sigma, TRANSPOSITION)
     back = trace_from_json(tau.to_json(), sigma)
     assert back.weights() == tau.weights()
