@@ -7,7 +7,8 @@ twisted convolution
 
 and involution (c delta_g)^* = conj(c) conj(sigma(g, g^-1)) delta_{g^-1}.
 Coefficients below PRUNE_TOL are dropped after every operation; NaN or
-infinite coefficients are rejected.
+infinite coefficients are rejected.  The results of the arithmetic here
+skip the constructor's element checks but keep the finiteness check and the prune.
 """
 
 from __future__ import annotations
@@ -35,21 +36,30 @@ class AlgebraElement:
 
     __slots__ = ("sigma", "group", "coeffs")
 
-    def __init__(self, sigma: Multiplier, coeffs: Mapping | Iterable = (), check: bool = True):
-        self.sigma = sigma
-        self.group = sigma.group
+    def __init__(self, sigma: Multiplier, coeffs: Mapping | Iterable = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         data: dict = {}
         for g, c in items:
             c = complex(c)
-            if check:
-                self.group.check_element(g)
+            sigma.group.check_element(g)
             if g in data:
                 c = data[g] + c
             data[g] = c
+        self._set(sigma, data)
+
+    def _set(self, sigma: Multiplier, data: dict) -> None:
         if not all(map(cmath.isfinite, data.values())):
             raise AlgebraError("coefficients must be finite")
+        self.sigma = sigma
+        self.group = sigma.group
         self.coeffs = {g: c for g, c in data.items() if abs(c) > PRUNE_TOL}
+
+    @classmethod
+    def _from_dict(cls, sigma: Multiplier, data: dict) -> "AlgebraElement":
+        """An element from a dict of group elements to complex coefficients, unchecked."""
+        out = cls.__new__(cls)
+        out._set(sigma, data)
+        return out
 
     @classmethod
     def delta(cls, sigma: Multiplier, g, coeff: complex = 1.0) -> "AlgebraElement":
@@ -78,7 +88,8 @@ class AlgebraElement:
         return sum(abs(c) ** 2 for c in self.coeffs.values()) ** 0.5
 
     def _require_same_algebra(self, other: "AlgebraElement") -> None:
-        if self.group != other.group or not _same_multiplier(self.sigma, other.sigma):
+        # Equal multipliers live on equal groups; the same object returns at once.
+        if not _same_multiplier(self.sigma, other.sigma):
             raise AlgebraError("elements live in different twisted algebras")
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -88,7 +99,7 @@ class AlgebraElement:
         out = dict(self.coeffs)
         for g, c in other.coeffs.items():
             out[g] = out.get(g, 0.0) + c
-        return AlgebraElement(self.sigma, out, check=False)
+        return AlgebraElement._from_dict(self.sigma, out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
@@ -101,24 +112,24 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             return self.convolve(other)
-        return AlgebraElement(
-            self.sigma, {g: c * complex(other) for g, c in self.coeffs.items()}, check=False
-        )
+        s = complex(other)
+        return AlgebraElement._from_dict(self.sigma, {g: c * s for g, c in self.coeffs.items()})
 
-    def __rmul__(self, other):
-        return AlgebraElement(
-            self.sigma, {g: complex(other) * c for g, c in self.coeffs.items()}, check=False
-        )
+    # s * a is a * s: a complex product is the same double either way round.
+    __rmul__ = __mul__
 
     def convolve(self, other: "AlgebraElement") -> "AlgebraElement":
         self._require_same_algebra(other)
-        grp, sigma = self.group, self.sigma
+        sigma = self.sigma
+        multiply, value = self.group.multiply, sigma.value
         out: dict = {}
+        get = out.get
+        right = other.coeffs.items()
         for g1, c1 in self.coeffs.items():
-            for g2, c2 in other.coeffs.items():
-                g = grp.multiply(g1, g2)
-                out[g] = out.get(g, 0.0) + c1 * c2 * sigma.value(g1, g2)
-        return AlgebraElement(sigma, out, check=False)
+            for g2, c2 in right:
+                g = multiply(g1, g2)
+                out[g] = get(g, 0.0) + c1 * c2 * value(g1, g2)
+        return AlgebraElement._from_dict(sigma, out)
 
     def star(self) -> "AlgebraElement":
         """Involution: (c delta_g)^* = conj(c) conj(sigma(g, g^-1)) delta_{g^-1}."""
@@ -127,12 +138,12 @@ class AlgebraElement:
         for g, c in self.coeffs.items():
             ginv = grp.inverse(g)
             out[ginv] = c.conjugate() * sigma.value(g, ginv).conjugate()
-        return AlgebraElement(sigma, out, check=False)
+        return AlgebraElement._from_dict(sigma, out)
 
     def apply_phase_map(self, z: PhaseMap, target: Multiplier) -> "AlgebraElement":
         """delta_g -> z(g) delta_g, reinterpreted over the target multiplier."""
         out = {g: c * z(g) for g, c in self.coeffs.items()}
-        return AlgebraElement(target, out, check=False)
+        return AlgebraElement._from_dict(target, out)
 
     def to_json(self) -> dict:
         terms = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from collections import deque
 from fractions import Fraction
@@ -124,11 +125,7 @@ class FiniteTableGroup(Group):
         self.inverse_table = tuple(int(x) for x in inverse_table)
         if generator_indices is None:
             generator_indices = [i for i in range(self.n) if i != self.identity_index]
-        gens = []
-        for i in generator_indices:
-            if i not in gens:
-                gens.append(int(i))
-        self.generator_indices = tuple(gens)
+        self.generator_indices = tuple(dict.fromkeys(int(i) for i in generator_indices))
         self._lengths: dict | None = None
         self.validate()
 
@@ -279,7 +276,7 @@ class FreeAbelianGroup(Group):
         return (0,) * self.rank
 
     def multiply(self, g, h):
-        return tuple(a + b for a, b in zip(g, h))
+        return tuple(map(operator.add, g, h))
 
     def inverse(self, g):
         return tuple(-a for a in g)

@@ -19,7 +19,9 @@ its integer kernel.
 
 The pairing of such a projection with a degree one group cochain
 recovers the winding of the transition cocycle by a discretized
-Stokes sum over the base grid.
+Stokes sum over the base grid.  The circle pairing walks the integer grid
+indices k = 0, ..., n - 1 and holds the partition at k - 1, k and k + 1
+only, so it runs in constant memory.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from numbers import Integral
 from typing import Callable, Sequence
 
 from .algebra import AlgebraElement
@@ -51,14 +54,14 @@ def _chi_pair(x: float) -> tuple[float, float]:
     return abs(math.cos(math.pi * x)), abs(math.sin(math.pi * x))
 
 
-def _lift_shift(patch: int, x: Fraction) -> int:
-    """Integer s with x mod 1 + s the lift through circle patch 0 or 1.
+def _lift_shift(patch: int, num: int, den: int) -> int:
+    """Integer s with x mod 1 + s the lift of x = num / den (den > 0) through circle patch 0 or 1.
 
     Patch 0 charts (-1/2, 1/2] and patch 1 charts [0, 1), so s is -1 on
     patch 0 when x mod 1 > 1/2 and 0 otherwise; transition values are
     differences of lifts and jump by one unit across x = 1/2.
     """
-    return -1 if patch == 0 and 2 * (x.numerator % x.denominator) > x.denominator else 0
+    return -1 if patch == 0 and 2 * (num % den) > den else 0
 
 
 def _check_grid(n_grid: int) -> None:
@@ -76,8 +79,7 @@ class _Point:
 
     __slots__ = ("transitions", "lifts", "psi")
 
-    def __init__(self, shifts: list, lifts: list | None = None,
-                 psi: Callable | None = None):
+    def __init__(self, shifts: list, lifts: list | None = None, psi: Callable | None = None):
         self.transitions = [[tuple(map(operator.sub, si, sj)) for sj in shifts] for si in shifts]
         self.lifts = lifts
         self.psi = psi
@@ -96,6 +98,8 @@ class CircleCover:
     """
 
     def __init__(self, winding: int = 1):
+        if isinstance(winding, bool) or not isinstance(winding, Integral):
+            raise CoverError(f"the winding must be an integer, not {winding!r}")
         self.winding = int(winding)
         self.group = FreeAbelianGroup(1)
         self.sigma: Multiplier = trivial_multiplier(self.group)
@@ -103,15 +107,15 @@ class CircleCover:
         self._last: tuple | None = None  # (key, point) of the last _point call
 
     def chi(self, patch: int, x) -> float:
-        value = _chi_pair(float(x) % 1.0)
-        return value[patch]
+        return _chi_pair(float(x) % 1.0)[patch]
 
     def _point(self, x) -> _Point:
         """The point's lift shifts, times the winding."""
         x = Fraction(x).limit_denominator(10 ** 9) if isinstance(x, float) else as_rational(x)
         key = (x.numerator, x.denominator, self.winding)
         if self._last is None or self._last[0] != key:
-            self._last = (key, _Point([(self.winding * _lift_shift(p, x),) for p in (0, 1)]))
+            shifts = [(self.winding * _lift_shift(p, *x.as_integer_ratio()),) for p in (0, 1)]
+            self._last = (key, _Point(shifts))
         return self._last[1]
 
     def transition(self, i: int, j: int, x) -> tuple:
@@ -158,11 +162,7 @@ class TorusCover:
 
     def chi(self, patch: int, x) -> float:
         p = self.patches[patch]
-        return self.chi1(p[0], x[0]) * self.chi1(p[1], x[1])
-
-    @staticmethod
-    def chi1(circle_patch: int, coord) -> float:
-        return _chi_pair(float(coord) % 1.0)[circle_patch]
+        return _chi_pair(float(x[0]) % 1.0)[p[0]] * _chi_pair(float(x[1]) % 1.0)[p[1]]
 
     def _point(self, x) -> _Point:
         """Each patch's shift and lift: lift(patch, x) = x mod 1 + shift."""
@@ -170,7 +170,7 @@ class TorusCover:
         key = (frac, self.lift_shifts)
         if self._last is None or self._last[0] != key:
             shifts = [
-                tuple(_lift_shift(p[c], frac[c]) + s[c] for c in (0, 1))
+                tuple(_lift_shift(p[c], *frac[c].as_integer_ratio()) + s[c] for c in (0, 1))
                 for p, s in zip(self.patches, self.lift_shifts)
             ]
             lifts = [(frac[0] + s[0], frac[1] + s[1]) for s in shifts]
@@ -187,9 +187,7 @@ class TorusCover:
         return self._point(x).phase_turns(i, j)
 
     def grid(self, n: int) -> list:
-        return [
-            (Fraction(a, n), Fraction(b, n)) for a in range(n) for b in range(n)
-        ]
+        return [(Fraction(a, n), Fraction(b, n)) for a in range(n) for b in range(n)]
 
 
 class Projection:
@@ -297,8 +295,9 @@ def lott_pairing_circle(cover: CircleCover, cochain: GroupCochain | None = None,
     """Pairing of the circle projection with a degree one cochain.
 
     w_c = sum over the grid of chi_{i0}^2 d(chi_{i1}^2) cbar(g_{i1 i0})
-    with centered differences; for the coordinate cochain this is the
-    transition winding, normalized so winding one gives +1.
+    with centered differences over the points k / n; for the coordinate
+    cochain this is the transition winding, normalized so winding one
+    gives +1.
     """
     if cover.group != FreeAbelianGroup(1):
         raise CoverError(f"the circle pairing needs a cover over Z^1, not {cover.group!r}")
@@ -309,32 +308,31 @@ def lott_pairing_circle(cover: CircleCover, cochain: GroupCochain | None = None,
     if n_grid < 3:
         raise CoverError(f"centered differences need n_grid >= 3, got {n_grid}")
     cbar = inhomogeneous(cochain)
-    xs = cover.grid(n_grid)
-    n = len(xs)
-    patches = range(cover.n_patches)
-    chi_sq = ([], [])  # one _chi_pair per point serves both patches
-    for x in xs:
-        c0, c1 = _chi_pair(float(x) % 1.0)
-        chi_sq[0].append(c0 ** 2)
-        chi_sq[1].append(c1 ** 2)
+    n = n_grid
+    # chi^2 of both patches at k - 1, k and k + 1 (mod n), one _chi_pair per point.
+    squares = (tuple(c ** 2 for c in _chi_pair(k % n / n)) for k in range(-1, n + 1))
+    before, here = next(squares), next(squares)
     # Transitions take few values (0 and +-winding): one cochain value each.
     values: dict = {}
     total = 0.0
-    for k, x in enumerate(xs):
-        point = cover._point(x)
-        diffs = [(row[(k + 1) % n] - row[(k - 1) % n]) / 2.0 for row in chi_sq]
-        for i0 in patches:
-            w0 = chi_sq[i0][k]
+    for k, after in enumerate(squares):
+        # Patch 1 has shift 0, so the transitions are differences with patch 0's shift.
+        s0 = cover.winding * _lift_shift(0, k, n)
+        transitions = (((0,), (s0,)), ((-s0,), (0,)))
+        diffs = [(a - b) / 2.0 for a, b in zip(after, before)]
+        for i0 in (0, 1):
+            w0 = here[i0]
             if w0 == 0.0:
                 continue
-            for i1 in patches:
+            for i1 in (0, 1):
                 diff = diffs[i1]
                 if diff == 0.0:
                     continue
-                g = point.transitions[i0][i1]
+                g = transitions[i0][i1]
                 value = values.get(g)
                 if value is None:
                     value = values[g] = cbar(g)
                 if value:
                     total += w0 * diff * value.real
+        before, here = here, after
     return total

@@ -175,10 +175,18 @@ def _scaled_matrix(m, s) -> tuple | None:
     return None if m is None else tuple(tuple(x * s for x in row) for row in m)
 
 
+def _per_row(fn, rows) -> tuple:
+    """tuple(map(fn, rows)), with one call per distinct row object (the zero table
+    repeats one).  rows must hold its rows, so that no id is reused meanwhile."""
+    done = {id(row): row for row in rows}
+    done = {key: fn(row) for key, row in done.items()}
+    return tuple(done[id(row)] for row in rows)
+
+
 def _integer_kernel(m) -> tuple[int, tuple]:
     """The common denominator D of a rational matrix and D * m as integers."""
-    d = math.lcm(*(x.denominator for row in m for x in row))
-    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m)
+    d = math.lcm(*(x.denominator for row in {id(row): row for row in m}.values() for x in row))
+    return d, _per_row(lambda row: tuple(x.numerator * (d // x.denominator) for x in row), m)
 
 
 class Multiplier:
@@ -252,7 +260,10 @@ class BilinearMultiplier(Multiplier):
         self._terms = [(i, j, c) for i, row in enumerate(numerators) for j, c in enumerate(row) if c]
 
     def _numerator(self, g, h) -> int:
-        return sum(c * g[i] * h[j] for i, j, c in self._terms)
+        n = 0
+        for i, j, c in self._terms:
+            n += c * g[i] * h[j]
+        return n
 
     def turns(self, g, h) -> Fraction:
         return Fraction(self._numerator(g, h), self._denominator)
@@ -318,7 +329,7 @@ class TableMultiplier(Multiplier):
         if not isinstance(group, FiniteTableGroup):
             raise MultiplierError("table multipliers need a finite table group")
         super().__init__(group)
-        self.turn_table = tuple(tuple(as_rational(x) for x in row) for row in turn_table)
+        self.turn_table = _per_row(lambda row: tuple(map(as_rational, row)), list(turn_table))
         if len(self.turn_table) != group.n or any(len(r) != group.n for r in self.turn_table):
             raise MultiplierError("phase table must be n x n")
         e = group.identity_index

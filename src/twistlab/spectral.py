@@ -247,7 +247,7 @@ def eta_operator(operator, tau=None, method: str = "bloch", normalization: str =
         for s in map(as_rational, s_grid):
             # sigma^1 is sigma, so its eta is the base eta, bit for bit.
             res = base if s == 1 else eta_operator(
-                AlgebraElement(operator.sigma.power(s), operator.coeffs, check=False), *args)
+                AlgebraElement._from_dict(operator.sigma.power(s), operator.coeffs), *args)
             germ[str(s)] = res.eta
         base.germ = germ
         return base

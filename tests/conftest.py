@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -16,3 +17,13 @@ settings.load_profile("ci")
 @pytest.fixture
 def rng():
     return random.Random(20260823)
+
+
+@pytest.fixture
+def schedule(monkeypatch):
+    """schedule(cpus): make representations._in_order run its tasks in one process
+    (cpus 1) or in two (cpus 2)."""
+    def set_cpus(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+    return set_cpus

@@ -13,6 +13,7 @@ from twistlab import (
     PhaseMap,
     ProductGroup,
     coboundary,
+    cyclic_group,
     element_from_json,
     magnetic_multiplier,
     projective_iso,
@@ -220,8 +221,102 @@ def test_separately_built_equal_multipliers_share_an_algebra():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1, float("-inf"))])
 def test_non_finite_coefficients_are_rejected(bad):
     sigma = SIGMAS["lattice-magnetic"]
-    for check in (True, False):
-        with pytest.raises(AlgebraError):
-            AlgebraElement(sigma, [((1, 0), 1.0), ((0, 1), bad)], check=check)
+    with pytest.raises(AlgebraError):
+        AlgebraElement(sigma, [((1, 0), 1.0), ((0, 1), bad)])
+    # Internal results skip the element checks but not the finiteness check.
+    with pytest.raises(AlgebraError):
+        AlgebraElement._from_dict(sigma, {(1, 0): 1.0 + 0j, (0, 1): complex(bad)})
     with pytest.raises(AlgebraError):
         bad * AlgebraElement.delta(sigma, (1, 0))
+
+
+# Reference arithmetic: every result goes through the validating constructor,
+# with the accumulation order of the element methods.
+def ref_add(a, b):
+    out = dict(a.coeffs)
+    for g, c in b.coeffs.items():
+        out[g] = out.get(g, 0.0) + c
+    return AlgebraElement(a.sigma, out)
+
+
+def ref_scaled(s, a):
+    return AlgebraElement(a.sigma, {g: complex(s) * c for g, c in a.coeffs.items()})
+
+
+def ref_times(a, s):
+    return AlgebraElement(a.sigma, {g: c * complex(s) for g, c in a.coeffs.items()})
+
+
+def ref_convolve(a, b):
+    out = {}
+    for g1, c1 in a.coeffs.items():
+        for g2, c2 in b.coeffs.items():
+            g = a.group.multiply(g1, g2)
+            out[g] = out.get(g, 0.0) + c1 * c2 * a.sigma.value(g1, g2)
+    return AlgebraElement(a.sigma, out)
+
+
+def ref_star(a):
+    out = {}
+    for g, c in a.coeffs.items():
+        ginv = a.group.inverse(g)
+        out[ginv] = c.conjugate() * a.sigma.value(g, ginv).conjugate()
+    return AlgebraElement(a.sigma, out)
+
+
+def bits(a):
+    return a.sigma, [(g, c.real.hex(), c.imag.hex()) for g, c in a.coeffs.items()]
+
+
+C2 = cyclic_group(2)
+ARITHMETIC_SIGMAS = {
+    "landau": magnetic_multiplier("1/3", "landau"),
+    "symmetric": magnetic_multiplier("2/7", "symmetric"),
+    "s3-coboundary": coboundary(PhaseMap.random_exact(S3, random.Random(5))),
+    "c2xs3": ProductMultiplier(
+        ProductGroup(C2, S3),
+        coboundary(PhaseMap.random_exact(C2, random.Random(6))),
+        coboundary(PhaseMap.random_exact(S3, random.Random(7))),
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(ARITHMETIC_SIGMAS))
+def test_element_arithmetic_equals_the_validated_reference_bitwise(key):
+    sigma = ARITHMETIC_SIGMAS[key]
+    rng = random.Random(2024)
+    z = PhaseMap.random_exact(sigma.group, random.Random(8))
+    target = sigma.twist(z.conjugate())
+    elements = [random_element(sigma, rng, n_terms=rng.randint(1, 6), spread=2) for _ in range(8)]
+    elements.append(AlgebraElement(sigma, []))
+    scalars = [3, -1.0, 2.5, -1j, complex(0.3, -0.7)]
+    for a in elements:
+        for b in elements:
+            assert bits(a.convolve(b)) == bits(ref_convolve(a, b))
+            assert bits(a * b) == bits(ref_convolve(a, b))
+            assert bits(a + b) == bits(ref_add(a, b))
+            assert bits(a - b) == bits(ref_add(a, ref_scaled(-1.0, b)))
+        assert bits(a - a) == bits(ref_add(a, ref_scaled(-1.0, a)))
+        assert bits(-a) == bits(ref_scaled(-1.0, a))
+        for s in scalars:
+            assert bits(a * s) == bits(ref_times(a, s))
+            assert bits(s * a) == bits(ref_scaled(s, a))
+        assert bits(a.star()) == bits(ref_star(a))
+        mapped = a.apply_phase_map(z, target)
+        assert mapped.sigma is target
+        assert bits(mapped) == bits(AlgebraElement(target, {g: c * z(g) for g, c in a.coeffs.items()}))
+
+
+def test_the_same_algebra_check_still_compares_distinct_multipliers():
+    a = AlgebraElement.delta(magnetic_multiplier("1/3"), (1, 0))
+    equal = BilinearMultiplier(Z2, [[0, Fraction(1, 3)], [1, 0]])
+    assert equal is not a.sigma
+    b = AlgebraElement.delta(equal, (0, 1))
+    assert bits(a.convolve(b)) == bits(ref_convolve(a, b))
+    assert (a + b).support() == [(0, 1), (1, 0)]
+    for other in (AlgebraElement.delta(magnetic_multiplier("1/4"), (0, 1)),
+                  AlgebraElement.delta(SIGMAS["s3-coboundary"], 1),
+                  AlgebraElement.delta(SIGMAS["product"], ((0, 1), 2))):
+        for op in (AlgebraElement.__add__, AlgebraElement.__sub__, AlgebraElement.convolve):
+            with pytest.raises(AlgebraError, match="different twisted algebras"):
+                op(a, other)

@@ -1,5 +1,6 @@
 """End to end tests of the command line interface."""
 
+import functools
 import io
 import json
 import math
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twistlab import SpectralError, butterfly_csv, butterfly_rows, cli
+from twistlab import SpectralError, butterfly_csv, butterfly_rows, cli, representations
+from twistlab import verify as verify_mod
 from twistlab.cli import main
 from twistlab.verify import suite_names
 
@@ -46,6 +48,44 @@ def test_verify_single_suite(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["suites"][0]["suite"] == name
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process schedule forks")
+
+
+@needs_fork
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_verify_all_does_not_depend_on_the_schedule(capsys, schedule, seed):
+    outputs = []
+    for cpus in (1, 2):
+        schedule(cpus)
+        outputs.append(run(capsys, ["verify", "--seed", str(seed)]))
+    assert outputs[1] == outputs[0]
+    assert outputs[0][0] == 0
+
+
+@needs_fork
+def test_a_failing_helper_suite_reaches_the_caller_in_both_schedules(monkeypatch, capsys, schedule):
+    names = suite_names()
+    assert names.index("traces") == 3  # a suite the helper runs
+
+    def broken(seed):
+        raise RuntimeError(f"traces broke at seed {seed}")
+
+    monkeypatch.setitem(verify_mod._SUITES, "traces", broken)
+    work = functools.partial(verify_mod.run_suite, seed=5)
+    for cpus in (1, 2):
+        schedule(cpus)
+        reports = []
+        with pytest.raises(RuntimeError, match="^traces broke at seed 5$"):
+            for report in representations._in_order(names, work):
+                reports.append(report.to_json())
+        assert reports == [verify_mod.run_suite(name, 5).to_json() for name in names[:3]]
+        with pytest.raises(RuntimeError, match="^traces broke at seed 5$"):
+            main(["verify", "--seed", "5"])
+        assert capsys.readouterr().out == ""
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_verify_rejects_unknown_suite(capsys):
@@ -178,7 +218,7 @@ def test_butterfly_streams_at_bounded_memory(tmp_path):
         assert helper_kb / 1024 < limit_mb, f"{argv[0]}: helper peak RSS {helper_kb / 1024:.1f} MB"
 
 
-def test_butterfly_stdout_is_the_out_file_and_the_one_process_csv(monkeypatch, tmp_path):
+def test_butterfly_stdout_is_the_out_file_and_the_one_process_csv(tmp_path, schedule):
     # A helper that flushed the stdout buffer it inherits would write the
     # header, already buffered when it is forked, a second time.  Without
     # PYTHONUNBUFFERED a piped stdout is block-buffered.
@@ -190,7 +230,7 @@ def test_butterfly_stdout_is_the_out_file_and_the_one_process_csv(monkeypatch, t
     runs = [subprocess.run([sys.executable, "-m", "twistlab.cli"] + argv + extra, env=env,
                            capture_output=True, timeout=120) for extra in ([], ["--out", str(target)])]
     assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    schedule(1)
     one_process = "".join(butterfly_csv(3, 8)).encode("ascii")
     assert runs[0].stdout == target.read_bytes() == one_process
     assert runs[1].stdout == b""
@@ -315,6 +355,31 @@ def test_pairing_circle(capsys):
     code, out = run(capsys, ["pairing-circle", "--winding", "2", "--n-grid", "256"])
     assert code == 0
     assert json.loads(out)["pairing"] == pytest.approx(2.0, abs=1e-3)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM from procfs")
+def test_pairing_circle_runs_in_constant_memory(tmp_path):
+    # VmHWM, as in test_butterfly_streams_at_bounded_memory: a child's
+    # ru_maxrss would also count this test process.  Importing the CLI alone
+    # peaks near 30 MB; n-long partition lists took 69 MB at this grid.
+    child = (
+        "import re, sys\n"
+        "from twistlab.cli import main\n"
+        "code = main(['pairing-circle', '--winding', '2', '--n-grid', '200000', '--out', sys.argv[1]])\n"
+        "status = open('/proc/self/status', encoding='ascii').read()\n"
+        "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    target = tmp_path / "pairing.json"
+    proc = subprocess.run([sys.executable, "-c", child, str(target)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb = (int(x) for x in proc.stdout.split())
+    assert code == 0
+    assert json.loads(target.read_text())["pairing"] == pytest.approx(2.0, abs=1e-6)
+    assert peak_kb / 1024 < 40, f"peak RSS {peak_kb / 1024:.1f} MB"
 
 
 @pytest.mark.parametrize("n_grid", ["0", "-3", "2"])

@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from twistlab import FreeAbelianGroup, mishchenko
@@ -370,6 +371,59 @@ def test_pairing_equals_the_reference_loop_bitwise(n_grid, winding):
     coord = GroupCochain(cover.group, 1, lambda g0, g1: float(g1[0] - g0[0]), "z")
     assert same_float(lott_pairing_circle(cover, n_grid=n_grid),
                       reference_pairing(cover, coord, n_grid))
+
+
+def fraction_grid_pairing(cover, n_grid):
+    """The circle pairing as a loop over a Fraction grid, with n-long chi^2 lists
+    and transitions from Fraction lifts (the reference for the integer walk)."""
+    cbar = inhomogeneous(GroupCochain.coordinate_z(cover.group, 0))
+    xs = [Fraction(k, n_grid) for k in range(n_grid)]
+    n = len(xs)
+    chi_sq = ([], [])
+    for x in xs:
+        c0, c1 = mishchenko._chi_pair(float(x) % 1.0)
+        chi_sq[0].append(c0 ** 2)
+        chi_sq[1].append(c1 ** 2)
+    values = {}
+    total = 0.0
+    for k, x in enumerate(xs):
+        diffs = [(row[(k + 1) % n] - row[(k - 1) % n]) / 2.0 for row in chi_sq]
+        for i0 in range(2):
+            w0 = chi_sq[i0][k]
+            if w0 == 0.0:
+                continue
+            for i1 in range(2):
+                diff = diffs[i1]
+                if diff == 0.0:
+                    continue
+                step = fraction_lift(i0, x) - fraction_lift(i1, x)
+                g = (cover.winding * int(step),)
+                value = values.get(g)
+                if value is None:
+                    value = values[g] = cbar(g)
+                if value:
+                    total += w0 * diff * value.real
+    return total
+
+
+# Even grids put k = n / 2 on the chart boundary x = 1/2.
+@pytest.mark.parametrize("n_grid", [3, 4, 7, 10, 1024])
+@pytest.mark.parametrize("winding", [-3, 0, 1, 2])
+def test_integer_grid_pairing_equals_the_fraction_grid_loop_bitwise(n_grid, winding):
+    cover = CircleCover(winding)
+    assert same_float(lott_pairing_circle(cover, n_grid=n_grid),
+                      fraction_grid_pairing(cover, n_grid))
+
+
+@pytest.mark.parametrize("winding", [2.7, 2.0, True, False, "3", Fraction(2), None])
+def test_circle_cover_rejects_non_integer_windings(winding):
+    with pytest.raises(CoverError, match="winding must be an integer"):
+        CircleCover(winding)
+
+
+def test_circle_cover_keeps_integer_windings():
+    assert CircleCover(-3).winding == -3
+    assert type(CircleCover(np.int64(2)).winding) is int
 
 
 def test_pairing_with_a_custom_cochain_equals_the_reference_bitwise():

@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 import struct
+import time
 from fractions import Fraction
 
 import pytest
@@ -34,7 +36,7 @@ from twistlab.multipliers import (
     TwistedMultiplier,
     decided_equal,
 )
-from twistlab.phases import Phase
+from twistlab.phases import Phase, as_rational, rational_str
 
 Z2 = FreeAbelianGroup(2)
 S3 = symmetric_group(3)
@@ -517,3 +519,38 @@ def test_sampled_cocycle_check_on_a_perturbed_product_matches_the_phase_path():
     report = verify_cocycle(sigma, samples=400, seed=4)
     assert not report.passed
     assert report == reference_cocycle_report(sigma, triples, "sampled")
+
+
+def entrywise_kernel(turn_table):
+    """Turn table, denominator and numerators with every entry converted on its own."""
+    table = tuple(tuple(as_rational(x) for x in row) for row in turn_table)
+    d = math.lcm(*(x.denominator for row in table for x in row))
+    return table, d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in table)
+
+
+def table_kernel(sigma):
+    return sigma.turn_table, sigma._denominator, sigma._numerators
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_table_multipliers_equal_the_entrywise_conversion(n):
+    group = symmetric_group(n)
+    table = coboundary(PhaseMap.random_exact(group, random.Random(n), denominator=12)).turn_table
+    as_text = [[rational_str(x) for x in row] for row in table]
+    shared = [as_text[0]] * group.n  # one row object, repeated
+    shared[group.identity_index] = ["0"] * group.n
+    for rows in (table, as_text, shared):
+        assert table_kernel(TableMultiplier(group, rows)) == entrywise_kernel(rows)
+    # Fresh row lists from a generator: a row freed before the next is made
+    # could reuse its id, so the rows must be held while ids are compared.
+    fresh = TableMultiplier(group, ([*row] for row in as_text))
+    assert table_kernel(fresh) == entrywise_kernel(as_text)
+
+
+def test_the_s6_zero_table_converts_one_row():
+    s6 = symmetric_group(6)
+    start = time.perf_counter()
+    sigma = trivial_multiplier(s6)
+    elapsed = time.perf_counter() - start
+    assert table_kernel(sigma) == entrywise_kernel(((Fraction(0),) * 720,) * 720)
+    assert elapsed < 0.05, f"trivial_multiplier(S6) took {elapsed:.3f} s"

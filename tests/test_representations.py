@@ -260,17 +260,12 @@ def test_butterfly_sweeps_reject_empty_sizes_before_the_header(qmax, kgrid):
             next(rows)
 
 
-def _schedule(monkeypatch, cpus):
-    """Make butterfly_csv run its blocks in one process (cpus 1) or in two (cpus 2)."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process schedule forks")
 
 
-def test_cli_writes_one_chunk_per_bloch_block(monkeypatch, capsys):
+def test_cli_writes_one_chunk_per_bloch_block(monkeypatch, schedule, capsys):
     # One process, so every block is built here and counted.
-    _schedule(monkeypatch, 1)
+    schedule(1)
     monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 40)
     solved = []
     fiber_stack = BlochMap.fiber_stack
@@ -298,7 +293,8 @@ HOPPINGS = ((1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 0.5, 0.5), (0.5, 0.5, 1.0, 1.0), (1
     (qmax, kgrid, HOPPINGS[i % len(HOPPINGS)])
     for i, (qmax, kgrid) in enumerate([*itertools.product((1, 4, 8), (1, 5, 16, 64)), (2, 7)])
 ])
-def test_butterfly_chunks_do_not_depend_on_the_schedule(monkeypatch, qmax, kgrid, coefficients):
+def test_butterfly_chunks_do_not_depend_on_the_schedule(monkeypatch, schedule, qmax, kgrid,
+                                                        coefficients):
     # 40 entries: many small blocks, one fiber each from q = 7 on.  The block
     # count is odd at qmax 1 for kgrid 1 and 5 (one block, so no helper
     # task) and at qmax 2, kgrid 7 (nine).  At qmax 8, kgrid 64 they would
@@ -312,7 +308,7 @@ def test_butterfly_chunks_do_not_depend_on_the_schedule(monkeypatch, qmax, kgrid
     monkeypatch.setattr(BlochMap, "_solve", lambda self, *args: solved.append(1) or solve(self, *args))
     schedules = []
     for cpus in (1, 2):
-        _schedule(monkeypatch, cpus)
+        schedule(cpus)
         solved.clear()
         schedules.append((list(butterfly_csv(qmax, kgrid, coefficients)), len(solved)))
     (one, blocks), (two, here) = schedules
@@ -324,9 +320,9 @@ def test_butterfly_chunks_do_not_depend_on_the_schedule(monkeypatch, qmax, kgrid
 
 @needs_fork
 @pytest.mark.parametrize("failing", [7, 12])  # a helper's block, then one of this process
-def test_two_processes_fail_where_one_would(monkeypatch, failing):
+def test_two_processes_fail_where_one_would(monkeypatch, schedule, failing):
     monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 40)
-    _schedule(monkeypatch, 1)
+    schedule(1)
     keys = []
     solve = BlochMap._solve
     monkeypatch.setattr(BlochMap, "_solve", lambda self, a, k1s, k2s, *args: (
@@ -341,7 +337,7 @@ def test_two_processes_fail_where_one_would(monkeypatch, failing):
     monkeypatch.setattr(BlochMap, "_solve", failing_solve)
     outcomes = []
     for cpus in (1, 2):
-        _schedule(monkeypatch, cpus)
+        schedule(cpus)
         chunks = []
         with pytest.raises(SpectralError) as info:
             for chunk in butterfly_csv(4, 5):
@@ -353,8 +349,8 @@ def test_two_processes_fail_where_one_would(monkeypatch, failing):
 
 
 @needs_fork
-def test_two_processes_leave_no_child_behind(monkeypatch):
-    _schedule(monkeypatch, 2)
+def test_two_processes_leave_no_child_behind(monkeypatch, schedule):
+    schedule(2)
     monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 40)
     chunks = butterfly_csv(4, 5)
     # The header and blocks 0 and 1; block 1 comes from the helper.
@@ -376,9 +372,9 @@ def test_two_processes_leave_no_child_behind(monkeypatch):
 
 
 @needs_fork
-def test_a_helper_that_exits_without_sending_raises_child_process_error(monkeypatch):
+def test_a_helper_that_exits_without_sending_raises_child_process_error(monkeypatch, schedule):
     monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 40)
-    _schedule(monkeypatch, 1)
+    schedule(1)
     keys = []
     solve = BlochMap._solve
     monkeypatch.setattr(BlochMap, "_solve", lambda self, a, k1s, k2s, *args: (
@@ -393,7 +389,7 @@ def test_a_helper_that_exits_without_sending_raises_child_process_error(monkeypa
         return solve(self, a, k1s, k2s, *args)
 
     monkeypatch.setattr(BlochMap, "_solve", exiting_solve)
-    _schedule(monkeypatch, 2)
+    schedule(2)
     chunks = []
     with pytest.raises(ChildProcessError, match=f"before sending task {failing}$"):
         for chunk in butterfly_csv(4, 5):
@@ -404,9 +400,9 @@ def test_a_helper_that_exits_without_sending_raises_child_process_error(monkeypa
 
 
 @needs_fork
-def test_a_helper_system_exit_reaches_the_caller_in_both_schedules(monkeypatch):
+def test_a_helper_system_exit_reaches_the_caller_in_both_schedules(monkeypatch, schedule):
     monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 40)
-    _schedule(monkeypatch, 1)
+    schedule(1)
     keys = []
     solve = BlochMap._solve
     monkeypatch.setattr(BlochMap, "_solve", lambda self, a, k1s, k2s, *args: (
@@ -421,7 +417,7 @@ def test_a_helper_system_exit_reaches_the_caller_in_both_schedules(monkeypatch):
 
     monkeypatch.setattr(BlochMap, "_solve", exiting_solve)
     for cpus in (1, 2):
-        _schedule(monkeypatch, cpus)
+        schedule(cpus)
         chunks = []
         with pytest.raises(SystemExit) as info:
             for chunk in butterfly_csv(4, 5):
