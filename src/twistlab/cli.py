@@ -12,7 +12,9 @@ are made.  Every argument is checked before ``emit`` opens stdout or
 partial ``--out``.
 
 ``verify --suite all`` runs its suites in two processes when two CPUs
-are usable, with the same output as one.
+are usable, with the same output as one: a forked helper runs the
+longest suite and the one that adds the most memory, and the others are
+balanced between the two by a fixed table of suite costs.
 
 Exit codes: 0 success, 1 a verification suite failed, 2 bad
 configuration or arguments.
@@ -154,10 +156,30 @@ def emit(payload, out_path: str | None, as_json: bool = True) -> None:
         raise
 
 
+def _helper_suites(names: list) -> set:
+    """Indices of the suites that the helper process runs.
+
+    Longest first by verify._SUITE_COST, each suite goes to the process with
+    less work so far, the helper on a tie; the suite that adds the most
+    resident memory goes to the helper, which returns it when it exits.
+    """
+    ms, mb = zip(*(verify_mod._SUITE_COST[name] for name in names))
+    heavy = mb.index(max(mb))
+    helper, loads = set(), [0, 0]  # [this process, helper]
+    for index in sorted(range(len(names)), key=lambda i: -ms[i]):
+        side = index == heavy or loads[1] <= loads[0]
+        loads[side] += ms[index]
+        if side:
+            helper.add(index)
+    return helper
+
+
 def _cmd_verify(args) -> int:
     names = verify_mod.suite_names() if args.suite == "all" else [args.suite]
-    # Every other suite runs in a helper process; each makes its RNGs from the seed.
-    reports = list(_in_order(names, functools.partial(verify_mod.run_suite, seed=args.seed)))
+    # The helper process runs the suites _helper_suites gives it, this process the rest;
+    # each suite makes its RNGs from the seed.
+    work = functools.partial(verify_mod.run_suite, seed=args.seed)
+    reports = list(_in_order(names, work, _helper_suites(names)))
     payload = {
         "seed": args.seed,
         "passed": all(r.passed for r in reports),

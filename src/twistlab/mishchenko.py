@@ -203,29 +203,32 @@ class Projection:
         n = cover.n_patches
         chis = [cover.chi(i, x) for i in range(n)]
         point = cover._point(x)
+        element = AlgebraElement._from_dict
         rows = []
         for i in range(n):
             row = []
             for j in range(n):
                 w = chis[i] * chis[j]
                 if w == 0.0:
-                    row.append(AlgebraElement(self.sigma, []))
+                    row.append(element(self.sigma, {}))
                     continue
-                g = point.transitions[i][j]
                 phase = Phase(point.phase_turns(i, j)).value
-                row.append(AlgebraElement(self.sigma, [(g, w * phase)]))
+                row.append(element(self.sigma, {point.transitions[i][j]: w * phase}))
             rows.append(row)
         return rows
 
     def _mat_mul(self, a: list, b: list) -> list:
+        # Adding a zero product would leave acc as it is, so zero factors are skipped.
         n = len(a)
+        zero = AlgebraElement._from_dict(self.sigma, {})
         out = []
         for i in range(n):
             row = []
             for k in range(n):
-                acc = AlgebraElement(self.sigma, [])
+                acc = zero
                 for j in range(n):
-                    acc = acc + a[i][j].convolve(b[j][k])
+                    if a[i][j].coeffs and b[j][k].coeffs:
+                        acc = acc + a[i][j].convolve(b[j][k])
                 row.append(acc)
             out.append(row)
         return out

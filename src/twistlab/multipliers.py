@@ -172,7 +172,7 @@ def _zero_matrix(n: int) -> tuple:
 
 
 def _scaled_matrix(m, s) -> tuple | None:
-    return None if m is None else tuple(tuple(x * s for x in row) for row in m)
+    return None if m is None else _per_row(lambda row: tuple(x * s for x in row), m)
 
 
 def _per_row(fn, rows) -> tuple:
@@ -500,7 +500,7 @@ def multipliers_equal(a: Multiplier, b: Multiplier, radius: int = 5) -> bool:
     decided = decided_equal(a, b)
     if decided is not None:
         return decided
-    return all(Phase(a.turns(g, h)) == Phase(b.turns(g, h)) for g, h in _pair_set(a.group, radius))
+    return all((a.turns(g, h) - b.turns(g, h)).denominator == 1 for g, h in _pair_set(a.group, radius))
 
 
 def is_cohomologous_via(sigma: Multiplier, sigma_prime: Multiplier, z: PhaseMap,
@@ -532,18 +532,26 @@ class LatticeGeometry:
 
     def psi_turns(self, g, x: Sequence) -> Fraction:
         """psi_g(x) / (2 pi) at a rational point x."""
-        x1, x2 = (as_rational(v) for v in x)
-        g1, g2 = g
+        (a1, b1), (a2, b2) = (as_rational(v).as_integer_ratio() for v in x)
+        return self._plus_offsets(self._psi_numerator(g, a1, a2, b1, b2), b1, b2, ((1, g),))
+
+    def _psi_numerator(self, g, a1: int, a2: int, b1: int, b2: int) -> int:
+        """psi_g at (a1 / b1, a2 / b2) without its offset, in turns times 2 q b1 b2 (theta = p / q)."""
+        p = self.theta.numerator
         if self.gauge == "landau":
-            out = self.theta * g1 * x2
-        else:
-            out = self.theta * (Fraction(g1) * x2 - Fraction(g2) * x1) / 2
+            return 2 * p * g[0] * a2 * b1
+        return p * (g[0] * a2 * b1 - g[1] * a1 * b2)
+
+    def _plus_offsets(self, n: int, b1: int, b2: int, terms) -> Fraction:
+        """n / (2 q b1 b2) plus sign * offset(g) for each (sign, g) in terms, as one Fraction."""
+        d = 2 * self.theta.denominator * b1 * b2
         if self.offsets is not None:
-            off = as_rational(self.offsets(g))
-            if g == (0, 0) and off != 0:
-                raise MultiplierError("offset at the identity must vanish")
-            out += off
-        return out
+            for sign, g in terms:
+                off = as_rational(self.offsets(g))
+                if g == (0, 0) and off != 0:
+                    raise MultiplierError("offset at the identity must vanish")
+                n, d = n * off.denominator + sign * off.numerator * d, d * off.denominator
+        return Fraction(n, d)
 
     def vector_potential_turns(self, x: Sequence, direction: int) -> Fraction:
         """Edge potential for the step x -> x + e_direction, in turns."""
@@ -587,14 +595,14 @@ class GeometricMultiplier(Multiplier):
         self.geometry = geometry
 
     def turns(self, g, h) -> Fraction:
-        x0 = self.geometry.base_point
-        hx0 = (x0[0] + h[0], x0[1] + h[1])
+        # The three psi values share the denominator 2 q b1 b2, since h x0 has x0's denominators.
+        geo = self.geometry
+        (a1, b1), (a2, b2) = (v.as_integer_ratio() for v in geo.base_point)
         gh = (g[0] + h[0], g[1] + h[1])
-        return (
-            self.geometry.psi_turns(h, x0)
-            + self.geometry.psi_turns(g, hx0)
-            - self.geometry.psi_turns(gh, x0)
-        )
+        psi = geo._psi_numerator
+        n = (psi(h, a1, a2, b1, b2) + psi(g, a1 + h[0] * b1, a2 + h[1] * b2, b1, b2)
+             - psi(gh, a1, a2, b1, b2))
+        return geo._plus_offsets(n, b1, b2, ((1, h), (1, g), (-1, gh)))
 
     def power(self, s) -> "GeometricMultiplier":
         # The turns are linear in theta and the offsets together.

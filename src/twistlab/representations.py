@@ -16,11 +16,12 @@ grid order.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import os
 import pickle
 import signal
+import sys
+from collections.abc import Sized
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -410,21 +411,22 @@ def _butterfly_chunk(block) -> str:
 _PIPE_BYTES = 1 << 20
 
 
-def _in_order(tasks, work):
+def _in_order(tasks, work, helper=range(1, sys.maxsize, 2)):
     """work(task) for each task, in task order, computed by two processes.
 
-    With two or more usable CPUs, a helper forked here runs the odd-numbered
-    tasks and pickles each result into a pipe, while this process runs the
-    even-numbered ones and unpickles the helper's results in turn.  An
-    exception of the helper is raised here at its task's place.  Both
-    processes walk their own copy of tasks, so it must give the same tasks
-    in each.  Fork keeps the built state, which a spawned helper would
-    import and build again; the helper leaves through os._exit, so it runs
-    no exit hooks and flushes no stdio buffer it inherited.  Otherwise this
-    is map(work, tasks).
+    With two or more usable CPUs, a helper forked here runs the tasks whose
+    indices are in helper (by default the odd ones) and pickles each result
+    into a pipe, while this process runs the others and unpickles the
+    helper's results in turn.  An exception of the helper is raised here at
+    its task's place.  Both processes walk their own copy of tasks, so it
+    must give the same tasks in each.  Fork keeps the built state, which a
+    spawned helper would import and build again; the helper leaves through
+    os._exit, so it runs no exit hooks and flushes no stdio buffer it
+    inherited.  With one usable CPU, or a sized list of fewer than two
+    tasks, this is map(work, tasks).
     """
     cpus = getattr(os, "sched_getaffinity", None)
-    if cpus is None or len(cpus(0)) < 2:
+    if cpus is None or len(cpus(0)) < 2 or (isinstance(tasks, Sized) and len(tasks) < 2):
         yield from map(work, tasks)
         return
     import fcntl
@@ -445,8 +447,9 @@ def _in_order(tasks, work):
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
                 try:
-                    for task in itertools.islice(tasks, 1, None, 2):
-                        _send(pipe, (False, work(task)))
+                    for index, task in enumerate(tasks):
+                        if index in helper:
+                            _send(pipe, (False, work(task)))
                 except BaseException as exc:
                     _send(pipe, (True, exc))
         finally:
@@ -455,7 +458,7 @@ def _in_order(tasks, work):
     try:
         with open(read_fd, "rb") as pipe:
             for index, task in enumerate(tasks):
-                yield _receive(pipe, index) if index % 2 else work(task)
+                yield _receive(pipe, index) if index in helper else work(task)
     finally:
         # Killing a helper that has already exited does nothing; waitpid reaps it either way.
         os.kill(pid, signal.SIGKILL)

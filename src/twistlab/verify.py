@@ -266,6 +266,22 @@ _SUITES = {
     "mishchenko": _suite_mishchenko,
 }
 
+# What each suite costs alone in a fresh process: milliseconds, and megabytes
+# added to the peak resident set (seed 7, medians of 15 runs; 2 vCPU host,
+# Python 3.11, BLAS on one thread).  Most of spectral's megabytes are its
+# first import of numpy.random.  cli._helper_suites splits `verify --suite all`
+# between two processes by these figures; a stale figure costs time or
+# memory, never output.
+_SUITE_COST = {
+    "multiplier": (25, 0.3),
+    "algebra": (28, 0.3),
+    "representations": (20, 3.3),
+    "traces": (14, 0.3),
+    "spectral": (30, 9.5),
+    "cohomology": (27, 2.7),
+    "mishchenko": (112, 0.4),
+}
+
 
 def suite_names() -> list:
     return list(_SUITES)

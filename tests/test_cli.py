@@ -64,28 +64,91 @@ def test_verify_all_does_not_depend_on_the_schedule(capsys, schedule, seed):
     assert outputs[0][0] == 0
 
 
+def helper_suites_reference(names):
+    """The suites the helper runs by the cost rule: longest first, each to the process
+    with less work so far (the helper on a tie), and the one adding most memory to the helper."""
+    cost = verify_mod._SUITE_COST
+    heavy = max(names, key=lambda name: cost[name][1])
+    helper, here, there = set(), 0, 0
+    for name in sorted(names, key=lambda name: -cost[name][0]):
+        if name == heavy or there <= here:
+            helper.add(name)
+            there += cost[name][0]
+        else:
+            here += cost[name][0]
+    return helper
+
+
 @needs_fork
-def test_a_failing_helper_suite_reaches_the_caller_in_both_schedules(monkeypatch, capsys, schedule):
+def test_the_helper_runs_the_suites_the_cost_rule_gives_it(monkeypatch, capsys, schedule):
     names = suite_names()
-    assert names.index("traces") == 3  # a suite the helper runs
+    assert set(verify_mod._SUITE_COST) == set(names)
+    expected = helper_suites_reference(names)
+    assert "mishchenko" in expected and expected != set(names)
+    assert {names[i] for i in cli._helper_suites(names)} == expected
+
+    def report_pid(name, seed):
+        return verify_mod.SuiteReport(name, [verify_mod.CheckResult("pid", True, detail=str(os.getpid()))])
+
+    monkeypatch.setattr(verify_mod, "run_suite", report_pid)
+    schedule(2)
+    code, out = run(capsys, ["verify"])
+    assert code == 0
+    pids = {suite["suite"]: int(suite["checks"][0]["detail"]) for suite in json.loads(out)["suites"]}
+    assert list(pids) == names
+    assert {name for name, pid in pids.items() if pid != os.getpid()} == expected
+    assert len({pid for pid in pids.values() if pid != os.getpid()}) == 1
+
+
+@needs_fork
+def test_one_suite_runs_without_a_helper(monkeypatch, capsys, schedule):
+    schedule(1)
+    expected = run(capsys, ["verify", "--suite", "representations"])
+    assert expected[0] == 0
+
+    def no_fork():
+        raise OSError("fork was called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    schedule(2)
+    assert run(capsys, ["verify", "--suite", "representations"]) == expected
+
+
+def check_a_failing_suite_reaches_the_caller_in_both_schedules(monkeypatch, capsys, schedule, name):
+    names = suite_names()
+    index = names.index(name)
 
     def broken(seed):
-        raise RuntimeError(f"traces broke at seed {seed}")
+        raise RuntimeError(f"{name} broke at seed {seed}")
 
-    monkeypatch.setitem(verify_mod._SUITES, "traces", broken)
+    monkeypatch.setitem(verify_mod._SUITES, name, broken)
     work = functools.partial(verify_mod.run_suite, seed=5)
     for cpus in (1, 2):
         schedule(cpus)
         reports = []
-        with pytest.raises(RuntimeError, match="^traces broke at seed 5$"):
-            for report in representations._in_order(names, work):
+        with pytest.raises(RuntimeError, match=f"^{name} broke at seed 5$"):
+            for report in representations._in_order(names, work, cli._helper_suites(names)):
                 reports.append(report.to_json())
-        assert reports == [verify_mod.run_suite(name, 5).to_json() for name in names[:3]]
-        with pytest.raises(RuntimeError, match="^traces broke at seed 5$"):
+        assert reports == [verify_mod.run_suite(other, 5).to_json() for other in names[:index]]
+        with pytest.raises(RuntimeError, match=f"^{name} broke at seed 5$"):
             main(["verify", "--seed", "5"])
         assert capsys.readouterr().out == ""
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_a_failing_helper_suite_reaches_the_caller_in_both_schedules(monkeypatch, capsys, schedule):
+    names = suite_names()
+    assert names.index("spectral") in cli._helper_suites(names)  # a suite the helper runs
+    check_a_failing_suite_reaches_the_caller_in_both_schedules(monkeypatch, capsys, schedule, "spectral")
+
+
+@needs_fork
+def test_a_failing_suite_of_this_process_reaches_the_caller_in_both_schedules(monkeypatch, capsys, schedule):
+    names = suite_names()
+    assert names.index("traces") not in cli._helper_suites(names)  # a suite this process runs
+    check_a_failing_suite_reaches_the_caller_in_both_schedules(monkeypatch, capsys, schedule, "traces")
 
 
 def test_verify_rejects_unknown_suite(capsys):

@@ -358,9 +358,13 @@ def same_float(a, b):
 
 
 def same_matrix(a, b):
-    return all(
-        x.coeffs == y.coeffs and list(x.coeffs) == list(y.coeffs)
-        for row_a, row_b in zip(a, b) for x, y in zip(row_a, row_b)
+    """Entries with the same keys in the same order and the same coefficient bits."""
+    def bits(element):
+        return [(g, c.real.hex(), c.imag.hex()) for g, c in element.coeffs.items()]
+
+    return len(a) == len(b) and all(
+        len(row_a) == len(row_b) and all(bits(x) == bits(y) for x, y in zip(row_a, row_b))
+        for row_a, row_b in zip(a, b)
     )
 
 
@@ -449,7 +453,9 @@ def test_circle_projection_equals_the_reference_bitwise(n_grid, winding):
     proj = circle_projection(winding)
     cover = proj.cover
     for x in cover.grid(n_grid):
-        assert same_matrix(proj.matrix_at(x), reference_matrix_at(cover, cover.sigma, x))
+        p = proj.matrix_at(x)
+        assert same_matrix(p, reference_matrix_at(cover, cover.sigma, x))
+        assert same_matrix(proj._mat_mul(p, p), reference_mat_mul(cover.sigma, p, p))
         for i in range(2):
             for j in range(2):
                 assert cover.phase_turns(i, j, x) == reference_phase_turns(cover, i, j, x)

@@ -554,3 +554,95 @@ def test_the_s6_zero_table_converts_one_row():
     elapsed = time.perf_counter() - start
     assert table_kernel(sigma) == entrywise_kernel(((Fraction(0),) * 720,) * 720)
     assert elapsed < 0.05, f"trivial_multiplier(S6) took {elapsed:.3f} s"
+
+
+def test_scaled_tables_equal_the_entrywise_reference():
+    for n in (3, 4):
+        group = symmetric_group(n)
+        table = coboundary(PhaseMap.random_exact(group, random.Random(n), denominator=12)).turn_table
+        shared = [table[1]] * group.n  # one row object, repeated
+        shared[group.identity_index] = (Fraction(0),) * group.n
+        for rows in (table, shared):
+            sigma = TableMultiplier(group, rows)
+            for s in (Fraction(1, 2), Fraction(-7, 3), 0, -1):
+                scaled = [[x * s for x in row] for row in rows]
+                assert table_kernel(sigma.power(s)) == entrywise_kernel(scaled)
+            assert table_kernel(sigma.conjugate()) == entrywise_kernel([[-x for x in row] for row in rows])
+
+
+def test_the_s6_zero_table_scales_one_row():
+    sigma = trivial_multiplier(symmetric_group(6))
+    for scaled in (sigma.power(Fraction(1, 2)), sigma.conjugate()):
+        assert len({id(row) for row in scaled.turn_table}) == 1
+        assert len({id(row) for row in scaled._numerators}) == 1
+        assert table_kernel(scaled) == table_kernel(sigma)
+
+
+def reference_psi_turns(geometry, g, x):
+    """psi_g(x) in Fraction arithmetic, as LatticeGeometry computed it term by term."""
+    x1, x2 = (as_rational(v) for v in x)
+    g1, g2 = g
+    if geometry.gauge == "landau":
+        out = geometry.theta * g1 * x2
+    else:
+        out = geometry.theta * (Fraction(g1) * x2 - Fraction(g2) * x1) / 2
+    if geometry.offsets is not None:
+        off = as_rational(geometry.offsets(g))
+        if g == (0, 0) and off != 0:
+            raise MultiplierError("offset at the identity must vanish")
+        out += off
+    return out
+
+
+def reference_geometric_turns(geometry, g, h):
+    x0 = geometry.base_point
+    hx0 = (x0[0] + h[0], x0[1] + h[1])
+    gh = (g[0] + h[0], g[1] + h[1])
+    return (reference_psi_turns(geometry, h, x0) + reference_psi_turns(geometry, g, hx0)
+            - reference_psi_turns(geometry, gh, x0))
+
+
+def random_rational(rng, max_denominator):
+    return Fraction(rng.randint(-10 * max_denominator, 10 * max_denominator), rng.randint(1, max_denominator))
+
+
+@pytest.mark.parametrize("gauge", ["landau", "symmetric"])
+@pytest.mark.parametrize("theta", [Fraction(1, 3), Fraction(-5, 12), Fraction(7, 2),
+                                   Fraction(123456789, 10**9 + 7), Fraction(-10**9 - 6, 10**9 + 7)])
+def test_integer_psi_equals_the_fraction_reference(gauge, theta):
+    rng = random.Random(f"{gauge} {theta}")
+    table = {g: random_rational(rng, 97) for g in itertools.product(range(-4, 5), repeat=2)}
+    table[(0, 0)] = Fraction(0)
+    for offsets in (None, table.__getitem__, lambda g: g[0] - 2 * g[1]):
+        point = (random_rational(rng, 10**9 + 7), random_rational(rng, 30))
+        geometry = LatticeGeometry(theta, gauge, point, offsets)
+        geometric = GeometricMultiplier(geometry)
+        for _ in range(40):
+            g = (rng.randint(-2, 2), rng.randint(-2, 2))
+            h = (rng.randint(-2, 2), rng.randint(-2, 2))
+            x = random_rational(rng, 10**6), random_rational(rng, 10**9 + 7)
+            psi = geometry.psi_turns(g, x)
+            assert type(psi) is Fraction
+            assert psi == reference_psi_turns(geometry, g, x)
+            assert geometry.psi_turns(g, (str(x[0]), x[1])) == psi
+            assert geometric.turns(g, h) == reference_geometric_turns(geometry, g, h)
+
+
+def test_a_nonzero_offset_at_the_identity_still_raises():
+    geometry = LatticeGeometry(THETA, offsets=lambda g: Fraction(1, 4))
+    with pytest.raises(MultiplierError, match="offset at the identity"):
+        geometry.psi_turns((0, 0), (Fraction(1, 2), 3))
+    with pytest.raises(MultiplierError, match="offset at the identity"):
+        GeometricMultiplier(geometry).turns((1, 2), (-1, -2))
+    assert geometry.psi_turns((1, 0), (0, 0)) == Fraction(1, 4)
+
+
+def test_lazy_equality_compares_turns_mod_one():
+    geometric = GeometricMultiplier(LatticeGeometry("1/3"))
+    assert decided_equal(geometric, magnetic_multiplier("2/3")) is None
+    assert not multipliers_equal(geometric, magnetic_multiplier("2/3"))
+    assert multipliers_equal(geometric, magnetic_multiplier("1/3"))
+    integral = GeometricMultiplier(LatticeGeometry("1/3", offsets=lambda g: 3 * g[0] - g[1] * g[1]))
+    assert any(integral.turns(g, h) != geometric.turns(g, h) for g in Z2.ball(2) for h in Z2.ball(2))
+    assert multipliers_equal(integral, magnetic_multiplier("1/3"))
+    assert multipliers_equal(integral, geometric)

@@ -319,6 +319,17 @@ def test_butterfly_chunks_do_not_depend_on_the_schedule(monkeypatch, schedule, q
 
 
 @needs_fork
+def test_the_butterfly_helper_runs_the_odd_blocks(monkeypatch, schedule):
+    monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 40)
+    monkeypatch.setattr(representations, "_butterfly_chunk", lambda block: f"{os.getpid()}\n")
+    schedule(2)
+    pids = [int(chunk) for chunk in list(butterfly_csv(4, 5))[1:]]
+    assert len(pids) > 2
+    assert [pid != os.getpid() for pid in pids] == [index % 2 == 1 for index in range(len(pids))]
+    assert len(set(pids[1::2])) == 1
+
+
+@needs_fork
 @pytest.mark.parametrize("failing", [7, 12])  # a helper's block, then one of this process
 def test_two_processes_fail_where_one_would(monkeypatch, schedule, failing):
     monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 40)
