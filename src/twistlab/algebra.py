@@ -9,6 +9,14 @@ and involution (c delta_g)^* = conj(c) conj(sigma(g, g^-1)) delta_{g^-1}.
 Coefficients below PRUNE_TOL are dropped after every operation; NaN or
 infinite coefficients are rejected.  The results of the arithmetic here
 skip the constructor's element checks but keep the finiteness check and the prune.
+
+A normal-form multiplier gives sigma(g1, g2) as the root exp(2 pi i r / D)
+of the residue r of an integer numerator mod D, and ``convolve`` computes
+each residue's root once per call, in a memo that lives only for that call:
+D can be 10^9 + 7, so no table outlives it.  Lazy multipliers are evaluated
+pair by pair through ``sigma.value``.  ``distance_l1`` is the l1 norm of a
+difference, summed as ``(a - b).norm_l1()`` sums it, without building the
+difference.
 """
 
 from __future__ import annotations
@@ -31,6 +39,25 @@ def _same_multiplier(a: Multiplier, b: Multiplier) -> bool:
     return a is b or decided_equal(a, b) is True
 
 
+def _checked(data: dict) -> dict:
+    """data without its coefficients of modulus PRUNE_TOL or less; raises if one is not finite."""
+    if not all(map(cmath.isfinite, data.values())):
+        raise AlgebraError("coefficients must be finite")
+    out = {}  # a loop, not a comprehension: most dicts here hold one to four terms
+    for g, c in data.items():
+        if abs(c) > PRUNE_TOL:
+            out[g] = c
+    return out
+
+
+def _add_into(out: dict, other: dict) -> dict:
+    """out + other coefficientwise, in place: other's new keys go last, in its order."""
+    get = out.get
+    for g, c in other.items():
+        out[g] = get(g, 0.0) + c
+    return out
+
+
 class AlgebraElement:
     """A finitely supported function on the group, tied to a multiplier."""
 
@@ -48,11 +75,9 @@ class AlgebraElement:
         self._set(sigma, data)
 
     def _set(self, sigma: Multiplier, data: dict) -> None:
-        if not all(map(cmath.isfinite, data.values())):
-            raise AlgebraError("coefficients must be finite")
+        self.coeffs = _checked(data)
         self.sigma = sigma
         self.group = sigma.group
-        self.coeffs = {g: c for g, c in data.items() if abs(c) > PRUNE_TOL}
 
     @classmethod
     def _from_dict(cls, sigma: Multiplier, data: dict) -> "AlgebraElement":
@@ -84,6 +109,13 @@ class AlgebraElement:
     def norm_l1(self) -> float:
         return sum(abs(c) for c in self.coeffs.values())
 
+    def distance_l1(self, other: "AlgebraElement") -> float:
+        """(self - other).norm_l1(), bit for bit: the same (-1.0) products, sums, check and prune."""
+        self._require_same_algebra(other)
+        minus_one = complex(-1.0)
+        negated = {g: c * minus_one for g, c in other.coeffs.items()}
+        return sum(map(abs, _checked(_add_into(dict(self.coeffs), negated)).values()))
+
     def norm_l2(self) -> float:
         return sum(abs(c) ** 2 for c in self.coeffs.values()) ** 0.5
 
@@ -96,10 +128,7 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._require_same_algebra(other)
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            out[g] = out.get(g, 0.0) + c
-        return AlgebraElement._from_dict(self.sigma, out)
+        return AlgebraElement._from_dict(self.sigma, _add_into(dict(self.coeffs), other.coeffs))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
@@ -120,16 +149,33 @@ class AlgebraElement:
 
     def convolve(self, other: "AlgebraElement") -> "AlgebraElement":
         self._require_same_algebra(other)
+        return AlgebraElement._from_dict(self.sigma, self._products(other))
+
+    def _products(self, other: "AlgebraElement") -> dict:
+        """The sums of c1 c2 sigma(g1, g2) over g1 g2 = g, before the check and the prune."""
         sigma = self.sigma
-        multiply, value = self.group.multiply, sigma.value
+        multiply, d = self.group.multiply, sigma._denominator
         out: dict = {}
         get = out.get
         right = other.coeffs.items()
-        for g1, c1 in self.coeffs.items():
-            for g2, c2 in right:
-                g = multiply(g1, g2)
-                out[g] = get(g, 0.0) + c1 * c2 * value(g1, g2)
-        return AlgebraElement._from_dict(sigma, out)
+        if d is None:
+            value = sigma.value
+            for g1, c1 in self.coeffs.items():
+                for g2, c2 in right:
+                    g = multiply(g1, g2)
+                    out[g] = get(g, 0.0) + c1 * c2 * value(g1, g2)
+        else:
+            # sigma.value's expression, computed once per residue of the numerator mod d.
+            numerator, roots = sigma._numerator, {}
+            for g1, c1 in self.coeffs.items():
+                for g2, c2 in right:
+                    g = multiply(g1, g2)
+                    r = numerator(g1, g2) % d
+                    root = roots.get(r)
+                    if root is None:
+                        root = roots[r] = cmath.exp(2j * cmath.pi * (r / d))
+                    out[g] = get(g, 0.0) + c1 * c2 * root
+        return out
 
     def star(self) -> "AlgebraElement":
         """Involution: (c delta_g)^* = conj(c) conj(sigma(g, g^-1)) delta_{g^-1}."""

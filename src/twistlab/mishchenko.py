@@ -17,22 +17,31 @@ cover's geometric multiplier is the magnetic pairing exactly, as
 rationals, so the torus projection convolves over that normal form and
 its integer kernel.
 
+The checks build no element for an intermediate sum or a difference:
+``_mat_mul`` sums each entry's products on plain dicts, checked and pruned
+after every step as element arithmetic is, and ``defects_at`` takes the l1
+norms of P^2 - P and P^* - P through ``AlgebraElement.distance_l1``.
+``rank_trace`` reads the diagonal only: a diagonal transition is the
+identity, whose phase is a constant, so it builds no point per grid point.
+
 The pairing of such a projection with a degree one group cochain
 recovers the winding of the transition cocycle by a discretized
 Stokes sum over the base grid.  The circle pairing walks the integer grid
 indices k = 0, ..., n - 1 and holds the partition at k - 1, k and k + 1
-only, so it runs in constant memory.
+as six floats, so it runs in constant memory and builds nothing per k.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 import operator
 from fractions import Fraction
 from numbers import Integral
 from typing import Callable, Sequence
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, _add_into, _checked
 from .cohomology import GroupCochain, inhomogeneous
 from .groups import FreeAbelianGroup
 from .multipliers import (
@@ -42,7 +51,7 @@ from .multipliers import (
     magnetic_multiplier,
     trivial_multiplier,
 )
-from .phases import Phase, as_rational
+from .phases import as_rational
 
 
 class CoverError(Exception):
@@ -74,7 +83,8 @@ class _Point:
 
     The transition g_ij is shifts[i] - shifts[j] for integer lift shifts;
     its phase is minus the gauge potential psi of g_ij at lifts[j], or zero
-    without a potential.
+    without a potential.  A lift is a pair of integer ratios (a, b) for a / b,
+    and psi(g, *lift) gives turns as an integer pair (n, d) for n / d.
     """
 
     __slots__ = ("transitions", "lifts", "psi")
@@ -84,10 +94,19 @@ class _Point:
         self.lifts = lifts
         self.psi = psi
 
-    def phase_turns(self, i: int, j: int) -> Fraction:
+    def _phase_pair(self, i: int, j: int) -> tuple[int, int]:
         if self.psi is None:
-            return Fraction(0)
-        return -self.psi(self.transitions[i][j], self.lifts[j])
+            return 0, 1
+        n, d = self.psi(self.transitions[i][j], *self.lifts[j])
+        return -n, d
+
+    def phase_turns(self, i: int, j: int) -> Fraction:
+        return Fraction(*self._phase_pair(i, j))
+
+    def phase_value(self, i: int, j: int) -> complex:
+        """Phase(self.phase_turns(i, j)).value: (n mod d) / d is the float of n / d mod 1."""
+        n, d = self._phase_pair(i, j)
+        return cmath.exp(2j * cmath.pi * (n % d / d))
 
 
 class CircleCover:
@@ -169,16 +188,17 @@ class TorusCover:
         frac = tuple(as_rational(v) % 1 for v in x)
         key = (frac, self.lift_shifts)
         if self._last is None or self._last[0] != key:
+            ratios = [v.as_integer_ratio() for v in frac]
             shifts = [
-                tuple(_lift_shift(p[c], *frac[c].as_integer_ratio()) + s[c] for c in (0, 1))
+                tuple(_lift_shift(p[c], *ratios[c]) + s[c] for c in (0, 1))
                 for p, s in zip(self.patches, self.lift_shifts)
             ]
-            lifts = [(frac[0] + s[0], frac[1] + s[1]) for s in shifts]
-            self._last = (key, _Point(shifts, lifts, self.geometry.psi_turns))
+            lifts = [tuple((a + s * b, b) for (a, b), s in zip(ratios, shift)) for shift in shifts]
+            self._last = (key, _Point(shifts, lifts, self.geometry._psi_pair))
         return self._last[1]
 
     def lift(self, patch: int, x) -> tuple:
-        return self._point(x).lifts[patch]
+        return tuple(Fraction(a, b) for a, b in self._point(x).lifts[patch])
 
     def transition(self, i: int, j: int, x) -> tuple:
         return self._point(x).transitions[i][j]
@@ -212,24 +232,25 @@ class Projection:
                 if w == 0.0:
                     row.append(element(self.sigma, {}))
                     continue
-                phase = Phase(point.phase_turns(i, j)).value
+                phase = point.phase_value(i, j)
                 row.append(element(self.sigma, {point.transitions[i][j]: w * phase}))
             rows.append(row)
         return rows
 
     def _mat_mul(self, a: list, b: list) -> list:
-        # Adding a zero product would leave acc as it is, so zero factors are skipped.
+        # Each entry is acc + a_ij * b_jk for j in order, checked and pruned after every
+        # product and every sum, as element arithmetic does, but on plain dicts.  Adding
+        # a zero product would leave acc as it is, so zero factors are skipped.
         n = len(a)
-        zero = AlgebraElement._from_dict(self.sigma, {})
         out = []
         for i in range(n):
             row = []
             for k in range(n):
-                acc = zero
+                acc: dict = {}
                 for j in range(n):
                     if a[i][j].coeffs and b[j][k].coeffs:
-                        acc = acc + a[i][j].convolve(b[j][k])
-                row.append(acc)
+                        acc = _checked(_add_into(acc, _checked(a[i][j]._products(b[j][k]))))
+                row.append(AlgebraElement._from_dict(self.sigma, acc))
             out.append(row)
         return out
 
@@ -247,8 +268,8 @@ class Projection:
         n = len(p)
         for i in range(n):
             for j in range(n):
-                worst_idem = max(worst_idem, (p2[i][j] - p[i][j]).norm_l1())
-                worst_star = max(worst_star, (ps[i][j] - p[i][j]).norm_l1())
+                worst_idem = max(worst_idem, p2[i][j].distance_l1(p[i][j]))
+                worst_star = max(worst_star, ps[i][j].distance_l1(p[i][j]))
         return worst_idem, worst_star
 
     def verify(self, n_grid: int = 32) -> dict:
@@ -268,19 +289,25 @@ class Projection:
         }
 
     def rank_trace(self, n_grid: int = 64) -> float:
-        """Grid average of the fiberwise trace sum_i (P_ii)_e."""
+        """Grid average of the fiberwise trace sum_i (P_ii)_e.
+
+        A diagonal transition g_ii is the identity, so P_ii sits at e with the
+        phase minus psi_e, a constant: it is read once per patch, at the first
+        grid point, and a nonzero offset at the identity raises there.
+        """
         _check_grid(n_grid)
+        cover = self.cover
+        pts = cover.grid(n_grid)
+        patches = range(cover.n_patches)
+        point = cover._point(pts[0])
+        phases = [point.phase_value(i, i).real for i in patches]
         total = 0.0
-        pts = self.cover.grid(n_grid)
-        e = self.group.identity()
         for x in pts:
-            point = self.cover._point(x)
-            for i in range(self.cover.n_patches):
-                chi = self.cover.chi(i, x)
+            for i in patches:
+                chi = cover.chi(i, x)
                 if chi == 0.0:
                     continue
-                if point.transitions[i][i] == e:
-                    total += chi * chi * Phase(point.phase_turns(i, i)).value.real
+                total += chi * chi * phases[i]
         return total / len(pts)
 
 
@@ -312,30 +339,29 @@ def lott_pairing_circle(cover: CircleCover, cochain: GroupCochain | None = None,
         raise CoverError(f"centered differences need n_grid >= 3, got {n_grid}")
     cbar = inhomogeneous(cochain)
     n = n_grid
-    # chi^2 of both patches at k - 1, k and k + 1 (mod n), one _chi_pair per point.
-    squares = (tuple(c ** 2 for c in _chi_pair(k % n / n)) for k in range(-1, n + 1))
-    before, here = next(squares), next(squares)
-    # Transitions take few values (0 and +-winding): one cochain value each.
-    values: dict = {}
+    # Patch 1 has shift 0, so g_{i1 i0} is (0,) on the diagonal and (+-s,) off it,
+    # for patch 0's shift s; one cochain value per s.
+    cbar_at = functools.cache(lambda s: cbar((s,)))
+    # chi^2 of patches 0 and 1 at k - 1 (b0, b1), k (h0, h1) and k + 1 (a0, a1), mod n;
+    # cos^2 and sin^2 are the squares of _chi_pair's |cos| and |sin|.
+    t = math.pi * (-1 % n / n)
+    b0, b1 = math.cos(t) ** 2, math.sin(t) ** 2
+    h0, h1 = 1.0, 0.0  # cos(0)^2 and sin(0)^2
     total = 0.0
-    for k, after in enumerate(squares):
-        # Patch 1 has shift 0, so the transitions are differences with patch 0's shift.
-        s0 = cover.winding * _lift_shift(0, k, n)
-        transitions = (((0,), (s0,)), ((-s0,), (0,)))
-        diffs = [(a - b) / 2.0 for a, b in zip(after, before)]
-        for i0 in (0, 1):
-            w0 = here[i0]
-            if w0 == 0.0:
-                continue
-            for i1 in (0, 1):
-                diff = diffs[i1]
-                if diff == 0.0:
-                    continue
-                g = transitions[i0][i1]
-                value = values.get(g)
-                if value is None:
-                    value = values[g] = cbar(g)
-                if value:
-                    total += w0 * diff * value.real
-        before, here = here, after
+    for k in range(n):
+        t = math.pi * ((k + 1) % n / n)
+        a0, a1 = math.cos(t) ** 2, math.sin(t) ** 2
+        d0, d1 = (a0 - b0) / 2.0, (a1 - b1) / 2.0
+        s = cover.winding * _lift_shift(0, k, n)
+        if h0:
+            if d0 and (value := cbar_at(0)):
+                total += h0 * d0 * value.real
+            if d1 and (value := cbar_at(s)):
+                total += h0 * d1 * value.real
+        if h1:
+            if d0 and (value := cbar_at(-s)):
+                total += h1 * d0 * value.real
+            if d1 and (value := cbar_at(0)):
+                total += h1 * d1 * value.real
+        b0, b1, h0, h1 = h0, h1, a0, a1
     return total

@@ -96,8 +96,9 @@ class KernelReport:
 def kernel_report(eigenvalues: np.ndarray, zero_tol: float | None = None) -> KernelReport:
     ev = np.asarray(eigenvalues, dtype=float)
     zero_tol = _zero_tol(zero_tol, ev)
-    dim = int(np.sum(np.abs(ev) <= zero_tol))
-    band = [float(x) for x in ev if zero_tol / 10 < abs(x) < zero_tol * 10]
+    mag = np.abs(ev)
+    dim = int(np.sum(mag <= zero_tol))
+    band = ev[(zero_tol / 10 < mag) & (mag < zero_tol * 10)].tolist()
     return KernelReport(dim, zero_tol, band)
 
 

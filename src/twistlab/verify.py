@@ -104,8 +104,8 @@ def _suite_algebra(seed: int) -> SuiteReport:
             c = algebra.random_element(sigma, rng, 3, 2)
             lhs = a.convolve(b).convolve(c)
             rhs = a.convolve(b.convolve(c))
-            worst_assoc = max(worst_assoc, (lhs - rhs).norm_l1())
-            worst_star = max(worst_star, (a.convolve(b).star() - b.star().convolve(a.star())).norm_l1())
+            worst_assoc = max(worst_assoc, lhs.distance_l1(rhs))
+            worst_star = max(worst_star, a.convolve(b).star().distance_l1(b.star().convolve(a.star())))
         rep.results.append(CheckResult(f"associativity[{label}]", worst_assoc <= 1e-12, worst_assoc))
         rep.results.append(CheckResult(f"involution[{label}]", worst_star <= 1e-12, worst_star))
     sigma = multipliers.magnetic_multiplier("1/2", "landau")
@@ -118,7 +118,7 @@ def _suite_algebra(seed: int) -> SuiteReport:
         fa = algebra.projective_iso(z, a, target, check=False)
         fb = algebra.projective_iso(z, b, target, check=False)
         lhs = algebra.projective_iso(z, a.convolve(b), target, check=False)
-        worst_iso = max(worst_iso, (lhs - fa.convolve(fb)).norm_l1())
+        worst_iso = max(worst_iso, lhs.distance_l1(fa.convolve(fb)))
     rep.results.append(CheckResult("gauge-iso-multiplicative", worst_iso <= 1e-12, worst_iso))
     return rep
 
@@ -267,19 +267,22 @@ _SUITES = {
 }
 
 # What each suite costs alone in a fresh process: milliseconds, and megabytes
-# added to the peak resident set (seed 7, medians of 15 runs; 2 vCPU host,
-# Python 3.11, BLAS on one thread).  Most of spectral's megabytes are its
-# first import of numpy.random.  cli._helper_suites splits `verify --suite all`
-# between two processes by these figures; a stale figure costs time or
-# memory, never output.
+# added to the peak resident set (seed 7, medians of 15 runs with the suites
+# interleaved; 2 vCPU host shared with other jobs, Python 3.11, BLAS on one
+# thread).  Measured again once convolution computed each root once per call,
+# table cocycles were decided in one array pass and the Mishchenko checks
+# stopped building intermediate elements and Fraction phases.  Most of
+# spectral's megabytes are its first import of numpy.random.
+# cli._helper_suites splits `verify --suite all` between two processes by
+# these figures; a stale figure costs time or memory, never output.
 _SUITE_COST = {
-    "multiplier": (25, 0.3),
-    "algebra": (28, 0.3),
-    "representations": (20, 3.3),
-    "traces": (14, 0.3),
-    "spectral": (30, 9.5),
-    "cohomology": (27, 2.7),
-    "mishchenko": (112, 0.4),
+    "multiplier": (30, 0.4),
+    "algebra": (25, 0.0),
+    "representations": (20, 2.8),
+    "traces": (15, 0.0),
+    "spectral": (35, 8.4),
+    "cohomology": (36, 2.1),
+    "mishchenko": (82, 0.1),
 }
 
 

@@ -1,5 +1,7 @@
+import cmath
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -10,8 +12,11 @@ from twistlab import (
     AlgebraError,
     BilinearMultiplier,
     FreeAbelianGroup,
+    GeometricMultiplier,
+    LatticeGeometry,
     PhaseMap,
     ProductGroup,
+    algebra,
     coboundary,
     cyclic_group,
     element_from_json,
@@ -21,7 +26,7 @@ from twistlab import (
     symmetric_group,
     trivial_multiplier,
 )
-from twistlab.multipliers import ProductMultiplier
+from twistlab.multipliers import Multiplier, ProductMultiplier
 
 Z2 = FreeAbelianGroup(2)
 S3 = symmetric_group(3)
@@ -269,6 +274,8 @@ def bits(a):
 
 
 C2 = cyclic_group(2)
+BIG_PRIME = 10**9 + 7
+_prime_rng = random.Random(11)
 ARITHMETIC_SIGMAS = {
     "landau": magnetic_multiplier("1/3", "landau"),
     "symmetric": magnetic_multiplier("2/7", "symmetric"),
@@ -278,7 +285,16 @@ ARITHMETIC_SIGMAS = {
         coboundary(PhaseMap.random_exact(C2, random.Random(6))),
         coboundary(PhaseMap.random_exact(S3, random.Random(7))),
     ),
+    "z3-prime": BilinearMultiplier(FreeAbelianGroup(3), [
+        [Fraction(_prime_rng.randrange(BIG_PRIME), BIG_PRIME) for _ in range(3)] for _ in range(3)]),
+    "geometric": GeometricMultiplier(LatticeGeometry("2/5", "symmetric", ("1/3", "-1/2"))),
 }
+ARITHMETIC_SIGMAS["s3-coboundary^2/3"] = ARITHMETIC_SIGMAS["s3-coboundary"].power(Fraction(2, 3))
+
+
+def test_the_arithmetic_cases_cover_a_prime_denominator_and_a_lazy_form():
+    assert ARITHMETIC_SIGMAS["z3-prime"]._denominator == BIG_PRIME
+    assert ARITHMETIC_SIGMAS["geometric"]._denominator is None
 
 
 @pytest.mark.parametrize("key", sorted(ARITHMETIC_SIGMAS))
@@ -288,11 +304,17 @@ def test_element_arithmetic_equals_the_validated_reference_bitwise(key):
     z = PhaseMap.random_exact(sigma.group, random.Random(8))
     target = sigma.twist(z.conjugate())
     elements = [random_element(sigma, rng, n_terms=rng.randint(1, 6), spread=2) for _ in range(8)]
+    # Elements a tiny step from the first one: their differences land near the prune tolerance.
+    g = next(iter(elements[0].coeffs))
+    elements += [elements[0] + AlgebraElement(sigma, [(g, tiny)]) for tiny in (1e-16, 5e-16, 2e-15)]
     elements.append(AlgebraElement(sigma, []))
     scalars = [3, -1.0, 2.5, -1j, complex(0.3, -0.7)]
     for a in elements:
         for b in elements:
             assert bits(a.convolve(b)) == bits(ref_convolve(a, b))
+            want = (a - b).norm_l1()  # the int 0 when the difference prunes away
+            got = a.distance_l1(b)
+            assert type(got) is type(want) and float(got).hex() == float(want).hex()
             assert bits(a * b) == bits(ref_convolve(a, b))
             assert bits(a + b) == bits(ref_add(a, b))
             assert bits(a - b) == bits(ref_add(a, ref_scaled(-1.0, b)))
@@ -317,6 +339,52 @@ def test_the_same_algebra_check_still_compares_distinct_multipliers():
     for other in (AlgebraElement.delta(magnetic_multiplier("1/4"), (0, 1)),
                   AlgebraElement.delta(SIGMAS["s3-coboundary"], 1),
                   AlgebraElement.delta(SIGMAS["product"], ((0, 1), 2))):
-        for op in (AlgebraElement.__add__, AlgebraElement.__sub__, AlgebraElement.convolve):
+        for op in (AlgebraElement.__add__, AlgebraElement.__sub__, AlgebraElement.convolve,
+                   AlgebraElement.distance_l1):
             with pytest.raises(AlgebraError, match="different twisted algebras"):
                 op(a, other)
+
+
+def counting_cmath(calls):
+    def exp(z):
+        calls.append(z)
+        return cmath.exp(z)
+
+    return SimpleNamespace(exp=exp, pi=cmath.pi, isfinite=cmath.isfinite)
+
+
+def test_convolve_computes_each_root_once_per_call(monkeypatch):
+    sigma = magnetic_multiplier("1/3")
+    rng = random.Random(8)
+    a = random_element(sigma, rng, n_terms=7, spread=3)
+    b = random_element(sigma, rng, n_terms=7, spread=3)
+    want = bits(ref_convolve(a, b))
+    residues = {sigma._numerator(g1, g2) % 3 for g1 in a.coeffs for g2 in b.coeffs}
+    calls = []
+    monkeypatch.setattr(algebra, "cmath", counting_cmath(calls))
+    monkeypatch.setattr(Multiplier, "value", None)  # a normal form does not call it
+    assert bits(a.convolve(b)) == want
+    assert len(calls) == len(residues) < len(a.coeffs) * len(b.coeffs)
+    calls.clear()
+    assert bits(a.convolve(b)) == want
+    assert len(calls) == len(residues)  # the memo does not outlive a call
+
+
+def test_a_lazy_multiplier_is_evaluated_for_every_pair(monkeypatch):
+    sigma = ARITHMETIC_SIGMAS["geometric"]
+    rng = random.Random(9)
+    a = random_element(sigma, rng, n_terms=5, spread=2)
+    b = random_element(sigma, rng, n_terms=4, spread=2)
+    pairs = []
+    value = Multiplier.value
+    monkeypatch.setattr(Multiplier, "value", lambda s, g, h: pairs.append((g, h)) or value(s, g, h))
+    a.convolve(b)
+    assert pairs == [(g1, g2) for g1 in a.coeffs for g2 in b.coeffs]
+
+
+def test_distance_l1_keeps_the_finiteness_check_of_the_difference():
+    big = AlgebraElement(magnetic_multiplier("1/3"), [((1, 0), 1e308)])
+    with pytest.raises(AlgebraError, match="finite"):
+        big - (-1.0) * big
+    with pytest.raises(AlgebraError, match="finite"):
+        big.distance_l1((-1.0) * big)

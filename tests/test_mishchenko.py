@@ -17,7 +17,12 @@ from twistlab.mishchenko import (
     lott_pairing_circle,
     torus_projection,
 )
-from twistlab.multipliers import BilinearMultiplier, GeometricMultiplier, LatticeGeometry
+from twistlab.multipliers import (
+    BilinearMultiplier,
+    GeometricMultiplier,
+    LatticeGeometry,
+    MultiplierError,
+)
 from twistlab.phases import Phase
 
 GEOMETRY = LatticeGeometry("1/3")
@@ -488,3 +493,33 @@ def test_torus_projection_equals_the_reference_bitwise(geometry, shifts):
     assert report == reference_verify(cover, 5)
     assert report["idempotent_defect"] == 0.0 and report["selfadjoint_defect"] == 0.0
     assert same_float(proj.rank_trace(6), reference_rank_trace(cover, 6))
+
+
+@pytest.mark.parametrize("geometry, shifts", TORUS_CASES)
+def test_rank_trace_reads_one_point_and_equals_the_reference(geometry, shifts, monkeypatch):
+    proj = torus_projection(geometry, shifts)
+    cover = proj.cover
+    want = reference_rank_trace(cover, 12)
+    points = []
+    point = cover._point
+    monkeypatch.setattr(cover, "_point", lambda x: points.append(x) or point(x))
+    assert same_float(proj.rank_trace(12), want)
+    assert points == [cover.grid(12)[0]]
+
+
+def test_rank_trace_raises_for_a_nonzero_offset_at_the_identity():
+    geometry = LatticeGeometry("1/3", offsets=lambda g: Fraction(1, 5))
+    with pytest.raises(MultiplierError, match="offset at the identity"):
+        torus_projection(geometry).rank_trace(4)
+
+
+@pytest.mark.parametrize("geometry, shifts", TORUS_CASES)
+def test_phase_values_equal_the_phase_of_the_turns_bitwise(geometry, shifts):
+    cover = TorusCover(geometry, shifts)
+    points = cover.grid(7) + [(Fraction(3, 2), Fraction(-2, 3)), ("1/1000003", "-999/1024")]
+    for x in points:
+        point = cover._point(x)
+        for i, j in itertools.product(range(4), repeat=2):
+            want = Phase(point.phase_turns(i, j)).value
+            got = point.phase_value(i, j)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())

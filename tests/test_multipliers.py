@@ -34,6 +34,7 @@ from twistlab.multipliers import (
     ProductMultiplier,
     TableMultiplier,
     TwistedMultiplier,
+    _table_cocycle_holds,
     decided_equal,
 )
 from twistlab.phases import Phase, as_rational, rational_str
@@ -508,6 +509,58 @@ def test_cocycle_check_on_perturbed_s4_tables_matches_the_phase_path(entries):
     sigma = perturbed_table(S4, entries)
     triples = list(itertools.product(S4.elements(), repeat=3))
     assert verify_cocycle(sigma) == reference_cocycle_report(sigma, triples, "exhaustive")
+
+
+def huge_coboundary(group, seed):
+    """A table coboundary whose numerators do not fit in int64."""
+    return coboundary(PhaseMap.random_exact(group, random.Random(seed), denominator=2**80 + 13))
+
+
+def shifted(sigma, g, h, shift):
+    table = [list(row) for row in sigma.turn_table]
+    table[g][h] += shift
+    return TableMultiplier(sigma.group, table)
+
+
+S3_TABLE = coboundary(PhaseMap.random_exact(S3, random.Random(31), denominator=12))
+S4_TABLE = coboundary(PhaseMap.random_exact(S4, random.Random(32), denominator=35))
+EXHAUSTIVE_TABLES = {
+    "s3": S3_TABLE,
+    "s3^2/3": S3_TABLE.power(Fraction(2, 3)),
+    "s3^-5/7": S3_TABLE.power(Fraction(-5, 7)),
+    "s4": S4_TABLE,
+    "s4^7/11": S4_TABLE.power(Fraction(7, 11)),
+    "s4-zero": trivial_multiplier(S4),
+    "s4-shifted": shifted(S4_TABLE, 3, 5, Fraction(1, 7)),
+    "s3-huge": huge_coboundary(S3, 33),
+    "s3-huge-shifted": shifted(huge_coboundary(S3, 34), 2, 4, Fraction(1, 2**70)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(EXHAUSTIVE_TABLES))
+def test_exhaustive_table_check_returns_the_loop_report(key):
+    sigma = EXHAUSTIVE_TABLES[key]
+    triples = list(itertools.product(sigma.group.elements(), repeat=3))
+    report = verify_cocycle(sigma)
+    assert report == reference_cocycle_report(sigma, triples, "exhaustive")
+    assert report.passed == ("shifted" not in key)
+
+
+def test_the_array_pass_decides_the_tables_that_fit_in_int64():
+    for key, sigma in EXHAUSTIVE_TABLES.items():
+        huge = "huge" in key
+        assert (max(abs(x) for row in sigma._numerators for x in row) >= 2**63) == huge
+        assert _table_cocycle_holds(sigma) == (not huge and "shifted" not in key)
+
+
+def test_a_passing_table_check_walks_no_triple(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("walked a triple")
+
+    monkeypatch.setattr(TableMultiplier, "_numerator", refuse)
+    monkeypatch.setattr(TableMultiplier, "turns", refuse)
+    report = verify_cocycle(S4_TABLE, samples=5)
+    assert report == CocycleReport(True, 24**3, 0.0, None, "exhaustive")
 
 
 def test_sampled_cocycle_check_on_a_perturbed_product_matches_the_phase_path():

@@ -195,6 +195,27 @@ def test_kernel_report_flags_ambiguous_values():
     assert clean.ambiguous == []
 
 
+def reference_ambiguous(eigenvalues, zero_tol):
+    return [float(x) for x in eigenvalues if zero_tol / 10 < abs(x) < zero_tol * 10]
+
+
+@pytest.mark.parametrize("zero_tol", [1e-9, 1e-3, 0.3, 0, 1, Fraction(1, 1000), np.float64(1e-3)])
+def test_kernel_report_band_equals_the_loop_reference(zero_tol):
+    rng = np.random.default_rng(5)
+    ev = rng.standard_normal(400) * 10.0 ** rng.integers(-12, 1, 400)
+    tol = float(zero_tol)
+    # Values exactly at both ends of the band, and next to them, of both signs.
+    edges = [tol / 10, tol * 10, np.nextafter(tol / 10, 1), np.nextafter(tol * 10, 0)]
+    ev = np.concatenate([ev, edges, np.negative(edges), [0.0, -0.0, tol, -tol]])
+    rng.shuffle(ev)
+    band = kernel_report(ev, zero_tol).ambiguous
+    want = reference_ambiguous(ev, zero_tol)
+    assert [type(x) for x in band] == [float] * len(want)
+    assert [x.hex() for x in band] == [x.hex() for x in want]
+    if isinstance(zero_tol, float) and zero_tol:  # the ends themselves are outside
+        assert tol / 10 not in band and tol * 10 not in band and -tol * 10 not in band
+
+
 def test_default_zero_tol_scales_with_spectrum():
     assert default_zero_tol(np.array([1e6, -1e6])) > default_zero_tol(
         np.array([1.0, -1.0])
