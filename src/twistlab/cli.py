@@ -12,9 +12,9 @@ are made.  Every argument is checked before ``emit`` opens stdout or
 partial ``--out``.
 
 ``verify --suite all`` runs its suites in two processes when two CPUs
-are usable, with the same output as one: a forked helper runs the
-longest suite and the one that adds the most memory, and the others are
-balanced between the two by a fixed table of suite costs.
+are usable, with the same output as one: a forked helper runs the suites
+named in ``verify._HELPER_SUITES`` (the longest suite, and the one that
+adds the most memory), and this process runs the others.
 
 Exit codes: 0 success, 1 a verification suite failed, 2 bad
 configuration or arguments.
@@ -132,6 +132,15 @@ def _config_int(cfg: dict, key: str, default: int | None = None) -> int:
     return value
 
 
+def _config_list(cfg: dict, key: str, default: list | None = None) -> list | None:
+    """cfg[key] (or the default) as a JSON list; a string or a number is rejected,
+    and so is null unless the default is None."""
+    value = cfg.get(key, default)
+    if not isinstance(value, list) and (value is not None or default is not None):
+        raise ConfigError(f"{key} must be a list, not {value!r}")
+    return value
+
+
 def element_from_config(cfg: dict):
     group = parse_group(cfg.get("group", "z2"))
     sigma = multiplier_from_json(cfg["multiplier"], group)
@@ -156,30 +165,14 @@ def emit(payload, out_path: str | None, as_json: bool = True) -> None:
         raise
 
 
-def _helper_suites(names: list) -> set:
-    """Indices of the suites that the helper process runs.
-
-    Longest first by verify._SUITE_COST, each suite goes to the process with
-    less work so far, the helper on a tie; the suite that adds the most
-    resident memory goes to the helper, which returns it when it exits.
-    """
-    ms, mb = zip(*(verify_mod._SUITE_COST[name] for name in names))
-    heavy = mb.index(max(mb))
-    helper, loads = set(), [0, 0]  # [this process, helper]
-    for index in sorted(range(len(names)), key=lambda i: -ms[i]):
-        side = index == heavy or loads[1] <= loads[0]
-        loads[side] += ms[index]
-        if side:
-            helper.add(index)
-    return helper
-
-
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, not {args.seed}")
     names = verify_mod.suite_names() if args.suite == "all" else [args.suite]
-    # The helper process runs the suites _helper_suites gives it, this process the rest;
-    # each suite makes its RNGs from the seed.
+    # Each suite makes its RNGs from the seed, so the split does not change the output.
     work = functools.partial(verify_mod.run_suite, seed=args.seed)
-    reports = list(_in_order(names, work, _helper_suites(names)))
+    helper = {i for i, name in enumerate(names) if name in verify_mod._HELPER_SUITES}
+    reports = list(_in_order(names, work, helper))
     payload = {
         "seed": args.seed,
         "passed": all(r.passed for r in reports),
@@ -241,7 +234,7 @@ def _cmd_eta(args) -> int:
             method=method,
             kgrid=_config_int(cfg, "kgrid", 64),
             radius=_config_int(cfg, "radius", 8),
-            s_grid=cfg.get("s_grid"),
+            s_grid=_config_list(cfg, "s_grid"),
             **kwargs,
         )
     emit(_eta_result_json(res), args.out)
@@ -303,7 +296,7 @@ def _cmd_betti(args) -> int:
 def _cmd_sobolev(args) -> int:
     cfg = load_config(args.config)
     _, element = element_from_config(cfg)
-    orders = cfg.get("s", [0, 1, 2])
+    orders = _config_list(cfg, "s", [0, 1, 2])
     payload = {"norms": {str(s): sobolev_norm(element, float(s)) for s in orders}}
     if "chain_j_max" in cfg:
         chain = derivation_chain(element, j_max=_config_int(cfg, "chain_j_max"))

@@ -266,24 +266,11 @@ _SUITES = {
     "mishchenko": _suite_mishchenko,
 }
 
-# What each suite costs alone in a fresh process: milliseconds, and megabytes
-# added to the peak resident set (seed 7, medians of 15 runs with the suites
-# interleaved; 2 vCPU host shared with other jobs, Python 3.11, BLAS on one
-# thread).  Measured again once convolution computed each root once per call,
-# table cocycles were decided in one array pass and the Mishchenko checks
-# stopped building intermediate elements and Fraction phases.  Most of
-# spectral's megabytes are its first import of numpy.random.
-# cli._helper_suites splits `verify --suite all` between two processes by
-# these figures; a stale figure costs time or memory, never output.
-_SUITE_COST = {
-    "multiplier": (30, 0.4),
-    "algebra": (25, 0.0),
-    "representations": (20, 2.8),
-    "traces": (15, 0.0),
-    "spectral": (35, 8.4),
-    "cohomology": (36, 2.1),
-    "mishchenko": (82, 0.1),
-}
+# The suites that `verify --suite all` runs in its forked helper when two
+# CPUs are usable; this process runs the others.  mishchenko is the longest
+# suite, and spectral's first import of numpy.random adds most of the memory
+# that any suite adds, which the helper gives back when it exits.
+_HELPER_SUITES = frozenset({"spectral", "mishchenko"})
 
 
 def suite_names() -> list:

@@ -3,8 +3,9 @@
 A parameter that the body never reads is an option that does nothing:
 callers can set it, and the result does not change.  The few parameters
 that must exist without being read are named below.  Likewise every
-private function, method and class is referenced somewhere in the package
-outside its own body.
+private function, method and class, and every private module-level name
+assigned, is referenced somewhere in the package outside its own
+definition.
 """
 
 import ast
@@ -75,16 +76,29 @@ def test_the_allowed_names_still_exist():
     assert set(UNREAD_ALLOWED) <= names
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
 def _private_definitions(tree):
-    """(name, node) of every function, method and class whose name starts with one underscore."""
+    """(name, node) of every function, method and class, and every module-level
+    assignment `_NAME = ...`, whose name starts with one underscore."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if node.name.startswith("_") and not node.name.endswith("__"):
+            if _private(node.name):
                 yield node.name, node
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if isinstance(target, ast.Name) and _private(target.id):
+                yield target.id, node
 
 
-def unreferenced_private_names() -> list[str]:
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+def unreferenced_private_names(sources=None) -> list[str]:
+    """Private names of the package, or of sources ({module: text}), that nothing else names."""
+    if sources is None:
+        sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    trees = {stem: ast.parse(text) for stem, text in sources.items()}
     # The nodes that name each identifier, as a variable or an attribute.
     uses = defaultdict(list)
     for tree in trees.values():
@@ -103,5 +117,14 @@ def unreferenced_private_names() -> list[str]:
 
 
 def test_every_private_definition_is_used_in_the_package():
-    # A private helper that only tests call is code the package does not need.
+    # A private helper that only tests call, or a table nothing reads, is code
+    # the package does not need.
     assert unreferenced_private_names() == []
+
+
+def test_a_private_assignment_without_a_reader_is_found():
+    sources = {
+        "verify": "_SUITES = {}\n_COST: dict = {}\n_ORPHAN = _SUITES\n",
+        "cli": "from . import verify\nx = verify._COST\n",
+    }
+    assert unreferenced_private_names(sources) == ["verify._ORPHAN"]

@@ -64,28 +64,17 @@ def test_verify_all_does_not_depend_on_the_schedule(capsys, schedule, seed):
     assert outputs[0][0] == 0
 
 
-def helper_suites_reference(names):
-    """The suites the helper runs by the cost rule: longest first, each to the process
-    with less work so far (the helper on a tie), and the one adding most memory to the helper."""
-    cost = verify_mod._SUITE_COST
-    heavy = max(names, key=lambda name: cost[name][1])
-    helper, here, there = set(), 0, 0
-    for name in sorted(names, key=lambda name: -cost[name][0]):
-        if name == heavy or there <= here:
-            helper.add(name)
-            there += cost[name][0]
-        else:
-            here += cost[name][0]
-    return helper
+def helper_indices(names):
+    """The indices that _cmd_verify gives the helper: those of the named helper suites."""
+    return {i for i, name in enumerate(names) if name in verify_mod._HELPER_SUITES}
 
 
 @needs_fork
-def test_the_helper_runs_the_suites_the_cost_rule_gives_it(monkeypatch, capsys, schedule):
+def test_the_helper_runs_exactly_the_named_suites(monkeypatch, capsys, schedule):
     names = suite_names()
-    assert set(verify_mod._SUITE_COST) == set(names)
-    expected = helper_suites_reference(names)
-    assert "mishchenko" in expected and expected != set(names)
-    assert {names[i] for i in cli._helper_suites(names)} == expected
+    assert verify_mod._HELPER_SUITES == {"spectral", "mishchenko"}
+    # Each name is a suite, so renaming a suite cannot drop it from the helper unseen.
+    assert set() < verify_mod._HELPER_SUITES < set(names)
 
     def report_pid(name, seed):
         return verify_mod.SuiteReport(name, [verify_mod.CheckResult("pid", True, detail=str(os.getpid()))])
@@ -96,14 +85,15 @@ def test_the_helper_runs_the_suites_the_cost_rule_gives_it(monkeypatch, capsys, 
     assert code == 0
     pids = {suite["suite"]: int(suite["checks"][0]["detail"]) for suite in json.loads(out)["suites"]}
     assert list(pids) == names
-    assert {name for name, pid in pids.items() if pid != os.getpid()} == expected
+    assert {name for name, pid in pids.items() if pid != os.getpid()} == verify_mod._HELPER_SUITES
     assert len({pid for pid in pids.values() if pid != os.getpid()}) == 1
 
 
 @needs_fork
-def test_one_suite_runs_without_a_helper(monkeypatch, capsys, schedule):
+@pytest.mark.parametrize("name", ["representations", "mishchenko"])
+def test_one_suite_runs_without_a_helper(monkeypatch, capsys, schedule, name):
     schedule(1)
-    expected = run(capsys, ["verify", "--suite", "representations"])
+    expected = run(capsys, ["verify", "--suite", name])
     assert expected[0] == 0
 
     def no_fork():
@@ -111,7 +101,25 @@ def test_one_suite_runs_without_a_helper(monkeypatch, capsys, schedule):
 
     monkeypatch.setattr(os, "fork", no_fork)
     schedule(2)
-    assert run(capsys, ["verify", "--suite", "representations"]) == expected
+    assert run(capsys, ["verify", "--suite", name]) == expected
+
+
+@needs_fork
+def test_verify_rejects_a_negative_seed_before_any_suite(monkeypatch, capsys, schedule):
+    def no_fork():
+        raise AssertionError("fork was called")
+
+    def no_suite(name, seed):
+        raise AssertionError(f"suite {name} ran")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(verify_mod, "run_suite", no_suite)
+    schedule(2)
+    code = main(["verify", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--seed" in captured.err
 
 
 def check_a_failing_suite_reaches_the_caller_in_both_schedules(monkeypatch, capsys, schedule, name):
@@ -127,7 +135,7 @@ def check_a_failing_suite_reaches_the_caller_in_both_schedules(monkeypatch, caps
         schedule(cpus)
         reports = []
         with pytest.raises(RuntimeError, match=f"^{name} broke at seed 5$"):
-            for report in representations._in_order(names, work, cli._helper_suites(names)):
+            for report in representations._in_order(names, work, helper_indices(names)):
                 reports.append(report.to_json())
         assert reports == [verify_mod.run_suite(other, 5).to_json() for other in names[:index]]
         with pytest.raises(RuntimeError, match=f"^{name} broke at seed 5$"):
@@ -140,14 +148,14 @@ def check_a_failing_suite_reaches_the_caller_in_both_schedules(monkeypatch, caps
 @needs_fork
 def test_a_failing_helper_suite_reaches_the_caller_in_both_schedules(monkeypatch, capsys, schedule):
     names = suite_names()
-    assert names.index("spectral") in cli._helper_suites(names)  # a suite the helper runs
+    assert names.index("spectral") in helper_indices(names)  # a suite the helper runs
     check_a_failing_suite_reaches_the_caller_in_both_schedules(monkeypatch, capsys, schedule, "spectral")
 
 
 @needs_fork
 def test_a_failing_suite_of_this_process_reaches_the_caller_in_both_schedules(monkeypatch, capsys, schedule):
     names = suite_names()
-    assert names.index("traces") not in cli._helper_suites(names)  # a suite this process runs
+    assert names.index("traces") not in helper_indices(names)  # a suite this process runs
     check_a_failing_suite_reaches_the_caller_in_both_schedules(monkeypatch, capsys, schedule, "traces")
 
 
@@ -314,6 +322,23 @@ def test_eta_bloch_germ_of_a_coboundary_twist(capsys, tmp_path):
     payload = json.loads(out)
     assert sorted(payload["germ"]) == ["1", "1/2"]
     assert payload["germ"]["1"] == payload["eta"]
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("eta", "s_grid", "12"), ("eta", "s_grid", 7),
+    ("sobolev", "s", "12"), ("sobolev", "s", 7), ("sobolev", "s", None),
+])
+def test_a_list_option_that_is_not_a_list_exits_2(capsys, tmp_path, command, key, value):
+    cfg = write_config(tmp_path, "config.json", {
+        "multiplier": MAGNETIC_JSON,
+        "terms": [{"g": [1, 0], "re": 1.0}, {"g": [-1, 0], "re": 1.0}],
+        "method": "bloch", "kgrid": 8, key: value,
+    })
+    code = main([command, "--config", cfg])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{key} must be a list" in captured.err
 
 
 def test_eta_dense_config(capsys, tmp_path):
