@@ -10,13 +10,13 @@ Coefficients below PRUNE_TOL are dropped after every operation; NaN or
 infinite coefficients are rejected.  The results of the arithmetic here
 skip the constructor's element checks but keep the finiteness check and the prune.
 
-A normal-form multiplier gives sigma(g1, g2) as the root exp(2 pi i r / D)
-of the residue r of an integer numerator mod D, and ``convolve`` computes
-each residue's root once per call, in a memo that lives only for that call:
-D can be 10^9 + 7, so no table outlives it.  Lazy multipliers are evaluated
-pair by pair through ``sigma.value``.  ``distance_l1`` is the l1 norm of a
-difference, summed as ``(a - b).norm_l1()`` sums it, without building the
-difference.
+A normal-form multiplier gives sigma(g1, g2) as ``phases.root(r, D)`` for
+the residue r of an integer numerator mod D, and ``convolve`` computes each
+residue's root once per call, in a memo that lives only for that call: D can
+be 10^9 + 7, so no table outlives it.  Lazy multipliers are evaluated pair
+by pair through ``sigma.value``, which reads the same ``root``.
+``distance_l1`` is the l1 norm of a difference, summed as
+``(a - b).norm_l1()`` sums it, without building the difference.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from collections.abc import Iterable, Mapping
 
 from .groups import GroupError
 from .multipliers import Multiplier, MultiplierError, PhaseMap, decided_equal, is_cohomologous_via
+from .phases import root
 
 PRUNE_TOL = 1e-15
 
@@ -165,16 +166,16 @@ class AlgebraElement:
                     g = multiply(g1, g2)
                     out[g] = get(g, 0.0) + c1 * c2 * value(g1, g2)
         else:
-            # sigma.value's expression, computed once per residue of the numerator mod d.
+            # sigma.value, computed once per residue of the numerator mod d.
             numerator, roots = sigma._numerator, {}
             for g1, c1 in self.coeffs.items():
                 for g2, c2 in right:
                     g = multiply(g1, g2)
                     r = numerator(g1, g2) % d
-                    root = roots.get(r)
-                    if root is None:
-                        root = roots[r] = cmath.exp(2j * cmath.pi * (r / d))
-                    out[g] = get(g, 0.0) + c1 * c2 * root
+                    w = roots.get(r)
+                    if w is None:
+                        w = roots[r] = root(r, d)
+                    out[g] = get(g, 0.0) + c1 * c2 * w
         return out
 
     def star(self) -> "AlgebraElement":

@@ -225,10 +225,14 @@ def _cmd_eta(args) -> int:
         "zero_tol": cfg.get("zero_tol"),
     }
     if "matrix" in cfg:
+        if cfg.get("method", "dense") != "dense":
+            raise ConfigError(f"a matrix config takes method 'dense', not {cfg['method']!r}")
         res = eta_operator(parse_matrix(cfg["matrix"]), method="dense", **kwargs)
     else:
         sigma, element = element_from_config(cfg)
         method = cfg.get("method", "bloch")
+        if method == "dense":
+            raise ConfigError("method 'dense' needs a 'matrix' config, not algebra terms")
         res = eta_operator(
             element,
             method=method,

@@ -272,7 +272,10 @@ def sobolev_inner(a: AlgebraElement, b: AlgebraElement, s: float) -> complex:
     grp = a.group
     total = 0.0 + 0.0j
     for g in set(a.support()) | set(b.support()):
-        w = (1.0 + grp.word_length(g)) ** (2.0 * s)
+        try:
+            w = (1.0 + grp.word_length(g)) ** (2.0 * s)
+        except OverflowError:
+            raise CohomologyError(f"Sobolev order s = {s} overflows (1 + l)^(2s)") from None
         total += a.coefficient(g).conjugate() * b.coefficient(g) * w
     return total
 
@@ -318,6 +321,8 @@ def derivation_chain(a: AlgebraElement, j_max: int = 4) -> DerivationChainReport
 
     if j_max < 0:
         raise CohomologyError(f"chain order j_max must be >= 0, not {j_max}")
+    # First, so that an order too large for a float fails as a CohomologyError.
+    sobolev = [sobolev_norm(a, j) for j in range(j_max + 1)]
     radius = a.support_radius()
     op = left_regular(a, radius)
     grp = a.group
@@ -341,7 +346,7 @@ def derivation_chain(a: AlgebraElement, j_max: int = 4) -> DerivationChainReport
     ok = True
     for j in range(j_max + 1):
         c_j = comb(j, j // 2)
-        lhs = sobolev_norm(a, j)
+        lhs = sobolev[j]
         rhs = c_j * sum(norms[: j + 1])
         constants.append(c_j)
         margins.append(rhs - lhs)

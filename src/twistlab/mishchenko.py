@@ -33,7 +33,6 @@ as six floats, so it runs in constant memory and builds nothing per k.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import operator
@@ -51,7 +50,7 @@ from .multipliers import (
     magnetic_multiplier,
     trivial_multiplier,
 )
-from .phases import as_rational
+from .phases import as_rational, root
 
 
 class CoverError(Exception):
@@ -104,9 +103,8 @@ class _Point:
         return Fraction(*self._phase_pair(i, j))
 
     def phase_value(self, i: int, j: int) -> complex:
-        """Phase(self.phase_turns(i, j)).value: (n mod d) / d is the float of n / d mod 1."""
-        n, d = self._phase_pair(i, j)
-        return cmath.exp(2j * cmath.pi * (n % d / d))
+        """Phase(self.phase_turns(i, j)).value, read by ``phases.root`` from the integer pair."""
+        return root(*self._phase_pair(i, j))
 
 
 class CircleCover:

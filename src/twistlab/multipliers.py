@@ -19,10 +19,10 @@ products.  Twists by random lattice phase maps (``TwistedMultiplier``)
 and the geometric construction from a lattice gauge potential stay lazy
 and are compared, still as exact turns, on a finite window.
 
-Normal forms are evaluated through integer numerators n(g, h) over one
-common denominator D fixed at construction, lazy forms through ``Phase``;
-``k / D`` and ``float(Fraction(k, D))`` are the same correctly rounded
-quotient, so the two give bitwise equal values.
+Every multiplier gives sigma(g, h) as an integer pair (n, d) for n / d
+turns, and its float as ``phases.root(n, d)``.  Normal forms take n from an
+integer numerator over one common denominator D fixed at construction;
+lazy forms and products combine the pairs of their parts.
 
 Pairings and tables have a JSON form; product multipliers have none, and
 ``{"kind": "trivial"}`` reads on every group kind.
@@ -30,7 +30,6 @@ Pairings and tables have a JSON form; product multipliers have none, and
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import random
@@ -47,7 +46,10 @@ from .groups import (
     ProductGroup,
     character_turn_tables,
 )
-from .phases import Phase, as_rational, rational_str
+from .phases import Phase, as_rational, rational_str, root
+
+# Finite groups up to this order are checked on every pair or triple, not sampled.
+_EXHAUSTIVE_ORDER = 24
 
 
 class MultiplierError(ValueError):
@@ -192,7 +194,8 @@ def _integer_kernel(m) -> tuple[int, tuple]:
 
 
 class Multiplier:
-    """Base class; concrete multipliers implement ``turns``."""
+    """Base class: pairings and tables define ``_numerator`` and ``_denominator``,
+    lazy forms and products their own ``_pair``; ``turns`` and ``value`` read ``_pair``."""
 
     kind = "abstract"
     # The normal form on Z^k or on a finite table group; None when lazy.
@@ -205,15 +208,16 @@ class Multiplier:
     def __init__(self, group: Group):
         self.group = group
 
+    def _pair(self, g, h) -> tuple[int, int]:
+        """The turns of sigma(g, h) as an integer pair (n, d) for n / d, with d > 0."""
+        return self._numerator(g, h), self._denominator
+
     def turns(self, g, h) -> Fraction:
         """Angle of sigma(g, h) as a Fraction of a turn."""
-        raise NotImplementedError
+        return Fraction(*self._pair(g, h))
 
     def value(self, g, h) -> complex:
-        d = self._denominator
-        if d is None:
-            return Phase(self.turns(g, h)).value
-        return cmath.exp(2j * cmath.pi * (self._numerator(g, h) % d / d))
+        return root(*self._pair(g, h))
 
     def conjugate(self) -> "Multiplier":
         return self.power(-1)
@@ -266,9 +270,6 @@ class BilinearMultiplier(Multiplier):
         for i, j, c in self._terms:
             n += c * g[i] * h[j]
         return n
-
-    def turns(self, g, h) -> Fraction:
-        return Fraction(self._numerator(g, h), self._denominator)
 
     def antisymmetrized(self) -> tuple:
         p = self.pairing
@@ -343,9 +344,6 @@ class TableMultiplier(Multiplier):
     def _numerator(self, g, h) -> int:
         return self._numerators[g][h]
 
-    def turns(self, g, h) -> Fraction:
-        return self.turn_table[g][h]
-
     def power(self, s) -> "TableMultiplier":
         return TableMultiplier(self.group, _scaled_matrix(self.turn_table, as_rational(s)))
 
@@ -376,8 +374,9 @@ class ProductMultiplier(Multiplier):
         sl, sr = self._scales
         return self.left._numerator(g[0], h[0]) * sl + self.right._numerator(g[1], h[1]) * sr
 
-    def turns(self, g, h):
-        return self.left.turns(g[0], h[0]) + self.right.turns(g[1], h[1])
+    def _pair(self, g, h) -> tuple[int, int]:
+        (nl, dl), (nr, dr) = self.left._pair(g[0], h[0]), self.right._pair(g[1], h[1])
+        return nl * dr + nr * dl, dl * dr
 
     def power(self, s) -> "ProductMultiplier":
         return ProductMultiplier(self.group, self.left.power(s), self.right.power(s))
@@ -395,14 +394,11 @@ class TwistedMultiplier(Multiplier):
         self.base = base
         self.z = z
 
-    def turns(self, g, h):
-        grp = self.group
-        return (
-            self.base.turns(g, h)
-            + self.z.turns(g)
-            + self.z.turns(h)
-            - self.z.turns(grp.multiply(g, h))
-        )
+    def _pair(self, g, h) -> tuple[int, int]:
+        n, d = self.base._pair(g, h)
+        z = self.z.turns
+        zn, zd = (z(g) + z(h) - z(self.group.multiply(g, h))).as_integer_ratio()
+        return n * zd + zn * d, d * zd
 
     def power(self, s) -> Multiplier:
         # z is scaled before its turns are reduced mod 1, so a bilinear
@@ -428,7 +424,7 @@ class CocycleReport:
 
 
 def _sample_triples(group: Group, samples: int, seed: int):
-    if group.is_finite() and len(group.elements()) <= 24:
+    if group.is_finite() and len(group.elements()) <= _EXHAUSTIVE_ORDER:
         return list(itertools.product(group.elements(), repeat=3)), "exhaustive"
     rng = random.Random(seed)
     return [tuple(group.random_element(rng, 4) for _ in range(3)) for _ in range(samples)], "sampled"
@@ -462,7 +458,7 @@ def verify_cocycle(sigma: Multiplier, samples: int = 1000, seed: int = 0) -> Coc
     failure walks the triples for its worst defect and witness.
     """
     grp = sigma.group
-    if isinstance(sigma, TableMultiplier) and grp.n <= 24 and _table_cocycle_holds(sigma):
+    if isinstance(sigma, TableMultiplier) and grp.n <= _EXHAUSTIVE_ORDER and _table_cocycle_holds(sigma):
         return CocycleReport(True, grp.n ** 3, 0.0, None, "exhaustive")
     e = grp.identity()
     triples, qualifier = _sample_triples(grp, samples, seed)
@@ -485,7 +481,7 @@ def verify_cocycle(sigma: Multiplier, samples: int = 1000, seed: int = 0) -> Coc
 
 
 def _pair_set(group: Group, radius: int):
-    if group.is_finite() and len(group.elements()) <= 24:
+    if group.is_finite() and len(group.elements()) <= _EXHAUSTIVE_ORDER:
         return itertools.product(group.elements(), repeat=2)
     ball = group.ball(radius)
     return itertools.product(ball, repeat=2)
@@ -523,7 +519,8 @@ def multipliers_equal(a: Multiplier, b: Multiplier, radius: int = 5) -> bool:
     decided = decided_equal(a, b)
     if decided is not None:
         return decided
-    return all((a.turns(g, h) - b.turns(g, h)).denominator == 1 for g, h in _pair_set(a.group, radius))
+    pairs = (a._pair(g, h) + b._pair(g, h) for g, h in _pair_set(a.group, radius))
+    return all((na * db - nb * da) % (da * db) == 0 for na, da, nb, db in pairs)
 
 
 def is_cohomologous_via(sigma: Multiplier, sigma_prime: Multiplier, z: PhaseMap,
@@ -622,7 +619,7 @@ class GeometricMultiplier(Multiplier):
         super().__init__(geometry.group)
         self.geometry = geometry
 
-    def turns(self, g, h) -> Fraction:
+    def _pair(self, g, h) -> tuple[int, int]:
         # The three psi values share the denominator 2 q b1 b2, since h x0 has x0's denominators.
         geo = self.geometry
         (a1, b1), (a2, b2) = (v.as_integer_ratio() for v in geo.base_point)
@@ -630,7 +627,7 @@ class GeometricMultiplier(Multiplier):
         psi = geo._psi_numerator
         n = (psi(h, a1, a2, b1, b2) + psi(g, a1 + h[0] * b1, a2 + h[1] * b2, b1, b2)
              - psi(gh, a1, a2, b1, b2))
-        return Fraction(*geo._plus_offsets(n, b1, b2, ((1, h), (1, g), (-1, gh))))
+        return geo._plus_offsets(n, b1, b2, ((1, h), (1, g), (-1, gh)))
 
     def power(self, s) -> "GeometricMultiplier":
         # The turns are linear in theta and the offsets together.

@@ -2,9 +2,9 @@
 
 A phase is exp(2*pi*i*t) with t a Fraction reduced mod 1.  Phases compare
 and hash by their reduced turns, exactly; a complex value is computed only
-when ``value`` is read.  Multipliers in normal form do not build phases:
-they evaluate integer numerators over a common denominator (see
-``twistlab.multipliers``); lazy multipliers are evaluated through ``Phase``.
+when ``value`` is read.  ``root(n, d)`` is the one float of an exact phase:
+``Phase.value``, every multiplier's ``value`` and the convolution's root memo
+all read it, from integer pairs (n, d) for n / d turns.
 """
 
 from __future__ import annotations
@@ -42,6 +42,11 @@ def rational_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def root(n: int, d: int) -> complex:
+    """exp(2 pi i n / d) for d > 0: (n mod d) / d is the correctly rounded float of n / d mod 1."""
+    return cmath.exp(2j * cmath.pi * (n % d / d))
+
+
 class Phase:
     """The unit complex number exp(2*pi*i*turns).
 
@@ -55,7 +60,7 @@ class Phase:
 
     @property
     def value(self) -> complex:
-        return cmath.exp(2j * cmath.pi * float(self.turns))
+        return root(*self.turns.as_integer_ratio())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Phase):

@@ -16,7 +16,7 @@ from twistlab import (
     LatticeGeometry,
     PhaseMap,
     ProductGroup,
-    algebra,
+    phases,
     coboundary,
     cyclic_group,
     element_from_json,
@@ -361,7 +361,7 @@ def test_convolve_computes_each_root_once_per_call(monkeypatch):
     want = bits(ref_convolve(a, b))
     residues = {sigma._numerator(g1, g2) % 3 for g1 in a.coeffs for g2 in b.coeffs}
     calls = []
-    monkeypatch.setattr(algebra, "cmath", counting_cmath(calls))
+    monkeypatch.setattr(phases, "cmath", counting_cmath(calls))
     monkeypatch.setattr(Multiplier, "value", None)  # a normal form does not call it
     assert bits(a.convolve(b)) == want
     assert len(calls) == len(residues) < len(a.coeffs) * len(b.coeffs)

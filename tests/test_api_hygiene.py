@@ -128,3 +128,55 @@ def test_a_private_assignment_without_a_reader_is_found():
         "cli": "from . import verify\nx = verify._COST\n",
     }
     assert unreferenced_private_names(sources) == ["verify._ORPHAN"]
+
+
+# The functions that may compute cmath.exp(2j * cmath.pi * ...), with the reason.
+# Every other exact phase reads its float from phases.root.
+ROOT_SITES_ALLOWED = {
+    "phases.root": "the one float of an exact phase, exp(2 pi i (n mod d) / d)",
+    # exp(2j * pi * p / q) multiplies by p before it divides by q, so it differs
+    # bitwise from root(p, q) for 4035 of the 12152 reduced p / q with q < 200; the
+    # recorded butterfly digests are computed from this zeta.
+    "representations.BlochMap.__init__": "BlochMap.zeta, pinned by the butterfly digests",
+}
+
+
+def _is_two_pi_i(node) -> bool:
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and isinstance(node.left, ast.Constant) and node.left.value == 2j
+            and isinstance(node.right, ast.Attribute) and node.right.attr == "pi"
+            and isinstance(node.right.value, ast.Name) and node.right.value.id == "cmath")
+
+
+def _root_sites(node, name):
+    """The qualified name of the innermost definition around each cmath.exp of 2j * cmath.pi."""
+    for child in ast.iter_child_nodes(node):
+        inner = name
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{name}.{child.name}"
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "exp" and isinstance(child.func.value, ast.Name)
+                and child.func.value.id == "cmath"
+                and any(_is_two_pi_i(n) for arg in child.args for n in ast.walk(arg))):
+            yield inner
+        yield from _root_sites(child, inner)
+
+
+def root_of_unity_sites(sources=None) -> list[str]:
+    """Every site of the package, or of sources ({module: text}), that computes exp(2 pi i x)."""
+    if sources is None:
+        sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    return [site for stem, text in sources.items() for site in _root_sites(ast.parse(text), stem)]
+
+
+def test_the_float_of_an_exact_phase_has_one_home():
+    assert sorted(root_of_unity_sites()) == sorted(ROOT_SITES_ALLOWED)
+
+
+def test_a_second_root_of_unity_is_found():
+    sources = {
+        "algebra": "import cmath\nclass A:\n    def f(self, r, d):\n"
+                   "        return cmath.exp(2j * cmath.pi * (r / d))\n",
+        "phases": "import cmath\nw = cmath.exp(2j * cmath.pi / 3)\nv = cmath.exp(1j * cmath.pi)\n",
+    }
+    assert root_of_unity_sites(sources) == ["algebra.A.f", "phases"]

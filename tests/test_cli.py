@@ -539,6 +539,10 @@ def test_truncation_eta_at_radius_2_compares_with_radius_0(capsys, tmp_path):
     ("eta", dict(BLOCH, kgrid=10_000_000), "kgrid"),
     ("spectral-flow", {"path": [1, 2]}, "path"),
     ("spectral-flow", {"path": "x"}, "path"),
+    ("sobolev", dict(ELEMENT, terms=[{"g": [3, 1], "re": 1.0}], s=[1000]), "order s"),
+    ("sobolev", dict(ELEMENT, terms=[{"g": [3, 1], "re": 1.0}], chain_j_max=3000), "order s"),
+    ("eta", dict(DENSE, method="bloch"), "method"),
+    ("eta", dict(ELEMENT, method="dense"), "method"),
 ])
 def test_bad_config_values_exit_2_with_one_error_line(capsys, tmp_path, command, config, named):
     cfg = write_config(tmp_path, "config.json", config)
@@ -547,6 +551,13 @@ def test_bad_config_values_exit_2_with_one_error_line(capsys, tmp_path, command,
     assert (code, captured.out) == (2, "")
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
     assert named in captured.err and "Traceback" not in captured.err
+
+
+def test_eta_matrix_config_accepts_an_explicit_dense_method(capsys, tmp_path):
+    plain = write_config(tmp_path, "plain.json", DENSE)
+    dense = write_config(tmp_path, "dense.json", dict(DENSE, method="dense"))
+    outputs = [run(capsys, ["eta", "--config", cfg]) for cfg in (plain, dense)]
+    assert outputs[0][0] == 0 and outputs[0] == outputs[1]
 
 
 def test_eta_truncation_ignores_a_t_max_key(capsys, tmp_path):

@@ -434,6 +434,8 @@ def reference_cocycle_report(sigma, triples, qualifier) -> CocycleReport:
 def assert_kernel_matches_phase(sigma, g, h):
     turns = sigma.turns(g, h)
     assert sigma.value(g, h) == Phase(turns).value  # bitwise, not approximately
+    n, d = sigma._pair(g, h)
+    assert d > 0 and turns == Fraction(n, d)
 
 
 @st.composite
@@ -488,6 +490,43 @@ def test_product_kernel_matches_phase_of_summed_turns(case, a, b):
     sigma = ProductMultiplier(ProductGroup(left.group, S4), left, right)
     assert sigma.turns((g, a), (h, b)) == left.turns(g, h) + right.turns(a, b)
     assert_kernel_matches_phase(sigma, (g, a), (h, b))
+
+
+def lazy_multipliers():
+    """A geometric multiplier with offsets, a twist by a random Z^2 phase map, and a
+    product with a lazy factor."""
+    z = PhaseMap.random_exact(Z2, random.Random(23), denominator=35)
+    offsets = lambda g: z.turns(g) if g != (0, 0) else 0
+    geometric = GeometricMultiplier(LatticeGeometry(Fraction(5, 7), "symmetric", ("1/3", "-2/5"),
+                                                    offsets))
+    twisted = magnetic_multiplier(Fraction(2, 9)).twist(z)
+    right = coboundary(PhaseMap.random_exact(S3, random.Random(5), denominator=12))
+    product = ProductMultiplier(ProductGroup(Z2, S3), twisted, right)
+    return geometric, twisted, product
+
+
+def test_lazy_kernels_match_phase():
+    geometric, twisted, product = lazy_multipliers()
+    assert isinstance(twisted, TwistedMultiplier) and product._denominator is None
+    ball = Z2.ball(2)
+    for g in ball:
+        for h in ball:
+            assert_kernel_matches_phase(geometric, g, h)
+            assert_kernel_matches_phase(twisted, g, h)
+    for (g, a), (h, b) in itertools.product(itertools.product(ball, S3.elements()), repeat=2):
+        assert_kernel_matches_phase(product, (g, a), (h, b))
+
+
+def test_lazy_equality_agrees_with_the_fraction_test():
+    geometric, twisted, _ = lazy_multipliers()
+    shifted = twisted.twist(PhaseMap.character_on_lattice(Z2, [5, -3]))  # an integer shift
+    unequal = twisted.twist(PhaseMap.random_exact(Z2, random.Random(2), denominator=5))
+    for a, b in ((twisted, shifted), (twisted, unequal), (geometric, geometric.power(1))):
+        old = all((a.turns(g, h) - b.turns(g, h)).denominator == 1
+                  for g in Z2.ball(3) for h in Z2.ball(3))
+        assert multipliers_equal(a, b, radius=3) is old
+    assert multipliers_equal(twisted, shifted, radius=3)
+    assert not multipliers_equal(twisted, unequal, radius=3)
 
 
 def perturbed_table(group, entries):

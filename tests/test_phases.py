@@ -1,3 +1,5 @@
+import cmath
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twistlab import Phase, as_rational, rational_str
+from twistlab.phases import root
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=60
@@ -60,3 +63,13 @@ def test_phase_hash_consistent_with_eq(t):
     a, b = Phase(t), Phase(t + 3)
     assert a == b
     assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("d", [1, 7, 10**9 + 7, 2**61 + 1, 10**30 + 57])
+def test_root_is_the_float_of_the_fraction_mod_one_bitwise(d):
+    rng = random.Random(d)
+    for _ in range(2000):
+        n = rng.randint(-10 * d, 10 * d)
+        old = cmath.exp(2j * cmath.pi * float(Fraction(n, d) % 1))
+        assert root(n, d) == old, (n, d)  # bitwise, not approximately
+        assert root(n, d) == Phase(Fraction(n, d)).value
