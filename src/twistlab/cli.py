@@ -11,10 +11,9 @@ are made.  Every argument is checked before ``emit`` opens stdout or
 ``--out``, so a rejected call writes nothing; a failed one leaves no
 partial ``--out``.
 
-``verify --suite all`` runs its suites in two processes when two CPUs
-are usable, with the same output as one: a forked helper runs the suites
-named in ``verify._HELPER_SUITES`` (the longest suite, and the one that
-adds the most memory), and this process runs the others.
+``verify --suite all`` runs its suites through ``verify.run_suites``,
+which splits them between this process and a forked helper when two
+CPUs are usable, with the same output as one process.
 
 Exit codes: 0 success, 1 a verification suite failed, 2 bad
 configuration or arguments.
@@ -23,7 +22,6 @@ configuration or arguments.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -46,7 +44,7 @@ from .groups import (
 )
 from .mishchenko import CircleCover, CoverError, lott_pairing_circle
 from .multipliers import MultiplierError, multiplier_from_json
-from .representations import MAX_FIBER_ENTRIES, _in_order, butterfly_csv
+from .representations import MAX_FIBER_ENTRIES, butterfly_csv
 from .spectral import (
     MatrixPath,
     SpectralError,
@@ -150,7 +148,9 @@ def element_from_config(cfg: dict):
 
 def emit(payload, out_path: str | None, as_json: bool = True) -> None:
     """Write a JSON payload, or an iterable of CSV text chunks, to stdout or atomically to out_path."""
-    chunks = [json.dumps(payload, sort_keys=True, indent=2) + "\n"] if as_json else payload
+    # NaN and Infinity are not JSON: such a payload raises ValueError here, before any write.
+    chunks = ([json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"]
+              if as_json else payload)
     if not out_path:
         sys.stdout.writelines(chunks)
         return
@@ -169,10 +169,7 @@ def _cmd_verify(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, not {args.seed}")
     names = verify_mod.suite_names() if args.suite == "all" else [args.suite]
-    # Each suite makes its RNGs from the seed, so the split does not change the output.
-    work = functools.partial(verify_mod.run_suite, seed=args.seed)
-    helper = {i for i, name in enumerate(names) if name in verify_mod._HELPER_SUITES}
-    reports = list(_in_order(names, work, helper))
+    reports = list(verify_mod.run_suites(names, args.seed))
     payload = {
         "seed": args.seed,
         "passed": all(r.passed for r in reports),

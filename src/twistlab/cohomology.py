@@ -35,13 +35,12 @@ class CohomologyError(Exception):
 class GroupCochain:
     """Homogeneous group cochain: function on (degree+1)-tuples."""
 
-    def __init__(self, group: Group, degree: int, fn: Callable, label: str = "cochain"):
+    def __init__(self, group: Group, degree: int, fn: Callable):
         if degree < 0:
             raise CohomologyError("degree must be nonnegative")
         self.group = group
         self.degree = degree
         self._fn = fn
-        self.label = label
 
     def __call__(self, *args) -> complex:
         if len(args) != self.degree + 1:
@@ -60,7 +59,7 @@ class GroupCochain:
                 total += (-1) ** i * self._fn(*omitted)
             return total
 
-        return GroupCochain(self.group, n + 1, dfn, f"d({self.label})")
+        return GroupCochain(self.group, n + 1, dfn)
 
     def check_invariance(self) -> float:
         """Worst defect of left invariance over 100 random translates."""
@@ -76,7 +75,7 @@ class GroupCochain:
 
     @classmethod
     def constant(cls, group: Group) -> "GroupCochain":
-        return cls(group, 0, lambda g: 1.0, "constant")
+        return cls(group, 0, lambda g: 1.0)
 
     @classmethod
     def area_z2(cls, group: FreeAbelianGroup) -> "GroupCochain":
@@ -89,14 +88,14 @@ class GroupCochain:
             v = (g2[0] - g0[0], g2[1] - g0[1])
             return (u[0] * v[1] - u[1] * v[0]) / 2.0
 
-        return cls(group, 2, fn, "area")
+        return cls(group, 2, fn)
 
     @classmethod
     def coordinate_z(cls, group: FreeAbelianGroup, k: int) -> "GroupCochain":
         """Increment of the k-th coordinate along an edge, degree 1."""
         if not 0 <= k < group.rank:
             raise CohomologyError("coordinate index out of range")
-        return cls(group, 1, lambda g0, g1: float(g1[k] - g0[k]), f"z({k})")
+        return cls(group, 1, lambda g0, g1: float(g1[k] - g0[k]))
 
 
 def inhomogeneous(c: GroupCochain) -> Callable:
@@ -114,7 +113,7 @@ def inhomogeneous(c: GroupCochain) -> Callable:
     return fn
 
 
-def homogeneous(group: Group, degree: int, bar_fn: Callable, label: str = "cochain") -> GroupCochain:
+def homogeneous(group: Group, degree: int, bar_fn: Callable) -> GroupCochain:
     """Rebuild the invariant cochain from its bar form via increments."""
 
     def fn(*args):
@@ -124,7 +123,7 @@ def homogeneous(group: Group, degree: int, bar_fn: Callable, label: str = "cocha
         ]
         return bar_fn(*gs)
 
-    return GroupCochain(group, degree, fn, label)
+    return GroupCochain(group, degree, fn)
 
 
 class CyclicCochain:
@@ -134,13 +133,11 @@ class CyclicCochain:
     expands supports multilinearly.
     """
 
-    def __init__(self, sigma: Multiplier, degree: int, basis_fn: Callable,
-                 label: str = "tau"):
+    def __init__(self, sigma: Multiplier, degree: int, basis_fn: Callable):
         self.sigma = sigma
         self.group = sigma.group
         self.degree = degree
         self._basis_fn = basis_fn
-        self.label = label
 
     def basis_value(self, gammas: Sequence) -> complex:
         if len(gammas) != self.degree + 1:
@@ -194,7 +191,7 @@ class CyclicCochain:
                 * self._basis_fn(wrapped)
             return total
 
-        return CyclicCochain(sigma, n + 1, basis, f"b({self.label})")
+        return CyclicCochain(sigma, n + 1, basis)
 
     def is_localized(self, seed: int = 19) -> bool:
         """True when off-identity tuples (product != e) evaluate to zero, on 200 samples."""
@@ -245,7 +242,7 @@ def to_cyclic(c: GroupCochain, sigma: Multiplier) -> CyclicCochain:
             return 0.0 + 0.0j
         return convolution_phase(sigma, gammas) * cbar(*gammas[1:])
 
-    return CyclicCochain(sigma, c.degree, basis, f"tau[{c.label}]")
+    return CyclicCochain(sigma, c.degree, basis)
 
 
 def transfer_boundary_defect(c: GroupCochain, sigma: Multiplier, samples: int = 200,
@@ -283,7 +280,10 @@ def sobolev_inner(a: AlgebraElement, b: AlgebraElement, s: float) -> complex:
 def sobolev_norm(a: AlgebraElement, s: float) -> float:
     if not math.isfinite(s):
         raise CohomologyError(f"Sobolev order must be finite, not {s!r}")
-    return math.sqrt(max(0.0, sobolev_inner(a, a, s).real))
+    square = sobolev_inner(a, a, s).real
+    if not math.isfinite(square):
+        raise CohomologyError(f"the Sobolev norm of order s = {s} overflows a float when squared")
+    return math.sqrt(max(0.0, square))
 
 
 @dataclass
@@ -321,7 +321,7 @@ def derivation_chain(a: AlgebraElement, j_max: int = 4) -> DerivationChainReport
 
     if j_max < 0:
         raise CohomologyError(f"chain order j_max must be >= 0, not {j_max}")
-    # First, so that an order too large for a float fails as a CohomologyError.
+    # First, so that an order or a norm too large for a float fails as a CohomologyError.
     sobolev = [sobolev_norm(a, j) for j in range(j_max + 1)]
     radius = a.support_radius()
     op = left_regular(a, radius)

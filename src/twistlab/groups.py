@@ -434,25 +434,24 @@ class ProductGroup(Group):
 class Homomorphism:
     """Group homomorphism with explicit domain and codomain."""
 
-    def __init__(self, domain: Group, codomain: Group, fn, label: str = ""):
+    def __init__(self, domain: Group, codomain: Group, fn):
         self.domain = domain
         self.codomain = codomain
         self._fn = fn
-        self.label = label
 
     def __call__(self, g):
         return self._fn(g)
 
     @classmethod
     def identity(cls, group: Group) -> "Homomorphism":
-        return cls(group, group, lambda g: g, "id")
+        return cls(group, group, lambda g: g)
 
     @classmethod
     def projection(cls, product: ProductGroup, side: str) -> "Homomorphism":
         if side == "left":
-            return cls(product, product.left, lambda g: g[0], "proj-left")
+            return cls(product, product.left, lambda g: g[0])
         if side == "right":
-            return cls(product, product.right, lambda g: g[1], "proj-right")
+            return cls(product, product.right, lambda g: g[1])
         raise GroupError(f"side must be 'left' or 'right', got {side!r}")
 
     @classmethod
@@ -462,7 +461,7 @@ class Homomorphism:
             raise GroupError("image table must list one codomain element per domain element")
         for h in images:
             codomain.check_element(h)
-        hom = cls(domain, codomain, lambda g: images[g], "table")
+        hom = cls(domain, codomain, lambda g: images[g])
         hom.verify(exhaustive=True)
         return hom
 
@@ -475,7 +474,7 @@ class Homomorphism:
         def fn(g):
             return tuple(sum(r[i] * g[i] for i in range(domain.rank)) for r in rows)
 
-        return cls(domain, codomain, fn, "matrix")
+        return cls(domain, codomain, fn)
 
     def verify(self, exhaustive: bool = False) -> None:
         """Check multiplicativity (all pairs or 200 random); raises GroupError on a violation."""

@@ -128,7 +128,7 @@ class CircleCover:
 
     def _point(self, x) -> _Point:
         """The point's lift shifts, times the winding."""
-        x = Fraction(x).limit_denominator(10 ** 9) if isinstance(x, float) else as_rational(x)
+        x = as_rational(x)
         key = (x.numerator, x.denominator, self.winding)
         if self._last is None or self._last[0] != key:
             shifts = [(self.winding * _lift_shift(p, *x.as_integer_ratio()),) for p in (0, 1)]

@@ -60,13 +60,14 @@ class PhaseMap:
     """A U(1)-valued function z on a group with z(e) = 1.
 
     Used for coboundaries, gauge changes and characters.  ``turns(g)``
-    returns the angle as a Fraction of a turn reduced mod 1.
+    returns the angle as a Fraction of a turn reduced mod 1.  ``scaled(s)``
+    multiplies the turns and the coboundary pairing by s, and
+    ``conjugate()`` is ``scaled(-1)``.
     """
 
-    def __init__(self, group: Group, turns_fn: Callable, label: str = ""):
+    def __init__(self, group: Group, turns_fn: Callable):
         self.group = group
         self._turns_fn = turns_fn
-        self.label = label
         # The matrix B with dz(g, h) = g^T B h in turns, for characters and
         # quadratic gauge changes on Z^k; None when dz has no such form.
         self.coboundary_pairing = None
@@ -77,39 +78,34 @@ class PhaseMap:
     def __call__(self, g) -> complex:
         return Phase(self._turns_fn(g)).value
 
-    def _rescaled(self, turns_fn: Callable, label: str, s) -> "PhaseMap":
-        out = PhaseMap(self.group, turns_fn, label)
-        out.coboundary_pairing = _scaled_matrix(self.coboundary_pairing, s)
-        return out
-
     def conjugate(self) -> "PhaseMap":
-        return self._rescaled(lambda g: -self._turns_fn(g), f"conj({self.label})", -1)
+        return self.scaled(-1)
 
     def scaled(self, s) -> "PhaseMap":
         s = as_rational(s)
-        return self._rescaled(lambda g: as_rational(self._turns_fn(g)) * s,
-                              f"{self.label}^{rational_str(s)}", s)
+        out = PhaseMap(self.group, lambda g: as_rational(self._turns_fn(g)) * s)
+        out.coboundary_pairing = _scaled_matrix(self.coboundary_pairing, s)
+        return out
 
     @classmethod
     def one(cls, group: Group) -> "PhaseMap":
-        return cls(group, lambda g: Fraction(0), "1")
+        return cls(group, lambda g: Fraction(0))
 
     @classmethod
-    def from_table(cls, group: FiniteTableGroup, turn_values: Sequence, label: str = "") -> "PhaseMap":
+    def from_table(cls, group: FiniteTableGroup, turn_values: Sequence) -> "PhaseMap":
         table = [as_rational(t) % 1 for t in turn_values]
         if len(table) != group.n:
             raise MultiplierError("phase table must list one turn per group element")
         if table[group.identity_index] != 0:
             raise MultiplierError("phase maps must send the identity to 1")
-        return cls(group, lambda g: table[g], label or "table")
+        return cls(group, lambda g: table[g])
 
     @classmethod
     def character_on_lattice(cls, group: FreeAbelianGroup, turn_vector: Sequence) -> "PhaseMap":
         vec = [as_rational(t) for t in turn_vector]
         if len(vec) != group.rank:
             raise MultiplierError("character needs one turn per lattice generator")
-        z = cls(group, lambda g: sum(v * a for v, a in zip(vec, g)),
-                "chi(" + ",".join(rational_str(v) for v in vec) + ")")
+        z = cls(group, lambda g: sum(v * a for v, a in zip(vec, g)))
         z.coboundary_pairing = _zero_matrix(group.rank)
         return z
 
@@ -119,14 +115,13 @@ class PhaseMap:
         if group.rank != 2:
             raise MultiplierError("quadratic phase maps are defined on Z^2")
         c = as_rational(coeff)
-        z = cls(group, lambda g: c * g[0] * g[1], f"quad({rational_str(c)})")
+        z = cls(group, lambda g: c * g[0] * g[1])
         z.coboundary_pairing = ((Fraction(0), -c), (-c, Fraction(0)))
         return z
 
     @classmethod
     def product(cls, group: ProductGroup, left: "PhaseMap", right: "PhaseMap") -> "PhaseMap":
-        return cls(group, lambda g: left._turns_fn(g[0]) + right._turns_fn(g[1]),
-                   f"{left.label}x{right.label}")
+        return cls(group, lambda g: left._turns_fn(g[0]) + right._turns_fn(g[1]))
 
     @classmethod
     def random_exact(cls, group: Group, rng: random.Random, denominator: int = 24) -> "PhaseMap":
@@ -134,14 +129,14 @@ class PhaseMap:
         if isinstance(group, FiniteTableGroup):
             turns = [Fraction(rng.randrange(denominator), denominator) for _ in range(group.n)]
             turns[group.identity_index] = Fraction(0)
-            return cls.from_table(group, turns, "random")
+            return cls.from_table(group, turns)
         if group.is_finite():
             table = {
                 g: Fraction(rng.randrange(denominator), denominator)
                 for g in group.elements()
             }
             table[group.identity()] = Fraction(0)
-            return cls(group, lambda g: table[g], "random")
+            return cls(group, lambda g: table[g])
         cache: dict = {group.identity(): Fraction(0)}
 
         def fn(g):
@@ -149,15 +144,12 @@ class PhaseMap:
                 cache[g] = Fraction(rng.randrange(denominator), denominator)
             return cache[g]
 
-        return cls(group, fn, "random")
+        return cls(group, fn)
 
 
 def all_characters(group: FiniteTableGroup) -> list[PhaseMap]:
     """Every homomorphism of a finite table group into U(1)."""
-    return [
-        PhaseMap.from_table(group, table, f"chi{i}")
-        for i, table in enumerate(character_turn_tables(group))
-    ]
+    return [PhaseMap.from_table(group, table) for table in character_turn_tables(group)]
 
 
 def product_characters(group: ProductGroup) -> list[PhaseMap]:

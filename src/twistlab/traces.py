@@ -121,8 +121,7 @@ def summation_trace(sigma: Multiplier) -> TraceFunctional:
 
 def character_functional(sigma: Multiplier, chi: PhaseMap) -> TraceFunctional:
     """Weight map g -> chi(g) for a character chi of the group."""
-    return TraceFunctional(sigma, weight_fn=lambda g: chi(g), kind="character",
-                           label=f"tr[{chi.label}]")
+    return TraceFunctional(sigma, weight_fn=lambda g: chi(g), kind="character")
 
 
 def conjugacy_functional(sigma: Multiplier, g) -> TraceFunctional:
@@ -177,18 +176,16 @@ def pullback_trace(pi: Homomorphism, tau_h: TraceFunctional, sigma: Multiplier) 
         raise TraceError("homomorphism domain must match the algebra group")
     if pi.codomain != tau_h.group:
         raise TraceError("homomorphism codomain must match the functional group")
-    return TraceFunctional(sigma, weight_fn=lambda g: tau_h.weight(pi(g)),
-                           kind="pullback", label=f"{tau_h.label}o{pi.label}")
+    return TraceFunctional(sigma, weight_fn=lambda g: tau_h.weight(pi(g)), kind="pullback")
 
 
 class UnitaryRep:
     """Unitary representation of a finite group by explicit matrices."""
 
-    def __init__(self, group: FiniteTableGroup, matrices: dict, label: str = "rep"):
+    def __init__(self, group: FiniteTableGroup, matrices: dict):
         self.group = group
         self.dim = int(next(iter(matrices.values())).shape[0])
         self._matrices = {g: np.asarray(m, dtype=complex) for g, m in matrices.items()}
-        self.label = label
 
     def matrix(self, g) -> np.ndarray:
         return self._matrices[g]
@@ -206,13 +203,13 @@ class UnitaryRep:
             for x in group.elements():
                 m[group.multiply(g, x), x] = 1.0
             mats[g] = m
-        return cls(group, mats, label="regular")
+        return cls(group, mats)
 
     @classmethod
     def from_character(cls, chi: PhaseMap) -> "UnitaryRep":
         group = chi.group
         mats = {g: np.array([[chi(g)]]) for g in group.elements()}
-        return cls(group, mats, label=chi.label)
+        return cls(group, mats)
 
     @classmethod
     def direct_sum(cls, reps: Sequence["UnitaryRep"]) -> "UnitaryRep":
@@ -227,7 +224,7 @@ class UnitaryRep:
                 m[at:at + b.shape[0], at:at + b.shape[0]] = b
                 at += b.shape[0]
             mats[g] = m
-        return cls(group, mats, label="(+)".join(r.label for r in reps))
+        return cls(group, mats)
 
     def verify(self) -> float:
         """Worst defect of multiplicativity and unitarity over the group."""
@@ -252,10 +249,8 @@ def unitary_trace(u: UnitaryRep, pi: Homomorphism, tau_h: TraceFunctional,
     """
     if u.group != sigma.group:
         raise TraceError("representation must live on the algebra group")
-    return TraceFunctional(
-        sigma,
-        weight_fn=lambda g: u.character(g) * tau_h.weight(pi(g)),
-        kind="unitary", label=f"tr[{u.label}]x{tau_h.label}")
+    return TraceFunctional(sigma, weight_fn=lambda g: u.character(g) * tau_h.weight(pi(g)),
+                           kind="unitary")
 
 
 def matrix_trace(tau: TraceFunctional, blocks: Sequence[Sequence[AlgebraElement]]) -> complex:

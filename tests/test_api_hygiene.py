@@ -5,7 +5,8 @@ callers can set it, and the result does not change.  The few parameters
 that must exist without being read are named below.  Likewise every
 private function, method and class, and every private module-level name
 assigned, is referenced somewhere in the package outside its own
-definition.
+definition, and only the private names listed below are read outside
+the module that defines them.
 """
 
 import ast
@@ -180,3 +181,63 @@ def test_a_second_root_of_unity_is_found():
         "phases": "import cmath\nw = cmath.exp(2j * cmath.pi / 3)\nv = cmath.exp(1j * cmath.pi)\n",
     }
     assert root_of_unity_sites(sources) == ["algebra.A.f", "phases"]
+
+
+# Private names that one module of the package may read from another, with the
+# reason.  Every other private name is read only in the module that defines it.
+PRIVATE_READS_ALLOWED = {
+    "algebra._add_into": "Projection._mat_mul sums entry products on plain dicts as elements do",
+    "algebra._checked": "Projection._mat_mul checks and prunes those dicts as elements do",
+    "algebra._same_multiplier": "a trace accepts exactly the elements of its own algebra",
+    "representations._flat_grid": "Bloch eta flattens its momentum grid as the fiber stacks do",
+    "representations._in_order": "verify.run_suites runs its suites on the butterfly's two-process schedule",
+}
+
+
+def _package_module(node: ast.ImportFrom) -> str | None:
+    """The package module an import reads from: "" for the package itself, None outside it."""
+    if node.level:
+        return node.module or ""
+    if node.module == "twistlab" or (node.module or "").startswith("twistlab."):
+        return node.module.partition(".")[2]
+    return None
+
+
+def private_reads(sources=None) -> list[str]:
+    """Each module._name that a module of the package, or of sources ({module: text}),
+    imports or reads as an attribute of another module."""
+    if sources is None:
+        sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    found = set()
+    for stem, text in sources.items():
+        tree = ast.parse(text)
+        modules = {}  # local name -> module of the package it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (origin := _package_module(node)) is not None:
+                for alias in node.names:
+                    if not origin:
+                        modules[alias.asname or alias.name] = alias.name
+                    elif _private(alias.name):
+                        found.add(f"{origin}.{alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and _private(node.attr)
+                    and isinstance(node.value, ast.Name) and node.value.id in modules):
+                found.add(f"{modules[node.value.id]}.{node.attr}")
+    return sorted(found)
+
+
+def test_private_names_stay_in_their_module():
+    assert private_reads() == sorted(PRIVATE_READS_ALLOWED)
+
+
+def test_a_private_read_from_another_module_is_found():
+    sources = {
+        "cli": "from .representations import MAX_ROWS, _in_order\n"
+               "from . import verify as verify_mod\nsplit = verify_mod._HELPER_SUITES\n",
+        "traces": "from twistlab.algebra import _same_multiplier\nfrom . import groups\n"
+                  "n = groups.MAX_TABLE_ORDER\n",
+        "verify": "from . import __version__, representations\n_OWN = representations.rows\n"
+                  "x = _OWN\nrepresentations._flat_grid(1, 2)\n",
+    }
+    assert private_reads(sources) == ["algebra._same_multiplier", "representations._flat_grid",
+                                      "representations._in_order", "verify._HELPER_SUITES"]

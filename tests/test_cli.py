@@ -1,6 +1,5 @@
 """End to end tests of the command line interface."""
 
-import functools
 import io
 import json
 import math
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twistlab import SpectralError, butterfly_csv, butterfly_rows, cli, representations
+from twistlab import SpectralError, butterfly_csv, butterfly_rows, cli
 from twistlab import verify as verify_mod
 from twistlab.cli import main
 from twistlab.verify import suite_names
@@ -34,12 +33,31 @@ def run(capsys, argv):
     return code, out
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} in a JSON artifact")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_verify_all_suites_pass(capsys):
     code, out = run(capsys, ["verify", "--seed", "7"])
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["passed"] is True
     assert len(payload["suites"]) == len(suite_names())
+    checks = {c["name"]: c for suite in payload["suites"] for c in suite["checks"]}
+    assert checks["moment-match"] == {"name": "moment-match", "passed": True, "detail": "saturated"}
+
+
+def test_emit_refuses_nan_and_infinity(capsys, tmp_path):
+    for bad in (math.nan, math.inf, -math.inf):
+        for out_path in (None, str(tmp_path / "out.json")):
+            with pytest.raises(ValueError, match="JSON"):
+                cli.emit({"x": [1.0, bad]}, out_path)
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_single_suite(capsys):
@@ -64,26 +82,16 @@ def test_verify_all_does_not_depend_on_the_schedule(capsys, schedule, seed):
     assert outputs[0][0] == 0
 
 
-def helper_indices(names):
-    """The indices that _cmd_verify gives the helper: those of the named helper suites."""
-    return {i for i, name in enumerate(names) if name in verify_mod._HELPER_SUITES}
-
-
 @needs_fork
-def test_the_helper_runs_exactly_the_named_suites(monkeypatch, capsys, schedule):
+def test_the_helper_runs_exactly_the_named_suites(monkeypatch, schedule):
     names = suite_names()
     assert verify_mod._HELPER_SUITES == {"spectral", "mishchenko"}
     # Each name is a suite, so renaming a suite cannot drop it from the helper unseen.
     assert set() < verify_mod._HELPER_SUITES < set(names)
 
-    def report_pid(name, seed):
-        return verify_mod.SuiteReport(name, [verify_mod.CheckResult("pid", True, detail=str(os.getpid()))])
-
-    monkeypatch.setattr(verify_mod, "run_suite", report_pid)
+    monkeypatch.setattr(verify_mod, "run_suite", lambda name, seed: (name, os.getpid()))
     schedule(2)
-    code, out = run(capsys, ["verify"])
-    assert code == 0
-    pids = {suite["suite"]: int(suite["checks"][0]["detail"]) for suite in json.loads(out)["suites"]}
+    pids = dict(verify_mod.run_suites(names, 0))
     assert list(pids) == names
     assert {name for name, pid in pids.items() if pid != os.getpid()} == verify_mod._HELPER_SUITES
     assert len({pid for pid in pids.values() if pid != os.getpid()}) == 1
@@ -130,12 +138,11 @@ def check_a_failing_suite_reaches_the_caller_in_both_schedules(monkeypatch, caps
         raise RuntimeError(f"{name} broke at seed {seed}")
 
     monkeypatch.setitem(verify_mod._SUITES, name, broken)
-    work = functools.partial(verify_mod.run_suite, seed=5)
     for cpus in (1, 2):
         schedule(cpus)
         reports = []
         with pytest.raises(RuntimeError, match=f"^{name} broke at seed 5$"):
-            for report in representations._in_order(names, work, helper_indices(names)):
+            for report in verify_mod.run_suites(names, 5):
                 reports.append(report.to_json())
         assert reports == [verify_mod.run_suite(other, 5).to_json() for other in names[:index]]
         with pytest.raises(RuntimeError, match=f"^{name} broke at seed 5$"):
@@ -147,15 +154,13 @@ def check_a_failing_suite_reaches_the_caller_in_both_schedules(monkeypatch, caps
 
 @needs_fork
 def test_a_failing_helper_suite_reaches_the_caller_in_both_schedules(monkeypatch, capsys, schedule):
-    names = suite_names()
-    assert names.index("spectral") in helper_indices(names)  # a suite the helper runs
+    assert "spectral" in verify_mod._HELPER_SUITES  # a suite the helper runs
     check_a_failing_suite_reaches_the_caller_in_both_schedules(monkeypatch, capsys, schedule, "spectral")
 
 
 @needs_fork
 def test_a_failing_suite_of_this_process_reaches_the_caller_in_both_schedules(monkeypatch, capsys, schedule):
-    names = suite_names()
-    assert names.index("traces") not in helper_indices(names)  # a suite this process runs
+    assert "traces" not in verify_mod._HELPER_SUITES  # a suite this process runs
     check_a_failing_suite_reaches_the_caller_in_both_schedules(monkeypatch, capsys, schedule, "traces")
 
 
@@ -543,6 +548,8 @@ def test_truncation_eta_at_radius_2_compares_with_radius_0(capsys, tmp_path):
     ("sobolev", dict(ELEMENT, terms=[{"g": [3, 1], "re": 1.0}], chain_j_max=3000), "order s"),
     ("eta", dict(DENSE, method="bloch"), "method"),
     ("eta", dict(ELEMENT, method="dense"), "method"),
+    ("sobolev", dict(ELEMENT, terms=[{"g": [3, 1], "re": 1e300}]), "norm of order s = 0.0"),
+    ("sobolev", dict(ELEMENT, terms=[{"g": [3, 1], "re": 1e300}], chain_j_max=2), "norm of order s = 0"),
 ])
 def test_bad_config_values_exit_2_with_one_error_line(capsys, tmp_path, command, config, named):
     cfg = write_config(tmp_path, "config.json", config)

@@ -40,7 +40,7 @@ def random_cochain(group, degree, seed):
             cache[args] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         return cache[args]
 
-    return GroupCochain(group, degree, fn, "random")
+    return GroupCochain(group, degree, fn)
 
 
 def test_differential_squares_to_zero(rng):
@@ -61,13 +61,13 @@ def test_area_cochain_is_an_invariant_cocycle(rng):
 
 
 def test_invariance_check_flags_noninvariant_cochain():
-    c = GroupCochain(Z2, 1, lambda g0, g1: float(g0[0] * g1[1]), "skew")
+    c = GroupCochain(Z2, 1, lambda g0, g1: float(g0[0] * g1[1]))
     assert c.check_invariance() > 0.1
 
 
 def test_bar_form_round_trip(rng):
     for c in (AREA, GroupCochain.coordinate_z(Z2, 1)):
-        back = homogeneous(Z2, c.degree, inhomogeneous(c), c.label)
+        back = homogeneous(Z2, c.degree, inhomogeneous(c))
         for _ in range(30):
             args = [Z2.random_element(rng, 4) for _ in range(c.degree + 1)]
             assert abs(back(*args) - c(*args)) <= 1e-12
@@ -168,6 +168,16 @@ def test_chain_order_and_sobolev_order_are_checked():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(CohomologyError, match="finite"):
             sobolev_norm(a, bad)
+
+
+def test_a_norm_beyond_the_floats_names_its_order():
+    # 1e154 squares to 1e308; the weight (1 + l)^2s = 25^s at l((3, 1)) = 4 takes order 1 past it.
+    a = AlgebraElement(magnetic_multiplier("1/3"), [((3, 1), 1e154)])
+    assert sobolev_norm(a, 0.0) == pytest.approx(1e154)
+    with pytest.raises(CohomologyError, match="norm of order s = 1.0 overflows"):
+        sobolev_norm(a, 1.0)
+    with pytest.raises(CohomologyError, match="norm of order s = 1 overflows"):
+        derivation_chain(a, j_max=2)
 
 
 def test_binomial_constant_is_needed():

@@ -248,7 +248,7 @@ def test_homomorphism_projection_and_matrix():
 
 
 def test_homomorphism_verify_rejects_non_hom():
-    bad = Homomorphism(S3, S3, lambda g: (g + 1) % 6, label="shift")
+    bad = Homomorphism(S3, S3, lambda g: (g + 1) % 6)
     with pytest.raises(GroupError):
         bad.verify(exhaustive=True)
 

@@ -56,7 +56,8 @@ def test_circle_transition_winding():
     cover = CircleCover(3)
     values = {cover.transition(0, 1, Fraction(k, 16))[0] for k in range(16)}
     assert values == {0, 3} or values == {0, -3}
-    assert cover.transition(0, 1, 0.3) == (0,)
+    with pytest.raises(TypeError):
+        cover.transition(0, 1, 0.3)
 
 
 def test_circle_projection_identities_are_exact():
@@ -133,7 +134,8 @@ def test_circle_transitions_are_fraction_lift_differences(n_grid, winding):
                 step = fraction_lift(i, x) - fraction_lift(j, x)
                 assert step.denominator == 1
                 assert cover.transition(i, j, x) == (winding * int(step),)
-                assert cover.transition(i, j, float(x)) == (winding * int(step),)
+                with pytest.raises(TypeError):
+                    cover.transition(i, j, float(x))
 
 
 @pytest.mark.parametrize("n_grid", [3, 7, 48])
@@ -377,7 +379,7 @@ def same_matrix(a, b):
 @pytest.mark.parametrize("winding", [1, 2, 3])
 def test_pairing_equals_the_reference_loop_bitwise(n_grid, winding):
     cover = CircleCover(winding)
-    coord = GroupCochain(cover.group, 1, lambda g0, g1: float(g1[0] - g0[0]), "z")
+    coord = GroupCochain(cover.group, 1, lambda g0, g1: float(g1[0] - g0[0]))
     assert same_float(lott_pairing_circle(cover, n_grid=n_grid),
                       reference_pairing(cover, coord, n_grid))
 
@@ -444,7 +446,7 @@ def test_pairing_with_a_custom_cochain_equals_the_reference_bitwise():
         return complex(d ** 3 - 0.75 * d + 0.25, 0.5 * d)
 
     cover = CircleCover(2)
-    cochain = GroupCochain(cover.group, 1, fn, "cubic")
+    cochain = GroupCochain(cover.group, 1, fn)
     want = reference_pairing(cover, cochain, 512)
     calls.clear()
     assert same_float(lott_pairing_circle(cover, cochain, n_grid=512), want)

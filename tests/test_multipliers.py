@@ -293,6 +293,31 @@ def test_random_phase_map_has_exact_turns_and_unit_at_identity():
     assert z.turns(g).denominator <= 24
 
 
+C4 = cyclic_group(4)
+S3_C4 = ProductGroup(S3, C4)
+PHASE_MAPS = {
+    "character": (PhaseMap.character_on_lattice(Z2, ["1/3", "-2/7"]), Z2.ball(2)),
+    "quadratic": (PhaseMap.quadratic_on_lattice(Z2, "5/12"), Z2.ball(2)),
+    "table": (PhaseMap.random_exact(S3, random.Random(5), denominator=12), S3.elements()),
+    "random": (PhaseMap.random_exact(Z2, random.Random(6)), Z2.ball(2)),
+    "product": (PhaseMap.product(S3_C4, all_characters(S3)[1],
+                                 PhaseMap.random_exact(C4, random.Random(7), denominator=8)),
+                list(itertools.product(S3.elements(), C4.elements()))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PHASE_MAPS))
+def test_conjugate_is_scaling_by_minus_one(kind):
+    z, points = PHASE_MAPS[kind]
+    conj, scaled = z.conjugate(), z.scaled(-1)
+    for g in points:
+        assert conj.turns(g) == scaled.turns(g) == -z.turns(g) % 1
+    pairing = z.coboundary_pairing
+    negated = None if pairing is None else tuple(tuple(-x for x in row) for row in pairing)
+    assert conj.coboundary_pairing == scaled.coboundary_pairing == negated
+    assert (pairing is None) == (kind not in ("character", "quadratic"))
+
+
 def test_multiplier_json_round_trips():
     cases = [
         magnetic_multiplier(THETA),

@@ -23,6 +23,7 @@ from twistlab import (
     spectral_flow,
     twisted_betti,
 )
+from twistlab import spectral
 from twistlab.spectral import _head_integral, default_zero_tol, kernel_report, require_hermitian
 
 
@@ -162,7 +163,7 @@ def test_head_integral_matches_scalar_simpson(n):
     # 5000 eigenvalues split every level into several blocks.
     rng = np.random.default_rng(9)
     ev = rng.uniform(0.2, 3.0, n) * rng.choice([-1.0, 1.0], n)
-    got = _head_integral(ev, 25.0, 1e-9)
+    got = _head_integral(ev, 25.0)
     want = scalar_head_integral(ev, 25.0, 1e-9)
     # Summation order differs, so allow rounding that grows with the term count.
     tol = 100 * n * np.finfo(float).eps * max(1.0, abs(want[0]))
@@ -238,6 +239,27 @@ def test_spectral_flow_downward_crossing_counts_negative():
 def test_spectral_flow_no_crossing():
     path = MatrixPath.linear(np.diag([1.0, -2.0]), np.diag([2.0, -1.0]))
     assert spectral_flow(path).flow == 0
+
+
+@pytest.mark.parametrize("sample, message", [
+    (lambda t: np.array([[math.nan, 0.0], [0.0, 1.0]]), "non-finite"),
+    # An upper entry with no lower one: eigvalsh alone would read the lower triangle.
+    (lambda t: np.array([[t - 0.5, 1.0], [0.0, 1.0]]), "not Hermitian"),
+])
+def test_a_generated_path_checks_each_sample(sample, message):
+    with pytest.raises(SpectralError, match=message):
+        spectral_flow(MatrixPath(sample))
+
+
+def test_linear_and_sampled_paths_check_only_at_construction(monkeypatch):
+    rng = np.random.default_rng(6)
+    a0, a1 = random_hermitian(rng, 5), random_hermitian(rng, 5)
+    paths = [MatrixPath.linear(a0, a1), MatrixPath.from_samples([a0, a1, a0])]
+    checked = []
+    monkeypatch.setattr(spectral, "require_hermitian", lambda a: checked.append(a) or a)
+    for path in paths:
+        spectral_flow(path)
+    assert checked == []
 
 
 def test_spectral_flow_equals_endpoint_formula_on_random_paths():
