@@ -8,6 +8,7 @@ cochain transfer with the length filtration, and projection fields over
 covers of the circle and torus.
 """
 
+from .errors import TwistlabError
 from .phases import Phase, as_rational, rational_str
 from .groups import (
     FiniteTableGroup,
@@ -61,8 +62,6 @@ from .representations import (
     moment_match_study,
     reduced_fractions,
     spectrum_union,
-    truncation_spectrum,
-    truncation_study,
 )
 from .traces import (
     TraceCheck,

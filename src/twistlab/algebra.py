@@ -25,14 +25,14 @@ import cmath
 import random
 from collections.abc import Iterable, Mapping
 
-from .groups import GroupError
+from .errors import TwistlabError
 from .multipliers import Multiplier, MultiplierError, PhaseMap, decided_equal, is_cohomologous_via
 from .phases import root
 
 PRUNE_TOL = 1e-15
 
 
-class AlgebraError(ValueError):
+class AlgebraError(TwistlabError):
     """Raised for mismatched algebras or malformed element data."""
 
 
@@ -215,10 +215,7 @@ def element_from_json(sigma: Multiplier, data: dict) -> AlgebraElement:
     grp = sigma.group
     items = []
     for term in data["terms"]:
-        try:
-            g = grp.element_from_json(term["g"])
-        except GroupError as exc:
-            raise AlgebraError(str(exc)) from exc
+        g = grp.element_from_json(term["g"])
         items.append((g, complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))))
     return AlgebraElement(sigma, items)
 

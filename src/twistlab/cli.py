@@ -15,13 +15,16 @@ partial ``--out``.
 which splits them between this process and a forked helper when two
 CPUs are usable, with the same output as one process.
 
-Exit codes: 0 success, 1 a verification suite failed, 2 bad
-configuration or arguments.
+Exit codes: 0 success; 1 a verification suite failed; 2 bad input, one
+``error:`` line for a ``TwistlabError`` (reading a config raises its faults
+as ``ConfigError``) or an ``OSError``; 3 an internal error, with its
+traceback: any other exception, a helper process that died included.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -30,11 +33,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import AlgebraError, element_from_json
-from .cohomology import CohomologyError, derivation_chain, sobolev_norm
+from .algebra import element_from_json
+from .cohomology import derivation_chain, sobolev_norm
+from .errors import TwistlabError
 from .groups import (
     FreeAbelianGroup,
-    GroupError,
     alternating_group,
     cyclic_group,
     group_from_json,
@@ -42,40 +45,36 @@ from .groups import (
     trivial_group,
     ProductGroup,
 )
-from .mishchenko import CircleCover, CoverError, lott_pairing_circle
-from .multipliers import MultiplierError, multiplier_from_json
+from .mishchenko import CircleCover, lott_pairing_circle
+from .multipliers import multiplier_from_json
+from .phases import as_rational
 from .representations import MAX_FIBER_ENTRIES, butterfly_csv
 from .spectral import (
     MatrixPath,
-    SpectralError,
     eta_operator,
     spectral_flow,
     twisted_betti,
     cycle_complex,
 )
-from .traces import TraceError
 from . import verify as verify_mod
 
 
-class ConfigError(Exception):
+class ConfigError(TwistlabError):
     pass
 
 
-_USER_ERRORS = (
-    ConfigError,
-    AlgebraError,
-    GroupError,
-    MultiplierError,
-    SpectralError,
-    TraceError,
-    CohomologyError,
-    CoverError,
-    KeyError,
-    ValueError,
-    TypeError,
-    OSError,
-    json.JSONDecodeError,
-)
+_USER_ERRORS = (TwistlabError, OSError)
+
+
+@contextlib.contextmanager
+def _reading():
+    """Raise a KeyError, TypeError, ValueError or OverflowError of reading input as a ConfigError."""
+    try:
+        yield
+    except TwistlabError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)) from None
 
 
 def parse_group(spec):
@@ -142,13 +141,12 @@ def _config_list(cfg: dict, key: str, default: list | None = None) -> list | Non
 def element_from_config(cfg: dict):
     group = parse_group(cfg.get("group", "z2"))
     sigma = multiplier_from_json(cfg["multiplier"], group)
-    element = element_from_json(sigma, {"terms": cfg["terms"]})
-    return sigma, element
+    return element_from_json(sigma, {"terms": cfg["terms"]})
 
 
 def emit(payload, out_path: str | None, as_json: bool = True) -> None:
     """Write a JSON payload, or an iterable of CSV text chunks, to stdout or atomically to out_path."""
-    # NaN and Infinity are not JSON: such a payload raises ValueError here, before any write.
+    # NaN and Infinity are not JSON: such a payload raises ValueError (exit 3) before any write.
     chunks = ([json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"]
               if as_json else payload)
     if not out_path:
@@ -180,7 +178,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_butterfly(args) -> int:
-    coefficients = tuple(float(x) for x in args.coefficients.split(","))
+    with _reading():
+        coefficients = tuple(float(x) for x in args.coefficients.split(","))
     if len(coefficients) != 4:
         raise ConfigError("--coefficients takes four comma separated values")
     if not all(math.isfinite(c) for c in coefficients):
@@ -216,43 +215,40 @@ def _eta_result_json(res) -> dict:
 
 
 def _cmd_eta(args) -> int:
-    cfg = load_config(args.config)
-    kwargs = {
-        "normalization": args.eta_normalization,
-        "zero_tol": cfg.get("zero_tol"),
-    }
-    if "matrix" in cfg:
-        if cfg.get("method", "dense") != "dense":
-            raise ConfigError(f"a matrix config takes method 'dense', not {cfg['method']!r}")
-        res = eta_operator(parse_matrix(cfg["matrix"]), method="dense", **kwargs)
-    else:
-        sigma, element = element_from_config(cfg)
-        method = cfg.get("method", "bloch")
-        if method == "dense":
-            raise ConfigError("method 'dense' needs a 'matrix' config, not algebra terms")
-        res = eta_operator(
-            element,
-            method=method,
-            kgrid=_config_int(cfg, "kgrid", 64),
-            radius=_config_int(cfg, "radius", 8),
-            s_grid=_config_list(cfg, "s_grid"),
-            **kwargs,
-        )
+    with _reading():
+        cfg = load_config(args.config)
+        if "matrix" in cfg:
+            if cfg.get("method", "dense") != "dense":
+                raise ConfigError(f"a matrix config takes method 'dense', not {cfg['method']!r}")
+            operator, options = parse_matrix(cfg["matrix"]), {"method": "dense"}
+        else:
+            operator = element_from_config(cfg)
+            method = cfg.get("method", "bloch")
+            if method == "dense":
+                raise ConfigError("method 'dense' needs a 'matrix' config, not algebra terms")
+            s_grid = _config_list(cfg, "s_grid")
+            # Each s is parsed here, so that a float fails before the base solve.
+            options = {"method": method, "kgrid": _config_int(cfg, "kgrid", 64),
+                       "radius": _config_int(cfg, "radius", 8),
+                       "s_grid": None if s_grid is None else [as_rational(s) for s in s_grid]}
+    res = eta_operator(operator, normalization=args.eta_normalization,
+                       zero_tol=cfg.get("zero_tol"), **options)
     emit(_eta_result_json(res), args.out)
     return 0
 
 
 def _cmd_spectral_flow(args) -> int:
-    cfg = load_config(args.config)
-    pcfg = cfg.get("path", cfg)
-    if not isinstance(pcfg, dict):
-        raise ConfigError("path must be an object")
-    if "samples" in pcfg:
-        path = MatrixPath.from_samples([parse_matrix(m) for m in pcfg["samples"]])
-    elif pcfg.get("generator", "linear") == "linear":
-        path = MatrixPath.linear(parse_matrix(pcfg["A0"]), parse_matrix(pcfg["A1"]))
-    else:
-        raise ConfigError(f"unknown path generator {pcfg.get('generator')!r}")
+    with _reading():
+        cfg = load_config(args.config)
+        pcfg = cfg.get("path", cfg)
+        if not isinstance(pcfg, dict):
+            raise ConfigError("path must be an object")
+        if "samples" in pcfg:
+            path = MatrixPath.from_samples([parse_matrix(m) for m in pcfg["samples"]])
+        elif pcfg.get("generator", "linear") == "linear":
+            path = MatrixPath.linear(parse_matrix(pcfg["A0"]), parse_matrix(pcfg["A1"]))
+        else:
+            raise ConfigError(f"unknown path generator {pcfg.get('generator')!r}")
     res = spectral_flow(
         path,
         zero_tol=cfg.get("zero_tol"),
@@ -273,12 +269,13 @@ def _cmd_spectral_flow(args) -> int:
 
 
 def _cmd_betti(args) -> int:
-    cfg = load_config(args.config)
-    if "cycle" in cfg:
-        even, odd = cycle_complex(_config_int(cfg, "cycle"))
-    else:
-        even = parse_matrix(cfg["even"])
-        odd = parse_matrix(cfg["odd"])
+    with _reading():
+        cfg = load_config(args.config)
+        if "cycle" in cfg:
+            even, odd = cycle_complex(_config_int(cfg, "cycle"))
+        else:
+            even = parse_matrix(cfg["even"])
+            odd = parse_matrix(cfg["odd"])
     res = twisted_betti(even, odd, zero_tol=cfg.get("zero_tol"))
     emit(
         {
@@ -295,10 +292,11 @@ def _cmd_betti(args) -> int:
 
 
 def _cmd_sobolev(args) -> int:
-    cfg = load_config(args.config)
-    _, element = element_from_config(cfg)
-    orders = _config_list(cfg, "s", [0, 1, 2])
-    payload = {"norms": {str(s): sobolev_norm(element, float(s)) for s in orders}}
+    with _reading():
+        cfg = load_config(args.config)
+        element = element_from_config(cfg)
+        orders = {str(s): float(s) for s in _config_list(cfg, "s", [0, 1, 2])}
+    payload = {"norms": {key: sobolev_norm(element, s) for key, s in orders.items()}}
     if "chain_j_max" in cfg:
         chain = derivation_chain(element, j_max=_config_int(cfg, "chain_j_max"))
         payload["chain"] = {
@@ -378,9 +376,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        # A helper process that died is an internal error, although ChildProcessError is an OSError.
+        if isinstance(exc, _USER_ERRORS) and not isinstance(exc, ChildProcessError):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        import traceback  # only here: importing it costs every run memory
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ growth fits for cochains.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import random
@@ -24,11 +25,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import AlgebraElement
+from .errors import TwistlabError
 from .groups import Group, FreeAbelianGroup
 from .multipliers import Multiplier
 
 
-class CohomologyError(Exception):
+class CohomologyError(TwistlabError):
     pass
 
 
@@ -278,12 +280,19 @@ def sobolev_inner(a: AlgebraElement, b: AlgebraElement, s: float) -> complex:
 
 
 def sobolev_norm(a: AlgebraElement, s: float) -> float:
+    """sqrt(sobolev_inner(a, a, s)), squared on an unpruned copy of a times 2^-e, every
+    coefficient part below 2^e, so that no square overflows where the norm fits.  Products
+    by powers of two are exact: the bits are those of the unscaled formula where it fits."""
     if not math.isfinite(s):
         raise CohomologyError(f"Sobolev order must be finite, not {s!r}")
-    square = sobolev_inner(a, a, s).real
-    if not math.isfinite(square):
-        raise CohomologyError(f"the Sobolev norm of order s = {s} overflows a float when squared")
-    return math.sqrt(max(0.0, square))
+    _, e = math.frexp(max((max(abs(c.real), abs(c.imag)) for c in a.coeffs.values()), default=0.0))
+    scaled = copy.copy(a)
+    scaled.coeffs = {g: c * math.ldexp(1.0, -e) for g, c in a.coeffs.items()}
+    # Times 2^(e - 1), then 2: 2^e itself is past the floats at e = 1024.
+    norm = math.sqrt(max(0.0, sobolev_inner(scaled, scaled, s).real)) * math.ldexp(1.0, e - 1) * 2.0
+    if not math.isfinite(norm):
+        raise CohomologyError(f"the Sobolev norm of order s = {s} overflows a float")
+    return norm
 
 
 @dataclass
@@ -352,6 +361,8 @@ def derivation_chain(a: AlgebraElement, j_max: int = 4) -> DerivationChainReport
         margins.append(rhs - lhs)
         if lhs > rhs + 1e-9 * max(1.0, rhs):
             ok = False
+    if not all(map(math.isfinite, norms + margins)):
+        raise CohomologyError(f"the derivation chain up to order {j_max} overflows a float")
     return DerivationChainReport(j_max, radius, defect, norms, constants, margins, ok)
 
 

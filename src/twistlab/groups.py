@@ -17,8 +17,10 @@ from collections import deque
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+from .errors import TwistlabError
 
-class GroupError(ValueError):
+
+class GroupError(TwistlabError):
     """Raised for malformed descriptors or foreign elements."""
 
 
@@ -445,14 +447,6 @@ class Homomorphism:
     @classmethod
     def identity(cls, group: Group) -> "Homomorphism":
         return cls(group, group, lambda g: g)
-
-    @classmethod
-    def projection(cls, product: ProductGroup, side: str) -> "Homomorphism":
-        if side == "left":
-            return cls(product, product.left, lambda g: g[0])
-        if side == "right":
-            return cls(product, product.right, lambda g: g[1])
-        raise GroupError(f"side must be 'left' or 'right', got {side!r}")
 
     @classmethod
     def from_table(cls, domain: FiniteTableGroup, codomain: Group, images: Sequence) -> "Homomorphism":

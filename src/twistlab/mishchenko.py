@@ -42,6 +42,7 @@ from typing import Callable, Sequence
 
 from .algebra import AlgebraElement, _add_into, _checked
 from .cohomology import GroupCochain, inhomogeneous
+from .errors import TwistlabError
 from .groups import FreeAbelianGroup
 from .multipliers import (
     GeometricMultiplier,
@@ -53,7 +54,7 @@ from .multipliers import (
 from .phases import as_rational, root
 
 
-class CoverError(Exception):
+class CoverError(TwistlabError):
     pass
 
 

@@ -39,6 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import TwistlabError
 from .groups import (
     FiniteTableGroup,
     FreeAbelianGroup,
@@ -52,7 +53,7 @@ from .phases import Phase, as_rational, rational_str, root
 _EXHAUSTIVE_ORDER = 24
 
 
-class MultiplierError(ValueError):
+class MultiplierError(TwistlabError):
     """Raised for malformed multiplier data or unsupported requests."""
 
 

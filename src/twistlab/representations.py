@@ -32,7 +32,7 @@ from .algebra import AlgebraElement
 from .groups import FreeAbelianGroup
 from .multipliers import Multiplier, MultiplierError, magnetic_multiplier
 from .phases import Phase
-from .spectral import SpectralError, eigvalsh
+from .spectral import SpectralError
 
 # Most fiber entries (fibers * q^2) one block of BlochMap.blocks holds: one
 # block per flux for q <= 2 at kgrid 64.  Blocks set the peak RSS of Bloch
@@ -181,7 +181,8 @@ class BlochMap:
         alive while the caller holds it.  With only, a boolean mask over the
         flat grid, blocks without a marked fiber are skipped.  Raises
         SpectralError if a fiber is not Hermitian, checked at the nonzero
-        pattern of a's terms and its transpose.
+        pattern of a's terms and its transpose, or if a fiber or its
+        spectrum is not finite.
         """
         entries, tol, parts = self._plan(a, n, only)
         for part, k1s, k2s in parts:
@@ -220,9 +221,14 @@ class BlochMap:
         stack = self.fiber_stack(a, k1s, k2s)
         rows, cols = entries
         defect = float(np.abs(stack[:, cols, rows].conj() - stack[:, rows, cols]).max(initial=0.0))
-        if not defect <= tol:
+        if defect <= tol:
+            eigs, vecs = np.linalg.eigh(stack) if vectors else (np.linalg.eigvalsh(stack), None)
+            # min and max pass NaN on, and unlike an isfinite mask allocate nothing eigs-sized.
+            if -np.inf < eigs.min() and eigs.max() < np.inf:
+                return eigs, vecs
+        elif np.isfinite(stack).all():
             raise SpectralError(f"Bloch fibers are not Hermitian (defect {defect:.2e})")
-        return np.linalg.eigh(stack) if vectors else (np.linalg.eigvalsh(stack), None)
+        raise SpectralError(f"Bloch fibers or their spectra are not finite (|a|_1 = {a.norm_l1():.3e})")
 
     def eigenvalues(self, a: AlgebraElement, n: int) -> np.ndarray:
         """Fiber eigenvalues over the n x n grid, shape (n*n, q), in (k1, k2) order."""
@@ -485,33 +491,3 @@ def butterfly_rows(qmax: int, kgrid: int, coefficients: Sequence[float] = (1.0, 
     for chunk in butterfly_csv(qmax, kgrid, coefficients):
         yield from chunk.splitlines()
 
-
-def _one_sided(av: np.ndarray, bv: np.ndarray) -> float:
-    pos = np.searchsorted(bv, av)
-    pos = np.clip(pos, 1, len(bv) - 1) if len(bv) > 1 else np.zeros_like(pos)
-    left = np.abs(av - bv[np.maximum(pos - 1, 0)])
-    right = np.abs(av - bv[np.minimum(pos, len(bv) - 1)])
-    return float(np.minimum(left, right).max())
-
-
-def truncation_spectrum(a: AlgebraElement, radius: int) -> np.ndarray:
-    """Eigenvalues of the ball truncation (requires a self adjoint element)."""
-    return eigvalsh(left_regular(a, radius).matrix)
-
-
-def truncation_study(a: AlgebraElement, radii: Sequence[int], kgrid: int = 64) -> dict:
-    """Coverage of the Bloch spectrum by truncation spectra as the ball grows.
-
-    Reports, per radius, the one sided distance from the Bloch spectrum to
-    the truncation eigenvalues; this shrinks as the ball exhausts the
-    group.  The opposite direction is also recorded since truncation can
-    place boundary modes inside spectral gaps.
-    """
-    bloch = spectrum_union(a, kgrid).flat()
-    coverage = []
-    spillover = []
-    for r in radii:
-        eigs = truncation_spectrum(a, r)
-        coverage.append(_one_sided(bloch, eigs))
-        spillover.append(_one_sided(eigs, bloch))
-    return {"radii": list(radii), "coverage": coverage, "spillover": spillover}

@@ -19,10 +19,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import AlgebraElement
+from .errors import TwistlabError
 from .phases import as_rational
 
 
-class SpectralError(ValueError):
+class SpectralError(TwistlabError):
     """Raised for non-finite or non-Hermitian input or insufficient quadrature windows."""
 
 
@@ -50,17 +51,26 @@ class EigenDecomposition:
     residual: float  # max entry of |A V - V diag(lambda)|
 
 
+def _finite_spectrum(eigenvalues: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The eigenvalues of a, or a SpectralError naming a's scale if one is not finite."""
+    if not np.isfinite(eigenvalues).all():
+        raise SpectralError(f"eigenvalues beyond the floats (largest |entry| {np.abs(a).max():.3e})")
+    return eigenvalues
+
+
 def eigh(a) -> EigenDecomposition:
     """Eigenvalues and eigenvectors of a complex Hermitian matrix (LAPACK)."""
     a = require_hermitian(a)
     eigenvalues, vectors = np.linalg.eigh(a)
+    _finite_spectrum(eigenvalues, a)
     residual = float(np.abs(a @ vectors - vectors * eigenvalues).max())
     return EigenDecomposition(eigenvalues, vectors, residual)
 
 
 def eigvalsh(a) -> np.ndarray:
     """Ascending eigenvalues of a complex Hermitian matrix (LAPACK)."""
-    return np.linalg.eigvalsh(require_hermitian(a))
+    a = require_hermitian(a)
+    return _finite_spectrum(np.linalg.eigvalsh(a), a)
 
 
 def default_zero_tol(eigenvalues: np.ndarray) -> float:

@@ -17,11 +17,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, _same_multiplier, random_element
+from .errors import TwistlabError
 from .groups import FiniteTableGroup, Homomorphism, ProductGroup
 from .multipliers import Multiplier, PhaseMap, all_characters, product_characters
 
 
-class TraceError(Exception):
+class TraceError(TwistlabError):
     pass
 
 

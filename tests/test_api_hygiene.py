@@ -6,14 +6,16 @@ that must exist without being read are named below.  Likewise every
 private function, method and class, and every private module-level name
 assigned, is referenced somewhere in the package outside its own
 definition, and only the private names listed below are read outside
-the module that defines them.
+the module that defines them.  Every exception class of the package
+derives from the one base, ``errors.TwistlabError``.
 """
 
 import ast
+import builtins
 from collections import defaultdict
 from pathlib import Path
 
-from twistlab import verify
+from twistlab import TwistlabError, verify
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "twistlab"
 
@@ -241,3 +243,52 @@ def test_a_private_read_from_another_module_is_found():
     }
     assert private_reads(sources) == ["algebra._same_multiplier", "representations._flat_grid",
                                       "representations._in_order", "verify._HELPER_SUITES"]
+
+
+def error_classes(sources=None) -> tuple[list[str], list[str]]:
+    """(strays, homes) of the package, or of sources ({module: text}): each module.Class
+    that derives from an exception class but not from TwistlabError, and each module
+    that defines a class named TwistlabError.  Bases are resolved by their simple names."""
+    if sources is None:
+        sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    classes = [(stem, node) for stem, text in sources.items()
+               for node in ast.walk(ast.parse(text)) if isinstance(node, ast.ClassDef)]
+    bases = {node.name: [b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)
+                         for b in node.bases] for _, node in classes}
+
+    def ancestors(name: str) -> set:
+        found, todo = set(), list(bases[name])
+        while todo:
+            base = todo.pop()
+            if base not in found:
+                found.add(base)
+                if base != "TwistlabError":  # the root: what it derives from is checked apart
+                    todo += bases.get(base, [])
+        return found
+
+    def is_exception(name: str) -> bool:
+        builtin = [getattr(builtins, base, None) for base in ancestors(name)]
+        return any(isinstance(b, type) and issubclass(b, BaseException) for b in builtin)
+
+    homes = [stem for stem, node in classes if node.name == "TwistlabError"]
+    strays = [f"{stem}.{node.name}" for stem, node in classes
+              if node.name != "TwistlabError" and is_exception(node.name)
+              and "TwistlabError" not in ancestors(node.name)]
+    return strays, homes
+
+
+def test_every_package_error_derives_from_the_one_base():
+    # The command line reports a TwistlabError as bad input and anything else as a bug.
+    assert error_classes() == ([], ["errors"])
+    assert issubclass(TwistlabError, ValueError)
+
+
+def test_a_stray_error_class_is_found():
+    sources = {
+        "errors": "class TwistlabError(ValueError):\n    pass\n",
+        "groups": "from . import errors\nclass GroupError(errors.TwistlabError):\n    pass\n"
+                  "class SubError(GroupError):\n    pass\nclass FooError(Exception):\n    pass\n"
+                  "class BarError(FooError):\n    pass\nclass Plain:\n    pass\n",
+        "cli": "import json\nclass TwistlabError(json.JSONDecodeError):\n    pass\n",
+    }
+    assert error_classes(sources) == (["groups.FooError", "groups.BarError"], ["errors", "cli"])

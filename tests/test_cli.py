@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistlab import SpectralError, butterfly_csv, butterfly_rows, cli
@@ -145,9 +145,11 @@ def check_a_failing_suite_reaches_the_caller_in_both_schedules(monkeypatch, caps
             for report in verify_mod.run_suites(names, 5):
                 reports.append(report.to_json())
         assert reports == [verify_mod.run_suite(other, 5).to_json() for other in names[:index]]
-        with pytest.raises(RuntimeError, match=f"^{name} broke at seed 5$"):
-            main(["verify", "--seed", "5"])
-        assert capsys.readouterr().out == ""
+        code = main(["verify", "--seed", "5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("Traceback")
+        assert f"RuntimeError: {name} broke at seed 5" in captured.err
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -503,6 +505,8 @@ TRUNCATION = dict(ELEMENT, method="truncation", radius=3)
 DENSE = {"matrix": {"re": [[1, 0], [0, -2]]}}
 FLOW = {"path": {"A0": {"re": [[-1, 0], [0, 1]]}, "A1": {"re": [[1, 0], [0, 1]]}}}
 SOBOLEV = dict(ELEMENT, s=[0, 1])
+# Terms whose l2 norm, about 2.1e308, is beyond the largest float.
+BEYOND_THE_FLOATS = [{"g": [3, 1], "re": 1.5e308}, {"g": [1, 0], "re": 1.5e308}]
 
 
 def test_truncation_eta_at_radius_2_compares_with_radius_0(capsys, tmp_path):
@@ -548,8 +552,11 @@ def test_truncation_eta_at_radius_2_compares_with_radius_0(capsys, tmp_path):
     ("sobolev", dict(ELEMENT, terms=[{"g": [3, 1], "re": 1.0}], chain_j_max=3000), "order s"),
     ("eta", dict(DENSE, method="bloch"), "method"),
     ("eta", dict(ELEMENT, method="dense"), "method"),
-    ("sobolev", dict(ELEMENT, terms=[{"g": [3, 1], "re": 1e300}]), "norm of order s = 0.0"),
-    ("sobolev", dict(ELEMENT, terms=[{"g": [3, 1], "re": 1e300}], chain_j_max=2), "norm of order s = 0"),
+    ("sobolev", dict(ELEMENT, terms=BEYOND_THE_FLOATS), "norm of order s = 0.0"),
+    ("sobolev", dict(ELEMENT, terms=BEYOND_THE_FLOATS, chain_j_max=2), "norm of order s = 0"),
+    ("eta", {"matrix": {"re": [[1e308, 1e308], [1e308, 1e308]]}}, "largest |entry| 1.000e+308"),
+    ("eta", dict(BLOCH, terms=[dict(t, re=1e308) for t in HARPER_TERMS]), "|a|_1 = inf"),
+    ("sobolev", dict(ELEMENT, terms=[{"g": [3, 1], "re": 1e300}], chain_j_max=2), "chain up to order 2"),
 ])
 def test_bad_config_values_exit_2_with_one_error_line(capsys, tmp_path, command, config, named):
     cfg = write_config(tmp_path, "config.json", config)
@@ -622,6 +629,150 @@ def test_cli_fuzz_exits_cleanly(call):
     assert (code == 0) == (fault is None), fault
     if code == 2:
         assert out.getvalue() == ""
+
+
+def _numeric_leaves(node, path=()):
+    """Paths to the numbers (not bools) of a JSON tree."""
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _numeric_leaves(value, path + (key,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+def _at(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+@st.composite
+def _fuzzed_config(draw):
+    """(command, config, fault, refused): a tiny config for eta, betti, sobolev or
+    spectral-flow with at most one fault, and whether that fault must be refused."""
+    small = st.integers(-2, 2)
+
+    def matrix(n, diagonal=False):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, i + 1 if diagonal else n):
+                rows[i][j] = rows[j][i] = draw(st.integers(0, 2) if diagonal else small)
+        return {"re": rows}
+
+    n = draw(st.integers(1, 3))
+    hopping, mass = draw(st.floats(-2, 2)), draw(st.floats(-2, 2))
+    element = {"multiplier": {"kind": "magnetic", "theta": draw(st.sampled_from(["0", "1/2", "1/3", "2/5"]))},
+               "terms": [{"g": [1, 0], "re": hopping}, {"g": [-1, 0], "re": hopping},
+                         {"g": [0, 1], "re": 1.0}, {"g": [0, -1], "re": 1.0}, {"g": [0, 0], "re": mass}]}
+    element_keys = [("multiplier",), ("terms",), ("multiplier", "kind"), ("multiplier", "theta"),
+                    ("terms", 0, "g")]
+    command = draw(st.sampled_from(["eta", "betti", "sobolev", "spectral-flow"]))
+    if command == "eta" and draw(st.booleans()):
+        config, required = {"matrix": matrix(n)}, [("matrix",), ("matrix", "re")]
+    elif command == "eta":
+        config = dict(element, method="bloch", kgrid=draw(st.integers(1, 4)))
+        if draw(st.booleans()):
+            config.update(method="truncation", radius=draw(st.integers(0, 2)))
+        if draw(st.booleans()):
+            config["s_grid"] = draw(st.lists(st.sampled_from(["1/2", "1", "3/2"]), max_size=2))
+        required = element_keys
+    elif command == "betti" and draw(st.booleans()):
+        config, required = {"cycle": draw(st.integers(2, 6))}, [("cycle",)]
+    elif command == "betti":
+        config = {"even": matrix(n, diagonal=True), "odd": matrix(n, diagonal=True)}
+        required = [("even",), ("odd",), ("even", "re")]
+    elif command == "sobolev":
+        config = dict(element, s=draw(st.lists(st.integers(0, 3), max_size=3)))
+        if draw(st.booleans()):
+            config["chain_j_max"] = draw(st.integers(0, 2))
+        required = element_keys
+    elif draw(st.booleans()):
+        config = {"path": {"samples": [matrix(n) for _ in range(draw(st.integers(2, 3)))]}}
+        required = [("path",), ("path", "samples", 0, "re")]
+    else:
+        config = {"path": {"A0": matrix(n), "A1": matrix(n)}}
+        required = [("path",), ("path", "A0"), ("path", "A1"), ("path", "A0", "re")]
+    if command != "sobolev" and draw(st.booleans()):
+        config["zero_tol"] = draw(st.sampled_from([1e-9, 0.5]))
+
+    faults = ["missing", "non-finite", "string", "non-numeric"]
+    if "matrix" in config or "even" in config or "path" in config:
+        faults.append("ragged")
+    if "terms" in config:
+        faults += ["float theta", "terms"]
+    if "s_grid" in config:
+        faults.append("float s_grid")
+    fault = draw(st.sampled_from([None] + faults))
+    leaves = list(_numeric_leaves(config))
+    leaf = draw(st.sampled_from(leaves))
+    if fault == "missing":
+        *parent, key = draw(st.sampled_from(required))
+        del _at(config, parent)[key]
+    elif fault == "non-finite":
+        _at(config, leaf[:-1])[leaf[-1]] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif fault == "string":
+        _at(config, leaf[:-1])[leaf[-1]] = repr(_at(config, leaf))
+    elif fault == "non-numeric":
+        _at(config, leaf[:-1])[leaf[-1]] = draw(st.sampled_from(["x", "", [1], {"re": 1}]))
+    elif fault == "ragged":
+        matrices = [_at(config, path[:-2]) for path in leaves if path[-3:-2] == ("re",)]
+        draw(st.sampled_from(matrices))[0].append(1)
+    elif fault == "float theta":
+        config["multiplier"]["theta"] = draw(st.sampled_from([0.25, 1 / 3]))
+    elif fault == "terms":
+        config["terms"] = draw(st.sampled_from([5, "terms", {"g": [0, 0], "re": 1.0}, None]))
+    elif fault == "float s_grid":
+        config["s_grid"].append(draw(st.sampled_from([0.5, 1.0])))
+    # A number as a string may still parse ("1.0" as a coefficient); every other fault must not.
+    return command, config, fault, fault not in (None, "string")
+
+
+@settings(max_examples=300)  # enough for every fault of every command to come up
+@given(_fuzzed_config())
+def test_config_fuzz_exits_cleanly(tmp_path_factory, case):
+    command, config, fault, refused = case
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([command, "--config", str(path)])
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if refused:
+        assert code == 2, (fault, config)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error:")
+
+
+def test_an_internal_key_error_exits_3_with_its_traceback(capsys, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "twisted_betti", broken)
+    cfg = write_config(tmp_path, "betti.json", {"cycle": 6})
+    code = main(["betti", "--config", cfg])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err.startswith("Traceback") and "KeyError: 'internal'" in captured.err
+
+
+@needs_fork
+def test_a_helper_that_dies_exits_3_with_its_traceback(capsys, monkeypatch, schedule):
+    parent = os.getpid()
+
+    def dies(seed):
+        if os.getpid() == parent:
+            raise AssertionError("the spectral suite ran in this process")
+        os._exit(0)
+
+    assert "spectral" in verify_mod._HELPER_SUITES
+    monkeypatch.setitem(verify_mod._SUITES, "spectral", dies)
+    schedule(2)
+    code = main(["verify", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert "ChildProcessError: the helper process ended before sending task" in captured.err
 
 
 def test_missing_config_returns_user_error(capsys):

@@ -171,13 +171,33 @@ def test_chain_order_and_sobolev_order_are_checked():
 
 
 def test_a_norm_beyond_the_floats_names_its_order():
-    # 1e154 squares to 1e308; the weight (1 + l)^2s = 25^s at l((3, 1)) = 4 takes order 1 past it.
-    a = AlgebraElement(magnetic_multiplier("1/3"), [((3, 1), 1e154)])
-    assert sobolev_norm(a, 0.0) == pytest.approx(1e154)
+    # The weight (1 + l)^2s = 25^s at l((3, 1)) = 4 takes the norm 1e308 past the floats at order 1.
+    a = AlgebraElement(magnetic_multiplier("1/3"), [((3, 1), 1e308)])
+    assert sobolev_norm(a, 0.0) == 1e308
     with pytest.raises(CohomologyError, match="norm of order s = 1.0 overflows"):
         sobolev_norm(a, 1.0)
     with pytest.raises(CohomologyError, match="norm of order s = 1 overflows"):
         derivation_chain(a, j_max=2)
+
+
+def test_a_norm_whose_square_overflows_is_still_returned():
+    a = AlgebraElement(magnetic_multiplier("1/3"), [((3, 1), 1e200)])
+    assert sobolev_norm(a, 0.0) == 1e200
+    assert sobolev_norm(a, 1.0) == pytest.approx(5e200)
+    assert sobolev_norm(AlgebraElement(a.sigma), 2.0) == 0.0
+
+
+def test_sobolev_norm_equals_the_unscaled_formula_bitwise():
+    # Scaling by a power of two is exact, so the bits are those of sqrt(<a, a>_s).
+    rng = random.Random(12)
+    sigmas = [magnetic_multiplier("1/3"), magnetic_multiplier("2/7", "symmetric"),
+              trivial_multiplier(FreeAbelianGroup(3))]
+    for _ in range(200):
+        a = random_element(rng.choice(sigmas), rng, rng.randint(1, 8), rng.randint(1, 4))
+        a = a * 10.0 ** rng.uniform(-100, 100)
+        for s in (0, 0.5, 1, 2, 3, 4):
+            plain = math.sqrt(max(0.0, sobolev_inner(a, a, s).real))
+            assert sobolev_norm(a, s).hex() == plain.hex()
 
 
 def test_binomial_constant_is_needed():

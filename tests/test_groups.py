@@ -235,12 +235,6 @@ def test_product_group_componentwise():
 
 
 def test_homomorphism_projection_and_matrix():
-    left = Homomorphism.projection(PROD, "left")
-    right = Homomorphism.projection(PROD, "right")
-    left.verify()
-    right.verify()
-    assert left(((2, 5), 1)) == (2, 5)
-    assert right(((2, 5), 1)) == 1
     doubling = Homomorphism.from_matrix(Z2, Z2, [[2, 0], [1, 1]])
     doubling.verify()
     assert doubling((1, 0)) == (2, 1)

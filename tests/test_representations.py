@@ -30,13 +30,9 @@ from twistlab import (
     reduced_fractions,
     spectrum_union,
     trivial_multiplier,
-    truncation_study,
 )
 from twistlab import cli, representations
-from twistlab.representations import (
-    algebraic_moment,
-    truncation_spectrum,
-)
+from twistlab.representations import algebraic_moment
 
 THETAS = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]
 
@@ -163,14 +159,6 @@ def test_moment_match_study_converges_fast():
     h = harper_element(magnetic_multiplier(Fraction(1, 3)))
     study = moment_match_study(h, n_max=8, grids=(16, 32, 64))
     assert study.min_order() >= 1.8
-
-
-def test_truncation_spectra_approach_the_band():
-    h = harper_element(magnetic_multiplier(Fraction(1, 3)))
-    study = truncation_study(h, radii=[4, 8, 12], kgrid=24)
-    coverage = study["coverage"]
-    assert coverage[-1] < coverage[0]
-    assert coverage[-1] < 0.35
 
 
 def test_left_regular_matrix_entries():
@@ -587,7 +575,17 @@ def test_non_self_adjoint_elements_raise_spectral_error():
     with pytest.raises(SpectralError):
         eta_operator(skew, kgrid=4)
     with pytest.raises(SpectralError):
-        truncation_spectrum(skew, 2)
+        eta_operator(skew, method="truncation", radius=2)
+
+
+def test_fibers_or_spectra_beyond_the_floats_name_the_scale():
+    sigma = magnetic_multiplier(Fraction(1, 3))
+    # Hopping 1e308 overflows the fiber sums.  The second element's fibers fit, but at
+    # k = 0 one is 0.7e308 times the all-ones matrix, whose eigenvalue 2.1e308 does not.
+    for a in (harper_element(sigma, (1e308,) * 4),
+              AlgebraElement(sigma, [((0, 0), 0.7e308), ((0, 1), 0.7e308), ((0, -1), 0.7e308)])):
+        with pytest.raises(SpectralError, match=r"not finite \(\|a\|_1 = inf\)"):
+            BlochMap(sigma).eigenvalues(a, 4)
 
 
 def _dense_clock_shift(bloch, g, scalar):

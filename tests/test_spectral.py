@@ -119,6 +119,14 @@ def test_require_hermitian_rejects_non_finite(bad):
         MatrixPath.linear(a, np.eye(2))
 
 
+def test_a_spectrum_beyond_the_floats_names_the_largest_entry():
+    # Finite and Hermitian, but its eigenvalue 2e308 is past the largest float.
+    a = np.full((2, 2), 1e308)
+    for solve in (eigh, eigvalsh):
+        with pytest.raises(SpectralError, match=r"largest \|entry\| 1\.000e\+308"):
+            solve(a)
+
+
 def test_eta_closed_form_counts_signs():
     a = np.diag([3.0, 1.0, -2.0])
     assert eta_closed_form(a) == 0.5
