@@ -356,7 +356,11 @@ def derivation_chain(a: AlgebraElement, j_max: int = 4) -> DerivationChainReport
     for j in range(j_max + 1):
         c_j = comb(j, j // 2)
         lhs = sobolev[j]
-        rhs = c_j * sum(norms[: j + 1])
+        try:
+            rhs = c_j * sum(norms[: j + 1])
+        except OverflowError:
+            raise CohomologyError(f"the chain constant binom({j}, {j // 2}) at order j = {j} "
+                                  "overflows a float") from None
         constants.append(c_j)
         margins.append(rhs - lhs)
         if lhs > rhs + 1e-9 * max(1.0, rhs):

@@ -10,7 +10,8 @@ at those entries only.  The butterfly CSV is made per block too: one
 %-template per block, filled with all of its eigenvalues at once, gives one
 text chunk.  With two usable CPUs a forked helper builds, solves and
 formats every other block of the sweep, and the chunks still come out in
-grid order.
+grid order; Bloch eta's sign traces are split between the processes the
+same way.
 """
 
 from __future__ import annotations
@@ -218,9 +219,12 @@ class BlochMap:
     def _solve(self, a: AlgebraElement, k1s: np.ndarray, k2s: np.ndarray, entries, tol: float,
                vectors: bool):
         """Eigenvalues and eigh vectors (or None) of one block of fibers, checked at entries."""
-        stack = self.fiber_stack(a, k1s, k2s)
         rows, cols = entries
-        defect = float(np.abs(stack[:, cols, rows].conj() - stack[:, rows, cols]).max(initial=0.0))
+        # Entries past the floats become inf or NaN without a numpy warning:
+        # the checks below report them as the one error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = self.fiber_stack(a, k1s, k2s)
+            defect = float(np.abs(stack[:, cols, rows].conj() - stack[:, rows, cols]).max(initial=0.0))
         if defect <= tol:
             eigs, vecs = np.linalg.eigh(stack) if vectors else (np.linalg.eigvalsh(stack), None)
             # min and max pass NaN on, and unlike an isfinite mask allocate nothing eigs-sized.
@@ -236,6 +240,27 @@ class BlochMap:
         for part, eigs, _ in self.blocks(a, n):
             out[part] = eigs
         return out
+
+    def sign_trace_blocks(self, a: AlgebraElement, n: int, gs, tol: float, only=None):
+        """(part, eigenvalues, {g: sign_traces}) per block of blocks(a, n, only=only), in order.
+
+        Signs are taken against tol: eigenvalues at or below it in modulus
+        count as 0.  The blocks are solved by _in_order, so with two usable
+        CPUs a forked helper solves every other one; only the eigenvalues
+        and traces of a block cross the pipe.  A block that raises, raises
+        here at its place.
+        """
+        entries, hermitian_tol, parts = self._plan(a, n, only)
+
+        def solve(block):
+            part, k1s, k2s = block
+            eigs, vecs = self._solve(a, k1s, k2s, entries, hermitian_tol, True)
+            signs = np.where(np.abs(eigs) > tol, np.sign(eigs), 0.0)
+            k1f, k2f = _flat_grid(k1s, k2s)
+            return part, eigs, {g: self.sign_traces(vecs, signs, g, k1f, k2f) for g in gs}
+
+        # A list, so that a grid of one block forks no helper.
+        return _in_order(list(parts), solve)
 
     def sign_traces(self, vecs: np.ndarray, signs: np.ndarray, g, k1f: np.ndarray,
                     k2f: np.ndarray) -> np.ndarray:
@@ -366,20 +391,23 @@ MAX_FIBER_ENTRIES = 2**20
 
 
 def butterfly_csv(qmax: int, kgrid: int, coefficients: Sequence[float] = (1.0, 1.0, 1.0, 1.0)) -> Iterator[str]:
-    """CSV text of the Hofstadter sweep: the header, then one chunk per Bloch block.
+    """CSV text of the Hofstadter sweep: one chunk per Bloch block, the header first.
 
     Columns: theta_num,theta_den,k1,k2,band_index,eigenvalue; every line
     ends in a newline and floats carry 17 significant digits.  Each block
     is built and solved in this process or in a forked helper (see
     _in_order), which also formats it by one %-template with an eigenvalue
-    slot per row; the chunks come out in grid order either way.  Raises
-    SpectralError for qmax or kgrid below 1, before any text, and if the
-    coefficients give no self adjoint element.
+    slot per row; the chunks come out in grid order either way.  The header
+    comes with the first block's chunk, so a sweep that fails there yields
+    no text.  Raises SpectralError for qmax or kgrid below 1, before any
+    text, and if the coefficients give no self adjoint element.
     """
     if qmax < 1 or kgrid < 1:
         raise SpectralError("a butterfly sweep needs qmax >= 1 and kgrid >= 1")
-    yield "theta_num,theta_den,k1,k2,band_index,eigenvalue\n"
-    yield from _in_order(_butterfly_blocks(qmax, kgrid, coefficients), _butterfly_chunk)
+    chunks = _in_order(_butterfly_blocks(qmax, kgrid, coefficients), _butterfly_chunk)
+    # Flux 0 gives at least one block.
+    yield "theta_num,theta_den,k1,k2,band_index,eigenvalue\n" + next(chunks)
+    yield from chunks
 
 
 def _butterfly_blocks(qmax: int, kgrid: int, coefficients: Sequence[float]):
@@ -416,6 +444,10 @@ def _butterfly_chunk(block) -> str:
 # wall time (0.768 against 0.736 s, 4 alternating pairs of runs, 2 vCPU).
 _PIPE_BYTES = 1 << 20
 
+# Set in a helper forked by _in_order, and only there (it never returns to the
+# caller), so that the helper forks no helper of its own.
+_in_helper = False
+
 
 def _in_order(tasks, work, helper=range(1, sys.maxsize, 2)):
     """work(task) for each task, in task order, computed by two processes.
@@ -428,11 +460,14 @@ def _in_order(tasks, work, helper=range(1, sys.maxsize, 2)):
     must give the same tasks in each.  Fork keeps the built state, which a
     spawned helper would import and build again; the helper leaves through
     os._exit, so it runs no exit hooks and flushes no stdio buffer it
-    inherited.  With one usable CPU, or a sized list of fewer than two
-    tasks, this is map(work, tasks).
+    inherited.  With one usable CPU, a sized list of fewer than two tasks,
+    or in a helper (whose tasks may call this again), this is
+    map(work, tasks).
     """
+    global _in_helper
     cpus = getattr(os, "sched_getaffinity", None)
-    if cpus is None or len(cpus(0)) < 2 or (isinstance(tasks, Sized) and len(tasks) < 2):
+    if (_in_helper or cpus is None or len(cpus(0)) < 2
+            or (isinstance(tasks, Sized) and len(tasks) < 2)):
         yield from map(work, tasks)
         return
     import fcntl
@@ -449,6 +484,7 @@ def _in_order(tasks, work, helper=range(1, sys.maxsize, 2)):
         os.close(write_fd)
         raise
     if pid == 0:
+        _in_helper = True
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:

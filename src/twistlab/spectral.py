@@ -6,7 +6,10 @@ reporting the residual of the decomposition.  Both validate their input
 first: square, finite and Hermitian.  Eta invariants come in a closed form
 (half the signature) and a quadrature form for the heat-kernel integral;
 both support the two normalizations found in the literature (with and
-without the factor 2 in the denominator).
+without the factor 2 in the denominator).  Bloch eta solves its fibers
+block by block; with two usable CPUs a forked helper solves half the
+blocks.  Spectral flow decides each refinement round in one array pass
+over the samples of that round.
 """
 
 from __future__ import annotations
@@ -231,7 +234,9 @@ def eta_operator(operator, tau=None, method: str = "bloch", normalization: str =
 
     method 'bloch': Z^2 with rational magnetic multiplier; the spectral
     sign function is computed per Bloch fiber, and the trace weights are
-    read off the gathered sign entries of BlochMap.sign_traces.  The error
+    read off the gathered sign entries of BlochMap.sign_traces.  With two
+    usable CPUs a forked helper solves half the Bloch blocks
+    (BlochMap.sign_trace_blocks); the result does not change.  The error
     is the change from the every-other-point subgrid for kgrid 4 and even
     kgrid >= 8, else from a separate max(4, kgrid // 2) grid; kgrid^2 * q
     is at most MAX_FIBER_ENTRIES.
@@ -279,7 +284,7 @@ def _eta_bloch(a: AlgebraElement, tau, normalization: str, kgrid: int,
     (2 pi i / m is 2 pi (2i) / (2m) bit for bit, so nothing is solved again),
     else a separate max(4, kgrid // 2) grid.
     """
-    from .representations import MAX_FIBER_ENTRIES, BlochMap, _flat_grid
+    from .representations import MAX_FIBER_ENTRIES, BlochMap
 
     bm = BlochMap(a.sigma)
     # The eigenvalue array below holds kgrid^2 * q floats at once.
@@ -302,17 +307,14 @@ def _eta_bloch(a: AlgebraElement, tau, normalization: str, kgrid: int,
 
     etas = []
     for n in (kgrid,) if subgrid else (kgrid, coarse):
-        ks = bm.grid(n)
-        k1f, k2f = _flat_grid(ks, ks)
         evals = np.empty((n * n, bm.q))
         traces = {g: np.empty(n * n, dtype=complex) for g in weights}
 
         def solve(tol: float, only=None) -> None:
-            for part, ev, vecs in bm.blocks(a, n, vectors=True, only=only):
+            for part, ev, block_traces in bm.sign_trace_blocks(a, n, weights, tol, only):
                 evals[part] = ev
-                signs = np.where(np.abs(ev) > tol, np.sign(ev), 0.0)
                 for g, trace in traces.items():
-                    trace[part] = bm.sign_traces(vecs, signs, g, k1f[part], k2f[part])
+                    trace[part] = block_traces[g]
 
         solve(bound if zero_tol is None else zero_tol)
         if zero_tol is None:
@@ -403,6 +405,8 @@ class MatrixPath:
         mats = [require_hermitian(m) for m in mats]
         if len(mats) < 2:
             raise SpectralError("a path needs at least two samples")
+        if any(m.shape != mats[0].shape for m in mats):
+            raise SpectralError("samples must share a dimension")
 
         def fn(t: float) -> np.ndarray:
             pos = t * (len(mats) - 1)
@@ -441,54 +445,43 @@ def spectral_flow(path: MatrixPath, zero_tol: float | None = None,
     ev1 = path.eigenvalues(1.0)
     if zero_tol is None:
         zero_tol = max(default_zero_tol(ev0), default_zero_tol(ev1), 1e-12)
-    ts = list(np.linspace(0.0, 1.0, initial_samples))
+    ts = np.linspace(0.0, 1.0, initial_samples)
+    evs = _path_samples(path, ts, ev0.shape)
     refinements = 0
-    for _ in range(max_refinements):
-        new_ts = []
-        for left, right in zip(ts[:-1], ts[1:]):
-            evl = path.eigenvalues(left)
-            evr = path.eigenvalues(right)
-            move = float(np.abs(evl - evr).max())
-            near = min(
-                float(np.abs(evl).min()), float(np.abs(evr).min())
-            )
-            crossing_candidate = bool(np.any(np.sign(evl) * np.sign(evr) <= 0))
-            if crossing_candidate and move > max(near / 2, 4 * zero_tol):
-                new_ts.append((left + right) / 2.0)
-        if not new_ts:
+    while refinements < max_refinements:
+        # Per interval (row): the largest move of an index, the eigenvalue
+        # nearest zero at either end, and whether an index may change sign.
+        # Python's min(x, y) and max(x, y) are written with np.where, so a
+        # NaN picks the same side.
+        left, right = evs[:-1], evs[1:]
+        move = np.abs(left - right).max(axis=1)
+        nearest = np.abs(evs).min(axis=1)
+        near = np.where(nearest[1:] < nearest[:-1], nearest[1:], nearest[:-1])
+        bar = np.where(4 * zero_tol > near / 2, 4 * zero_tol, near / 2)
+        split = (np.sign(left) * np.sign(right) <= 0).any(axis=1) & (move > bar)
+        if not split.any():
             break
         refinements += 1
-        ts = sorted(set(ts) | set(new_ts))
+        mids = (ts[:-1][split] + ts[1:][split]) / 2.0
+        # Not np.union1d: its first call imports numpy.ma, 0.8 MB of peak RSS.
+        ts = np.array(sorted(set(ts.tolist()) | set(mids.tolist())))
+        evs = _path_samples(path, ts, ev0.shape)
 
-    def category(x: float) -> int:
-        if x > zero_tol:
-            return 1
-        if x < -zero_tol:
-            return -1
-        return 0
+    # Sign categories (-1, 0, +1) per sample and index; the (interval, index)
+    # pairs where one changes, in row-major order, as the intervals are walked.
+    category = (evs > zero_tol).astype(np.int8) - (evs < -zero_tol)
+    rows, cols = np.nonzero(category[:-1] != category[1:])
 
-    def weight(cat: int, endpoint: bool) -> float:
+    def weight(cat: np.ndarray, at_end: np.ndarray) -> np.ndarray:
         # Negative eigenvalues carry weight 1; kernel eigenvalues carry 1/2
         # at interior samples and 0 at endpoints (kernel-corrected rule).
-        if cat < 0:
-            return 1.0
-        if cat == 0:
-            return 0.0 if endpoint else 0.5
-        return 0.0
+        return np.where(cat < 0, 1.0, np.where(cat == 0, np.where(at_end, 0.0, 0.5), 0.0))
 
-    crossings = []
-    total = 0.0
-    for left, right in zip(ts[:-1], ts[1:]):
-        evl = path.eigenvalues(left)
-        evr = path.eigenvalues(right)
-        for lam_l, lam_r in zip(evl, evr):
-            cl, cr = category(float(lam_l)), category(float(lam_r))
-            if cl == cr:
-                continue
-            step = weight(cl, left == 0.0) - weight(cr, right == 1.0)
-            if step != 0.0:
-                total += step
-                crossings.append((float(left), float(right), step))
+    steps = (weight(category[rows, cols], ts[rows] == 0.0)
+             - weight(category[rows + 1, cols], ts[rows + 1] == 1.0))
+    rows, steps = rows[steps != 0.0], steps[steps != 0.0].tolist()
+    crossings = list(zip(ts[rows].tolist(), ts[rows + 1].tolist(), steps))
+    total = sum(steps, 0.0)
 
     def corrected(ev: np.ndarray) -> float:
         kr = kernel_report(ev, zero_tol)
@@ -500,6 +493,21 @@ def spectral_flow(path: MatrixPath, zero_tol: float | None = None,
     if abs(total - flow) > 1e-9:
         raise SpectralError(f"tracking count {total} is not an integer; refine the path")
     return SpectralFlowResult(flow, crossings, endpoint_formula, len(ts), refinements)
+
+
+def _path_samples(path: MatrixPath, ts: np.ndarray, shape: tuple) -> np.ndarray:
+    """path.eigenvalues(t) for each t of ts, solved in that order, as the rows of one array.
+
+    Raises SpectralError at the first sample whose shape is not shape.
+    """
+    rows = []
+    for t in ts:
+        ev = path.eigenvalues(t)
+        if ev.shape != shape:
+            raise SpectralError(f"the path changes dimension: {ev.size} eigenvalues at t = {float(t)!r}, "
+                                f"{shape[0]} at t = 0")
+        rows.append(ev)
+    return np.array(rows)
 
 
 @dataclass

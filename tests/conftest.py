@@ -19,6 +19,15 @@ def rng():
     return random.Random(20260823)
 
 
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """After each test, assert that no child process is left, running or unreaped:
+    a test that runs two processes (butterfly, verify, Bloch eta) reaps its helper."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture
 def schedule(monkeypatch):
     """schedule(cpus): make representations._in_order run its tasks in one process

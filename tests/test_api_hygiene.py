@@ -191,7 +191,6 @@ PRIVATE_READS_ALLOWED = {
     "algebra._add_into": "Projection._mat_mul sums entry products on plain dicts as elements do",
     "algebra._checked": "Projection._mat_mul checks and prunes those dicts as elements do",
     "algebra._same_multiplier": "a trace accepts exactly the elements of its own algebra",
-    "representations._flat_grid": "Bloch eta flattens its momentum grid as the fiber stacks do",
     "representations._in_order": "verify.run_suites runs its suites on the butterfly's two-process schedule",
 }
 

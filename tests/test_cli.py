@@ -298,7 +298,7 @@ def test_butterfly_streams_at_bounded_memory(tmp_path):
 
 def test_butterfly_stdout_is_the_out_file_and_the_one_process_csv(tmp_path, schedule):
     # A helper that flushed the stdout buffer it inherits would write the
-    # header, already buffered when it is forked, a second time.  Without
+    # text buffered when it is forked a second time.  Without
     # PYTHONUNBUFFERED a piped stdout is block-buffered.
     argv = ["butterfly", "--qmax", "3", "--kgrid", "8"]
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -557,6 +557,9 @@ def test_truncation_eta_at_radius_2_compares_with_radius_0(capsys, tmp_path):
     ("eta", {"matrix": {"re": [[1e308, 1e308], [1e308, 1e308]]}}, "largest |entry| 1.000e+308"),
     ("eta", dict(BLOCH, terms=[dict(t, re=1e308) for t in HARPER_TERMS]), "|a|_1 = inf"),
     ("sobolev", dict(ELEMENT, terms=[{"g": [3, 1], "re": 1e300}], chain_j_max=2), "chain up to order 2"),
+    ("sobolev", dict(ELEMENT, terms=[{"g": [0, 0], "re": 1.0}], chain_j_max=1100), "order j = 1030"),
+    ("spectral-flow", {"path": {"samples": [{"re": [[1.0]]}, {"re": [[1.0, 0.0], [0.0, -1.0]]}]}},
+     "share a dimension"),
 ])
 def test_bad_config_values_exit_2_with_one_error_line(capsys, tmp_path, command, config, named):
     cfg = write_config(tmp_path, "config.json", config)
@@ -565,6 +568,41 @@ def test_bad_config_values_exit_2_with_one_error_line(capsys, tmp_path, command,
     assert (code, captured.out) == (2, "")
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
     assert named in captured.err and "Traceback" not in captured.err
+
+
+# A butterfly whose first block overflows: its fibers are not finite.
+OVERFLOWING_BUTTERFLY = ["butterfly", "--qmax", "1", "--kgrid", "2", "--coefficients",
+                         "5e307,5e307,5e307,5e307"]
+
+
+def test_a_butterfly_that_fails_in_its_first_block_writes_nothing(capsys, schedule):
+    for cpus in (1, 2):
+        schedule(cpus)
+        code = main(OVERFLOWING_BUTTERFLY)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: Bloch fibers or their spectra are not finite (|a|_1 = inf)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eta", dict(BLOCH, kgrid=4, terms=[dict(t, re=1e308) for t in HARPER_TERMS])],
+    # 32 blocks at q = 11, so the helper meets the overflow too.
+    ["eta", dict(BLOCH, kgrid=64, multiplier=dict(MAGNETIC_JSON, theta="5/11"),
+                 terms=[dict(t, re=1e308) for t in HARPER_TERMS])],
+    OVERFLOWING_BUTTERFLY,
+], ids=["eta kgrid 4", "eta 32 blocks", "butterfly"])
+def test_floats_past_the_range_give_one_error_line_and_no_warning(tmp_path, argv):
+    # A fresh process, because pytest captures the warnings of this one.
+    if isinstance(argv[1], dict):
+        argv = [argv[0], "--config", write_config(tmp_path, "config.json", argv[1])]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "twistlab.cli", *argv], env=env,
+                          capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode().splitlines() == [
+        "error: Bloch fibers or their spectra are not finite (|a|_1 = inf)"]
 
 
 def test_eta_matrix_config_accepts_an_explicit_dense_method(capsys, tmp_path):

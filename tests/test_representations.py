@@ -266,8 +266,9 @@ def test_cli_writes_one_chunk_per_bloch_block(monkeypatch, schedule, capsys):
     # 40 entries: the whole grid at q = 1, two k1 rows at q = 2, and parts of
     # a row at q = 3 (4 + 1 fibers) and q = 4 (2 + 2 + 1), for two fluxes each.
     assert solved == [1] + [2] * 3 + [3] * 20 + [4] * 30
-    assert len(written) == 1 + len(solved)
-    assert written[0] == "theta_num,theta_den,k1,k2,band_index,eigenvalue\n"
+    # The header comes with the first block's chunk.
+    assert len(written) == len(solved)
+    assert written[0].startswith("theta_num,theta_den,k1,k2,band_index,eigenvalue\n0,1,")
     assert all(chunk.endswith("\n") for chunk in written)
     assert "".join(written) == "\n".join(_reference_butterfly_rows(4, 5, (1.0,) * 4)) + "\n"
 
@@ -301,7 +302,7 @@ def test_butterfly_chunks_do_not_depend_on_the_schedule(monkeypatch, schedule, q
         schedules.append((list(butterfly_csv(qmax, kgrid, coefficients)), len(solved)))
     (one, blocks), (two, here) = schedules
     assert two == one
-    assert len(one) == 1 + blocks
+    assert len(one) == blocks
     # With two processes this one solves the even-numbered blocks only.
     assert here == (blocks + 1) // 2
 
@@ -311,7 +312,10 @@ def test_the_butterfly_helper_runs_the_odd_blocks(monkeypatch, schedule):
     monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 40)
     monkeypatch.setattr(representations, "_butterfly_chunk", lambda block: f"{os.getpid()}\n")
     schedule(2)
-    pids = [int(chunk) for chunk in list(butterfly_csv(4, 5))[1:]]
+    chunks = list(butterfly_csv(4, 5))
+    header, first = chunks[0].split("\n", 1)
+    assert header == "theta_num,theta_den,k1,k2,band_index,eigenvalue"
+    pids = [int(chunk) for chunk in [first, *chunks[1:]]]
     assert len(pids) > 2
     assert [pid != os.getpid() for pid in pids] == [index % 2 == 1 for index in range(len(pids))]
     assert len(set(pids[1::2])) == 1
@@ -343,7 +347,7 @@ def test_two_processes_fail_where_one_would(monkeypatch, schedule, failing):
                 chunks.append(chunk)
         outcomes.append((chunks, type(info.value), str(info.value)))
     assert outcomes[1] == outcomes[0]
-    assert len(outcomes[0][0]) == 1 + failing
+    assert len(outcomes[0][0]) == failing
     assert outcomes[0][2] == f"block {failing} is not Hermitian"
 
 
@@ -352,7 +356,7 @@ def test_two_processes_leave_no_child_behind(monkeypatch, schedule):
     schedule(2)
     monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 40)
     chunks = butterfly_csv(4, 5)
-    # The header and blocks 0 and 1; block 1 comes from the helper.
+    # Blocks 0 (with the header), 1 and 2; block 1 comes from the helper.
     for _ in range(3):
         next(chunks)
     chunks.close()
@@ -393,7 +397,7 @@ def test_a_helper_that_exits_without_sending_raises_child_process_error(monkeypa
     with pytest.raises(ChildProcessError, match=f"before sending task {failing}$"):
         for chunk in butterfly_csv(4, 5):
             chunks.append(chunk)
-    assert chunks == whole[:1 + failing]
+    assert chunks == whole[:failing]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -422,7 +426,7 @@ def test_a_helper_system_exit_reaches_the_caller_in_both_schedules(monkeypatch, 
             for chunk in butterfly_csv(4, 5):
                 chunks.append(chunk)
         assert info.value.code == 3
-        assert chunks == whole[:1 + failing]
+        assert chunks == whole[:failing]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

@@ -577,3 +577,228 @@ def test_bloch_eta_bounds_the_grid_of_every_power(monkeypatch):
     assert eta_operator(h, kgrid=8).kernel is not None
     with pytest.raises(SpectralError, match=r"8\^2 \* 30"):
         eta_operator(h, kgrid=8, s_grid=["11/10"])
+
+
+def _eta_hex(res):
+    """The float fields of an eta result by float.hex, so signed zeros count."""
+    return (res.eta.hex(), res.error_bound.hex(),
+            None if res.germ is None else {s: v.hex() for s, v in res.germ.items()},
+            res.kernel.dim, float(res.kernel.zero_tol).hex(), [x.hex() for x in res.kernel.ambiguous],
+            res.params)
+
+
+def _band_edge_mass(sigma, kgrid):
+    """Minus the top of band 0 over the grid: Harper plus this mass has a zero eigenvalue."""
+    from twistlab.representations import BlochMap
+
+    return -float(BlochMap(sigma).eigenvalues(harper_element(sigma), kgrid)[:, 0].max())
+
+
+def _bloch_eta_cases():
+    from twistlab import TraceFunctional
+
+    third = magnetic_multiplier(Fraction(1, 3))
+    fifth = magnetic_multiplier(Fraction(5, 11))
+    seventh = magnetic_multiplier(Fraction(1, 7))
+    thirtieth = magnetic_multiplier(Fraction(11, 30))
+    mass = _band_edge_mass(seventh, 32)
+    return {
+        # The invariants workload: 1, 7 and 64 blocks at s = 1, 9/10 and 11/10.
+        "invariants": (harper_element(third) + 0.5 * AlgebraElement.unit(third),
+                       {"kgrid": 32, "s_grid": ["9/10", "1", "11/10"]}),
+        # A kernel at a band edge and zero modes: blocks are solved again with only=.
+        "band edge": (harper_element(seventh) + mass * AlgebraElement.unit(seventh), {"kgrid": 32}),
+        "zero modes": (harper_element(fifth), {"kgrid": 32}),
+        "zero_tol": (harper_element(fifth), {"kgrid": 32, "zero_tol": 1e-6}),
+        "delta_(3,0)": (harper_element(fifth) + 0.5 * AlgebraElement.unit(fifth),
+                        {"kgrid": 32, "tau": TraceFunctional(fifth, {(3, 0): 1.0})}),
+        # kgrid 5 compares with a separately solved 4-grid; q = 30 takes two blocks.
+        "kgrid 5": (harper_element(thirtieth) + 0.5 * AlgebraElement.unit(thirtieth), {"kgrid": 5}),
+    }
+
+
+@pytest.mark.parametrize("case", ["invariants", "band edge", "zero modes", "zero_tol",
+                                  "delta_(3,0)", "kgrid 5"])
+def test_bloch_eta_does_not_depend_on_the_schedule(monkeypatch, schedule, case):
+    from twistlab.representations import BlochMap
+
+    element, kwargs = _bloch_eta_cases()[case]
+    solves = []
+    plan = BlochMap._plan
+
+    def counted_plan(self, a, n, only=None):
+        entries, tol, parts = plan(self, a, n, only)
+        parts = list(parts)
+        solves.append((only is not None, len(parts)))
+        return entries, tol, iter(parts)
+
+    monkeypatch.setattr(BlochMap, "_plan", counted_plan)
+    results = []
+    for cpus in (1, 2):
+        schedule(cpus)
+        solves.clear()
+        results.append(_eta_hex(eta_operator(element, **kwargs)))
+    assert results[1] == results[0]
+    # Each case solves more than one block somewhere, so the helper takes part.
+    assert max(blocks for _, blocks in solves) > 1
+    if case in ("band edge", "zero modes"):
+        assert any(only for only, _ in solves)
+
+
+@pytest.mark.parametrize("failing", [0, 1])  # a block of this process, then the helper's
+def test_a_non_hermitian_bloch_block_raises_the_same_error_in_both_schedules(monkeypatch, schedule,
+                                                                              failing):
+    from twistlab.representations import BlochMap
+
+    sigma = magnetic_multiplier(Fraction(5, 11))
+    element = harper_element(sigma) + 0.5 * AlgebraElement.unit(sigma)
+    schedule(1)
+    firsts = []
+    fiber_stack = BlochMap.fiber_stack
+    monkeypatch.setattr(BlochMap, "fiber_stack", lambda self, a, k1s, k2s: (
+        firsts.append((k1s[0], k2s[0])) or fiber_stack(self, a, k1s, k2s)))
+    eta_operator(element, kgrid=32)
+    assert len(firsts) > 2
+
+    def skewed_stack(self, a, k1s, k2s):
+        stack = fiber_stack(self, a, k1s, k2s)
+        if (k1s[0], k2s[0]) == firsts[failing]:
+            stack[:, 0, 1] += 1.0
+        return stack
+
+    monkeypatch.setattr(BlochMap, "fiber_stack", skewed_stack)
+    messages = []
+    for cpus in (1, 2):
+        schedule(cpus)
+        with pytest.raises(SpectralError, match="not Hermitian") as info:
+            eta_operator(element, kgrid=32)
+        messages.append(str(info.value))
+    assert messages[1] == messages[0]
+
+
+def test_a_helper_task_runs_its_own_tasks_in_the_helper(schedule):
+    import os
+
+    from twistlab.representations import _in_order
+
+    schedule(2)
+
+    def task(index):
+        return os.getpid(), list(_in_order(range(4), lambda inner: os.getpid()))
+
+    (here, inner_here), (helper, inner_helper) = _in_order(range(2), task)
+    assert here == os.getpid() != helper
+    # The helper forks no helper of its own; this process still does.
+    assert inner_helper == [helper] * 4
+    assert inner_here[0::2] == [here] * 2 and here not in inner_here[1::2]
+
+
+def _reference_spectral_flow(path, zero_tol=None, initial_samples=17, max_refinements=12):
+    """spectral_flow as it was written with a loop per interval, kept as the bitwise reference."""
+    zero_tol = spectral._zero_tol(zero_tol)
+    ev0 = path.eigenvalues(0.0)
+    ev1 = path.eigenvalues(1.0)
+    if zero_tol is None:
+        zero_tol = max(default_zero_tol(ev0), default_zero_tol(ev1), 1e-12)
+    ts = list(np.linspace(0.0, 1.0, initial_samples))
+    refinements = 0
+    for _ in range(max_refinements):
+        new_ts = []
+        for left, right in zip(ts[:-1], ts[1:]):
+            evl = path.eigenvalues(left)
+            evr = path.eigenvalues(right)
+            move = float(np.abs(evl - evr).max())
+            near = min(float(np.abs(evl).min()), float(np.abs(evr).min()))
+            crossing_candidate = bool(np.any(np.sign(evl) * np.sign(evr) <= 0))
+            if crossing_candidate and move > max(near / 2, 4 * zero_tol):
+                new_ts.append((left + right) / 2.0)
+        if not new_ts:
+            break
+        refinements += 1
+        ts = sorted(set(ts) | set(new_ts))
+
+    def category(x):
+        return 1 if x > zero_tol else -1 if x < -zero_tol else 0
+
+    def weight(cat, endpoint):
+        return 1.0 if cat < 0 else (0.0 if endpoint else 0.5) if cat == 0 else 0.0
+
+    crossings = []
+    total = 0.0
+    for left, right in zip(ts[:-1], ts[1:]):
+        for lam_l, lam_r in zip(path.eigenvalues(left), path.eigenvalues(right)):
+            cl, cr = category(float(lam_l)), category(float(lam_r))
+            if cl == cr:
+                continue
+            step = weight(cl, left == 0.0) - weight(cr, right == 1.0)
+            if step != 0.0:
+                total += step
+                crossings.append((float(left), float(right), step))
+
+    def corrected(ev):
+        nonzero = ev[np.abs(ev) > zero_tol]
+        return 0.5 * float(np.sum(np.sign(nonzero))) + 0.5 * kernel_report(ev, zero_tol).dim
+
+    flow = int(round(total))
+    assert abs(total - flow) <= 1e-9
+    return spectral.SpectralFlowResult(flow, crossings, corrected(ev1) - corrected(ev0), len(ts),
+                                       refinements)
+
+
+def _flow_paths():
+    """(name, make_path) pairs: seeded linear, sampled and generic paths, some with
+    kernel eigenvalues at an end.  make_path(calls) records each t the path solves."""
+    rng = np.random.default_rng(2741)
+    paths = []
+    for n in (3, 8, 20):
+        a0, a1 = random_hermitian(rng, n), random_hermitian(rng, n)
+        paths.append((f"linear {n}", lambda a0=a0, a1=a1: MatrixPath.linear(a0, a1)))
+        mats = [random_hermitian(rng, n) for _ in range(4)]
+        paths.append((f"samples {n}", lambda mats=mats: MatrixPath.from_samples(mats)))
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    # Kernel eigenvalues at both ends, exact and rotated.
+    d0, d1 = np.diag([0.0, 1.0, -1.0, 0.5]), np.diag([1.0, 0.0, -1.0, -0.5])
+    paths.append(("kernel ends", lambda: MatrixPath.linear(d0, d1)))
+    paths.append(("rotated kernel ends", lambda: MatrixPath.linear(q @ d0 @ q.conj().T,
+                                                                   q @ d1 @ q.conj().T)))
+    paths.append(("generic", lambda: MatrixPath(
+        lambda t: q @ np.diag([t - 0.5, 0.3 - t, math.sin(7 * t), 2.0 - t]) @ q.conj().T)))
+    paths.append(("generic diagonal", lambda: MatrixPath(
+        lambda t: np.diag([t - 1 / 3, (t - 0.5) ** 2, 0.25 - t * t, -1.0]))))
+    paths.append(("one eigenvalue", lambda: MatrixPath(lambda t: np.diag([t - 0.5]))))
+    return paths
+
+
+@pytest.mark.parametrize("name, make_path", _flow_paths(), ids=[name for name, _ in _flow_paths()])
+def test_spectral_flow_is_bit_equal_to_the_interval_loop(monkeypatch, name, make_path):
+    # zero_tol 1/4 from two samples puts diag(t - 1/2) exactly at the split bar.
+    options = [{}, {"zero_tol": 1e-3}, {"zero_tol": 0}, {"initial_samples": 2},
+               {"initial_samples": 5, "max_refinements": 2}, {"max_refinements": 0},
+               {"zero_tol": 0.25, "initial_samples": 2}]
+    for kwargs in options:
+        outcomes = []
+        for flow in (spectral_flow, _reference_spectral_flow):
+            path = make_path()
+            solved = []
+            solve = path._solve
+            monkeypatch.setattr(path, "_solve", lambda m, solve=solve: solved.append(m) or solve(m))
+            try:
+                res = flow(path, **kwargs)
+            except (SpectralError, AssertionError):
+                outcomes.append(("not an integer", len(solved)))
+                continue
+            outcomes.append((res.flow, res.endpoint_formula.hex(), res.samples, res.refinements,
+                             [(l.hex(), r.hex(), s.hex()) for l, r, s in res.crossings],
+                             [m.tobytes() for m in solved]))
+        assert outcomes[0] == outcomes[1], (name, kwargs)
+
+
+def test_samples_of_unequal_dimension_are_refused():
+    with pytest.raises(SpectralError, match="share a dimension"):
+        MatrixPath.from_samples([np.eye(1), np.diag([1.0, -1.0])])
+    calls = []
+    path = MatrixPath(lambda t: calls.append(t) or np.diag([t - 0.5] * (1 if t < 0.3 else 2)))
+    with pytest.raises(SpectralError, match="changes dimension: 2 eigenvalues at t = 0.3125, 1 at t = 0"):
+        spectral_flow(path)
+    # The first round stops at the first sample of the other dimension.
+    assert calls[-1] == 0.3125
