@@ -28,6 +28,7 @@ from .algebra import AlgebraElement
 from .errors import TwistlabError
 from .groups import Group, FreeAbelianGroup
 from .multipliers import Multiplier
+from .spectral import relative_tol
 
 
 class CohomologyError(TwistlabError):
@@ -363,7 +364,7 @@ def derivation_chain(a: AlgebraElement, j_max: int = 4) -> DerivationChainReport
                                   "overflows a float") from None
         constants.append(c_j)
         margins.append(rhs - lhs)
-        if lhs > rhs + 1e-9 * max(1.0, rhs):
+        if lhs > rhs + relative_tol(rhs):
             ok = False
     if not all(map(math.isfinite, norms + margins)):
         raise CohomologyError(f"the derivation chain up to order {j_max} overflows a float")

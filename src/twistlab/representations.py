@@ -33,7 +33,7 @@ from .algebra import AlgebraElement
 from .groups import FreeAbelianGroup
 from .multipliers import Multiplier, MultiplierError, magnetic_multiplier
 from .phases import Phase
-from .spectral import SpectralError
+from .spectral import SpectralError, relative_tol
 
 # Most fiber entries (fibers * q^2) one block of BlochMap.blocks holds: one
 # block per flux for q <= 2 at kgrid 64.  Blocks set the peak RSS of Bloch
@@ -204,8 +204,8 @@ class BlochMap:
         for g in a.coeffs:
             pattern[np.arange(self.q), self._term(g)[0]] = True
         # Entries are sums of c_g times unit phases: rounding leaves a defect
-        # near eps * |a|_1, so the bound scales with a once |a|_1 exceeds 1.
-        tol = 1e-9 * max(1.0, a.norm_l1())
+        # near eps * |a|_1, so the bound is relative to |a|_1.
+        tol = relative_tol(a.norm_l1())
         ks = self.grid(n)
         per_block = max(1, _BLOCK_ENTRIES // (self.q * self.q))
         rows, cols = max(1, per_block // n), min(n, per_block)
@@ -315,14 +315,14 @@ def spectrum_union(a: AlgebraElement, kgrid: int = 64) -> SpectrumResult:
     """Union of Bloch fiber spectra over a uniform k-grid.
 
     Band intervals are read per sorted eigenvalue index, so touching bands
-    are kept separate; gaps below the threshold max(1e-9, 1e-4 * width)
+    are kept separate; gaps up to the threshold 1e-4 * width of the union
     count as touching.
     """
     bm = BlochMap(a.sigma)
     eigs = bm.eigenvalues(a, kgrid)
     lo = float(eigs.min())
     hi = float(eigs.max())
-    threshold = max(1e-9, 1e-4 * (hi - lo))
+    threshold = 1e-4 * (hi - lo)
     bands = [(float(eigs[:, b].min()), float(eigs[:, b].max())) for b in range(bm.q)]
     gaps = [(top, bottom) for (_, top), (bottom, _) in zip(bands, bands[1:])
             if bottom - top > threshold]

@@ -9,13 +9,15 @@ both support the two normalizations found in the literature (with and
 without the factor 2 in the denominator).  Bloch eta solves its fibers
 block by block; with two usable CPUs a forked helper solves half the
 blocks.  Spectral flow decides each refinement round in one array pass
-over the samples of that round.
+over the samples of that round.  Every default threshold is relative_tol of
+a scale of the input, so scaling the input by 2^k does not change a result.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -37,12 +39,17 @@ def _as_matrix(a) -> np.ndarray:
     return mat
 
 
+def relative_tol(scale: float) -> float:
+    """The default "is this zero?" threshold for quantities of size scale: 1e-9 * scale."""
+    return 1e-9 * scale
+
+
 def require_hermitian(a) -> np.ndarray:
     mat = _as_matrix(a)
     if not np.isfinite(mat).all():
         raise SpectralError("matrix has non-finite entries")
     defect = float(np.abs(mat - mat.conj().T).max()) if mat.size else 0.0
-    if defect > 1e-9 * max(1.0, float(np.abs(mat).max(initial=0.0))):
+    if defect > relative_tol(float(np.abs(mat).max(initial=0.0))):
         raise SpectralError(f"matrix is not Hermitian (defect {defect:.3e})")
     return mat
 
@@ -77,16 +84,17 @@ def eigvalsh(a) -> np.ndarray:
 
 
 def default_zero_tol(eigenvalues: np.ndarray) -> float:
-    """Relative kernel threshold: 1e-9 times the spectral radius (min 1e-12)."""
-    radius = float(np.abs(eigenvalues).max()) if eigenvalues.size else 0.0
-    return max(1e-12, 1e-9 * radius)
+    """Kernel threshold: relative_tol of the spectral radius, so 0 for a zero operator."""
+    return relative_tol(float(np.abs(eigenvalues).max(initial=0.0)))
 
 
 def _zero_tol(zero_tol, eigenvalues: np.ndarray | None = None):
     """A checked zero_tol, or for None the default of the eigenvalues (None without them)."""
     if zero_tol is None:
         return None if eigenvalues is None else default_zero_tol(eigenvalues)
-    if isinstance(zero_tol, bool) or not isinstance(zero_tol, numbers.Real) or not 0 <= zero_tol < math.inf:
+    # NaN, inf and an int past the floats all fail the exact comparison with the largest float.
+    if (isinstance(zero_tol, bool) or not isinstance(zero_tol, numbers.Real)
+            or not 0 <= zero_tol <= sys.float_info.max):
         raise SpectralError(f"zero_tol must be a finite number >= 0, not {zero_tol!r}")
     return zero_tol
 
@@ -296,7 +304,7 @@ def _eta_bloch(a: AlgebraElement, tau, normalization: str, kgrid: int,
     # Each fiber is a sum of c_g times unitaries, so bound >= the default
     # zero_tol.  Signs are taken against bound until that is known; then the
     # blocks with an eigenvalue at or below either are solved again.
-    bound = max(1e-12, 1e-9 * a.norm_l1())
+    bound = relative_tol(a.norm_l1())
     # kgrid 4 against a 4-grid of its own would bound nothing.
     coarse = 2 if kgrid == 4 else max(4, kgrid // 2)
     subgrid = 2 * coarse == kgrid
@@ -377,7 +385,7 @@ class MatrixPath:
     """Hermitian path on [0, 1], from samples or a generator callback.
 
     A generator's matrices are checked as they are solved; ``linear`` and
-    ``from_samples`` check theirs at construction and solve unchecked.
+    ``from_samples`` check theirs at construction, and solve checking only finiteness.
     """
 
     def __init__(self, fn: Callable[[float], np.ndarray]):
@@ -387,9 +395,9 @@ class MatrixPath:
 
     @classmethod
     def _of_checked(cls, fn: Callable[[float], np.ndarray]) -> "MatrixPath":
-        # A check costs about 70 us per 80 x 80 sample, and a flow solves 77-148 samples.
+        # Only finiteness: a Hermitian check costs about 70 us per 80 x 80 sample, and a flow solves 77-148.
         path = cls(fn)
-        path._solve = np.linalg.eigvalsh
+        path._solve = lambda m: _finite_spectrum(np.linalg.eigvalsh(m), m)
         return path
 
     @classmethod
@@ -444,7 +452,7 @@ def spectral_flow(path: MatrixPath, zero_tol: float | None = None,
     ev0 = path.eigenvalues(0.0)
     ev1 = path.eigenvalues(1.0)
     if zero_tol is None:
-        zero_tol = max(default_zero_tol(ev0), default_zero_tol(ev1), 1e-12)
+        zero_tol = max(default_zero_tol(ev0), default_zero_tol(ev1))
     ts = np.linspace(0.0, 1.0, initial_samples)
     evs = _path_samples(path, ts, ev0.shape)
     refinements = 0
@@ -525,21 +533,12 @@ class GradedMatrix:
         if not np.all(np.isin(self.grading, (-1.0, 1.0))):
             raise SpectralError("grading entries must be +-1")
         anti = self.grading[:, None] * self.matrix + self.matrix * self.grading[None, :]
-        if float(np.abs(anti).max()) > 1e-9 * max(1.0, float(np.abs(self.matrix).max())):
+        if float(np.abs(anti).max()) > relative_tol(float(np.abs(self.matrix).max())):
             raise SpectralError("operator does not anticommute with the grading")
 
     def index(self) -> int:
-        """dim ker D+ - dim ker D-, via a singular value rank oracle."""
-        plus = np.where(self.grading > 0)[0]
-        minus = np.where(self.grading < 0)[0]
-        block = self.matrix[np.ix_(minus, plus)]  # D+ : E+ -> E-
-        if min(block.shape) == 0:
-            rank = 0
-        else:
-            sv = np.sqrt(np.maximum(0.0, eigvalsh(block.conj().T @ block)))
-            cutoff = max(1e-12, 1e-9 * (sv.max() if sv.size else 0.0))
-            rank = int(np.sum(sv > cutoff))
-        return (len(plus) - rank) - (len(minus) - rank)
+        """dim ker D+ - dim ker D- = dim E+ - dim E-, as D+ and D- = (D+)* have one rank."""
+        return int(np.count_nonzero(self.grading > 0)) - int(np.count_nonzero(self.grading < 0))
 
 
 def mckean_singer(d: GradedMatrix, t_values: Sequence[float] = (0.1, 0.5, 1.0, 2.0)) -> dict:

@@ -151,25 +151,33 @@ def _is_two_pi_i(node) -> bool:
             and isinstance(node.right.value, ast.Name) and node.right.value.id == "cmath")
 
 
-def _root_sites(node, name):
-    """The qualified name of the innermost definition around each cmath.exp of 2j * cmath.pi."""
+def _is_root_of_unity(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "exp" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "cmath"
+            and any(_is_two_pi_i(n) for arg in node.args for n in ast.walk(arg)))
+
+
+def _sites(node, name, found):
+    """The qualified name of the innermost definition around each node that found accepts."""
     for child in ast.iter_child_nodes(node):
         inner = name
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = f"{name}.{child.name}"
-        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "exp" and isinstance(child.func.value, ast.Name)
-                and child.func.value.id == "cmath"
-                and any(_is_two_pi_i(n) for arg in child.args for n in ast.walk(arg))):
+        if found(child):
             yield inner
-        yield from _root_sites(child, inner)
+        yield from _sites(child, inner, found)
+
+
+def _package_sites(sources, found) -> list[str]:
+    if sources is None:
+        sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    return [site for stem, text in sources.items() for site in _sites(ast.parse(text), stem, found)]
 
 
 def root_of_unity_sites(sources=None) -> list[str]:
     """Every site of the package, or of sources ({module: text}), that computes exp(2 pi i x)."""
-    if sources is None:
-        sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    return [site for stem, text in sources.items() for site in _root_sites(ast.parse(text), stem)]
+    return _package_sites(sources, _is_root_of_unity)
 
 
 def test_the_float_of_an_exact_phase_has_one_home():
@@ -183,6 +191,37 @@ def test_a_second_root_of_unity_is_found():
         "phases": "import cmath\nw = cmath.exp(2j * cmath.pi / 3)\nv = cmath.exp(1j * cmath.pi)\n",
     }
     assert root_of_unity_sites(sources) == ["algebra.A.f", "phases"]
+
+
+# The functions that may hold the float 1e-9, with the reason.  Every other
+# "is this zero?" threshold is spectral.relative_tol of a scale of its input, so
+# no absolute floor breaks the invariance of a result under scaling.
+TOLERANCE_SITES_ALLOWED = {
+    "spectral.relative_tol": "the one default threshold, 1e-9 times the scale it is given",
+    "spectral._head_integral": "Simpson convergence of the heat-kernel integral, which has no units",
+    "spectral.spectral_flow": "the integer check on the tracking count, which has no units",
+}
+
+
+def _is_rounding_tolerance(node) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1e-9
+
+
+def rounding_tolerance_sites(sources=None) -> list[str]:
+    """Every site of the package, or of sources ({module: text}), that holds the float 1e-9."""
+    return _package_sites(sources, _is_rounding_tolerance)
+
+
+def test_the_rounding_tolerance_has_one_home():
+    assert sorted(rounding_tolerance_sites()) == sorted(TOLERANCE_SITES_ALLOWED)
+
+
+def test_a_floored_tolerance_is_found():
+    sources = {
+        "representations": "def f(r):\n    return max(1e-12, 1e-9 * r)\n",
+        "spectral": 'def relative_tol(scale):\n    """1e-9 * scale"""\n    return 1e-9 * scale\n',
+    }
+    assert rounding_tolerance_sites(sources) == ["representations.f", "spectral.relative_tol"]
 
 
 # Private names that one module of the package may read from another, with the

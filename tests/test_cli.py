@@ -560,6 +560,10 @@ def test_truncation_eta_at_radius_2_compares_with_radius_0(capsys, tmp_path):
     ("sobolev", dict(ELEMENT, terms=[{"g": [0, 0], "re": 1.0}], chain_j_max=1100), "order j = 1030"),
     ("spectral-flow", {"path": {"samples": [{"re": [[1.0]]}, {"re": [[1.0, 0.0], [0.0, -1.0]]}]}},
      "share a dimension"),
+    ("spectral-flow", dict(FLOW, zero_tol=10**400), "zero_tol"),
+    ("betti", {"cycle": 12, "zero_tol": 10**400}, "zero_tol"),
+    ("eta", {"matrix": {"re": [[0, 1e-10], [0, 0]]}}, "not Hermitian"),
+    ("eta", {"matrix": {"re": [[1e-10, 5e-10], [-5e-10, -1e-10]]}}, "not Hermitian"),
 ])
 def test_bad_config_values_exit_2_with_one_error_line(capsys, tmp_path, command, config, named):
     cfg = write_config(tmp_path, "config.json", config)
@@ -584,14 +588,21 @@ def test_a_butterfly_that_fails_in_its_first_block_writes_nothing(capsys, schedu
         assert captured.err == "error: Bloch fibers or their spectra are not finite (|a|_1 = inf)\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["eta", dict(BLOCH, kgrid=4, terms=[dict(t, re=1e308) for t in HARPER_TERMS])],
+BLOCH_PAST_THE_FLOATS = "error: Bloch fibers or their spectra are not finite (|a|_1 = inf)"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eta", dict(BLOCH, kgrid=4, terms=[dict(t, re=1e308) for t in HARPER_TERMS])], BLOCH_PAST_THE_FLOATS),
     # 32 blocks at q = 11, so the helper meets the overflow too.
-    ["eta", dict(BLOCH, kgrid=64, multiplier=dict(MAGNETIC_JSON, theta="5/11"),
-                 terms=[dict(t, re=1e308) for t in HARPER_TERMS])],
-    OVERFLOWING_BUTTERFLY,
-], ids=["eta kgrid 4", "eta 32 blocks", "butterfly"])
-def test_floats_past_the_range_give_one_error_line_and_no_warning(tmp_path, argv):
+    (["eta", dict(BLOCH, kgrid=64, multiplier=dict(MAGNETIC_JSON, theta="5/11"),
+                  terms=[dict(t, re=1e308) for t in HARPER_TERMS])], BLOCH_PAST_THE_FLOATS),
+    (OVERFLOWING_BUTTERFLY, BLOCH_PAST_THE_FLOATS),
+    # Checked at construction, so each sample's spectrum is checked for finiteness alone.
+    (["spectral-flow", {"path": {"A0": {"re": [[1e308, 1e308], [1e308, 1e308]]},
+                                 "A1": {"re": [[-1e308, 1e308], [1e308, -1e308]]}}}],
+     "error: eigenvalues beyond the floats (largest |entry| 1.000e+308)"),
+], ids=["eta kgrid 4", "eta 32 blocks", "butterfly", "linear flow"])
+def test_floats_past_the_range_give_one_error_line_and_no_warning(tmp_path, argv, message):
     # A fresh process, because pytest captures the warnings of this one.
     if isinstance(argv[1], dict):
         argv = [argv[0], "--config", write_config(tmp_path, "config.json", argv[1])]
@@ -601,8 +612,7 @@ def test_floats_past_the_range_give_one_error_line_and_no_warning(tmp_path, argv
     proc = subprocess.run([sys.executable, "-m", "twistlab.cli", *argv], env=env,
                           capture_output=True, timeout=120)
     assert (proc.returncode, proc.stdout) == (2, b"")
-    assert proc.stderr.decode().splitlines() == [
-        "error: Bloch fibers or their spectra are not finite (|a|_1 = inf)"]
+    assert proc.stderr.decode().splitlines() == [message]
 
 
 def test_eta_matrix_config_accepts_an_explicit_dense_method(capsys, tmp_path):
@@ -731,9 +741,10 @@ def _fuzzed_config(draw):
         config = {"path": {"A0": matrix(n), "A1": matrix(n)}}
         required = [("path",), ("path", "A0"), ("path", "A1"), ("path", "A0", "re")]
     if command != "sobolev" and draw(st.booleans()):
-        config["zero_tol"] = draw(st.sampled_from([1e-9, 0.5]))
+        # 10**400 is an int past the floats, so it must be refused.
+        config["zero_tol"] = draw(st.sampled_from([1e-9, 0.5, 10**400]))
 
-    faults = ["missing", "non-finite", "string", "non-numeric"]
+    faults = ["missing", "non-finite", "string", "non-numeric", "huge"]
     if "matrix" in config or "even" in config or "path" in config:
         faults.append("ragged")
     if "terms" in config:
@@ -752,6 +763,10 @@ def _fuzzed_config(draw):
         _at(config, leaf[:-1])[leaf[-1]] = repr(_at(config, leaf))
     elif fault == "non-numeric":
         _at(config, leaf[:-1])[leaf[-1]] = draw(st.sampled_from(["x", "", [1], {"re": 1}]))
+    elif fault == "huge":  # every nonzero number near the top of the floats, its sign kept
+        for path in leaves:
+            if _at(config, path):
+                _at(config, path[:-1])[path[-1]] = 1e308 if _at(config, path) > 0 else -1e308
     elif fault == "ragged":
         matrices = [_at(config, path[:-2]) for path in leaves if path[-3:-2] == ("re",)]
         draw(st.sampled_from(matrices))[0].append(1)
@@ -761,8 +776,10 @@ def _fuzzed_config(draw):
         config["terms"] = draw(st.sampled_from([5, "terms", {"g": [0, 0], "re": 1.0}, None]))
     elif fault == "float s_grid":
         config["s_grid"].append(draw(st.sampled_from([0.5, 1.0])))
-    # A number as a string may still parse ("1.0" as a coefficient); every other fault must not.
-    return command, config, fault, fault not in (None, "string")
+    # A number as a string may still parse ("1.0" as a coefficient), and huge numbers may
+    # have a finite answer; every other fault must not.
+    refused = fault not in (None, "string", "huge") or config.get("zero_tol") == 10**400
+    return command, config, fault, refused
 
 
 @settings(max_examples=300)  # enough for every fault of every command to come up

@@ -11,6 +11,7 @@ from twistlab import (
     MatrixPath,
     SpectralError,
     cycle_complex,
+    derivation_chain,
     eigh,
     eigvalsh,
     eta_closed_form,
@@ -20,6 +21,7 @@ from twistlab import (
     magnetic_multiplier,
     mckean_singer,
     product_eta_check,
+    sobolev_norm,
     spectral_flow,
     twisted_betti,
 )
@@ -70,11 +72,19 @@ def test_require_hermitian_rejects_asymmetric():
         require_hermitian(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("a", [[[0.0, 1e-10], [0.0, 0.0]], [[1e-10, 5e-10], [-5e-10, -1e-10]]])
+def test_a_small_non_hermitian_matrix_is_refused(a):
+    # Its defect is small, but not against its own scale.
+    with pytest.raises(SpectralError, match="not Hermitian"):
+        eta_operator(np.array(a), method="dense")
+
+
 def test_require_hermitian_accepts_the_empty_matrix():
     assert require_hermitian(np.zeros((0, 0))).shape == (0, 0)
 
 
-@pytest.mark.parametrize("zero_tol", [math.nan, math.inf, -1e-9, True, "1e-9"])
+@pytest.mark.parametrize("zero_tol", [math.nan, math.inf, -1e-9, True, "1e-9",
+                                      pytest.param(10**400, id="10**400")])
 def test_bad_zero_tol_raises_on_entry(zero_tol):
     calls = []
     path = MatrixPath(lambda t: calls.append(t) or np.diag([t - 0.5, 1.0]))
@@ -229,6 +239,65 @@ def test_default_zero_tol_scales_with_spectrum():
     assert default_zero_tol(np.array([1e6, -1e6])) > default_zero_tol(
         np.array([1.0, -1.0])
     )
+    assert default_zero_tol(np.zeros(3)) == 0.0
+
+
+# sign(c * a) = sign(a) for c > 0, products by 2^k are exact, and LAPACK's
+# Hermitian eigenvalues of 2^k * a are 2^k times those of a for |k| <= 400.  So
+# with relative thresholds every invariant of 2^k * a is that of a, bit for bit,
+# and every threshold and eigenvalue reported is 2^k times that of a.
+@pytest.mark.parametrize("k", range(-400, 401, 50))
+def test_dense_invariants_do_not_change_when_the_input_is_scaled_by_a_power_of_two(k):
+    rng = np.random.default_rng(28)
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    # A kernel of dimension 2 up to rounding, and a positive eigenvalue in the ambiguity band.
+    a = (q * [0.0, 0.0, -1.5, -0.25, 0.75, 2.0]) @ q.conj().T
+    laplacian = (q * [0.0, 0.0, 1e-8, 0.25, 1.0, 2.0]) @ q.conj().T
+    even, _ = cycle_complex(12)
+    path = (random_hermitian(rng, 8), random_hermitian(rng, 8))
+    graded = random_graded(rng, 3, 5)
+    c = math.ldexp(1.0, k)
+
+    def results(c):
+        dense = eta_operator(a * c, method="dense")
+        quad = eta_quadrature(a * c)
+        betti = twisted_betti(even * c, laplacian * c)
+        flow = spectral_flow(MatrixPath.linear(path[0] * c, path[1] * c))
+        return ((dense.eta, dense.kernel.dim, quad.eta, quad.error_bound, quad.kernel.dim),
+                (betti.b_even, betti.b_odd, betti.index),
+                (betti.zero_tol, betti.ambiguous, dense.kernel.zero_tol),
+                (flow.flow, flow.samples, flow.refinements, flow.crossings, flow.endpoint_formula),
+                GradedMatrix(graded.matrix * c, graded.grading).index())
+
+    base, scaled = results(1.0), results(c)
+    assert base[0][1] == 2 and base[1] == (1.0, 2.0, -1) and len(base[2][1]) == 1
+    assert repr(scaled[0]) == repr(base[0]) and scaled[1] == base[1]
+    zero_tol, ambiguous, dense_tol = base[2]
+    assert scaled[2] == (zero_tol * c, [x * c for x in ambiguous], dense_tol * c)
+    assert repr(scaled[3]) == repr(base[3]) and scaled[4] == base[4] == -2
+
+
+@pytest.mark.parametrize("k", range(-40, 401, 40))
+def test_algebra_invariants_do_not_change_when_the_element_is_scaled_by_a_power_of_two(k):
+    # From 2^-40 on every coefficient of 2^k * a stays above algebra.PRUNE_TOL.
+    sigma = magnetic_multiplier("1/3")
+    a = harper_element(sigma) + AlgebraElement.delta(sigma, (0, 0), 0.5)
+    c = math.ldexp(1.0, k)
+
+    def results(c):
+        b = a * c
+        bloch = eta_operator(b, method="bloch", kgrid=8)
+        trunc = eta_operator(b, method="truncation", radius=4)
+        chain = derivation_chain(b, 3)
+        return ((bloch.eta, bloch.error_bound, bloch.kernel.dim, trunc.eta, trunc.error_bound,
+                 chain.bound_ok),
+                (bloch.params["zero_tol"], [sobolev_norm(b, s) for s in (0, 1, 2)], chain.chain_norms))
+
+    (invariants, scales), (scaled_invariants, scaled_scales) = results(1.0), results(c)
+    assert invariants[0] == 0.140625 and invariants[3] == 0.14806866952789724
+    assert repr(scaled_invariants) == repr(invariants)
+    zero_tol, norms, chain_norms = scales
+    assert scaled_scales == (zero_tol * c, [x * c for x in norms], [x * c for x in chain_norms])
 
 
 def test_spectral_flow_on_shifted_diagonal():
@@ -421,7 +490,7 @@ def _reference_eta_bloch(a, tau, normalization, kgrid, zero_tol):
     weights = _weights_of_trace(tau, a.group)
     dense = {g: _dense_term(bm, g) for g in weights}
     scale = _eta_scale(normalization)
-    bound = max(1e-12, 1e-9 * a.norm_l1())
+    bound = 1e-9 * a.norm_l1()
     etas = []
     for n in (kgrid, 2 if kgrid == 4 else max(4, kgrid // 2)):
         ks = bm.grid(n)
@@ -699,7 +768,7 @@ def _reference_spectral_flow(path, zero_tol=None, initial_samples=17, max_refine
     ev0 = path.eigenvalues(0.0)
     ev1 = path.eigenvalues(1.0)
     if zero_tol is None:
-        zero_tol = max(default_zero_tol(ev0), default_zero_tol(ev1), 1e-12)
+        zero_tol = max(default_zero_tol(ev0), default_zero_tol(ev1))
     ts = list(np.linspace(0.0, 1.0, initial_samples))
     refinements = 0
     for _ in range(max_refinements):
