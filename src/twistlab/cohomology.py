@@ -342,15 +342,17 @@ def derivation_chain(a: AlgebraElement, j_max: int = 4) -> DerivationChainReport
     current = op.matrix.copy()
     defect = 0.0
     norms = []
-    for j in range(j_max + 1):
-        if j > 0:
-            current = dmat @ current - current @ dmat
-        col = current[:, e_col]
-        expect = np.zeros_like(col)
-        for g in a.support():
-            expect[op.index[g]] = a.coefficient(g) * grp.word_length(g) ** j
-        defect = max(defect, float(np.abs(col - expect).max()))
-        norms.append(float(np.linalg.norm(col)))
+    # An overflow here is raised once, by the finiteness check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(j_max + 1):
+            if j > 0:
+                current = dmat @ current - current @ dmat
+            col = current[:, e_col]
+            expect = np.zeros_like(col)
+            for g in a.support():
+                expect[op.index[g]] = a.coefficient(g) * grp.word_length(g) ** j
+            defect = max(defect, float(np.abs(col - expect).max()))
+            norms.append(float(np.linalg.norm(col)))
     constants = []
     margins = []
     ok = True

@@ -98,9 +98,9 @@ def _bfs_lengths(group: Group, start, generators: Sequence) -> dict:
 class FiniteTableGroup(Group):
     """Finite group given by its full multiplication table.
 
-    mul[i][j] is the index of the product of elements i and j.  The
-    generator list must be closed under inversion so word length is
-    symmetric.
+    mul[i][j] is the index of the product of elements i and j; inverses
+    are read off the table.  The generator list must be closed under
+    inversion so word length is symmetric.
     """
 
     kind = "finite-table"
@@ -110,7 +110,6 @@ class FiniteTableGroup(Group):
         mul: Sequence[Sequence[int]],
         identity_index: int = 0,
         generator_indices: Sequence[int] | None = None,
-        inverse_table: Sequence[int] | None = None,
         label: str = "",
     ):
         self.n = len(mul)
@@ -122,16 +121,14 @@ class FiniteTableGroup(Group):
         for row in self.mul_table:
             if len(row) != self.n or any(not (0 <= x < self.n) for x in row):
                 raise GroupError("multiplication table is not an n x n index table")
-        if inverse_table is None:
-            inverse_table = self._derive_inverses()
-        self.inverse_table = tuple(int(x) for x in inverse_table)
+        self.inverse_table = self._derive_inverses()
         if generator_indices is None:
             generator_indices = [i for i in range(self.n) if i != self.identity_index]
         self.generator_indices = tuple(dict.fromkeys(int(i) for i in generator_indices))
         self._lengths: dict | None = None
         self.validate()
 
-    def _derive_inverses(self) -> list[int]:
+    def _derive_inverses(self) -> tuple[int, ...]:
         inv = [-1] * self.n
         e = self.identity_index
         for i in range(self.n):
@@ -141,7 +138,7 @@ class FiniteTableGroup(Group):
                     break
             if inv[i] < 0:
                 raise GroupError(f"element {i} has no inverse in the table")
-        return inv
+        return tuple(inv)
 
     def validate(self) -> None:
         """Group axioms of the table; its shape was checked on construction."""
@@ -628,7 +625,6 @@ def group_from_json(data: dict) -> Group:
             data["mul"],
             data.get("identity", 0),
             data.get("generators"),
-            data.get("inv"),
         )
     if kind == "free-abelian":
         return FreeAbelianGroup(data["rank"])

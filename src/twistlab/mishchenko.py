@@ -10,9 +10,9 @@ partition of unity.
 
 A lift of x mod 1 through a chart is x + shift with an integer shift, so
 transitions, the differences of lifts, are integer differences of shifts.
-A cover computes a point's shifts, and the torus its lifts, once per
-point (``_point``, which keeps the last point it built); transitions and
-phases at that point are read from them.  Without gauge offsets the torus
+A cover computes a point's shifts, and the torus its lifts, in one
+``_point`` call; the projection makes one per base point and reads that
+point's transitions and phases from it.  Without gauge offsets the torus
 cover's geometric multiplier is the magnetic pairing exactly, as
 rationals, so the torus projection convolves over that normal form and
 its integer kernel.
@@ -122,19 +122,14 @@ class CircleCover:
         self.group = FreeAbelianGroup(1)
         self.sigma: Multiplier = trivial_multiplier(self.group)
         self.n_patches = 2
-        self._last: tuple | None = None  # (key, point) of the last _point call
 
     def chi(self, patch: int, x) -> float:
         return _chi_pair(float(x) % 1.0)[patch]
 
     def _point(self, x) -> _Point:
         """The point's lift shifts, times the winding."""
-        x = as_rational(x)
-        key = (x.numerator, x.denominator, self.winding)
-        if self._last is None or self._last[0] != key:
-            shifts = [(self.winding * _lift_shift(p, *x.as_integer_ratio()),) for p in (0, 1)]
-            self._last = (key, _Point(shifts))
-        return self._last[1]
+        ratio = as_rational(x).as_integer_ratio()
+        return _Point([(self.winding * _lift_shift(p, *ratio),) for p in (0, 1)])
 
     def transition(self, i: int, j: int, x) -> tuple:
         return self._point(x).transitions[i][j]
@@ -174,9 +169,7 @@ class TorusCover:
             lift_shifts = [(0, 0)] * 4
         if len(lift_shifts) != 4:
             raise CoverError("one lift shift per patch")
-        # A tuple, so the point memo, keyed on it, cannot go stale.
         self.lift_shifts = tuple(tuple(int(v) for v in s) for s in lift_shifts)
-        self._last: tuple | None = None  # (key, point) of the last _point call
 
     def chi(self, patch: int, x) -> float:
         p = self.patches[patch]
@@ -184,17 +177,13 @@ class TorusCover:
 
     def _point(self, x) -> _Point:
         """Each patch's shift and lift: lift(patch, x) = x mod 1 + shift."""
-        frac = tuple(as_rational(v) % 1 for v in x)
-        key = (frac, self.lift_shifts)
-        if self._last is None or self._last[0] != key:
-            ratios = [v.as_integer_ratio() for v in frac]
-            shifts = [
-                tuple(_lift_shift(p[c], *ratios[c]) + s[c] for c in (0, 1))
-                for p, s in zip(self.patches, self.lift_shifts)
-            ]
-            lifts = [tuple((a + s * b, b) for (a, b), s in zip(ratios, shift)) for shift in shifts]
-            self._last = (key, _Point(shifts, lifts, self.geometry._psi_pair))
-        return self._last[1]
+        ratios = [(as_rational(v) % 1).as_integer_ratio() for v in x]
+        shifts = [
+            tuple(_lift_shift(p[c], *ratios[c]) + s[c] for c in (0, 1))
+            for p, s in zip(self.patches, self.lift_shifts)
+        ]
+        lifts = [tuple((a + s * b, b) for (a, b), s in zip(ratios, shift)) for shift in shifts]
+        return _Point(shifts, lifts, self.geometry._psi_pair)
 
     def lift(self, patch: int, x) -> tuple:
         return tuple(Fraction(a, b) for a, b in self._point(x).lifts[patch])

@@ -348,7 +348,9 @@ class TableMultiplier(Multiplier):
 
 
 class ProductMultiplier(Multiplier):
-    """sigma((g1,g2),(h1,h2)) = left(g1,h1) right(g2,h2) on a product group."""
+    """sigma((g1,g2),(h1,h2)) = left(g1,h1) right(g2,h2) on a product group.
+
+    Its turns combine the pairs of its factors; it keeps no integer kernel."""
 
     kind = "product"
 
@@ -358,14 +360,6 @@ class ProductMultiplier(Multiplier):
         super().__init__(group)
         self.left = left
         self.right = right
-        dl, dr = left._denominator, right._denominator
-        if dl is not None and dr is not None:
-            d = self._denominator = math.lcm(dl, dr)
-            self._scales = (d // dl, d // dr)
-
-    def _numerator(self, g, h) -> int:
-        sl, sr = self._scales
-        return self.left._numerator(g[0], h[0]) * sl + self.right._numerator(g[1], h[1]) * sr
 
     def _pair(self, g, h) -> tuple[int, int]:
         (nl, dl), (nr, dr) = self.left._pair(g[0], h[0]), self.right._pair(g[1], h[1])
@@ -445,10 +439,11 @@ def verify_cocycle(sigma: Multiplier, samples: int = 1000, seed: int = 0) -> Coc
 
     Exhaustive on finite groups of order <= 24, randomized otherwise.  A
     pass means every checked identity holds with zero defect; the worst
-    defect is reported as a distance on the unit circle.  Normal forms are
-    decided on their integer numerators, lazy multipliers on their turns;
-    a table on such a group is first decided in one array pass, and only a
-    failure walks the triples for its worst defect and witness.
+    defect is reported as a distance on the unit circle.  Pairings and
+    tables are decided on their integer numerators, lazy forms and products
+    on their turns; a table on such a group is first decided in one array
+    pass, and only a failure walks the triples for its worst defect and
+    witness.
     """
     grp = sigma.group
     if isinstance(sigma, TableMultiplier) and grp.n <= _EXHAUSTIVE_ORDER and _table_cocycle_holds(sigma):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -95,7 +96,7 @@ def _zero_tol(zero_tol, eigenvalues: np.ndarray | None = None):
     # NaN, inf and an int past the floats all fail the exact comparison with the largest float.
     if (isinstance(zero_tol, bool) or not isinstance(zero_tol, numbers.Real)
             or not 0 <= zero_tol <= sys.float_info.max):
-        raise SpectralError(f"zero_tol must be a finite number >= 0, not {zero_tol!r}")
+        raise SpectralError(f"zero_tol must be a finite number >= 0, not {reprlib.repr(zero_tol)}")
     return zero_tol
 
 
@@ -225,14 +226,9 @@ def eta_quadrature(a, t_max: float | None = None, normalization: str = "half") -
 def _weights_of_trace(tau, group) -> dict:
     """Finite weight map g -> c_g of a linear functional tau(x) = sum c_g x_g.
 
-    No functional, or the regular trace, weights the identity alone.
+    No functional weights the identity alone, as the regular trace does.
     """
-    if tau is None or getattr(tau, "kind", "") == "regular":
-        return {group.identity(): 1.0 + 0.0j}
-    weights = getattr(tau, "weights", None)
-    if callable(weights):
-        return weights()
-    raise SpectralError("trace functional does not expose finite weights")
+    return {group.identity(): 1.0 + 0.0j} if tau is None else tau.weights()
 
 
 def eta_operator(operator, tau=None, method: str = "bloch", normalization: str = "half",
@@ -384,8 +380,10 @@ class SpectralFlowResult:
 class MatrixPath:
     """Hermitian path on [0, 1], from samples or a generator callback.
 
-    A generator's matrices are checked as they are solved; ``linear`` and
-    ``from_samples`` check theirs at construction, and solve checking only finiteness.
+    A generator's matrices are checked as they are solved.  ``from_samples``
+    interpolates linearly between equally spaced samples, checks them at
+    construction, and solves checking only finiteness; ``linear(a0, a1)`` is
+    the path of the two samples a0 and a1.
     """
 
     def __init__(self, fn: Callable[[float], np.ndarray]):
@@ -394,19 +392,8 @@ class MatrixPath:
         self._solve = eigvalsh
 
     @classmethod
-    def _of_checked(cls, fn: Callable[[float], np.ndarray]) -> "MatrixPath":
-        # Only finiteness: a Hermitian check costs about 70 us per 80 x 80 sample, and a flow solves 77-148.
-        path = cls(fn)
-        path._solve = lambda m: _finite_spectrum(np.linalg.eigvalsh(m), m)
-        return path
-
-    @classmethod
     def linear(cls, a0, a1) -> "MatrixPath":
-        m0 = require_hermitian(a0)
-        m1 = require_hermitian(a1)
-        if m0.shape != m1.shape:
-            raise SpectralError("endpoints must share a dimension")
-        return cls._of_checked(lambda t: (1.0 - t) * m0 + t * m1)
+        return cls.from_samples([a0, a1])
 
     @classmethod
     def from_samples(cls, mats: Sequence) -> "MatrixPath":
@@ -422,7 +409,10 @@ class MatrixPath:
             w = pos - i
             return (1.0 - w) * mats[i] + w * mats[i + 1]
 
-        return cls._of_checked(fn)
+        path = cls(fn)
+        # Only finiteness: a Hermitian check costs about 70 us per 80 x 80 sample, and a flow solves 77-148.
+        path._solve = lambda m: _finite_spectrum(np.linalg.eigvalsh(m), m)
+        return path
 
     def eigenvalues(self, t: float) -> np.ndarray:
         key = round(t, 15)
@@ -459,13 +449,10 @@ def spectral_flow(path: MatrixPath, zero_tol: float | None = None,
     while refinements < max_refinements:
         # Per interval (row): the largest move of an index, the eigenvalue
         # nearest zero at either end, and whether an index may change sign.
-        # Python's min(x, y) and max(x, y) are written with np.where, so a
-        # NaN picks the same side.
         left, right = evs[:-1], evs[1:]
         move = np.abs(left - right).max(axis=1)
         nearest = np.abs(evs).min(axis=1)
-        near = np.where(nearest[1:] < nearest[:-1], nearest[1:], nearest[:-1])
-        bar = np.where(4 * zero_tol > near / 2, 4 * zero_tol, near / 2)
+        bar = np.maximum(4 * zero_tol, np.minimum(nearest[1:], nearest[:-1]) / 2)
         split = (np.sign(left) * np.sign(right) <= 0).any(axis=1) & (move > bar)
         if not split.any():
             break
@@ -491,12 +478,10 @@ def spectral_flow(path: MatrixPath, zero_tol: float | None = None,
     crossings = list(zip(ts[rows].tolist(), ts[rows + 1].tolist(), steps))
     total = sum(steps, 0.0)
 
-    def corrected(ev: np.ndarray) -> float:
-        kr = kernel_report(ev, zero_tol)
-        nonzero = ev[np.abs(ev) > zero_tol]
-        return 0.5 * float(np.sum(np.sign(nonzero))) + 0.5 * kr.dim
-
-    endpoint_formula = corrected(ev1) - corrected(ev0)
+    # [eta + ker/2] at each end: half its sign sum plus half its kernel count.
+    ends = category[[0, -1]]
+    corrected = 0.5 * ends.sum(axis=1) + 0.5 * (ends == 0).sum(axis=1)
+    endpoint_formula = float(corrected[1] - corrected[0])
     flow = int(round(total))
     if abs(total - flow) > 1e-9:
         raise SpectralError(f"tracking count {total} is not an integer; refine the path")
@@ -614,7 +599,7 @@ def twisted_betti(even_block, odd_block, zero_tol: float | None = None,
             results.append(float(np.real(tau(kernel_cols @ kernel_cols.conj().T))))
     b_even, b_odd = results
     index = int(round(b_even - b_odd))
-    return BettiResult(b_even, b_odd, b_even - b_odd, index, ambiguous, tol_used or 0.0)
+    return BettiResult(b_even, b_odd, b_even - b_odd, index, ambiguous, tol_used)
 
 
 def cycle_complex(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -285,6 +285,12 @@ ARITHMETIC_SIGMAS = {
         coboundary(PhaseMap.random_exact(C2, random.Random(6))),
         coboundary(PhaseMap.random_exact(S3, random.Random(7))),
     ),
+    # Denominators 4 and 6: their lcm is smaller than their product.
+    "zxz": ProductMultiplier(
+        ProductGroup(FreeAbelianGroup(1), FreeAbelianGroup(1)),
+        BilinearMultiplier(FreeAbelianGroup(1), [[Fraction(3, 4)]]),
+        BilinearMultiplier(FreeAbelianGroup(1), [[Fraction(5, 6)]]),
+    ),
     "z3-prime": BilinearMultiplier(FreeAbelianGroup(3), [
         [Fraction(_prime_rng.randrange(BIG_PRIME), BIG_PRIME) for _ in range(3)] for _ in range(3)]),
     "geometric": GeometricMultiplier(LatticeGeometry("2/5", "symmetric", ("1/3", "-1/2"))),

@@ -507,6 +507,8 @@ FLOW = {"path": {"A0": {"re": [[-1, 0], [0, 1]]}, "A1": {"re": [[1, 0], [0, 1]]}
 SOBOLEV = dict(ELEMENT, s=[0, 1])
 # Terms whose l2 norm, about 2.1e308, is beyond the largest float.
 BEYOND_THE_FLOATS = [{"g": [3, 1], "re": 1.5e308}, {"g": [1, 0], "re": 1.5e308}]
+# Finite Sobolev norms, but a chain column whose norm overflows.
+CHAIN_PAST_THE_FLOATS = dict(ELEMENT, terms=[{"g": [3, 1], "re": 1e300}], chain_j_max=2)
 
 
 def test_truncation_eta_at_radius_2_compares_with_radius_0(capsys, tmp_path):
@@ -556,7 +558,9 @@ def test_truncation_eta_at_radius_2_compares_with_radius_0(capsys, tmp_path):
     ("sobolev", dict(ELEMENT, terms=BEYOND_THE_FLOATS, chain_j_max=2), "norm of order s = 0"),
     ("eta", {"matrix": {"re": [[1e308, 1e308], [1e308, 1e308]]}}, "largest |entry| 1.000e+308"),
     ("eta", dict(BLOCH, terms=[dict(t, re=1e308) for t in HARPER_TERMS]), "|a|_1 = inf"),
-    ("sobolev", dict(ELEMENT, terms=[{"g": [3, 1], "re": 1e300}], chain_j_max=2), "chain up to order 2"),
+    # numpy's overflow warning must not reach stderr next to the error line.
+    pytest.param("sobolev", CHAIN_PAST_THE_FLOATS, "chain up to order 2",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     ("sobolev", dict(ELEMENT, terms=[{"g": [0, 0], "re": 1.0}], chain_j_max=1100), "order j = 1030"),
     ("spectral-flow", {"path": {"samples": [{"re": [[1.0]]}, {"re": [[1.0, 0.0], [0.0, -1.0]]}]}},
      "share a dimension"),
@@ -572,6 +576,7 @@ def test_bad_config_values_exit_2_with_one_error_line(capsys, tmp_path, command,
     assert (code, captured.out) == (2, "")
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
     assert named in captured.err and "Traceback" not in captured.err
+    assert len(captured.err) < 120, captured.err
 
 
 # A butterfly whose first block overflows: its fibers are not finite.
@@ -597,11 +602,12 @@ BLOCH_PAST_THE_FLOATS = "error: Bloch fibers or their spectra are not finite (|a
     (["eta", dict(BLOCH, kgrid=64, multiplier=dict(MAGNETIC_JSON, theta="5/11"),
                   terms=[dict(t, re=1e308) for t in HARPER_TERMS])], BLOCH_PAST_THE_FLOATS),
     (OVERFLOWING_BUTTERFLY, BLOCH_PAST_THE_FLOATS),
+    (["sobolev", CHAIN_PAST_THE_FLOATS], "error: the derivation chain up to order 2 overflows a float"),
     # Checked at construction, so each sample's spectrum is checked for finiteness alone.
     (["spectral-flow", {"path": {"A0": {"re": [[1e308, 1e308], [1e308, 1e308]]},
                                  "A1": {"re": [[-1e308, 1e308], [1e308, -1e308]]}}}],
      "error: eigenvalues beyond the floats (largest |entry| 1.000e+308)"),
-], ids=["eta kgrid 4", "eta 32 blocks", "butterfly", "linear flow"])
+], ids=["eta kgrid 4", "eta 32 blocks", "butterfly", "derivation chain", "linear flow"])
 def test_floats_past_the_range_give_one_error_line_and_no_warning(tmp_path, argv, message):
     # A fresh process, because pytest captures the warnings of this one.
     if isinstance(argv[1], dict):

@@ -100,7 +100,7 @@ def test_bad_zero_tol_raises_on_entry(zero_tol):
 
 def test_an_integer_zero_tol_is_kept_as_given():
     even, odd = cycle_complex(6)
-    for tol in (1, 2):
+    for tol in (0, 1, 2):
         assert type(kernel_report(np.array([0.0, 2.0]), tol).zero_tol) is int
         assert type(twisted_betti(even, odd, zero_tol=tol).zero_tol) is int
 
@@ -567,6 +567,21 @@ def test_bloch_eta_is_bit_equal_to_the_full_sign_operator(monkeypatch, theta):
     # Harper without a mass has zero modes on these grids, so the re-solve
     # of kernel blocks is covered.
     assert kernels > 0
+
+
+def test_a_functional_is_read_by_its_weights_and_not_by_its_kind():
+    from twistlab.traces import trace_from_json
+
+    sigma = magnetic_multiplier("1/3")
+    a = harper_element(sigma) + 0.3 * AlgebraElement.unit(sigma)
+    data = {"weights": [{"g": [1, 0], "re": 1.0}]}
+    custom, regular = (trace_from_json(dict(data, kind=kind), sigma) for kind in ("custom", "regular"))
+    etas = []
+    for options in ({"method": "bloch", "kgrid": 16}, {"method": "truncation", "radius": 4}):
+        etas.append(eta_operator(a, tau=custom, **options).eta)
+        assert eta_operator(a, tau=regular, **options).eta == etas[-1]
+    # tau_e gives 0.0924 and 0.1481.
+    assert etas == pytest.approx([0.2115, 0.2077], abs=1e-4)
 
 
 def test_gathered_sign_entries_and_traces_equal_the_full_einsum():
