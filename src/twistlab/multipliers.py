@@ -241,20 +241,18 @@ class Multiplier:
 
 
 class BilinearMultiplier(Multiplier):
-    """sigma(x, y) = exp(2 pi i x^T P y) on Z^k with rational P."""
+    """sigma(x, y) = exp(2 pi i x^T P y) on Z^k with rational P.  The pairing P is
+    the normal form: powers scale it, and to_json writes it."""
 
     kind = "bilinear"
 
-    def __init__(self, group: FreeAbelianGroup, pairing: Sequence[Sequence], gauge: str = "",
-                 theta=None):
+    def __init__(self, group: FreeAbelianGroup, pairing: Sequence[Sequence]):
         if not isinstance(group, FreeAbelianGroup):
             raise MultiplierError("bilinear multipliers live on free abelian groups")
         super().__init__(group)
         self.pairing = tuple(tuple(as_rational(x) for x in row) for row in pairing)
         if len(self.pairing) != group.rank or any(len(r) != group.rank for r in self.pairing):
             raise MultiplierError("pairing matrix must be rank x rank")
-        self.gauge = gauge
-        self.theta = None if theta is None else as_rational(theta)
         self._denominator, numerators = _integer_kernel(self.pairing)
         self._terms = [(i, j, c) for i, row in enumerate(numerators) for j, c in enumerate(row) if c]
 
@@ -270,13 +268,9 @@ class BilinearMultiplier(Multiplier):
         return tuple(tuple(p[i][j] - p[j][i] for j in range(k)) for i in range(k))
 
     def power(self, s) -> "BilinearMultiplier":
-        s = as_rational(s)
-        theta = None if self.theta is None else self.theta * s
-        return BilinearMultiplier(self.group, _scaled_matrix(self.pairing, s), self.gauge, theta)
+        return BilinearMultiplier(self.group, _scaled_matrix(self.pairing, as_rational(s)))
 
     def to_json(self) -> dict:
-        if self.theta is not None and self.gauge in ("landau", "symmetric"):
-            return {"kind": "magnetic", "theta": rational_str(self.theta), "gauge": self.gauge}
         return {
             "kind": "bilinear",
             "pairing": [[rational_str(x) for x in row] for row in self.pairing],
@@ -288,6 +282,7 @@ def magnetic_multiplier(theta, gauge: str = "landau") -> BilinearMultiplier:
 
     landau gauge:    sigma(x, y) = exp(2 pi i theta x_1 y_2)
     symmetric gauge: sigma(x, y) = exp(pi i theta (x_1 y_2 - x_2 y_1))
+    Its JSON form is that pairing; multiplier_from_json reads the magnetic form.
     """
     theta = as_rational(theta)
     group = FreeAbelianGroup(2)
@@ -297,7 +292,7 @@ def magnetic_multiplier(theta, gauge: str = "landau") -> BilinearMultiplier:
         pairing = [[0, theta / 2], [-theta / 2, 0]]
     else:
         raise MultiplierError(f"unknown gauge {gauge!r}")
-    return BilinearMultiplier(group, pairing, gauge, theta)
+    return BilinearMultiplier(group, pairing)
 
 
 def trivial_multiplier(group: Group) -> Multiplier:

@@ -383,7 +383,7 @@ def reduced_fractions(qmax: int) -> Iterator[Fraction]:
                 yield Fraction(p, q)
 
 
-# Largest kgrid^2 * qmax^2 a butterfly sweep accepts.  The CSV is made one
+# Largest kgrid^2 * qmax^2 that butterfly_csv accepts.  The CSV is made one
 # block at a time, so this bounds run time, not memory: qmax 1 at kgrid 1024
 # peaks at 36 MB (VmHWM; 31 MB after import) and its helper at 30 MB, each
 # holding one block of 2^14 rows and its text.
@@ -399,11 +399,24 @@ def butterfly_csv(qmax: int, kgrid: int, coefficients: Sequence[float] = (1.0, 1
     _in_order), which also formats it by one %-template with an eigenvalue
     slot per row; the chunks come out in grid order either way.  The header
     comes with the first block's chunk, so a sweep that fails there yields
-    no text.  Raises SpectralError for qmax or kgrid below 1, before any
-    text, and if the coefficients give no self adjoint element.
+    no text.  Raises SpectralError at the call, before any text or fork,
+    unless qmax, kgrid >= 1, (kgrid * qmax)^2 <= MAX_FIBER_ENTRIES and the
+    coefficients are four finite numbers with c1 == c2 and c3 == c4 exactly.
     """
     if qmax < 1 or kgrid < 1:
         raise SpectralError("a butterfly sweep needs qmax >= 1 and kgrid >= 1")
+    if (kgrid * qmax) ** 2 > MAX_FIBER_ENTRIES:
+        raise SpectralError(f"a butterfly sweep needs kgrid^2 * qmax^2 at most {MAX_FIBER_ENTRIES}")
+    if len(coefficients) != 4 or not all(map(cmath.isfinite, coefficients)):
+        raise SpectralError(f"a butterfly sweep needs four finite coefficients, not {coefficients!r}")
+    c1, c2, c3, c4 = coefficients
+    if c1 != c2 or c3 != c4:
+        raise SpectralError("a butterfly sweep needs a self adjoint element: c1 == c2 and c3 == c4")
+    return _butterfly_chunks(qmax, kgrid, coefficients)
+
+
+def _butterfly_chunks(qmax: int, kgrid: int, coefficients: Sequence[float]) -> Iterator[str]:
+    """The chunks of butterfly_csv, made as they are read."""
     chunks = _in_order(_butterfly_blocks(qmax, kgrid, coefficients), _butterfly_chunk)
     # Flux 0 gives at least one block.
     yield "theta_num,theta_den,k1,k2,band_index,eigenvalue\n" + next(chunks)

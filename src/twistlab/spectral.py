@@ -252,16 +252,21 @@ def eta_operator(operator, tau=None, method: str = "bloch", normalization: str =
     eta_closed_form.
 
     With s_grid the multiplier is raised to each rational power s and the
-    germ {s: eta} is tabulated.
+    germ {s: eta} is tabulated.  Raises SpectralError for any other method
+    and for a method that does not fit the operator.
     """
+    if method not in ("bloch", "truncation", "dense"):
+        raise SpectralError(f"unknown eta method {method!r}")
+    if method == "dense" and isinstance(operator, AlgebraElement):
+        raise SpectralError("the dense eta method needs a matrix, not an algebra element")
+    if method != "dense" and not isinstance(operator, AlgebraElement):
+        raise SpectralError("bloch/truncation methods need an algebra element")
     zero_tol = _zero_tol(zero_tol)
     if method == "dense":
         ev = eigvalsh(operator)
         eta = eta_closed_form(ev, zero_tol, normalization)
         return EtaResult(eta, 0.0, "dense", {"normalization": normalization},
                          kernel=kernel_report(ev, zero_tol))
-    if not isinstance(operator, AlgebraElement):
-        raise SpectralError("bloch/truncation methods need an algebra element")
     if s_grid is not None:
         args = (tau, method, normalization, kgrid, radius, None, zero_tol)
         base = eta_operator(operator, *args)
@@ -275,9 +280,7 @@ def eta_operator(operator, tau=None, method: str = "bloch", normalization: str =
         return base
     if method == "bloch":
         return _eta_bloch(operator, tau, normalization, kgrid, zero_tol)
-    if method == "truncation":
-        return _eta_truncation(operator, tau, normalization, radius, zero_tol)
-    raise SpectralError(f"unknown eta method {method!r}")
+    return _eta_truncation(operator, tau, normalization, radius, zero_tol)
 
 
 def _eta_bloch(a: AlgebraElement, tau, normalization: str, kgrid: int,

@@ -6,7 +6,9 @@ that must exist without being read are named below.  Likewise every
 private function, method and class, and every private module-level name
 assigned, is referenced somewhere in the package outside its own
 definition, and only the private names listed below are read outside
-the module that defines them.  Every exception class of the package
+the module that defines them.  Every function, class and method is
+referenced outside its own definition somewhere in ``src/``, ``scripts/``,
+``perfbench/`` or ``tests/``.  Every exception class of the package
 derives from the one base, ``errors.TwistlabError``.
 """
 
@@ -131,6 +133,89 @@ def test_a_private_assignment_without_a_reader_is_found():
         "cli": "from . import verify\nx = verify._COST\n",
     }
     assert unreferenced_private_names(sources) == ["verify._ORPHAN"]
+
+
+# The trees whose references keep a definition of the package alive.
+TREES = ("src", "scripts", "perfbench", "tests")
+
+
+def _tree_sources(root: Path) -> dict:
+    """{path relative to root: text} of every Python file in TREES under root."""
+    return {path.relative_to(root).as_posix(): path.read_text(encoding="utf-8")
+            for tree in TREES for path in sorted((root / tree).rglob("*.py"))}
+
+
+def _references(node, strings: bool, inside=frozenset()):
+    """("name", id) of each variable read and ("attribute", attr) of each attribute
+    below node, and ("attribute", s) of each identifier string s when strings, that
+    no enclosing definition of the same name holds."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _references(child, strings, inside | {child.name})
+            continue
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            ref = ("name", child.id)
+        elif isinstance(child, ast.Attribute):
+            ref = ("attribute", child.attr)
+        elif strings and isinstance(child, ast.Constant) and isinstance(child.value, str):
+            ref = ("attribute", child.value)
+        else:
+            ref = None
+        if ref is not None and ref[1] not in inside:
+            yield ref
+        yield from _references(child, strings, inside)
+
+
+def unreferenced_definitions(sources=None) -> list[str]:
+    """Each top-level function and class, and each method of a top-level class, of
+    the package in sources ({path: text}, TREES of the repository by default) that
+    nothing outside a definition of its name references.  A function or class counts
+    a variable read or an attribute, a method only an attribute; string constants
+    count in perfbench/, whose spans patch methods and functions by name."""
+    if sources is None:
+        sources = _tree_sources(SRC.parents[1])
+    refs = set()
+    for path, text in sources.items():
+        refs.update(_references(ast.parse(text), path.startswith("perfbench/")))
+    found = []
+    for path, text in sources.items():
+        if not path.startswith("src/twistlab/"):
+            continue
+        stem = Path(path).stem
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not {("name", node.name), ("attribute", node.name)} & refs:
+                found.append(f"{stem}.{node.name}")
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            found += [f"{stem}.{node.name}.{m.name}" for m in methods
+                      if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not m.name.endswith("__") and ("attribute", m.name) not in refs]
+    return found
+
+
+def test_every_definition_is_referenced():
+    # A function, class or method that nothing calls, not even a test, is code
+    # the package does not need.
+    assert unreferenced_definitions() == []
+
+
+def test_an_unreferenced_definition_is_found():
+    sources = {
+        "src/twistlab/groups.py": (
+            "class Group:\n    def generators(self):\n        raise NotImplementedError\n"
+            "    def ball(self, r):\n        return r\n    def __len__(self):\n        return 0\n"
+            "class Product(Group):\n    def generators(self):\n"
+            "        return self.left.generators()\n"
+            "def word(g):\n    return word(g)\ndef lengths(g):\n    return g\n"
+            "def unused(g):\n    return g\n"),
+        "perfbench/spans.py": "from twistlab import groups\npatch(groups.Group, 'ball')\n",
+        "scripts/scan.py": "from twistlab.groups import Product\nProduct()\n",
+        "tests/test_groups.py": "from twistlab import groups\nball = 1\ngroups.lengths(1)\n"
+                                "'unused'\n",
+    }
+    assert unreferenced_definitions(sources) == [
+        "groups.Group.generators", "groups.Product.generators", "groups.word", "groups.unused"]
 
 
 # The functions that may compute cmath.exp(2j * cmath.pi * ...), with the reason.

@@ -554,6 +554,7 @@ def test_truncation_eta_at_radius_2_compares_with_radius_0(capsys, tmp_path):
     ("sobolev", dict(ELEMENT, terms=[{"g": [3, 1], "re": 1.0}], chain_j_max=3000), "order s"),
     ("eta", dict(DENSE, method="bloch"), "method"),
     ("eta", dict(ELEMENT, method="dense"), "method"),
+    ("eta", dict(DENSE, method="foo"), "'foo'"),
     ("sobolev", dict(ELEMENT, terms=BEYOND_THE_FLOATS), "norm of order s = 0.0"),
     ("sobolev", dict(ELEMENT, terms=BEYOND_THE_FLOATS, chain_j_max=2), "norm of order s = 0"),
     ("eta", {"matrix": {"re": [[1e308, 1e308], [1e308, 1e308]]}}, "largest |entry| 1.000e+308"),

@@ -763,3 +763,14 @@ def test_lazy_equality_compares_turns_mod_one():
     assert any(integral.turns(g, h) != geometric.turns(g, h) for g in Z2.ball(2) for h in Z2.ball(2))
     assert multipliers_equal(integral, magnetic_multiplier("1/3"))
     assert multipliers_equal(integral, geometric)
+
+
+def test_a_twist_that_moves_the_identity_fails_normalization():
+    # A raw PhaseMap with z(e) = 1/4 turn: sigma(e, g) becomes i, at distance sqrt 2 from 1.
+    z = PhaseMap(Z2, lambda g: Fraction(1, 4) if g == (0, 0) else Fraction(0))
+    sigma = magnetic_multiplier(THETA).twist(z)
+    assert isinstance(sigma, TwistedMultiplier)
+    report = verify_cocycle(sigma)
+    assert not report.passed
+    assert report.witness[0] == (0, 0) and report.witness[2] is None
+    assert report.worst_defect == pytest.approx(math.sqrt(2), abs=1e-15)

@@ -243,9 +243,23 @@ def test_percent_and_format_spec_give_the_same_digits():
 @pytest.mark.parametrize("qmax, kgrid", [(0, 4), (-1, 4), (3, 0), (3, -2)])
 def test_butterfly_sweeps_reject_empty_sizes_before_the_header(qmax, kgrid):
     for sweep in (butterfly_csv, butterfly_rows):
-        rows = sweep(qmax, kgrid)
         with pytest.raises(SpectralError, match="qmax >= 1 and kgrid >= 1"):
-            next(rows)
+            next(sweep(qmax, kgrid))
+
+
+@pytest.mark.parametrize("qmax, kgrid, coefficients, named", [
+    (3, 4096, (1.0,) * 4, "at most 1048576"),
+    (3, 4, (1.0, 2.0, 1.0, 1.0), "c1 == c2 and c3 == c4"),
+    (3, 4, (1.0, math.nan, 1.0, 1.0), "four finite coefficients"),
+    (3, 4, (1.0, 1.0, 1.0), "four finite coefficients"),
+])
+def test_butterfly_csv_checks_its_arguments_at_the_call(monkeypatch, qmax, kgrid, coefficients, named):
+    def no_fork():
+        raise AssertionError("a refused sweep forks no helper")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(SpectralError, match=named):
+        butterfly_csv(qmax, kgrid, coefficients)
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process schedule forks")
@@ -260,7 +274,7 @@ def test_cli_writes_one_chunk_per_bloch_block(monkeypatch, schedule, capsys):
     monkeypatch.setattr(BlochMap, "fiber_stack",
                         lambda self, *args: solved.append(self.q) or fiber_stack(self, *args))
     written = []
-    monkeypatch.setattr(cli, "emit", lambda payload, out, as_json: written.extend(payload))
+    monkeypatch.setattr(cli, "emit", lambda payload, out: written.extend(payload))
     assert cli.main(["butterfly", "--qmax", "4", "--kgrid", "5"]) == 0
     assert capsys.readouterr().out == ""
     # 40 entries: the whole grid at q = 1, two k1 rows at q = 2, and parts of

@@ -466,7 +466,18 @@ def test_eta_operator_germ_solves_each_power_once(monkeypatch, method):
     res = eta_operator(shifted, method=method, kgrid=8, radius=3, s_grid=["9/10", "1", "11/10"])
     assert list(res.germ) == ["9/10", "1", "11/10"]
     assert res.germ["1"] == res.eta
-    assert [s.theta for s in solved] == [Fraction(1, 3), Fraction(3, 10), Fraction(11, 30)]
+    assert [s.pairing[0][1] for s in solved] == [Fraction(1, 3), Fraction(3, 10), Fraction(11, 30)]
+
+
+def test_eta_operator_refuses_a_method_that_does_not_fit_its_operator():
+    element = harper_element(magnetic_multiplier("1/3"))
+    with pytest.raises(SpectralError, match="dense eta method needs a matrix"):
+        eta_operator(element, method="dense")
+    with pytest.raises(SpectralError, match="need an algebra element"):
+        eta_operator(np.eye(2), method="bloch")
+    for operator in (element, np.eye(2)):
+        with pytest.raises(SpectralError, match="unknown eta method 'foo'"):
+            eta_operator(operator, method="foo")
 
 
 def _dense_term(bloch, g):

@@ -238,3 +238,18 @@ def test_functional_rejects_foreign_elements():
         tau(a)
     with pytest.raises(TraceError):
         TraceFunctional(MAGNETIC)
+
+
+def test_product_trace_of_a_functional_without_finite_support_weighs_by_function():
+    group = ProductGroup(FreeAbelianGroup(2), cyclic_group(3))
+    tau = product_trace(summation_trace(LATTICE_TRIVIAL), trivial_multiplier(group))
+    assert tau.weight(((2, 5), 0)) == 1
+    assert tau.weight(((2, 5), 1)) == 0
+    with pytest.raises(TraceError, match="no finite weight support"):
+        tau.weights()
+
+
+def test_character_functionals_of_a_product_group():
+    group = ProductGroup(S3, cyclic_group(3))
+    # S3 has two characters and C3 three.
+    assert len(character_functionals(trivial_multiplier(group))) == 6
