@@ -26,7 +26,7 @@ from .groups import (
 )
 from .multipliers import (
     BilinearMultiplier,
-    CocycleReport,
+    CheckReport,
     GeometricMultiplier,
     LatticeGeometry,
     Multiplier,
@@ -64,7 +64,6 @@ from .representations import (
     spectrum_union,
 )
 from .traces import (
-    TraceCheck,
     TraceError,
     TraceFunctional,
     UnitaryRep,

@@ -53,7 +53,9 @@ class Group:
         return False
 
     def ball(self, radius: int) -> list:
-        """Elements with word length <= radius, sorted by (length, key)."""
+        """Elements with word length <= radius, sorted by (length, key); radius >= 0."""
+        if radius < 0:
+            raise GroupError(f"a ball needs radius >= 0, not {radius}")
         elems = self._ball_elements(radius)
         return sorted(elems, key=lambda g: (self.word_length(g), self.element_key(g)))
 

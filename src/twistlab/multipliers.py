@@ -26,6 +26,9 @@ lazy forms and products combine the pairs of their parts.
 
 Pairings and tables have a JSON form; product multipliers have none, and
 ``{"kind": "trivial"}`` reads on every group kind.
+
+``CheckReport`` is the one record of a checked law in the package; its
+``how`` tells a decided verdict from an exhaustive or a sampled one.
 """
 
 from __future__ import annotations
@@ -394,22 +397,32 @@ def coboundary(z: PhaseMap) -> Multiplier:
 
 
 @dataclass(frozen=True)
-class CocycleReport:
+class CheckReport:
+    """A checked law: verdict, cases checked, worst defect and its case (None on a
+    pass), and ``how``: "decided" (no case evaluated), "exhaustive" or "sampled"."""
+
     passed: bool
     checked: int
     worst_defect: float
     witness: tuple | None
-    qualifier: str
+    how: str
 
     def __bool__(self) -> bool:
         return self.passed
 
 
-def _sample_triples(group: Group, samples: int, seed: int):
-    if group.is_finite() and len(group.elements()) <= _EXHAUSTIVE_ORDER:
-        return list(itertools.product(group.elements(), repeat=3)), "exhaustive"
+def _is_small(group: Group) -> bool:
+    """Whether group is finite of order <= _EXHAUSTIVE_ORDER, so that its checks walk every case."""
+    return group.is_finite() and len(group.elements()) <= _EXHAUSTIVE_ORDER
+
+
+def _sample_triples(group: Group, samples: int, seed: int) -> list:
+    if _is_small(group):
+        return list(itertools.product(group.elements(), repeat=3))
+    if samples < 1:
+        raise MultiplierError(f"a sampled cocycle check needs samples >= 1, not {samples}")
     rng = random.Random(seed)
-    return [tuple(group.random_element(rng, 4) for _ in range(3)) for _ in range(samples)], "sampled"
+    return [tuple(group.random_element(rng, 4) for _ in range(3)) for _ in range(samples)]
 
 
 def _table_cocycle_holds(sigma: TableMultiplier) -> bool:
@@ -429,25 +442,25 @@ def _table_cocycle_holds(sigma: TableMultiplier) -> bool:
     return not ((defects % d).any() or (n[e] % d).any() or (n[:, e] % d).any())
 
 
-def verify_cocycle(sigma: Multiplier, samples: int = 1000, seed: int = 0) -> CocycleReport:
+def verify_cocycle(sigma: Multiplier, samples: int = 1000, seed: int = 0) -> CheckReport:
     """Check normalization and the 2-cocycle identity as rational turns.
 
-    Exhaustive on finite groups of order <= 24, randomized otherwise.  A
-    pass means every checked identity holds with zero defect; the worst
-    defect is reported as a distance on the unit circle.  Pairings and
-    tables are decided on their integer numerators, lazy forms and products
-    on their turns; a table on such a group is first decided in one array
-    pass, and only a failure walks the triples for its worst defect and
-    witness.
+    A pairing x^T P y is bilinear, so it is decided with no triple evaluated;
+    otherwise exhaustive on finite groups of order <= 24, else on ``samples``
+    (>= 1) seeded triples.  A pass means zero defect on every checked identity;
+    the worst defect is a distance on the unit circle.  A table on a small group
+    is first decided in one integer array pass; only a failure walks the triples.
     """
     grp = sigma.group
-    if isinstance(sigma, TableMultiplier) and grp.n <= _EXHAUSTIVE_ORDER and _table_cocycle_holds(sigma):
-        return CocycleReport(True, grp.n ** 3, 0.0, None, "exhaustive")
+    if isinstance(sigma, BilinearMultiplier):
+        return CheckReport(True, 0, 0.0, None, "decided")
+    how = "exhaustive" if _is_small(grp) else "sampled"
+    if isinstance(sigma, TableMultiplier) and how == "exhaustive" and _table_cocycle_holds(sigma):
+        return CheckReport(True, grp.n ** 3, 0.0, None, how)
     e = grp.identity()
-    triples, qualifier = _sample_triples(grp, samples, seed)
+    triples = _sample_triples(grp, samples, seed)
     n, d = (sigma.turns, 1) if sigma._denominator is None else (sigma._numerator, sigma._denominator)
-    worst = 0.0
-    witness = None
+    worst, witness = 0.0, None
     for g1, g2, g3 in triples:
         g12, g23 = grp.multiply(g1, g2), grp.multiply(g2, g3)
         if (n(g12, g3) + n(g1, g2) - n(g1, g23) - n(g2, g3)) % d:
@@ -460,14 +473,15 @@ def verify_cocycle(sigma: Multiplier, samples: int = 1000, seed: int = 0) -> Coc
             defect = max(abs(sigma.value(e, g1) - 1.0), abs(sigma.value(g1, e) - 1.0))
             if witness is None or defect > worst:
                 worst, witness = defect, (e, g1, None)
-    return CocycleReport(witness is None, len(triples), worst, witness, qualifier)
+    return CheckReport(witness is None, len(triples), worst, witness, how)
 
 
 def _pair_set(group: Group, radius: int):
-    if group.is_finite() and len(group.elements()) <= _EXHAUSTIVE_ORDER:
+    if _is_small(group):
         return itertools.product(group.elements(), repeat=2)
-    ball = group.ball(radius)
-    return itertools.product(ball, repeat=2)
+    if radius < 1:
+        raise MultiplierError(f"comparing multipliers on a ball needs radius >= 1, not {radius}")
+    return itertools.product(group.ball(radius), repeat=2)
 
 
 def _normal_form(sigma: Multiplier):

@@ -4,14 +4,13 @@ A functional here is a weight map g -> c_g applied to coefficients,
 tau(a) = sum c_g a_g.  The canonical trace weights the identity alone;
 delocalized functionals weight conjugacy classes away from the identity.
 Whether a weight map is an honest trace depends on the multiplier, so
-every functional can be audited against sampled trace, positivity and
-invariance laws with explicit witnesses on failure.
+every functional can be audited against the trace, positivity and
+invariance laws, each audit a sampled ``CheckReport`` with its witness.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,7 +18,8 @@ import numpy as np
 from .algebra import AlgebraElement, _same_multiplier, random_element
 from .errors import TwistlabError
 from .groups import FiniteTableGroup, Homomorphism, ProductGroup
-from .multipliers import Multiplier, PhaseMap, all_characters, product_characters
+from .multipliers import CheckReport, Multiplier, PhaseMap, all_characters, product_characters
+from .spectral import relative_tol
 
 
 class TraceError(TwistlabError):
@@ -227,17 +227,21 @@ class UnitaryRep:
             mats[g] = m
         return cls(group, mats)
 
-    def verify(self) -> float:
-        """Worst defect of multiplicativity and unitarity over the group."""
-        worst = 0.0
+    def verify(self) -> CheckReport:
+        """u(g) u(h) = u(gh) on every pair and u(g) unitary (witness (g, None)), each to the
+        largest entry of the difference; passes at relative_tol(1.0), the scale of unitary entries."""
+        worst, witness = 0.0, None
         eye = np.eye(self.dim)
-        for g in self.group.elements():
-            m = self._matrices[g]
-            worst = max(worst, float(np.abs(m @ m.conj().T - eye).max()))
-            for h in self.group.elements():
-                prod = self._matrices[g] @ self._matrices[h]
-                worst = max(worst, float(np.abs(prod - self._matrices[self.group.multiply(g, h)]).max()))
-        return worst
+        mats, mul, elements = self._matrices, self.group.multiply, self.group.elements()
+        for g in elements:
+            cases = [((g, None), mats[g] @ mats[g].conj().T - eye)]
+            cases += [((g, h), mats[g] @ mats[h] - mats[mul(g, h)]) for h in elements]
+            for case, diff in cases:
+                defect = float(np.abs(diff).max())
+                if defect > worst:
+                    worst, witness = defect, case
+        passed = worst <= relative_tol(1.0)
+        return CheckReport(passed, len(elements) ** 2, worst, None if passed else witness, "exhaustive")
 
 
 def unitary_trace(u: UnitaryRep, pi: Homomorphism, tau_h: TraceFunctional,
@@ -263,17 +267,6 @@ def matrix_trace(tau: TraceFunctional, blocks: Sequence[Sequence[AlgebraElement]
     return sum((tau(blocks[i][i]) for i in range(n)), 0.0 + 0.0j)
 
 
-@dataclass
-class TraceCheck:
-    """Sampled audit of one law, with the worst witness kept."""
-
-    law: str
-    passed: bool
-    checked: int
-    worst_defect: float
-    witness: tuple | None = None
-
-
 def _sample_pairs(sigma: Multiplier, rng: random.Random):
     ball = sigma.group.ball(2)
     # Delta pairs over a small ball give sharp witnesses; random elements
@@ -286,28 +279,24 @@ def _sample_pairs(sigma: Multiplier, rng: random.Random):
         yield random_element(sigma, rng, 3, 2), random_element(sigma, rng, 3, 2)
 
 
-def _worst_case(law: str, samples, defect: Callable) -> TraceCheck:
+def _worst_case(samples, defect: Callable) -> CheckReport:
     """Worst defect(*sample) over the samples with its first witness; the law holds at <= 1e-10."""
-    worst = 0.0
-    witness = None
-    checked = 0
-    for sample in samples:
+    worst, witness, checked = 0.0, None, 0
+    for checked, sample in enumerate(samples, 1):
         d = defect(*sample)
-        checked += 1
         if d > worst:
-            worst = d
-            witness = sample
-    return TraceCheck(law, worst <= 1e-10, checked, worst, witness if worst > 1e-10 else None)
+            worst, witness = d, sample
+    return CheckReport(worst <= 1e-10, checked, worst, witness if worst > 1e-10 else None, "sampled")
 
 
-def check_trace_property(tau: TraceFunctional, seed: int = 11) -> TraceCheck:
+def check_trace_property(tau: TraceFunctional, seed: int = 11) -> CheckReport:
     """Sample tau(a b) = tau(b a) on delta pairs and 40 random pairs; keeps the worst witness."""
     rng = random.Random(seed)
-    return _worst_case("trace", _sample_pairs(tau.sigma, rng),
+    return _worst_case(_sample_pairs(tau.sigma, rng),
                        lambda a, b: abs(tau(a.convolve(b)) - tau(b.convolve(a))))
 
 
-def check_positivity(tau: TraceFunctional, seed: int = 12) -> TraceCheck:
+def check_positivity(tau: TraceFunctional, seed: int = 12) -> CheckReport:
     """Sample tau(a* a) real and nonnegative on 40 random elements."""
     def defect(a):
         v = tau(a.star().convolve(a))
@@ -315,10 +304,10 @@ def check_positivity(tau: TraceFunctional, seed: int = 12) -> TraceCheck:
 
     rng = random.Random(seed)
     samples = ((random_element(tau.sigma, rng, 3, 2),) for _ in range(40))
-    return _worst_case("positivity", samples, defect)
+    return _worst_case(samples, defect)
 
 
-def check_invariance(tau: TraceFunctional, chi: PhaseMap) -> TraceCheck:
+def check_invariance(tau: TraceFunctional, chi: PhaseMap) -> CheckReport:
     """Invariance under the gauge action a_g -> chi(g) a_g of a character.
 
     The action is an automorphism of the same algebra (the coboundary of
@@ -327,8 +316,7 @@ def check_invariance(tau: TraceFunctional, chi: PhaseMap) -> TraceCheck:
     """
     rng = random.Random(13)
     samples = ((random_element(tau.sigma, rng, 3, 2),) for _ in range(40))
-    return _worst_case("invariance", samples,
-                       lambda a: abs(tau(a.apply_phase_map(chi, tau.sigma)) - tau(a)))
+    return _worst_case(samples, lambda a: abs(tau(a.apply_phase_map(chi, tau.sigma)) - tau(a)))
 
 
 def character_functionals(sigma: Multiplier) -> list[TraceFunctional]:

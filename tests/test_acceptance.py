@@ -325,6 +325,8 @@ def test_criterion_06_spectral_flow():
         res = spectral_flow(MatrixPath.linear(a0, a1))
         assert res.flow == round(res.endpoint_formula)
         assert abs(res.endpoint_formula - res.flow) <= 1e-9
+        # The endpoints decide the flow; the tracked crossings must account for it.
+        assert sum(step for _, _, step in res.crossings) == res.flow
         done += 1
     simple = spectral_flow(MatrixPath.linear(np.array([[-0.5]]), np.array([[0.5]])))
     assert simple.flow == 1

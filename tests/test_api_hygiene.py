@@ -9,7 +9,8 @@ definition, and only the private names listed below are read outside
 the module that defines them.  Every function, class and method is
 referenced outside its own definition somewhere in ``src/``, ``scripts/``,
 ``perfbench/`` or ``tests/``.  Every exception class of the package
-derives from the one base, ``errors.TwistlabError``.
+derives from the one base, ``errors.TwistlabError``, and every record of
+a check is ``multipliers.CheckReport``.
 """
 
 import ast
@@ -284,7 +285,6 @@ def test_a_second_root_of_unity_is_found():
 TOLERANCE_SITES_ALLOWED = {
     "spectral.relative_tol": "the one default threshold, 1e-9 times the scale it is given",
     "spectral._head_integral": "Simpson convergence of the heat-kernel integral, which has no units",
-    "spectral.spectral_flow": "the integer check on the tracking count, which has no units",
 }
 
 
@@ -307,6 +307,49 @@ def test_a_floored_tolerance_is_found():
         "spectral": 'def relative_tol(scale):\n    """1e-9 * scale"""\n    return 1e-9 * scale\n',
     }
     assert rounding_tolerance_sites(sources) == ["representations.f", "spectral.relative_tol"]
+
+
+# The classes that may declare a `passed` field, with the reason.  Every check of
+# a law returns multipliers.CheckReport; a second record with a verdict would split
+# the checks of the package between two types, each with its own fields.
+CHECK_RECORDS_ALLOWED = {
+    "multipliers.CheckReport": "the one check record: verdict, count, worst defect, witness, how",
+    "verify.CheckResult": "the JSON carrier of one verify row, whose bytes are pinned",
+}
+
+
+def _fields(node: ast.ClassDef) -> set:
+    """The names that a class body declares as fields, annotated or assigned."""
+    names = set()
+    for stmt in node.body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+        names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def check_record_classes(sources=None) -> list[str]:
+    """Each module.Class of the package, or of sources ({module: text}), that declares a
+    `passed` field: a record of a check, such as one with passed and worst_defect."""
+    if sources is None:
+        sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    return [f"{stem}.{node.name}" for stem, text in sources.items()
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ClassDef) and "passed" in _fields(node)]
+
+
+def test_the_check_record_has_one_home():
+    assert sorted(check_record_classes()) == sorted(CHECK_RECORDS_ALLOWED)
+
+
+def test_a_second_check_record_is_found():
+    sources = {
+        "traces": "from dataclasses import dataclass\n@dataclass\nclass TraceCheck:\n"
+                  "    law: str\n    passed: bool\n    worst_defect: float\n",
+        "verify": "class SuiteReport:\n    @property\n    def passed(self):\n        return True\n"
+                  "class Defect:\n    worst_defect = 0.0\n",
+        "cohomology": "def f():\n    class Local:\n        passed = worst_defect = 0\n    return Local\n",
+    }
+    assert check_record_classes(sources) == ["traces.TraceCheck", "cohomology.Local"]
 
 
 # Private names that one module of the package may read from another, with the

@@ -381,6 +381,24 @@ def test_spectral_flow_config(capsys, tmp_path):
     assert payload["endpoint_formula"] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("a0, a1, flow", [
+    ([[0, 0, 0], [0, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 0),
+    ([[0, 0], [0, 1]], [[1, 0], [0, 1]], 0),
+    ([[0, 0], [0, 1]], [[-1, 0], [0, 1]], -1),
+])
+def test_spectral_flow_is_the_endpoint_formula_past_a_kernel_at_the_start(capsys, tmp_path, a0, a1, flow):
+    # zero_tol 0.1 keeps the kernel eigenvalue at the start within zero_tol on
+    # the first interval, where counting the crossings adds 1/2 per kernel eigenvalue.
+    cfg = write_config(tmp_path, "flow.json", {"path": {"A0": {"re": a0}, "A1": {"re": a1}},
+                                               "zero_tol": 0.1})
+    code = main(["spectral-flow", "--config", cfg])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["flow"] == flow
+    assert payload["endpoint_formula"] == float(flow)
+
+
 def test_spectral_flow_rejects_non_finite_entries(capsys, tmp_path):
     cfg = write_config(tmp_path, "flow.json", {
         "path": {"A0": {"re": [[float("nan"), 0], [0, -1]]}, "A1": {"re": [[1, 0], [0, 1]]}},

@@ -74,6 +74,13 @@ def test_lattice_ball_sizes():
         assert len(Z2.ball(r)) == 2 * r * r + 2 * r + 1
 
 
+def test_a_ball_needs_a_radius_of_at_least_zero():
+    for group in (Z2, S3, PROD, trivial_group()):
+        assert group.ball(0) == [group.identity()]
+        with pytest.raises(GroupError, match="radius >= 0, not -1"):
+            group.ball(-1)
+
+
 def test_ball_is_inverse_closed():
     for group in (Z2, S3, PROD):
         ball = group.ball(2)

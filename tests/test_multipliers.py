@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from twistlab import (
     BilinearMultiplier,
+    CheckReport,
     FreeAbelianGroup,
     GeometricMultiplier,
     LatticeGeometry,
@@ -30,7 +31,7 @@ from twistlab import (
     verify_cocycle,
 )
 from twistlab.multipliers import (
-    CocycleReport,
+    Multiplier,
     ProductMultiplier,
     TableMultiplier,
     TwistedMultiplier,
@@ -79,7 +80,7 @@ def test_cocycle_identity_and_normalization(sigma):
 def test_small_finite_cocycle_check_is_exhaustive():
     sigma, _ = s3_coboundary()
     report = verify_cocycle(sigma)
-    assert report.qualifier == "exhaustive"
+    assert report.how == "exhaustive"
     assert report.checked == 6 ** 3
 
 
@@ -436,7 +437,7 @@ def fraction_loop_turns(pairing, g, h) -> Fraction:
     return total
 
 
-def reference_cocycle_report(sigma, triples, qualifier) -> CocycleReport:
+def reference_cocycle_report(sigma, triples, how) -> CheckReport:
     """verify_cocycle decided and measured entirely through Phase (the reference)."""
     grp = sigma.group
     e = grp.identity()
@@ -453,7 +454,7 @@ def reference_cocycle_report(sigma, triples, qualifier) -> CocycleReport:
                          abs(Phase(sigma.turns(g1, e)).value - 1.0))
             if witness is None or defect > worst:
                 worst, witness = defect, (e, g1, None)
-    return CocycleReport(witness is None, len(triples), worst, witness, qualifier)
+    return CheckReport(witness is None, len(triples), worst, witness, how)
 
 
 def assert_kernel_matches_phase(sigma, g, h):
@@ -624,7 +625,7 @@ def test_a_passing_table_check_walks_no_triple(monkeypatch):
     monkeypatch.setattr(TableMultiplier, "_numerator", refuse)
     monkeypatch.setattr(TableMultiplier, "turns", refuse)
     report = verify_cocycle(S4_TABLE, samples=5)
-    assert report == CocycleReport(True, 24**3, 0.0, None, "exhaustive")
+    assert report == CheckReport(True, 24**3, 0.0, None, "exhaustive")
 
 
 def test_sampled_cocycle_check_on_a_perturbed_product_matches_the_phase_path():
@@ -774,3 +775,57 @@ def test_a_twist_that_moves_the_identity_fails_normalization():
     assert not report.passed
     assert report.witness[0] == (0, 0) and report.witness[2] is None
     assert report.worst_defect == pytest.approx(math.sqrt(2), abs=1e-15)
+
+
+# --- how a cocycle check is reached ------------------------------------------
+
+PAIRINGS = [trivial_multiplier(Z2), magnetic_multiplier(THETA), magnetic_multiplier("2/7", "symmetric"),
+            BilinearMultiplier(FreeAbelianGroup(3), [[0, "1/5", 0], ["2/3", 0, 1], [0, 0, "-3/4"]])]
+
+
+@pytest.mark.parametrize("sigma", PAIRINGS)
+def test_a_pairing_is_decided_without_evaluating_a_triple(monkeypatch, sigma):
+    def refuse(*args):
+        raise AssertionError("evaluated a triple")
+
+    monkeypatch.setattr(BilinearMultiplier, "_numerator", refuse)
+    for name in ("_pair", "turns", "value"):
+        monkeypatch.setattr(Multiplier, name, refuse)
+    for samples in (1, 150, 0, -1):
+        report = verify_cocycle(sigma, samples=samples, seed=3)
+        assert report == CheckReport(True, 0, 0.0, None, "decided")
+        assert report
+
+
+def test_how_names_the_route_and_only_pairings_are_decided():
+    lazy = [GeometricMultiplier(LatticeGeometry(THETA)),
+            magnetic_multiplier(THETA).twist(PhaseMap.random_exact(Z2, random.Random(5)))]
+    for sigma in MULTIPLIER_ZOO + list(EXHAUSTIVE_TABLES.values()) + lazy:
+        report = verify_cocycle(sigma, samples=20, seed=1)
+        if isinstance(sigma, BilinearMultiplier):
+            assert (report.how, report.checked) == ("decided", 0)
+        elif sigma.group.is_finite() and len(sigma.group.elements()) <= 24:
+            assert (report.how, report.checked) == ("exhaustive", len(sigma.group.elements()) ** 3)
+        else:
+            assert (report.how, report.checked) == ("sampled", 20)
+    assert verify_cocycle(S4_TABLE).how == "exhaustive"
+    assert verify_cocycle(lazy[0]).how == "sampled"
+
+
+def test_a_sampled_cocycle_check_needs_one_sample():
+    geometric = GeometricMultiplier(LatticeGeometry("1/3"))
+    for samples in (0, -1):
+        with pytest.raises(MultiplierError, match="samples >= 1"):
+            verify_cocycle(geometric, samples=samples)
+    assert verify_cocycle(geometric, samples=1) == CheckReport(True, 1, 0.0, None, "sampled")
+    # A small finite group is walked whole, whatever the sample count.
+    assert verify_cocycle(s3_coboundary()[0], samples=0).checked == 6 ** 3
+
+
+def test_lazy_multipliers_are_compared_on_a_ball_of_radius_at_least_one():
+    geometric = GeometricMultiplier(LatticeGeometry("1/3"))
+    for radius in (-1, 0):
+        with pytest.raises(MultiplierError, match="radius >= 1"):
+            multipliers_equal(geometric, magnetic_multiplier("2/7"), radius=radius)
+    assert not multipliers_equal(geometric, magnetic_multiplier("2/7"), radius=1)
+    assert multipliers_equal(geometric, magnetic_multiplier("1/3"), radius=1)

@@ -16,6 +16,7 @@ from twistlab import (
     BlochMap,
     FreeAbelianGroup,
     GeometricMultiplier,
+    GroupError,
     LatticeGeometry,
     MultiplierError,
     PhaseMap,
@@ -172,6 +173,13 @@ def test_left_regular_matrix_entries():
     identity_column = left_regular(a, radius=2).matrix[:, op.index[(0, 0)]]
     support = [op.basis[i] for i in np.nonzero(np.abs(identity_column) > 0)[0]]
     assert support == [(1, 0)]
+
+
+def test_left_regular_refuses_a_negative_radius():
+    harper = harper_element(magnetic_multiplier(Fraction(1, 3)))
+    assert left_regular(harper, radius=0).matrix.shape == (1, 1)
+    with pytest.raises(GroupError, match="radius >= 0"):
+        left_regular(harper, radius=-1)
 
 
 def test_butterfly_rows_format_and_determinism():

@@ -347,6 +347,8 @@ def test_spectral_flow_equals_endpoint_formula_on_random_paths():
         res = spectral_flow(MatrixPath.linear(a0, a1))
         assert res.flow == round(res.endpoint_formula)
         assert abs(res.endpoint_formula - res.flow) < 1e-9
+        # The endpoints decide the flow; with no kernel at an end the crossings add up to it.
+        assert sum(step for _, _, step in res.crossings) == res.flow
 
 
 def test_spectral_flow_stable_under_extra_refinement():
@@ -819,7 +821,6 @@ def _reference_spectral_flow(path, zero_tol=None, initial_samples=17, max_refine
         return 1.0 if cat < 0 else (0.0 if endpoint else 0.5) if cat == 0 else 0.0
 
     crossings = []
-    total = 0.0
     for left, right in zip(ts[:-1], ts[1:]):
         for lam_l, lam_r in zip(path.eigenvalues(left), path.eigenvalues(right)):
             cl, cr = category(float(lam_l)), category(float(lam_r))
@@ -827,16 +828,14 @@ def _reference_spectral_flow(path, zero_tol=None, initial_samples=17, max_refine
                 continue
             step = weight(cl, left == 0.0) - weight(cr, right == 1.0)
             if step != 0.0:
-                total += step
                 crossings.append((float(left), float(right), step))
 
     def corrected(ev):
         nonzero = ev[np.abs(ev) > zero_tol]
         return 0.5 * float(np.sum(np.sign(nonzero))) + 0.5 * kernel_report(ev, zero_tol).dim
 
-    flow = int(round(total))
-    assert abs(total - flow) <= 1e-9
-    return spectral.SpectralFlowResult(flow, crossings, corrected(ev1) - corrected(ev0), len(ts),
+    endpoint_formula = corrected(ev1) - corrected(ev0)
+    return spectral.SpectralFlowResult(int(endpoint_formula), crossings, endpoint_formula, len(ts),
                                        refinements)
 
 
@@ -877,11 +876,7 @@ def test_spectral_flow_is_bit_equal_to_the_interval_loop(monkeypatch, name, make
             solved = []
             solve = path._solve
             monkeypatch.setattr(path, "_solve", lambda m, solve=solve: solved.append(m) or solve(m))
-            try:
-                res = flow(path, **kwargs)
-            except (SpectralError, AssertionError):
-                outcomes.append(("not an integer", len(solved)))
-                continue
+            res = flow(path, **kwargs)
             outcomes.append((res.flow, res.endpoint_formula.hex(), res.samples, res.refinements,
                              [(l.hex(), r.hex(), s.hex()) for l, r, s in res.crossings],
                              [m.tobytes() for m in solved]))

@@ -7,6 +7,7 @@ import pytest
 
 from twistlab import (
     AlgebraElement,
+    CheckReport,
     FreeAbelianGroup,
     Homomorphism,
     PhaseMap,
@@ -153,15 +154,32 @@ def test_unitary_trace_value_independent_of_representation(rng):
 def test_unitary_rep_constructors():
     u = UnitaryRep.regular(S3)
     assert u.dim == 6
-    assert u.verify() <= 1e-12
+    assert u.verify() == CheckReport(True, 36, 0.0, None, "exhaustive")
     chis = all_characters(S3)
     onedim = [UnitaryRep.from_character(chi) for chi in chis]
     assert all(r.dim == 1 for r in onedim)
     s = UnitaryRep.direct_sum(onedim)
     assert s.dim == len(chis)
-    assert s.verify() <= 1e-12
+    report = s.verify()
+    assert report.passed and report.worst_defect <= 1e-12 and report.how == "exhaustive"
     g = TRANSPOSITION
     assert s.character(g) == pytest.approx(sum(r.character(g) for r in onedim))
+
+
+def test_unitary_rep_check_keeps_its_worst_witness():
+    def scaled(c):
+        mats = {g: UnitaryRep.regular(S3).matrix(g) for g in S3.elements()}
+        mats[TRANSPOSITION] = c * mats[TRANSPOSITION]
+        return UnitaryRep(S3, mats).verify()
+
+    report = scaled(2.0)
+    assert not report and report.checked == 36 and report.how == "exhaustive"
+    # 2P (2P)* - 1 = 3 on the diagonal, first met at the unitarity of 2P.
+    assert report.worst_defect == 3.0
+    assert report.witness == (TRANSPOSITION, None)
+    # The check passes at relative_tol(1.0) = 1e-9.
+    assert scaled(1 + 1e-10).passed
+    assert not scaled(1 + 1e-8).passed
 
 
 def test_matrix_trace_is_cyclic(rng):
@@ -211,6 +229,17 @@ def test_delocalization_flags():
     assert not regular_trace(MAGNETIC).is_delocalized
     assert not summation_trace(MAGNETIC).is_delocalized
     assert conjugacy_functional(LATTICE_TRIVIAL, (1, 0)).is_delocalized
+
+
+def test_trace_audits_are_sampled_check_reports():
+    sigma = trivial_multiplier(FreeAbelianGroup(1))
+    chi = PhaseMap.character_on_lattice(FreeAbelianGroup(1), ["1/5"])
+    for report in (check_trace_property(regular_trace(MAGNETIC)), check_positivity(regular_trace(MAGNETIC)),
+                   check_invariance(regular_trace(sigma), chi),
+                   check_invariance(conjugacy_functional(sigma, (1,)), chi)):
+        assert isinstance(report, CheckReport)
+        assert report.how == "sampled" and report.checked > 0
+        assert bool(report) is report.passed
 
 
 def test_gauge_invariance_separates_localized_from_delocalized():
