@@ -330,11 +330,29 @@ def spectrum_union(a: AlgebraElement, kgrid: int = 64) -> SpectrumResult:
 
 
 def algebraic_moment(a: AlgebraElement, n: int) -> complex:
-    """tr2 of the n-th convolution power, computed in the algebra."""
-    power = AlgebraElement.unit(a.sigma)
-    for _ in range(n):
-        power = power * a
-    return power.coefficient(a.group.identity())
+    """tau_e(a^n), the n-th moment of a under the canonical trace, from half powers.
+
+    With x = a^(n // 2) and y = x a for odd n (else y = x), a^n = x y and
+
+        tau_e(x y) = sum over g in supp x of x(g) y(g^-1) sigma(g, g^-1),
+
+    read through ``group.inverse`` and ``sigma.value`` on every group and
+    multiplier kind: at most ceil(n / 2) convolutions, each of at most half
+    the radius.  n = 0 gives 1.  Raises SpectralError unless n is an int >= 0.
+    """
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise SpectralError(f"a moment needs an integer order n >= 0, not {n!r}")
+    x = AlgebraElement.unit(a.sigma)
+    for _ in range(n // 2):
+        x = x * a
+    y = (x * a).coeffs if n % 2 else x.coeffs
+    inverse, value = a.group.inverse, a.sigma.value
+    total = 0j
+    for g, c in x.coeffs.items():
+        h = inverse(g)
+        if h in y:
+            total += c * y[h] * value(g, h)
+    return total
 
 
 @dataclass
@@ -352,10 +370,18 @@ class MomentStudy:
 def moment_match_study(a: AlgebraElement, n_max: int = 8, grids: Sequence[int] = (16, 32, 64)) -> MomentStudy:
     """Compare algebraic moments with k-grid fiber averages under grid doubling.
 
-    The uniform trigonometric grid integrates the fiber moments exactly
-    once the grid resolves the support, so errors typically sit at the
-    noise floor; such saturated sequences report infinite order.
+    The exact moments are tau_e(a^n) = sum_g x(g) y(g^-1) sigma(g, g^-1) for
+    n = 1..n_max, from the half powers x, y of ``algebraic_moment``.  The
+    uniform trigonometric grid integrates the fiber moments exactly once the
+    grid resolves the support, so errors typically sit at the noise floor;
+    such saturated sequences report infinite order.  Raises SpectralError
+    unless n_max is an int >= 1 and grids is not empty.
     """
+    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
+        raise SpectralError(f"a moment study needs an integer n_max >= 1, not {n_max!r}")
+    grids = list(grids)
+    if not grids:
+        raise SpectralError("a moment study needs at least one grid")
     bm = BlochMap(a.sigma)
     exact = {n: algebraic_moment(a, n) for n in range(1, n_max + 1)}
     scale = max(1.0, max(abs(v) for v in exact.values()))
@@ -371,7 +397,7 @@ def moment_match_study(a: AlgebraElement, n_max: int = 8, grids: Sequence[int] =
         rates = [math.inf if e0 <= saturation or e1 <= saturation else math.log2(e0 / e1)
                  for e0, e1 in zip(errs, errs[1:])]
         convergence[n] = math.inf if errs[-1] <= saturation else min(rates, default=math.inf)
-    return MomentStudy(list(exact), list(grids), errors, convergence, saturation)
+    return MomentStudy(list(exact), grids, errors, convergence, saturation)
 
 
 def reduced_fractions(qmax: int) -> Iterator[Fraction]:

@@ -181,12 +181,25 @@ def pullback_trace(pi: Homomorphism, tau_h: TraceFunctional, sigma: Multiplier) 
 
 
 class UnitaryRep:
-    """Unitary representation of a finite group by explicit matrices."""
+    """Unitary representation of a finite group by explicit matrices.
+
+    Raises TraceError unless the map holds one finite square matrix per group
+    element, all of one size of at least 1; ``verify`` checks the unitary laws."""
 
     def __init__(self, group: FiniteTableGroup, matrices: dict):
+        mats = {g: np.asarray(m, dtype=complex) for g, m in matrices.items()}
+        if mats.keys() != set(group.elements()):
+            raise TraceError(f"a unitary representation needs a matrix for each of the {group.n} "
+                             f"group elements and no other key")
+        shape = mats[group.identity()].shape
+        if (len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1
+                or any(m.shape != shape for m in mats.values())):
+            raise TraceError("a unitary representation needs nonempty square matrices of one size")
+        if not all(np.isfinite(m).all() for m in mats.values()):
+            raise TraceError("a unitary representation needs finite matrix entries")
         self.group = group
-        self.dim = int(next(iter(matrices.values())).shape[0])
-        self._matrices = {g: np.asarray(m, dtype=complex) for g, m in matrices.items()}
+        self.dim = shape[0]
+        self._matrices = mats
 
     def matrix(self, g) -> np.ndarray:
         return self._matrices[g]
@@ -214,7 +227,12 @@ class UnitaryRep:
 
     @classmethod
     def direct_sum(cls, reps: Sequence["UnitaryRep"]) -> "UnitaryRep":
+        """The block diagonal sum; raises TraceError for no summands or summands on different groups."""
+        if not reps:
+            raise TraceError("a direct sum needs at least one representation")
         group = reps[0].group
+        if any(r.group != group for r in reps):
+            raise TraceError("a direct sum needs representations of one group")
         mats = {}
         for g in group.elements():
             blocks = [r.matrix(g) for r in reps]

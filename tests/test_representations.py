@@ -20,16 +20,21 @@ from twistlab import (
     LatticeGeometry,
     MultiplierError,
     PhaseMap,
+    ProductGroup,
+    ProductMultiplier,
     SpectralError,
     butterfly_csv,
     butterfly_rows,
+    coboundary,
     eta_operator,
     harper_element,
     left_regular,
     magnetic_multiplier,
     moment_match_study,
+    random_element,
     reduced_fractions,
     spectrum_union,
+    symmetric_group,
     trivial_multiplier,
 )
 from twistlab import cli, representations
@@ -160,6 +165,76 @@ def test_moment_match_study_converges_fast():
     h = harper_element(magnetic_multiplier(Fraction(1, 3)))
     study = moment_match_study(h, n_max=8, grids=(16, 32, 64))
     assert study.min_order() >= 1.8
+
+
+def product_moments(a, n_max):
+    """The coefficients at e of unit, unit * a, unit * a * a, ... up to n_max factors a:
+    the reference moments, each power made as a product of n convolutions."""
+    power, out = AlgebraElement.unit(a.sigma), []
+    for _ in range(n_max + 1):
+        out.append(power.coefficient(a.group.identity()))
+        power = power * a
+    return out
+
+
+S4_TWISTED = coboundary(PhaseMap.random_exact(symmetric_group(4), random.Random(41), denominator=35))
+MOMENT_SIGMAS = {
+    "landau": magnetic_multiplier("1/3", "landau"),
+    "symmetric": magnetic_multiplier("2/7", "symmetric"),
+    "z3-bilinear": BilinearMultiplier(FreeAbelianGroup(3), [
+        [0, Fraction(1, 5), Fraction(2, 7)], [Fraction(-3, 4), 0, Fraction(1, 3)], [0, Fraction(5, 6), 0]]),
+    "s4-table": S4_TWISTED.power(Fraction(7, 11)),
+    "geometric": GeometricMultiplier(LatticeGeometry("2/5", "symmetric", ("1/3", "-1/2"))),
+    "zxs3": ProductMultiplier(ProductGroup(FreeAbelianGroup(1), symmetric_group(3)),
+                              BilinearMultiplier(FreeAbelianGroup(1), [[Fraction(3, 4)]]),
+                              coboundary(PhaseMap.random_exact(symmetric_group(3), random.Random(42)))),
+}
+
+
+def test_the_moment_cases_cover_a_twisted_table_and_a_lazy_form():
+    assert MOMENT_SIGMAS["s4-table"].turn_table is not None
+    assert len({t % 1 for row in MOMENT_SIGMAS["s4-table"].turn_table for t in row}) > 2
+    assert MOMENT_SIGMAS["geometric"]._denominator is None
+    assert MOMENT_SIGMAS["zxs3"].kind == "product"
+
+
+@pytest.mark.parametrize("key", sorted(MOMENT_SIGMAS))
+def test_moments_from_half_powers_match_the_full_product(key):
+    sigma = MOMENT_SIGMAS[key]
+    rng = random.Random(2032)
+    for _ in range(2):
+        b = random_element(sigma, rng, n_terms=4, spread=2)
+        a = b + 0.5 * b.star() + random_element(sigma, rng, n_terms=2, spread=2)  # b b* gives closed walks
+        assert algebraic_moment(a, 0) == 1 + 0j
+        for n, ref in enumerate(product_moments(a, 12)):
+            assert abs(algebraic_moment(a, n) - ref) <= 1e-12 * max(1.0, abs(ref)), (n, ref)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_a_moment_takes_at_most_half_as_many_convolutions(monkeypatch, n):
+    calls = []
+    convolve = AlgebraElement.convolve
+
+    def counted(self, other):
+        calls.append(other)
+        return convolve(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "convolve", counted)
+    algebraic_moment(harper_element(magnetic_multiplier("1/3")), n)
+    assert len(calls) <= (n + 1) // 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda h: algebraic_moment(h, -3),
+    lambda h: algebraic_moment(h, 4.0),
+    lambda h: algebraic_moment(h, True),
+    lambda h: moment_match_study(h, n_max=0),
+    lambda h: moment_match_study(h, n_max=2.0),
+    lambda h: moment_match_study(h, grids=()),
+], ids=["negative-n", "float-n", "bool-n", "zero-n-max", "float-n-max", "no-grids"])
+def test_bad_moment_inputs_raise_spectral_error(call):
+    with pytest.raises(SpectralError):
+        call(harper_element(magnetic_multiplier("1/3")))
 
 
 def test_left_regular_matrix_entries():

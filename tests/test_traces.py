@@ -3,6 +3,7 @@
 import cmath
 import random
 
+import numpy as np
 import pytest
 
 from twistlab import (
@@ -180,6 +181,27 @@ def test_unitary_rep_check_keeps_its_worst_witness():
     # The check passes at relative_tol(1.0) = 1e-9.
     assert scaled(1 + 1e-10).passed
     assert not scaled(1 + 1e-8).passed
+
+
+@pytest.mark.parametrize("matrices", [
+    {},
+    {0: np.eye(2)},
+    {**{g: np.eye(1) for g in range(6)}, 6: np.eye(1)},
+    {g: np.ones((2, 3)) for g in range(6)},
+    {g: np.ones(2) for g in range(6)},
+    {g: np.eye(3 if g == 4 else 2) for g in range(6)},
+    {g: np.full((1, 1), np.nan) for g in range(6)},
+], ids=["empty", "one-element", "extra-key", "non-square", "vector", "mixed-size", "nan"])
+def test_unitary_rep_refuses_a_malformed_matrix_map(matrices):
+    with pytest.raises(TraceError):
+        UnitaryRep(S3, matrices)
+
+
+def test_direct_sum_needs_summands_of_one_group():
+    with pytest.raises(TraceError):
+        UnitaryRep.direct_sum([])
+    with pytest.raises(TraceError):
+        UnitaryRep.direct_sum([UnitaryRep.regular(S3), UnitaryRep.regular(cyclic_group(6))])
 
 
 def test_matrix_trace_is_cyclic(rng):
