@@ -14,13 +14,14 @@ A cover computes a point's shifts, and the torus its lifts, in one
 ``_point`` call; the projection makes one per base point and reads that
 point's transitions and phases from it.  Without gauge offsets the torus
 cover's geometric multiplier is the magnetic pairing exactly, as
-rationals, so the torus projection convolves over that normal form and
+rationals, so the torus projection reads sigma from that normal form and
 its integer kernel.
 
-The checks build no element for an intermediate sum or a difference:
-``_mat_mul`` sums each entry's products on plain dicts, checked and pruned
-after every step as element arithmetic is, and ``defects_at`` takes the l1
-norms of P^2 - P and P^* - P through ``AlgebraElement.distance_l1``.
+The checks build no element: P_ij is one coefficient at the transition
+g_ij, and so is each entry of P^2 and of P^*, since products of transitions
+are transitions.  ``defects_at`` computes those coefficients and the l1
+norms of P^2 - P and P^* - P on plain complex numbers, with the float
+operations, checks and prunes that element arithmetic would make.
 ``rank_trace`` reads the diagonal only: a diagonal transition is the
 identity, whose phase is a constant, so it builds no point per grid point.
 
@@ -33,6 +34,7 @@ as six floats, so it runs in constant memory and builds nothing per k.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import operator
@@ -40,7 +42,7 @@ from fractions import Fraction
 from numbers import Integral
 from typing import Callable, Sequence
 
-from .algebra import AlgebraElement, _add_into, _checked
+from .algebra import PRUNE_TOL, AlgebraElement, AlgebraError
 from .cohomology import GroupCochain, inhomogeneous
 from .errors import TwistlabError
 from .groups import FreeAbelianGroup
@@ -71,6 +73,20 @@ def _lift_shift(patch: int, num: int, den: int) -> int:
     differences of lifts and jump by one unit across x = 1/2.
     """
     return -1 if patch == 0 and 2 * (num % den) > den else 0
+
+
+def _pruned(c: complex) -> complex | None:
+    """c, or None where an element drops it (|c| <= PRUNE_TOL); raises as elements do unless finite."""
+    if not cmath.isfinite(c):
+        raise AlgebraError("coefficients must be finite")
+    return c if abs(c) > PRUNE_TOL else None
+
+
+def _distance(c: complex | None, ref: complex | None) -> float:
+    """distance_l1 of c delta_g and ref delta_g, None standing for zero: the same float, bit for bit."""
+    if ref is not None:
+        c = _pruned((0.0 if c is None else c) + ref * complex(-1.0))
+    return 0.0 if c is None else abs(c)
 
 
 def _check_grid(n_grid: int) -> None:
@@ -206,58 +222,58 @@ class Projection:
         self.sigma = cover.sigma
         self.group = cover.group
 
-    def matrix_at(self, x) -> list:
+    def _entries(self, x) -> tuple[list, list]:
+        """(transitions, coefficients) at x: P_ij is coefficients[i][j] delta_g for g the
+        transition g_ij, or zero where the coefficient is None."""
         cover = self.cover
         n = cover.n_patches
         chis = [cover.chi(i, x) for i in range(n)]
         point = cover._point(x)
-        element = AlgebraElement._from_dict
         rows = []
         for i in range(n):
             row = []
             for j in range(n):
                 w = chis[i] * chis[j]
-                if w == 0.0:
-                    row.append(element(self.sigma, {}))
-                    continue
-                phase = point.phase_value(i, j)
-                row.append(element(self.sigma, {point.transitions[i][j]: w * phase}))
+                row.append(None if w == 0.0 else _pruned(w * point.phase_value(i, j)))
             rows.append(row)
-        return rows
+        return point.transitions, rows
 
-    def _mat_mul(self, a: list, b: list) -> list:
-        # Each entry is acc + a_ij * b_jk for j in order, checked and pruned after every
-        # product and every sum, as element arithmetic does, but on plain dicts.  Adding
-        # a zero product would leave acc as it is, so zero factors are skipped.
-        n = len(a)
-        out = []
-        for i in range(n):
-            row = []
-            for k in range(n):
-                acc: dict = {}
-                for j in range(n):
-                    if a[i][j].coeffs and b[j][k].coeffs:
-                        acc = _checked(_add_into(acc, _checked(a[i][j]._products(b[j][k]))))
-                row.append(AlgebraElement._from_dict(self.sigma, acc))
-            out.append(row)
-        return out
-
-    def _mat_star(self, a: list) -> list:
-        n = len(a)
-        return [[a[j][i].star() for j in range(n)] for i in range(n)]
+    def matrix_at(self, x) -> list:
+        transitions, coeffs = self._entries(x)
+        element = AlgebraElement._from_dict
+        return [[element(self.sigma, {} if c is None else {g: c}) for g, c in zip(grow, crow)]
+                for grow, crow in zip(transitions, coeffs)]
 
     def defects_at(self, x) -> tuple[float, float]:
-        """(idempotent, self adjointness) defects in the l1 coefficient norm."""
-        p = self.matrix_at(x)
-        p2 = self._mat_mul(p, p)
-        ps = self._mat_star(p)
+        """(idempotent, self adjointness) defects in the l1 coefficient norm.
+
+        Every product P_ij P_jk sits at g_ij + g_jk = g_ik, and P_ji^* at
+        -g_ji = g_ij, so each entry of P^2 and of P^* is one coefficient at
+        the transition of P.  It is computed as element arithmetic computes
+        it: the products summed in j order, checked and pruned after every
+        product and every sum, and the l1 distance through the same (-1.0)
+        product, check and prune as ``AlgebraElement.distance_l1``.
+        """
+        g, p = self._entries(x)
+        value = functools.cache(self.sigma.value)
         worst_idem = 0.0
         worst_star = 0.0
         n = len(p)
         for i in range(n):
-            for j in range(n):
-                worst_idem = max(worst_idem, p2[i][j].distance_l1(p[i][j]))
-                worst_star = max(worst_star, ps[i][j].distance_l1(p[i][j]))
+            for k in range(n):
+                acc = None
+                for j in range(n):
+                    a, b = p[i][j], p[j][k]
+                    if a is None or b is None:
+                        continue
+                    product = _pruned(0.0 + a * b * value(g[i][j], g[j][k]))
+                    if product is not None:
+                        acc = _pruned((0.0 if acc is None else acc) + product)
+                worst_idem = max(worst_idem, _distance(acc, p[i][k]))
+                c = p[k][i]
+                if c is not None:
+                    c = _pruned(c.conjugate() * value(g[k][i], g[i][k]).conjugate())
+                worst_star = max(worst_star, _distance(c, p[i][k]))
         return worst_idem, worst_star
 
     def verify(self, n_grid: int = 32) -> dict:

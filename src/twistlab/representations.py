@@ -10,8 +10,9 @@ at those entries only.  The butterfly CSV is made per block too: one
 %-template per block, filled with all of its eigenvalues at once, gives one
 text chunk.  With two usable CPUs a forked helper builds, solves and
 formats every other block of the sweep, and the chunks still come out in
-grid order; Bloch eta's sign traces are split between the processes the
-same way.
+grid order; a process builds a flux's map and strings only if it solves
+one of the flux's blocks.  Bloch eta's sign traces are split between the
+processes the same way.
 """
 
 from __future__ import annotations
@@ -207,11 +208,7 @@ class BlochMap:
         # near eps * |a|_1, so the bound is relative to |a|_1.
         tol = relative_tol(a.norm_l1())
         ks = self.grid(n)
-        per_block = max(1, _BLOCK_ENTRIES // (self.q * self.q))
-        rows, cols = max(1, per_block // n), min(n, per_block)
-        parts = ((slice(i * n + j, i * n + j + min(rows, n - i) * min(cols, n - j)),
-                  ks[i:i + rows], ks[j:j + cols])
-                 for i in range(0, n, rows) for j in range(0, n, cols))
+        parts = ((part, ks[k1], ks[k2]) for part, k1, k2 in _grid_blocks(self.q, n))
         if only is not None:
             parts = (block for block in parts if only[block[0]].any())
         return np.nonzero(pattern), tol, parts
@@ -279,6 +276,21 @@ class BlochMap:
         return np.einsum("ki,ki->k", entries, (wave[:, None] * values).conj())
 
 
+def _grid_blocks(q: int, n: int):
+    """(part, k1 indices, k2 indices) per block of BlochMap.blocks at denominator q, as slices.
+
+    A block holds at most _BLOCK_ENTRIES fiber entries, or one fiber: whole
+    k1 rows of the n x n grid, or part of one row.
+    """
+    per_block = max(1, _BLOCK_ENTRIES // (q * q))
+    rows, cols = max(1, per_block // n), min(n, per_block)
+    for i in range(0, n, rows):
+        for j in range(0, n, cols):
+            start = i * n + j
+            yield (slice(start, start + min(rows, n - i) * min(cols, n - j)),
+                   slice(i, i + rows), slice(j, j + cols))
+
+
 def _flat_grid(k1s: np.ndarray, k2s: np.ndarray):
     """The k1 x k2 grid flattened in lexicographic (k1 index, k2 index) order."""
     grid1, grid2 = np.meshgrid(k1s, k2s, indexing="ij")
@@ -332,7 +344,7 @@ def spectrum_union(a: AlgebraElement, kgrid: int = 64) -> SpectrumResult:
 def algebraic_moment(a: AlgebraElement, n: int) -> complex:
     """tau_e(a^n), the n-th moment of a under the canonical trace, from half powers.
 
-    With x = a^(n // 2) and y = x a for odd n (else y = x), a^n = x y and
+    With x = a^(n // 2) and y = a^(n - n // 2), a^n = x y and
 
         tau_e(x y) = sum over g in supp x of x(g) y(g^-1) sigma(g, g^-1),
 
@@ -342,11 +354,22 @@ def algebraic_moment(a: AlgebraElement, n: int) -> complex:
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise SpectralError(f"a moment needs an integer order n >= 0, not {n!r}")
-    x = AlgebraElement.unit(a.sigma)
-    for _ in range(n // 2):
-        x = x * a
-    y = (x * a).coeffs if n % 2 else x.coeffs
-    inverse, value = a.group.inverse, a.sigma.value
+    return _moment(_powers(a, (n + 1) // 2), n)
+
+
+def _powers(a: AlgebraElement, m: int) -> list:
+    """[a^0, ..., a^m], each a^(k + 1) made as a^k a from the unit: m convolutions."""
+    powers = [AlgebraElement.unit(a.sigma)]
+    for _ in range(m):
+        powers.append(powers[-1] * a)
+    return powers
+
+
+def _moment(powers: list, n: int) -> complex:
+    """tau_e(a^n) from powers = [a^0, a^1, ...] up to at least a^ceil(n / 2), paired as
+    algebraic_moment says, summed in the order of x's support."""
+    x, y = powers[n // 2], powers[n - n // 2].coeffs
+    inverse, value = x.group.inverse, x.sigma.value
     total = 0j
     for g, c in x.coeffs.items():
         h = inverse(g)
@@ -371,7 +394,8 @@ def moment_match_study(a: AlgebraElement, n_max: int = 8, grids: Sequence[int] =
     """Compare algebraic moments with k-grid fiber averages under grid doubling.
 
     The exact moments are tau_e(a^n) = sum_g x(g) y(g^-1) sigma(g, g^-1) for
-    n = 1..n_max, from the half powers x, y of ``algebraic_moment``.  The
+    n = 1..n_max, from the half powers x, y of ``algebraic_moment``, all made
+    once: a^0 .. a^ceil(n_max / 2) in ceil(n_max / 2) convolutions.  The
     uniform trigonometric grid integrates the fiber moments exactly once the
     grid resolves the support, so errors typically sit at the noise floor;
     such saturated sequences report infinite order.  Raises SpectralError
@@ -383,7 +407,8 @@ def moment_match_study(a: AlgebraElement, n_max: int = 8, grids: Sequence[int] =
     if not grids:
         raise SpectralError("a moment study needs at least one grid")
     bm = BlochMap(a.sigma)
-    exact = {n: algebraic_moment(a, n) for n in range(1, n_max + 1)}
+    powers = _powers(a, (n_max + 1) // 2)
+    exact = {n: _moment(powers, n) for n in range(1, n_max + 1)}
     scale = max(1.0, max(abs(v) for v in exact.values()))
     errors: dict = {n: [] for n in exact}
     for n_grid in grids:
@@ -442,38 +467,54 @@ def butterfly_csv(qmax: int, kgrid: int, coefficients: Sequence[float] = (1.0, 1
 
 
 def _butterfly_chunks(qmax: int, kgrid: int, coefficients: Sequence[float]) -> Iterator[str]:
-    """The chunks of butterfly_csv, made as they are read."""
-    chunks = _in_order(_butterfly_blocks(qmax, kgrid, coefficients), _butterfly_chunk)
+    """The chunks of butterfly_csv, made as they are read.
+
+    A task is (theta, part, k1 indices, k2 indices), one per Bloch block in
+    CSV order.  A process builds a flux's state (see _butterfly_flux) when it
+    solves the first block of that flux of its own, and keeps only the last.
+    """
+    built: dict = {}
+
+    def chunk(block):
+        theta = block[0]
+        if theta not in built:
+            built.clear()  # the blocks of a flux are consecutive
+            built[theta] = _butterfly_flux(theta, kgrid, coefficients)
+        return _butterfly_chunk(built[theta], block)
+
+    blocks = ((theta, *block) for theta in reduced_fractions(qmax)
+              for block in _grid_blocks(theta.denominator, kgrid))
+    chunks = _in_order(blocks, chunk)
     # Flux 0 gives at least one block.
     yield "theta_num,theta_den,k1,k2,band_index,eigenvalue\n" + next(chunks)
     yield from chunks
 
 
-def _butterfly_blocks(qmax: int, kgrid: int, coefficients: Sequence[float]):
-    """The sweep's Bloch blocks in CSV order, each with its flux's map, check and strings."""
-    for theta in reduced_fractions(qmax):
-        sigma = magnetic_multiplier(theta, "landau")
-        h = harper_element(sigma, coefficients)
-        bm = BlochMap(sigma)
-        kstr = [f"{k:.17g}" for k in bm.grid(kgrid).tolist()]
-        flux = f"{theta.numerator},{theta.denominator},"
-        # Row tails in (k2, band) order; a k1 row is its prefix before each.
-        tails = [f"{k2},{b},%.17g\n" for k2 in kstr for b in range(bm.q)]
-        entries, tol, parts = bm._plan(h, kgrid)
-        for part, k1s, k2s in parts:
-            yield bm, h, entries, tol, kstr, flux, tails, part, k1s, k2s
+def _butterfly_flux(theta: Fraction, kgrid: int, coefficients: Sequence[float]) -> tuple:
+    """What the blocks of flux theta share: its map, element, check and strings."""
+    sigma = magnetic_multiplier(theta, "landau")
+    h = harper_element(sigma, coefficients)
+    bm = BlochMap(sigma)
+    ks = bm.grid(kgrid)
+    kstr = [f"{k:.17g}" for k in ks.tolist()]
+    label = f"{theta.numerator},{theta.denominator},"
+    # Row tails in (k2, band) order; a k1 row is its prefix before each.
+    tails = [f"{k2},{b},%.17g\n" for k2 in kstr for b in range(bm.q)]
+    entries, tol, _ = bm._plan(h, kgrid)
+    return bm, h, entries, tol, ks, kstr, label, tails
 
 
-def _butterfly_chunk(block) -> str:
-    """The CSV text of one block from _butterfly_blocks."""
-    bm, h, entries, tol, kstr, flux, tails, part, k1s, k2s = block
-    eigs, _ = bm._solve(h, k1s, k2s, entries, tol, False)
+def _butterfly_chunk(flux: tuple, block: tuple) -> str:
+    """The CSV text of one block of _butterfly_chunks, with its flux from _butterfly_flux."""
+    bm, h, entries, tol, ks, kstr, label, tails = flux
+    _, part, k1, k2 = block
+    eigs, _ = bm._solve(h, ks[k1], ks[k2], entries, tol, False)
     kgrid = len(kstr)
     segments = []
     # A block is whole k1 rows, or part of one row.
     for i in range(part.start // kgrid, (part.stop - 1) // kgrid + 1):
         lo, hi = max(part.start - i * kgrid, 0), min(part.stop - i * kgrid, kgrid)
-        prefix = f"{flux}{kstr[i]},"
+        prefix = f"{label}{kstr[i]},"
         segments += (prefix, prefix.join(tails[lo * bm.q:hi * bm.q]))
     return "".join(segments) % tuple(eigs.ravel().tolist())
 
@@ -496,12 +537,14 @@ def _in_order(tasks, work, helper=range(1, sys.maxsize, 2)):
     into a pipe, while this process runs the others and unpickles the
     helper's results in turn.  An exception of the helper is raised here at
     its task's place.  Both processes walk their own copy of tasks, so it
-    must give the same tasks in each.  Fork keeps the built state, which a
-    spawned helper would import and build again; the helper leaves through
-    os._exit, so it runs no exit hooks and flushes no stdio buffer it
-    inherited.  With one usable CPU, a sized list of fewer than two tasks,
-    or in a helper (whose tasks may call this again), this is
-    map(work, tasks).
+    must give the same tasks in each, and both make every task: a task
+    should be a cheap description, and what solving it needs is built by
+    work, so that each process builds only what it solves.  Fork keeps the
+    state built before the call, which a spawned helper would import and
+    build again; the helper leaves through os._exit, so it runs no exit
+    hooks and flushes no stdio buffer it inherited.  With one usable CPU, a
+    sized list of fewer than two tasks, or in a helper (whose tasks may call
+    this again), this is map(work, tasks).
     """
     global _in_helper
     cpus = getattr(os, "sched_getaffinity", None)

@@ -10,6 +10,8 @@ invariance laws, each audit a sampled ``CheckReport`` with its witness.
 
 from __future__ import annotations
 
+import cmath
+import math
 import random
 from typing import Callable, Sequence
 
@@ -298,13 +300,17 @@ def _sample_pairs(sigma: Multiplier, rng: random.Random):
 
 
 def _worst_case(samples, defect: Callable) -> CheckReport:
-    """Worst defect(*sample) over the samples with its first witness; the law holds at <= 1e-10."""
+    """Worst defect(*sample) over the samples with its first witness; the law holds at <= 1e-10.
+
+    A NaN defect is worse than any number: the first one is the witness, and the law fails.
+    """
     worst, witness, checked = 0.0, None, 0
     for checked, sample in enumerate(samples, 1):
         d = defect(*sample)
-        if d > worst:
+        if d > worst or (math.isnan(d) and not math.isnan(worst)):
             worst, witness = d, sample
-    return CheckReport(worst <= 1e-10, checked, worst, witness if worst > 1e-10 else None, "sampled")
+    holds = worst <= 1e-10
+    return CheckReport(holds, checked, worst, None if holds else witness, "sampled")
 
 
 def check_trace_property(tau: TraceFunctional, seed: int = 11) -> CheckReport:
@@ -318,7 +324,8 @@ def check_positivity(tau: TraceFunctional, seed: int = 12) -> CheckReport:
     """Sample tau(a* a) real and nonnegative on 40 random elements."""
     def defect(a):
         v = tau(a.star().convolve(a))
-        return max(abs(v.imag), max(0.0, -v.real))
+        # max would drop a NaN real part behind a number; NaN is no nonnegative real.
+        return math.nan if cmath.isnan(v) else max(abs(v.imag), max(0.0, -v.real))
 
     rng = random.Random(seed)
     samples = ((random_element(tau.sigma, rng, 3, 2),) for _ in range(40))

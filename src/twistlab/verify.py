@@ -271,10 +271,16 @@ _SUITES = {
 }
 
 # The suites that `verify --suite all` runs in its forked helper when two
-# CPUs are usable; this process runs the others.  mishchenko is the longest
-# suite, and spectral's first import of numpy.random adds most of the memory
-# that any suite adds, which the helper gives back when it exits.
-_HELPER_SUITES = frozenset({"spectral", "mishchenko"})
+# CPUs are usable; this process runs the others.  Cold times, each suite
+# alone in a fresh process after `import twistlab.cli` (seed 7, medians of
+# 15, 2 vCPU): multiplier 8.9, algebra 22.4, representations 16.4, traces
+# 10.4, spectral 20.0, cohomology 18.0 and mishchenko 19.6 ms.  So this
+# process runs the first four (58.1 ms) and the helper the last three
+# (57.6 ms): every helper suite comes after this process's suites, so this
+# process never waits for one before its own work is done.  spectral's first
+# import of numpy.random adds most of the memory that any suite adds, which
+# the helper gives back when it exits.
+_HELPER_SUITES = frozenset({"spectral", "cohomology", "mishchenko"})
 
 
 def suite_names() -> list:

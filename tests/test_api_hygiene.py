@@ -355,8 +355,6 @@ def test_a_second_check_record_is_found():
 # Private names that one module of the package may read from another, with the
 # reason.  Every other private name is read only in the module that defines it.
 PRIVATE_READS_ALLOWED = {
-    "algebra._add_into": "Projection._mat_mul sums entry products on plain dicts as elements do",
-    "algebra._checked": "Projection._mat_mul checks and prunes those dicts as elements do",
     "algebra._same_multiplier": "a trace accepts exactly the elements of its own algebra",
     "representations._in_order": "verify.run_suites runs its suites on the butterfly's two-process schedule",
 }

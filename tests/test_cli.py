@@ -85,9 +85,12 @@ def test_verify_all_does_not_depend_on_the_schedule(capsys, schedule, seed):
 @needs_fork
 def test_the_helper_runs_exactly_the_named_suites(monkeypatch, schedule):
     names = suite_names()
-    assert verify_mod._HELPER_SUITES == {"spectral", "mishchenko"}
+    assert verify_mod._HELPER_SUITES == {"spectral", "cohomology", "mishchenko"}
     # Each name is a suite, so renaming a suite cannot drop it from the helper unseen.
     assert set() < verify_mod._HELPER_SUITES < set(names)
+    # The helper's suites come last: this process waits for none before its own are done.
+    helper = [index for index, name in enumerate(names) if name in verify_mod._HELPER_SUITES]
+    assert helper == list(range(len(names) - len(helper), len(names)))
 
     monkeypatch.setattr(verify_mod, "run_suite", lambda name, seed: (name, os.getpid()))
     schedule(2)

@@ -1,5 +1,6 @@
 """Tests for group cochains, the cyclic transfer, and smoothness norms."""
 
+import itertools
 import math
 import random
 
@@ -222,4 +223,29 @@ def test_growth_fit_recovers_power_law():
 
 def test_area_cochain_grows_quadratically():
     assert cochain_growth(AREA, [2, 4, 6, 8]) == pytest.approx(2.0, abs=0.01)
+
+
+def reference_growth(c, radii):
+    """The reference: cochain_growth with each value through GroupCochain.__call__, folded by max."""
+    grp, sups = c.group, []
+    for r in radii:
+        ball, worst, rng = grp.ball(r), 0.0, random.Random(29 + r)
+        if len(ball) ** c.degree <= 20000:
+            combos = itertools.product(ball, repeat=c.degree)
+        else:
+            combos = (tuple(rng.choice(ball) for _ in range(c.degree)) for _ in range(20000))
+        for tail in combos:
+            worst = max(worst, abs(c(grp.identity(), *tail)))
+        sups.append(worst)
+    return growth_fit(list(radii), sups)
+
+
+@pytest.mark.parametrize("cochain, radii", [
+    (AREA, [2, 3, 4, 6]),  # verify's area-growth check
+    (GroupCochain(Z2, 1, lambda g0, g1: complex(g1[0] ** 3 - g0[1], 0.5 * g1[1])), [1, 2, 5]),
+    (GroupCochain(Z2, 1, lambda g0, g1: g1[0] * g1[1]), [1, 3]),  # int values
+    (GroupCochain(Z2, 3, lambda *gs: sum(g[0] * g[1] for g in gs) / 3.0), [1, 4]),  # sampled at 4
+])
+def test_cochain_growth_is_bit_equal_to_the_called_cochain(cochain, radii):
+    assert cochain_growth(cochain, radii).hex() == reference_growth(cochain, radii).hex()
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from twistlab import FreeAbelianGroup, mishchenko
-from twistlab.algebra import AlgebraElement
+from twistlab.algebra import AlgebraElement, AlgebraError
 from twistlab.cohomology import GroupCochain, growth_fit, inhomogeneous
 from twistlab.mishchenko import (
     CircleCover,
@@ -454,7 +454,7 @@ def test_circle_projection_equals_the_reference_bitwise(n_grid, winding):
     for x in cover.grid(n_grid):
         p = proj.matrix_at(x)
         assert same_matrix(p, reference_matrix_at(cover, cover.sigma, x))
-        assert same_matrix(proj._mat_mul(p, p), reference_mat_mul(cover.sigma, p, p))
+        assert proj.defects_at(x) == reference_defects_at(cover, cover.sigma, x)
         for i in range(2):
             for j in range(2):
                 assert cover.phase_turns(i, j, x) == reference_phase_turns(cover, i, j, x)
@@ -480,13 +480,51 @@ def test_torus_projection_equals_the_reference_bitwise(geometry, shifts):
         p = proj.matrix_at(x)
         ref = reference_matrix_at(cover, lazy, x)
         assert same_matrix(p, ref)
-        # Convolution over the normal form equals convolution over the lazy form.
-        assert same_matrix(proj._mat_mul(p, p), reference_mat_mul(lazy, ref, ref))
+        # The normal form gives the defects of convolution over the lazy form.
         assert proj.defects_at(x) == reference_defects_at(cover, lazy, x)
     report = proj.verify(n_grid=5)
     assert report == reference_verify(cover, 5)
     assert report["idempotent_defect"] == 0.0 and report["selfadjoint_defect"] == 0.0
     assert same_float(proj.rank_trace(6), reference_rank_trace(cover, 6))
+
+
+PROJECTIONS = [lambda: circle_projection(2)] + [
+    lambda geometry=geometry, shifts=shifts: torus_projection(geometry, shifts)
+    for geometry, shifts in TORUS_CASES
+]
+
+
+@pytest.mark.parametrize("make", PROJECTIONS)
+@pytest.mark.parametrize("scale", [1.0, 3e-4, 1e-7, 1e-300])
+def test_defects_of_a_perturbed_partition_equal_the_reference_bitwise(make, scale):
+    # Unequal patch weights make P fail both laws, so entries have nonzero
+    # defects; scaled down, products (at 3e-4), then all of P^2 (at 1e-7) and
+    # all of P (at 1e-300) fall under the prune.
+    proj = make()
+    cover = proj.cover
+    chi = cover.chi
+    cover.chi = lambda i, x: chi(i, x) * scale * (1.0 + 0.013 * i)
+    lazy = reference_sigma(cover)
+    defects = []
+    for x in cover.grid(5):
+        got = proj.defects_at(x)
+        assert got == reference_defects_at(cover, lazy, x)
+        assert all(type(d) is float for d in got)
+        defects += got
+    assert (max(defects) > 0.0) == (scale != 1e-300)
+
+
+@pytest.mark.parametrize("make", PROJECTIONS)
+@pytest.mark.parametrize("weight", [1e200, 1e100])  # P itself, then only P^2, overflows
+def test_a_non_finite_partition_raises_as_elements_do(make, weight):
+    proj = make()
+    cover = proj.cover
+    cover.chi = lambda i, x: weight * (1.0 + 0.013 * i)
+    x = cover.grid(3)[1]
+    with pytest.raises(AlgebraError, match="coefficients must be finite"):
+        reference_defects_at(cover, reference_sigma(cover), x)
+    with pytest.raises(AlgebraError, match="coefficients must be finite"):
+        proj.defects_at(x)
 
 
 @pytest.mark.parametrize("geometry, shifts", TORUS_CASES)

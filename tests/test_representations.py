@@ -224,6 +224,28 @@ def test_a_moment_takes_at_most_half_as_many_convolutions(monkeypatch, n):
     assert len(calls) <= (n + 1) // 2
 
 
+@pytest.mark.parametrize("n_max", range(1, 10))
+def test_a_moment_study_makes_each_half_power_once(monkeypatch, n_max):
+    h = harper_element(magnetic_multiplier("1/4"))
+    grids = (8, 16)
+    eigs = {n: BlochMap(h.sigma).eigenvalues(h, n) for n in grids}
+    # Each moment, bit for bit as algebraic_moment gives it, in the study's error formula.
+    want = {n: [abs(float((eigs[g] ** n).mean()) - algebraic_moment(h, n).real) for g in grids]
+            for n in range(1, n_max + 1)}
+    calls = []
+    convolve = AlgebraElement.convolve
+
+    def counted(self, other):
+        calls.append(other)
+        return convolve(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "convolve", counted)
+    study = moment_match_study(h, n_max=n_max, grids=grids)
+    assert len(calls) == (n_max + 1) // 2  # verify's n_max 6 takes 3
+    assert all(other is h for other in calls)
+    assert study.errors == want
+
+
 @pytest.mark.parametrize("call", [
     lambda h: algebraic_moment(h, -3),
     lambda h: algebraic_moment(h, 4.0),
@@ -405,9 +427,36 @@ def test_butterfly_chunks_do_not_depend_on_the_schedule(monkeypatch, schedule, q
 
 
 @needs_fork
+def test_a_process_builds_only_the_fluxes_it_solves(monkeypatch, schedule):
+    # At qmax 12 and kgrid 8 each of the 46 fluxes is one block, so the
+    # helper solves the odd fluxes and this process the even ones.
+    fluxes = list(reduced_fractions(12))
+    assert len(fluxes) == 46
+    built = []
+    init = BlochMap.__init__
+    monkeypatch.setattr(BlochMap, "__init__",
+                        lambda self, sigma: built.append(os.getpid()) or init(self, sigma))
+    thetas = []
+    plan = BlochMap._plan
+    monkeypatch.setattr(BlochMap, "_plan", lambda self, a, n, only=None: (
+        thetas.append(self.theta) or plan(self, a, n, only)))
+    csvs = []
+    for cpus in (1, 2):
+        schedule(cpus)
+        built.clear()
+        thetas.clear()
+        csvs.append("".join(butterfly_csv(12, 8, HOPPINGS[1])))
+        # Only this process's calls are seen: the helper's go to its own memory.
+        assert built == [os.getpid()] * len(thetas)
+        assert thetas == (fluxes if cpus == 1 else fluxes[::2])
+    assert csvs[1] == csvs[0]
+    assert csvs[0] == "\n".join(_reference_butterfly_rows(12, 8, HOPPINGS[1])) + "\n"
+
+
+@needs_fork
 def test_the_butterfly_helper_runs_the_odd_blocks(monkeypatch, schedule):
     monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 40)
-    monkeypatch.setattr(representations, "_butterfly_chunk", lambda block: f"{os.getpid()}\n")
+    monkeypatch.setattr(representations, "_butterfly_chunk", lambda flux, block: f"{os.getpid()}\n")
     schedule(2)
     chunks = list(butterfly_csv(4, 5))
     header, first = chunks[0].split("\n", 1)

@@ -167,6 +167,32 @@ def test_unitary_rep_constructors():
     assert s.character(g) == pytest.approx(sum(r.character(g) for r in onedim))
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("check", [check_trace_property, check_positivity])
+@pytest.mark.parametrize("make", [
+    lambda: TraceFunctional(MAGNETIC, weight_fn=lambda g: NAN),
+    lambda: TraceFunctional(MAGNETIC, {(0, 0): NAN}),
+], ids=["weight_fn", "dict"])
+def test_a_nan_defect_fails_with_its_witness(check, make):
+    report = check(make())
+    assert not report.passed and cmath.isnan(report.worst_defect)
+    assert report.witness is not None and report.checked == 40 and report.how == "sampled"
+
+
+def test_a_nan_defect_after_finite_ones_is_the_witness():
+    # The summation weight fails the twisted trace law by a finite defect on
+    # most pairs; a NaN weight at (1, 1) makes the pairs that reach it NaN.
+    tau = TraceFunctional(MAGNETIC, weight_fn=lambda g: NAN if g == (1, 1) else 1.0)
+    finite = check_trace_property(summation_trace(MAGNETIC))
+    assert not finite.passed and finite.worst_defect > 1e-10
+    report = check_trace_property(tau)
+    assert not report.passed and cmath.isnan(report.worst_defect)
+    a, b = report.witness
+    assert cmath.isnan(abs(tau(a.convolve(b)) - tau(b.convolve(a))))
+
+
 def test_unitary_rep_check_keeps_its_worst_witness():
     def scaled(c):
         mats = {g: UnitaryRep.regular(S3).matrix(g) for g in S3.elements()}
