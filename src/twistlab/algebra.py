@@ -40,13 +40,18 @@ def _same_multiplier(a: Multiplier, b: Multiplier) -> bool:
     return a is b or decided_equal(a, b) is True
 
 
+def _pruned(c: complex) -> complex | None:
+    """c, or None where an element drops it (|c| <= PRUNE_TOL); raises AlgebraError unless finite."""
+    if not cmath.isfinite(c):
+        raise AlgebraError("coefficients must be finite")
+    return c if abs(c) > PRUNE_TOL else None
+
+
 def _checked(data: dict) -> dict:
     """data without its coefficients of modulus PRUNE_TOL or less; raises if one is not finite."""
-    if not all(map(cmath.isfinite, data.values())):
-        raise AlgebraError("coefficients must be finite")
     out = {}  # a loop, not a comprehension: most dicts here hold one to four terms
     for g, c in data.items():
-        if abs(c) > PRUNE_TOL:
+        if (c := _pruned(c)) is not None:
             out[g] = c
     return out
 

@@ -34,7 +34,6 @@ as six floats, so it runs in constant memory and builds nothing per k.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import operator
@@ -42,7 +41,7 @@ from fractions import Fraction
 from numbers import Integral
 from typing import Callable, Sequence
 
-from .algebra import PRUNE_TOL, AlgebraElement, AlgebraError
+from .algebra import AlgebraElement, _pruned
 from .cohomology import GroupCochain, inhomogeneous
 from .errors import TwistlabError
 from .groups import FreeAbelianGroup
@@ -73,13 +72,6 @@ def _lift_shift(patch: int, num: int, den: int) -> int:
     differences of lifts and jump by one unit across x = 1/2.
     """
     return -1 if patch == 0 and 2 * (num % den) > den else 0
-
-
-def _pruned(c: complex) -> complex | None:
-    """c, or None where an element drops it (|c| <= PRUNE_TOL); raises as elements do unless finite."""
-    if not cmath.isfinite(c):
-        raise AlgebraError("coefficients must be finite")
-    return c if abs(c) > PRUNE_TOL else None
 
 
 def _distance(c: complex | None, ref: complex | None) -> float:

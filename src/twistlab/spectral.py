@@ -8,9 +8,9 @@ first: square, finite and Hermitian.  Eta invariants come in a closed form
 both support the two normalizations found in the literature (with and
 without the factor 2 in the denominator).  Bloch eta solves its fibers
 block by block; with two usable CPUs a forked helper solves half the
-blocks.  Spectral flow decides each refinement round in one array pass
-over the samples of that round.  Every default threshold is relative_tol of
-a scale of the input, so scaling the input by 2^k does not change a result.
+blocks.  Spectral flow solves each sample once, at its own t, and decides
+each refinement round in one array pass over them.  Every default threshold
+is relative_tol of a scale of the input, so scaling by 2^k changes no result.
 """
 
 from __future__ import annotations
@@ -247,7 +247,7 @@ def eta_operator(operator, tau=None, method: str = "bloch", normalization: str =
     method 'truncation': the sign of the left regular truncation to the
     ball of radius r, read at the identity column against the trace
     weights; the change from radius max(2, r - 2), or from radius 0 at
-    r = 2, is reported as the error.
+    r = 2, is reported as the error; Group.ball refuses r < 0 (GroupError).
     method 'dense': plain matrix input with the matrix trace; reduces to
     eta_closed_form.
 
@@ -346,12 +346,11 @@ def _eta_truncation(a: AlgebraElement, tau, normalization: str, radius: int,
                     zero_tol: float | None) -> EtaResult:
     from .representations import left_regular
 
-    if radius < 0:
-        raise SpectralError(f"truncation radius must be >= 0, not {radius}")
     weights = _weights_of_trace(tau, a.group)
     values = []
     # Radius 2 compares with 0, not with itself; radii 0 and 1 with the finer 2.
-    for r in (0 if radius == 2 else max(2, radius - 2), radius):
+    # The requested radius comes first, so Group.ball refuses r < 0 before any solve.
+    for r in (radius, 0 if radius == 2 else max(2, radius - 2)):
         op = left_regular(a, r)
         dec = eigh(op.matrix)
         ev = dec.eigenvalues
@@ -365,8 +364,8 @@ def _eta_truncation(a: AlgebraElement, tau, normalization: str, radius: int,
             if row is not None:
                 total += complex(c) * sign_op[row, e_col]
         values.append(_eta_scale(normalization) * total.real)
-    eta = values[-1]
-    error = abs(values[-1] - values[0])
+    eta = values[0]
+    error = abs(values[0] - values[1])
     return EtaResult(eta, error, "truncation",
                      {"radius": radius, "normalization": normalization})
 
@@ -391,7 +390,6 @@ class MatrixPath:
 
     def __init__(self, fn: Callable[[float], np.ndarray]):
         self._fn = fn
-        self._cache: dict = {}
         self._solve = eigvalsh
 
     @classmethod
@@ -418,11 +416,7 @@ class MatrixPath:
         return path
 
     def eigenvalues(self, t: float) -> np.ndarray:
-        key = round(t, 15)
-        if key not in self._cache:
-            # Values only, sampled many times per flow computation.
-            self._cache[key] = self._solve(self._fn(t))
-        return self._cache[key]
+        return self._solve(self._fn(t))
 
     def matrix(self, t: float) -> np.ndarray:
         return self._fn(t)
@@ -438,7 +432,9 @@ def spectral_flow(path: MatrixPath, zero_tol: float | None = None,
     locate the moves: sign categories (-, 0, +) per sorted index on adjacent
     samples, after bisecting each interval whose per-index move exceeds half
     the distance to zero at a crossing candidate.  A kernel eigenvalue weighs
-    1/2 at interior samples and 0 at the endpoints.
+    1/2 at interior samples and 0 at the endpoints.  Each t is solved once; a
+    midpoint that rounds onto an end of its interval is no new sample, and a
+    round that adds none ends the refinement and is not counted.
     """
     zero_tol = _zero_tol(zero_tol)
     if initial_samples < 2 or max_refinements < 0:
@@ -448,7 +444,7 @@ def spectral_flow(path: MatrixPath, zero_tol: float | None = None,
     if zero_tol is None:
         zero_tol = max(default_zero_tol(ev0), default_zero_tol(ev1))
     ts = np.linspace(0.0, 1.0, initial_samples)
-    evs = _path_samples(path, ts, ev0.shape)
+    evs = np.vstack([ev0, _path_samples(path, ts[1:-1], ev0.shape), _same_dimension(ev1, 1.0, ev0.shape)])
     refinements = 0
     while refinements < max_refinements:
         # Per interval (row): the largest move of an index, the eigenvalue
@@ -457,14 +453,16 @@ def spectral_flow(path: MatrixPath, zero_tol: float | None = None,
         move = np.abs(left - right).max(axis=1)
         nearest = np.abs(evs).min(axis=1)
         bar = np.maximum(4 * zero_tol, np.minimum(nearest[1:], nearest[:-1]) / 2)
-        split = (np.sign(left) * np.sign(right) <= 0).any(axis=1) & (move > bar)
-        if not split.any():
+        split = np.flatnonzero((np.sign(left) * np.sign(right) <= 0).any(axis=1) & (move > bar))
+        mids = (ts[split] + ts[split + 1]) / 2.0
+        # At float resolution a midpoint rounds onto an end of its interval.
+        new = (ts[split] < mids) & (mids < ts[split + 1])
+        if not new.any():
             break
         refinements += 1
-        mids = (ts[:-1][split] + ts[1:][split]) / 2.0
-        # Not np.union1d: its first call imports numpy.ma, 0.8 MB of peak RSS.
-        ts = np.array(sorted(set(ts.tolist()) | set(mids.tolist())))
-        evs = _path_samples(path, ts, ev0.shape)
+        at, mids = split[new] + 1, mids[new]
+        evs = np.insert(evs, at, _path_samples(path, mids, ev0.shape), axis=0)
+        ts = np.insert(ts, at, mids)
 
     # Sign categories (-1, 0, +1) per sample and index; the (interval, index)
     # pairs where one changes, in row-major order, as the intervals are walked.
@@ -488,19 +486,21 @@ def spectral_flow(path: MatrixPath, zero_tol: float | None = None,
     return SpectralFlowResult(int(endpoint_formula), crossings, endpoint_formula, len(ts), refinements)
 
 
+def _same_dimension(ev: np.ndarray, t: float, shape: tuple) -> np.ndarray:
+    """ev, the eigenvalues at t; raises SpectralError unless its shape is shape, that at t = 0."""
+    if ev.shape != shape:
+        raise SpectralError(f"the path changes dimension: {ev.size} eigenvalues at t = {float(t)!r}, "
+                            f"{shape[0]} at t = 0")
+    return ev
+
+
 def _path_samples(path: MatrixPath, ts: np.ndarray, shape: tuple) -> np.ndarray:
     """path.eigenvalues(t) for each t of ts, solved in that order, as the rows of one array.
 
     Raises SpectralError at the first sample whose shape is not shape.
     """
-    rows = []
-    for t in ts:
-        ev = path.eigenvalues(t)
-        if ev.shape != shape:
-            raise SpectralError(f"the path changes dimension: {ev.size} eigenvalues at t = {float(t)!r}, "
-                                f"{shape[0]} at t = 0")
-        rows.append(ev)
-    return np.array(rows)
+    rows = [_same_dimension(path.eigenvalues(t), t, shape) for t in ts]
+    return np.array(rows).reshape(len(ts), *shape)
 
 
 @dataclass
@@ -598,7 +598,7 @@ def twisted_betti(even_block, odd_block, zero_tol: float | None = None,
             kernel_cols = dec.vectors[:, kernel]
             results.append(float(np.real(tau(kernel_cols @ kernel_cols.conj().T))))
     b_even, b_odd = results
-    index = int(round(b_even - b_odd))
+    index = int(np.rint(b_even - b_odd))
     return BettiResult(b_even, b_odd, b_even - b_odd, index, ambiguous, tol_used)
 
 

@@ -309,6 +309,31 @@ def test_a_floored_tolerance_is_found():
     assert rounding_tolerance_sites(sources) == ["representations.f", "spectral.relative_tol"]
 
 
+def _reads_prune_tol(node) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == "PRUNE_TOL" and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.Attribute) and node.attr == "PRUNE_TOL"))
+
+
+def prune_tol_sites(sources=None) -> list[str]:
+    """Every site of the package, or of sources ({module: text}), that reads PRUNE_TOL."""
+    return _package_sites(sources, _reads_prune_tol)
+
+
+def test_the_coefficient_prune_has_one_home():
+    # Every coefficient an element keeps or drops is decided by algebra._pruned.
+    assert prune_tol_sites() == ["algebra._pruned"]
+
+
+def test_a_second_prune_is_found():
+    sources = {
+        "algebra": "PRUNE_TOL = 1e-15\ndef _pruned(c):\n    return c if abs(c) > PRUNE_TOL else None\n",
+        "mishchenko": "from .algebra import PRUNE_TOL\nclass P:\n    def entry(self, c):\n"
+                      "        return None if abs(c) <= PRUNE_TOL else c\n",
+        "traces": "from . import algebra\ntol = 10 * algebra.PRUNE_TOL\n",
+    }
+    assert prune_tol_sites(sources) == ["algebra._pruned", "mishchenko.P.entry", "traces"]
+
+
 # The classes that may declare a `passed` field, with the reason.  Every check of
 # a law returns multipliers.CheckReport; a second record with a verdict would split
 # the checks of the package between two types, each with its own fields.
@@ -356,6 +381,7 @@ def test_a_second_check_record_is_found():
 # reason.  Every other private name is read only in the module that defines it.
 PRIVATE_READS_ALLOWED = {
     "algebra._same_multiplier": "a trace accepts exactly the elements of its own algebra",
+    "algebra._pruned": "a Mishchenko projection prunes each entry's coefficient as elements do",
     "representations._in_order": "verify.run_suites runs its suites on the butterfly's two-process schedule",
 }
 

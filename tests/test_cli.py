@@ -402,6 +402,20 @@ def test_spectral_flow_is_the_endpoint_formula_past_a_kernel_at_the_start(capsys
     assert payload["endpoint_formula"] == float(flow)
 
 
+@pytest.mark.parametrize("max_refinements", [60, 4000])
+def test_spectral_flow_refines_to_float_resolution_and_stops(capsys, tmp_path, max_refinements):
+    cfg = write_config(tmp_path, "flow.json", {
+        "path": {"A0": {"re": [[-1, 0], [0, 2]]}, "A1": {"re": [[1.3, 0], [0, 3]]}},
+        "zero_tol": 0, "max_refinements": max_refinements,
+    })
+    code, out = run(capsys, ["spectral-flow", "--config", cfg])
+    assert code == 0
+    payload = json.loads(out)
+    # Adjacent floats around the zero 10/23 of -1 + 2.3 t; a 51st round would add no sample.
+    assert payload["crossings"] == [[0.43478260869565216, 0.4347826086956522, 1.0]]
+    assert (payload["refinements"], payload["samples"]) == (50, 67)
+
+
 def test_spectral_flow_rejects_non_finite_entries(capsys, tmp_path):
     cfg = write_config(tmp_path, "flow.json", {
         "path": {"A0": {"re": [[float("nan"), 0], [0, -1]]}, "A1": {"re": [[1, 0], [0, 1]]}},

@@ -8,6 +8,7 @@ import pytest
 from twistlab import (
     AlgebraElement,
     GradedMatrix,
+    GroupError,
     MatrixPath,
     SpectralError,
     cycle_complex,
@@ -112,10 +113,15 @@ def test_spectral_flow_rejects_too_few_samples(sizes):
         spectral_flow(path, initial_samples=sizes[0], max_refinements=sizes[1])
 
 
-def test_truncation_eta_rejects_a_negative_radius():
+def test_truncation_eta_rejects_a_negative_radius(monkeypatch):
     a = harper_element(magnetic_multiplier("1/3"))
-    with pytest.raises(SpectralError, match="radius"):
+    solved = []
+    monkeypatch.setattr(spectral, "eigh", lambda m: solved.append(m))
+    # Group.ball refuses it, before any truncation is solved.
+    with pytest.raises(GroupError, match="radius"):
         eta_operator(a, method="truncation", radius=-1)
+    assert solved == []
+    monkeypatch.undo()
     assert eta_operator(a, method="truncation", radius=0).method == "truncation"
 
 
@@ -791,10 +797,20 @@ def test_a_helper_task_runs_its_own_tasks_in_the_helper(schedule):
 
 
 def _reference_spectral_flow(path, zero_tol=None, initial_samples=17, max_refinements=12):
-    """spectral_flow as it was written with a loop per interval, kept as the bitwise reference."""
+    """spectral_flow as it was written with a loop per interval, kept as the bitwise reference.
+
+    It solves each t once, in the order it first reads it, and keeps the values by exact t.
+    """
+    memo = {}
+
+    def eigenvalues(t):
+        if t not in memo:
+            memo[t] = path.eigenvalues(t)
+        return memo[t]
+
     zero_tol = spectral._zero_tol(zero_tol)
-    ev0 = path.eigenvalues(0.0)
-    ev1 = path.eigenvalues(1.0)
+    ev0 = eigenvalues(0.0)
+    ev1 = eigenvalues(1.0)
     if zero_tol is None:
         zero_tol = max(default_zero_tol(ev0), default_zero_tol(ev1))
     ts = list(np.linspace(0.0, 1.0, initial_samples))
@@ -802,13 +818,15 @@ def _reference_spectral_flow(path, zero_tol=None, initial_samples=17, max_refine
     for _ in range(max_refinements):
         new_ts = []
         for left, right in zip(ts[:-1], ts[1:]):
-            evl = path.eigenvalues(left)
-            evr = path.eigenvalues(right)
+            evl = eigenvalues(left)
+            evr = eigenvalues(right)
             move = float(np.abs(evl - evr).max())
             near = min(float(np.abs(evl).min()), float(np.abs(evr).min()))
             crossing_candidate = bool(np.any(np.sign(evl) * np.sign(evr) <= 0))
-            if crossing_candidate and move > max(near / 2, 4 * zero_tol):
-                new_ts.append((left + right) / 2.0)
+            mid = (left + right) / 2.0
+            # At float resolution the midpoint is an end of the interval, no new sample.
+            if crossing_candidate and move > max(near / 2, 4 * zero_tol) and left < mid < right:
+                new_ts.append(mid)
         if not new_ts:
             break
         refinements += 1
@@ -822,7 +840,7 @@ def _reference_spectral_flow(path, zero_tol=None, initial_samples=17, max_refine
 
     crossings = []
     for left, right in zip(ts[:-1], ts[1:]):
-        for lam_l, lam_r in zip(path.eigenvalues(left), path.eigenvalues(right)):
+        for lam_l, lam_r in zip(eigenvalues(left), eigenvalues(right)):
             cl, cr = category(float(lam_l)), category(float(lam_r))
             if cl == cr:
                 continue
@@ -881,6 +899,24 @@ def test_spectral_flow_is_bit_equal_to_the_interval_loop(monkeypatch, name, make
                              [(l.hex(), r.hex(), s.hex()) for l, r, s in res.crossings],
                              [m.tobytes() for m in solved]))
         assert outcomes[0] == outcomes[1], (name, kwargs)
+
+
+@pytest.mark.parametrize("max_refinements", [60, 4000])
+def test_refinement_to_float_resolution_solves_each_t_once(monkeypatch, max_refinements):
+    # The zero of -1 + 2.3 t is at 10/23; 50 rounds bring its interval to adjacent floats,
+    # where a midpoint is an end and the next round adds no sample.
+    outcomes = []
+    for flow in (spectral_flow, _reference_spectral_flow):
+        path = MatrixPath.linear(np.diag([-1.0, 2.0]), np.diag([1.3, 3.0]))
+        ts = []
+        fn = path._fn
+        monkeypatch.setattr(path, "_fn", lambda t, fn=fn: ts.append(t) or fn(t))
+        res = flow(path, zero_tol=0, max_refinements=max_refinements)
+        [(left, right, step)] = res.crossings
+        assert left <= 10 / 23 <= right and step == 1.0
+        assert (res.flow, res.refinements, res.samples, len(ts), len(set(ts))) == (1, 50, 67, 67, 67)
+        outcomes.append((left.hex(), right.hex(), [float(t).hex() for t in ts]))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_samples_of_unequal_dimension_are_refused():

@@ -54,6 +54,12 @@ def test_regular_trace_satisfies_all_laws_on_magnetic_algebra():
     assert trace.witness is None
 
 
+def test_trace_property_checks_delta_pairs_only_on_a_small_ball():
+    # ball(2) of Z^2 has 13 elements: 40 random pairs.  That of S3 has 5: 25 delta pairs first.
+    assert check_trace_property(regular_trace(MAGNETIC)).checked == 40
+    assert check_trace_property(regular_trace(trivial_multiplier(S3))).checked == 65
+
+
 def test_regular_trace_is_faithful(rng):
     tau = regular_trace(MAGNETIC)
     for _ in range(20):
