@@ -76,7 +76,6 @@ from .traces import (
     linear_combination,
     matrix_trace,
     product_trace,
-    pullback_trace,
     regular_trace,
     summation_trace,
     trace_from_json,

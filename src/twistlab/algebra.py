@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import random
+import reprlib
 from collections.abc import Iterable, Mapping
 
 from .errors import TwistlabError
@@ -122,9 +123,6 @@ class AlgebraElement:
         negated = {g: c * minus_one for g, c in other.coeffs.items()}
         return sum(map(abs, _checked(_add_into(dict(self.coeffs), negated)).values()))
 
-    def norm_l2(self) -> float:
-        return sum(abs(c) ** 2 for c in self.coeffs.values()) ** 0.5
-
     def _require_same_algebra(self, other: "AlgebraElement") -> None:
         # Equal multipliers live on equal groups; the same object returns at once.
         if not _same_multiplier(self.sigma, other.sigma):
@@ -214,15 +212,29 @@ class AlgebraElement:
         return f"AlgebraElement({body})"
 
 
+def json_numbers(values) -> bool:
+    """Whether every value is a JSON number: an int or a float, not a bool or a string."""
+    return {type(x) for x in values} <= {int, float}
+
+
+def json_coefficient(term: dict) -> complex:
+    """complex(re, im) of a JSON term, each part 0 when absent; raises AlgebraError unless
+    both are JSON numbers."""
+    re, im = term.get("re", 0.0), term.get("im", 0.0)
+    if not json_numbers((re, im)):
+        raise AlgebraError(f"a term's re and im must be JSON numbers, not {reprlib.repr((re, im))}")
+    return complex(float(re), float(im))
+
+
 def element_from_json(sigma: Multiplier, data: dict) -> AlgebraElement:
-    if not isinstance(data, dict) or "terms" not in data:
-        raise AlgebraError("element payload must be an object with 'terms'")
+    """The element {"terms": [{"g", "re", "im"}, ...]} of sigma's algebra: each g read by
+    the group's element_from_json, each coefficient by json_coefficient."""
+    terms = data.get("terms") if isinstance(data, dict) else None
+    if not isinstance(terms, list) or not all(isinstance(term, dict) for term in terms):
+        raise AlgebraError('element terms must be a list of {"g", "re", "im"} objects')
     grp = sigma.group
-    items = []
-    for term in data["terms"]:
-        g = grp.element_from_json(term["g"])
-        items.append((g, complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))))
-    return AlgebraElement(sigma, items)
+    return AlgebraElement(sigma, [(grp.element_from_json(term["g"]), json_coefficient(term))
+                                  for term in terms])
 
 
 def projective_iso(z: PhaseMap, a: AlgebraElement, target: Multiplier,

@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import element_from_json
+from .algebra import element_from_json, json_numbers
 from .cohomology import derivation_chain, sobolev_norm
 from .errors import TwistlabError
 from .groups import (
@@ -106,6 +106,10 @@ def parse_group(spec):
 def parse_matrix(data) -> np.ndarray:
     if not isinstance(data, dict) or "re" not in data:
         raise ConfigError("matrix payload must be an object with 're' (and optional 'im')")
+    for key in ("re", "im"):
+        rows = data.get(key, [])
+        if not isinstance(rows, list) or not all(isinstance(row, list) and json_numbers(row) for row in rows):
+            raise ConfigError(f"matrix '{key}' must be a list of rows of JSON numbers")
     re = np.asarray(data["re"], dtype=float)
     im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
     if re.shape != im.shape or re.ndim != 2:
@@ -280,7 +284,9 @@ def _cmd_sobolev(args) -> int:
     with _reading():
         cfg = load_config(args.config)
         element = element_from_config(cfg)
-        orders = {str(s): float(s) for s in _config_list(cfg, "s", [0, 1, 2])}
+        if not json_numbers(s_list := _config_list(cfg, "s", [0, 1, 2])):
+            raise ConfigError("s must be a list of JSON numbers")
+        orders = {str(s): float(s) for s in s_list}
     payload = {"norms": {key: sobolev_norm(element, s) for key, s in orders.items()}}
     if "chain_j_max" in cfg:
         chain = derivation_chain(element, j_max=_config_int(cfg, "chain_j_max"))

@@ -77,10 +77,6 @@ class GroupCochain:
         return worst
 
     @classmethod
-    def constant(cls, group: Group) -> "GroupCochain":
-        return cls(group, 0, lambda g: 1.0)
-
-    @classmethod
     def area_z2(cls, group: FreeAbelianGroup) -> "GroupCochain":
         """Signed area of the lattice triangle (g0, g1, g2), degree 2."""
         if group.rank != 2:
@@ -114,19 +110,6 @@ def inhomogeneous(c: GroupCochain) -> Callable:
         return c(*args)
 
     return fn
-
-
-def homogeneous(group: Group, degree: int, bar_fn: Callable) -> GroupCochain:
-    """Rebuild the invariant cochain from its bar form via increments."""
-
-    def fn(*args):
-        gs = [
-            group.multiply(group.inverse(args[i]), args[i + 1])
-            for i in range(degree)
-        ]
-        return bar_fn(*gs)
-
-    return GroupCochain(group, degree, fn)
 
 
 class CyclicCochain:

@@ -53,10 +53,12 @@ class Group:
         return False
 
     def ball(self, radius: int) -> list:
-        """Elements with word length <= radius, sorted by (length, key); radius >= 0."""
+        """Elements with word length <= radius (>= 0), sorted by (length, key); at most MAX_BALL_ELEMENTS."""
         if radius < 0:
             raise GroupError(f"a ball needs radius >= 0, not {radius}")
-        elems = self._ball_elements(radius)
+        elems = list(itertools.islice(self._ball_elements(radius), MAX_BALL_ELEMENTS + 1))
+        if len(elems) > MAX_BALL_ELEMENTS:
+            raise GroupError(f"the ball of radius {radius} has more than {MAX_BALL_ELEMENTS} elements")
         return sorted(elems, key=lambda g: (self.word_length(g), self.element_key(g)))
 
     def _ball_elements(self, radius: int) -> Iterable:
@@ -73,6 +75,7 @@ class Group:
         raise NotImplementedError
 
     def element_from_json(self, data):
+        """The element a JSON value names exactly, not coerced: GroupError unless it is one."""
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -227,9 +230,8 @@ class FiniteTableGroup(Group):
         return int(g)
 
     def element_from_json(self, data) -> int:
-        g = int(data)
-        self.check_element(g)
-        return g
+        self.check_element(data)
+        return data
 
     def to_json(self) -> dict:
         return {
@@ -311,7 +313,7 @@ class FreeAbelianGroup(Group):
         return list(g)
 
     def element_from_json(self, data) -> tuple:
-        g = tuple(int(a) for a in data)
+        g = tuple(data) if isinstance(data, (list, tuple)) else data
         self.check_element(g)
         return g
 
@@ -425,17 +427,6 @@ class Homomorphism:
         return cls(group, group, lambda g: g)
 
     @classmethod
-    def from_table(cls, domain: FiniteTableGroup, codomain: Group, images: Sequence) -> "Homomorphism":
-        images = list(images)
-        if len(images) != domain.n:
-            raise GroupError("image table must list one codomain element per domain element")
-        for h in images:
-            codomain.check_element(h)
-        hom = cls(domain, codomain, lambda g: images[g])
-        hom.verify()
-        return hom
-
-    @classmethod
     def from_matrix(cls, domain: FreeAbelianGroup, codomain: FreeAbelianGroup, matrix: Sequence[Sequence[int]]) -> "Homomorphism":
         rows = [tuple(int(x) for x in row) for row in matrix]
         if len(rows) != codomain.rank or any(len(r) != domain.rank for r in rows):
@@ -483,6 +474,8 @@ def _perm_group_from(perms: list[tuple], gens: list[tuple], label: str) -> Finit
 
 # Largest order of a tabulated group: S6, whose table has 720 x 720 entries.
 MAX_TABLE_ORDER = 720
+# Most elements of a ball: a truncation to it is a 256 MB complex matrix.  Z^4 at radius 8 has 3649.
+MAX_BALL_ELEMENTS = 4096
 
 
 def _check_order(label: str, order: int) -> None:

@@ -81,9 +81,14 @@ def _distance(c: complex | None, ref: complex | None) -> float:
     return 0.0 if c is None else abs(c)
 
 
-def _check_grid(n_grid: int) -> None:
+MAX_GRID_POINTS = 1 << 20  # a projection's grid is a list of n_grid^dim Fractions or pairs
+
+
+def _check_grid(n_grid: int, dim: int = 1) -> None:
     if n_grid < 1:
         raise CoverError(f"a cover grid needs n_grid >= 1, got {n_grid}")
+    if n_grid ** dim > MAX_GRID_POINTS:
+        raise CoverError(f"n_grid = {n_grid} gives more than {MAX_GRID_POINTS} grid points")
 
 
 class _Point:
@@ -108,11 +113,8 @@ class _Point:
         n, d = self.psi(self.transitions[i][j], *self.lifts[j])
         return -n, d
 
-    def phase_turns(self, i: int, j: int) -> Fraction:
-        return Fraction(*self._phase_pair(i, j))
-
     def phase_value(self, i: int, j: int) -> complex:
-        """Phase(self.phase_turns(i, j)).value, read by ``phases.root`` from the integer pair."""
+        """The phase e^{2 pi i n / d} of the turns n / d, read by ``phases.root`` from the integer pair."""
         return root(*self._phase_pair(i, j))
 
 
@@ -138,12 +140,6 @@ class CircleCover:
         """The point's lift shifts, times the winding."""
         ratio = as_rational(x).as_integer_ratio()
         return _Point([(self.winding * _lift_shift(p, *ratio),) for p in (0, 1)])
-
-    def transition(self, i: int, j: int, x) -> tuple:
-        return self._point(x).transitions[i][j]
-
-    def phase_turns(self, i: int, j: int, x) -> Fraction:
-        return self._point(x).phase_turns(i, j)
 
     def grid(self, n: int) -> list:
         return [Fraction(k, n) for k in range(n)]
@@ -192,15 +188,6 @@ class TorusCover:
         ]
         lifts = [tuple((a + s * b, b) for (a, b), s in zip(ratios, shift)) for shift in shifts]
         return _Point(shifts, lifts, self.geometry._psi_pair)
-
-    def lift(self, patch: int, x) -> tuple:
-        return tuple(Fraction(a, b) for a, b in self._point(x).lifts[patch])
-
-    def transition(self, i: int, j: int, x) -> tuple:
-        return self._point(x).transitions[i][j]
-
-    def phase_turns(self, i: int, j: int, x) -> Fraction:
-        return self._point(x).phase_turns(i, j)
 
     def grid(self, n: int) -> list:
         return [(Fraction(a, n), Fraction(b, n)) for a in range(n) for b in range(n)]
@@ -269,7 +256,7 @@ class Projection:
         return worst_idem, worst_star
 
     def verify(self, n_grid: int = 32) -> dict:
-        _check_grid(n_grid)
+        _check_grid(n_grid, self.group.rank)
         worst_idem = 0.0
         worst_star = 0.0
         count = 0
@@ -291,7 +278,7 @@ class Projection:
         phase minus psi_e, a constant: it is read once per patch, at the first
         grid point, and a nonzero offset at the identity raises there.
         """
-        _check_grid(n_grid)
+        _check_grid(n_grid, self.group.rank)
         cover = self.cover
         pts = cover.grid(n_grid)
         patches = range(cover.n_patches)
@@ -333,6 +320,7 @@ def lott_pairing_circle(cover: CircleCover, cochain: GroupCochain | None = None,
         raise CoverError("the circle pairing takes a degree one cochain")
     if n_grid < 3:
         raise CoverError(f"centered differences need n_grid >= 3, got {n_grid}")
+    _check_grid(n_grid)
     cbar = inhomogeneous(cochain)
     n = n_grid
     # Patch 1 has shift 0, so g_{i1 i0} is (0,) on the diagonal and (+-s,) off it,

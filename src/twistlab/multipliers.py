@@ -547,10 +547,6 @@ class LatticeGeometry:
         self.offsets = offsets
         self.group = FreeAbelianGroup(2)
 
-    def psi_turns(self, g, x: Sequence) -> Fraction:
-        """psi_g(x) / (2 pi) at a rational point x."""
-        return Fraction(*self._psi_pair(g, *(as_rational(v).as_integer_ratio() for v in x)))
-
     def _psi_pair(self, g, x1: tuple, x2: tuple) -> tuple[int, int]:
         """psi_g at the point with coordinates x1 = (a1, b1) for a1 / b1 and x2 = (a2, b2),
         in turns as an integer pair (n, d) for n / d."""

@@ -380,10 +380,14 @@ def _moment(powers: list, n: int) -> complex:
 
 @dataclass
 class MomentStudy:
+    """Per order n in ``orders``: ``errors[n]``, |tau_e(a^n) - grid average| per k-grid of
+    ``grids``, and ``convergence[n]``, the least log2 ratio of successive errors (inf
+    at or below ``saturation``, 1e-12 times max(1, largest |tau_e(a^n)|))."""
+
     orders: list
     grids: list
-    errors: dict  # n -> list of |exact - grid| per grid
-    convergence: dict  # n -> fitted order (inf when saturated)
+    errors: dict
+    convergence: dict
     saturation: float = 1e-12
 
     def min_order(self) -> float:

@@ -57,9 +57,12 @@ def require_hermitian(a) -> np.ndarray:
 
 @dataclass
 class EigenDecomposition:
-    eigenvalues: np.ndarray  # ascending
-    vectors: np.ndarray  # columns, unitary
-    residual: float  # max entry of |A V - V diag(lambda)|
+    """Ascending ``eigenvalues`` of a Hermitian A, unit eigenvector columns ``vectors`` in
+    that order, and ``residual``, the largest entry of |A V - V diag(eigenvalues)|."""
+
+    eigenvalues: np.ndarray
+    vectors: np.ndarray
+    residual: float
 
 
 def _finite_spectrum(eigenvalues: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -110,9 +113,12 @@ def _eta_scale(normalization: str) -> float:
 
 @dataclass
 class KernelReport:
+    """``dim`` eigenvalues of modulus at most ``zero_tol``, the threshold used, and the
+    ``ambiguous`` ones strictly between zero_tol / 10 and 10 * zero_tol."""
+
     dim: int
     zero_tol: float
-    ambiguous: list  # eigenvalues inside [zero_tol/10, zero_tol*10]
+    ambiguous: list
 
 
 def kernel_report(eigenvalues: np.ndarray, zero_tol: float | None = None) -> KernelReport:
@@ -139,11 +145,16 @@ def eta_closed_form(a, zero_tol: float | None = None, normalization: str = "half
 
 @dataclass
 class EtaResult:
+    """``eta`` by ``method`` with the settings ``params``.  ``error_bound`` is the change from the
+    coarser Bloch grid or the smaller truncation radius, not a bound on the continuum error
+    (quadrature: last Simpson change plus tail bound; dense: 0).  ``germ`` maps each s of an
+    s_grid to the eta over sigma^s; ``kernel`` is that of the solved spectrum (None for truncation)."""
+
     eta: float
     error_bound: float
     method: str
     params: dict = field(default_factory=dict)
-    germ: dict | None = None  # rational s -> eta for power families
+    germ: dict | None = None
     kernel: KernelReport | None = None
 
 
@@ -372,9 +383,13 @@ def _eta_truncation(a: AlgebraElement, tau, normalization: str, radius: int,
 
 @dataclass
 class SpectralFlowResult:
+    """``flow``, the integer of ``endpoint_formula`` = [eta + ker/2](end) - [eta + ker/2](start);
+    ``crossings``, (t_left, t_right, step) where an index changes sign between samples
+    (step +-1, or +-1/2 at a kernel); ``samples``, the t solved; ``refinements``, the bisections."""
+
     flow: int
-    crossings: list  # (t_left, t_right, direction)
-    endpoint_formula: float  # [eta + ker/2](end) - [eta + ker/2](start)
+    crossings: list
+    endpoint_formula: float
     samples: int
     refinements: int
 
@@ -418,8 +433,8 @@ class MatrixPath:
     def eigenvalues(self, t: float) -> np.ndarray:
         return self._solve(self._fn(t))
 
-    def matrix(self, t: float) -> np.ndarray:
-        return self._fn(t)
+
+MAX_FLOW_SAMPLES = 4096  # most samples of the initial grid, one eigensolve each
 
 
 def spectral_flow(path: MatrixPath, zero_tol: float | None = None,
@@ -437,8 +452,9 @@ def spectral_flow(path: MatrixPath, zero_tol: float | None = None,
     round that adds none ends the refinement and is not counted.
     """
     zero_tol = _zero_tol(zero_tol)
-    if initial_samples < 2 or max_refinements < 0:
-        raise SpectralError("spectral flow needs initial_samples >= 2 and max_refinements >= 0")
+    if not 2 <= initial_samples <= MAX_FLOW_SAMPLES or max_refinements < 0:
+        raise SpectralError(f"spectral flow needs 2 <= initial_samples <= {MAX_FLOW_SAMPLES} "
+                            "and max_refinements >= 0")
     ev0 = path.eigenvalues(0.0)
     ev1 = path.eigenvalues(1.0)
     if zero_tol is None:
@@ -554,6 +570,9 @@ def product_eta_check(d_l, d_n: GradedMatrix, normalization: str = "half") -> di
 
 @dataclass
 class BettiResult:
+    """Kernel traces ``b_even``, ``b_odd`` of the Laplacians, ``euler`` (their difference) and
+    its nearest integer ``index``; ``ambiguous`` eigenvalues, and the larger ``zero_tol`` used."""
+
     b_even: float
     b_odd: float
     euler: float
@@ -602,14 +621,17 @@ def twisted_betti(even_block, odd_block, zero_tol: float | None = None,
     return BettiResult(b_even, b_odd, b_even - b_odd, index, ambiguous, tol_used)
 
 
+MAX_CYCLE_VERTICES = 4096  # each of the three n x n float matrices is then 128 MB
+
+
 def cycle_complex(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Laplacians of the discretized circle de Rham complex on n vertices.
 
     d maps vertex functions to edge functions, (df)(j) = f(j+1) - f(j);
-    returns (d^T d, d d^T).
+    returns (d^T d, d d^T) for 3 <= n <= MAX_CYCLE_VERTICES.
     """
-    if n < 3:
-        raise SpectralError("a cycle complex needs at least 3 vertices")
+    if not 3 <= n <= MAX_CYCLE_VERTICES:
+        raise SpectralError(f"a cycle complex needs 3 to {MAX_CYCLE_VERTICES} vertices, not {n}")
     d = np.zeros((n, n))
     for j in range(n):
         d[j, j] = -1.0

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, _same_multiplier, random_element
+from .algebra import AlgebraElement, _same_multiplier, json_coefficient, random_element
 from .errors import TwistlabError
 from .groups import FiniteTableGroup, Homomorphism, ProductGroup
 from .multipliers import CheckReport, Multiplier, PhaseMap, all_characters, product_characters
@@ -100,7 +100,7 @@ class TraceFunctional:
 def trace_from_json(data: dict, sigma: Multiplier) -> TraceFunctional:
     group = sigma.group
     weights = {
-        group.element_from_json(item["g"]): complex(item["re"], item.get("im", 0.0))
+        group.element_from_json(item["g"]): json_coefficient(item)
         for item in data["weights"]
     }
     return TraceFunctional(sigma, weights, kind=data.get("kind", "custom"),
@@ -171,15 +171,6 @@ def product_trace(tau_left: TraceFunctional, sigma: Multiplier) -> TraceFunction
             sigma,
             weight_fn=lambda pair: fn(pair[0]) if pair[1] == e_r else 0.0,
             kind="product", label=f"{tau_left.label}(x)tr_e")
-
-
-def pullback_trace(pi: Homomorphism, tau_h: TraceFunctional, sigma: Multiplier) -> TraceFunctional:
-    """Pull a functional back along a homomorphism: weight g -> tau weight of pi(g)."""
-    if pi.domain != sigma.group:
-        raise TraceError("homomorphism domain must match the algebra group")
-    if pi.codomain != tau_h.group:
-        raise TraceError("homomorphism codomain must match the functional group")
-    return TraceFunctional(sigma, weight_fn=lambda g: tau_h.weight(pi(g)), kind="pullback")
 
 
 class UnitaryRep:

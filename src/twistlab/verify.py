@@ -28,6 +28,9 @@ from . import (
 
 @dataclass
 class CheckResult:
+    """One verify row: ``name``, ``passed``, a measured ``value`` and a ``detail`` text,
+    the last two left out of the JSON when None or empty."""
+
     name: str
     passed: bool
     value: float | None = None
@@ -44,6 +47,8 @@ class CheckResult:
 
 @dataclass
 class SuiteReport:
+    """The checks of one verify ``suite``, in the order run; ``passed`` if all did."""
+
     suite: str
     results: list = field(default_factory=list)
 

@@ -23,6 +23,7 @@ from twistlab import (
     magnetic_multiplier,
     projective_iso,
     random_element,
+    sobolev_norm,
     symmetric_group,
     trivial_multiplier,
 )
@@ -197,11 +198,34 @@ def test_element_json_round_trip(key, data):
     assert close(back, a, tol=0.0)
 
 
+@pytest.mark.parametrize("term", [
+    {"g": [1, 0], "re": "0.5"}, {"g": [1, 0], "re": True}, {"g": [1, 0], "re": None},
+    {"g": [1, 0], "re": [1.0]}, {"g": [1, 0], "im": "1"}, {"g": [1, 0], "re": 1.0, "im": False},
+])
+def test_json_coefficients_must_be_json_numbers(term):
+    with pytest.raises(AlgebraError, match="JSON numbers"):
+        element_from_json(magnetic_multiplier("1/3"), {"terms": [term]})
+
+
+@pytest.mark.parametrize("data", [
+    {"terms": {"g": [1, 0], "re": 1.0}}, {"terms": ["g"]}, {"terms": None}, {"terms": "g"}, {}, [], "terms",
+])
+def test_json_terms_must_be_a_list_of_objects(data):
+    with pytest.raises(AlgebraError, match="element terms must be a list"):
+        element_from_json(magnetic_multiplier("1/3"), data)
+
+
+def test_json_ints_and_floats_are_read_as_coefficients():
+    terms = [{"g": [1, 0], "re": 2}, {"g": [0, 1], "re": 0.5, "im": -1}, {"g": [0, 0], "im": 3}]
+    a = element_from_json(magnetic_multiplier("1/3"), {"terms": terms})
+    assert a.coeffs == {(1, 0): 2 + 0j, (0, 1): 0.5 - 1j, (0, 0): 3j}
+
+
 def test_support_and_norms():
     sigma = SIGMAS["lattice-trivial"]
     a = AlgebraElement(sigma, [((0, 0), 3.0), ((2, 1), -4.0)])
     assert a.norm_l1() == 7.0
-    assert a.norm_l2() == 5.0
+    assert sobolev_norm(a, 0.0) == 5.0  # the l2 norm
     assert a.support_radius() == 3
     assert a.support() == sorted(a.support(), key=sigma.group.element_key)
 

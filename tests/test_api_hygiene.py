@@ -8,7 +8,8 @@ assigned, is referenced somewhere in the package outside its own
 definition, and only the private names listed below are read outside
 the module that defines them.  Every function, class and method is
 referenced outside its own definition somewhere in ``src/``, ``scripts/``,
-``perfbench/`` or ``tests/``.  Every exception class of the package
+``perfbench/`` or ``tests/``, and one that only ``tests/`` references is kept
+for a stated reason.  Every exception class of the package
 derives from the one base, ``errors.TwistlabError``, and every record of
 a check is ``multipliers.CheckReport``.
 """
@@ -167,17 +168,19 @@ def _references(node, strings: bool, inside=frozenset()):
         yield from _references(child, strings, inside)
 
 
-def unreferenced_definitions(sources=None) -> list[str]:
+def unreferenced_definitions(sources=None, counted=TREES) -> list[str]:
     """Each top-level function and class, and each method of a top-level class, of
     the package in sources ({path: text}, TREES of the repository by default) that
-    nothing outside a definition of its name references.  A function or class counts
-    a variable read or an attribute, a method only an attribute; string constants
-    count in perfbench/, whose spans patch methods and functions by name."""
+    nothing outside a definition of its name, in the trees counted, references.  A
+    function or class counts a variable read or an attribute, a method only an
+    attribute; string constants count in perfbench/, whose spans patch methods and
+    functions by name."""
     if sources is None:
         sources = _tree_sources(SRC.parents[1])
     refs = set()
     for path, text in sources.items():
-        refs.update(_references(ast.parse(text), path.startswith("perfbench/")))
+        if path.partition("/")[0] in counted:
+            refs.update(_references(ast.parse(text), path.startswith("perfbench/")))
     found = []
     for path, text in sources.items():
         if not path.startswith("src/twistlab/"):
@@ -217,6 +220,47 @@ def test_an_unreferenced_definition_is_found():
     }
     assert unreferenced_definitions(sources) == [
         "groups.Group.generators", "groups.Product.generators", "groups.word", "groups.unused"]
+
+
+# The definitions that only tests reference, with the acceptance criterion or
+# ROADMAP item that keeps each.  Every other definition is reached from src/,
+# scripts/ or perfbench/; one that only tests reach is code the package does not
+# need, unless a criterion checks it or an open item will call it.
+TEST_ONLY_KEPT = {
+    "groups.Homomorphism.from_matrix": "ROADMAP items 8, 10 and 21: pairings pulled back along lattice maps",
+    "mishchenko.Projection.matrix_at": "ROADMAP item 19: matrices over the algebra",
+    "multipliers.PhaseMap.one": "criterion 03: the flat representation of S3",
+    "multipliers.BilinearMultiplier.antisymmetrized": "ROADMAP item 8: the normal form of a pairing",
+    "traces.trace_from_json": "ROADMAP item 1: eta against a trace given in the config",
+    "traces.linear_combination": "criterion 03: delocalization of differences of traces",
+    "traces.product_trace": "criterion 03: the product trace under all characters",
+    "traces.UnitaryRep.regular": "criterion 03: independence of the representation",
+    "traces.UnitaryRep.from_character": "criterion 03: independence of the representation",
+    "traces.UnitaryRep.direct_sum": "criterion 03: independence of the representation",
+    "traces.unitary_trace": "criterion 03: independence of the representation",
+    "traces.matrix_trace": "ROADMAP item 19: tau (x) Tr of a matrix over the algebra",
+}
+OUTSIDE_TESTS = tuple(tree for tree in TREES if tree != "tests")
+
+
+def test_every_definition_that_only_tests_reach_is_kept_for_a_reason():
+    assert sorted(unreferenced_definitions(counted=OUTSIDE_TESTS)) == sorted(TEST_ONLY_KEPT)
+
+
+def test_a_definition_that_only_tests_reach_is_found():
+    sources = {
+        "src/twistlab/traces.py": (
+            "def regular_trace(s):\n    return s\ndef pullback_trace(p):\n    return p\n"
+            "class UnitaryRep:\n    def regular(self):\n        return 1\n"
+            "    def dim(self):\n        return 0\n"),
+        "scripts/scan.py": "from twistlab.traces import regular_trace\nregular_trace(1)\n",
+        "perfbench/spans.py": "from twistlab import traces\npatch(traces.UnitaryRep, 'dim')\n",
+        "tests/test_traces.py": "from twistlab.traces import UnitaryRep, pullback_trace\n"
+                                "pullback_trace(1)\nUnitaryRep().regular()\n",
+    }
+    assert unreferenced_definitions(sources) == []
+    assert unreferenced_definitions(sources, OUTSIDE_TESTS) == [
+        "traces.pullback_trace", "traces.UnitaryRep.regular"]
 
 
 # The functions that may compute cmath.exp(2j * cmath.pi * ...), with the reason.

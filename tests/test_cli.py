@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -615,6 +616,57 @@ def test_bad_config_values_exit_2_with_one_error_line(capsys, tmp_path, command,
     assert len(captured.err) < 120, captured.err
 
 
+HARPER_FLOAT_G = [dict(HARPER_TERMS[0], g=[1.9, 0])] + HARPER_TERMS[1:]
+HARPER_STRING_RE = [dict(HARPER_TERMS[0], re="0.5")] + HARPER_TERMS[1:]
+
+
+# Each holds a size past its bound, or a number of the wrong JSON kind.  Before the
+# bounds, the sizes allocated terabytes (exit 3) or ran for minutes; before the
+# checks, the numbers were read as other numbers and printed a result.
+@pytest.mark.parametrize("argv, named", [
+    (["betti", {"cycle": 100000}], "3 to 4096 vertices"),
+    (["eta", dict(TRUNCATION, radius=400)], "more than 4096 elements"),
+    (["sobolev", dict(ELEMENT, terms=[{"g": [400, 0], "re": 1.0}], chain_j_max=1)],
+     "more than 4096 elements"),
+    (["pairing-circle", "--n-grid", "100000000"], "more than 1048576 grid points"),
+    (["spectral-flow", dict(FLOW, initial_samples=100000000)], "initial_samples <= 4096"),
+    (["eta", dict(BLOCH, terms=HARPER_FLOAT_G)], "not an element of Z^2: (1.9, 0)"),
+    (["eta", dict(TRUNCATION, terms=HARPER_STRING_RE)], "JSON numbers, not ('0.5'"),
+    (["eta", dict(BLOCH, terms=[dict(HARPER_FLOAT_G[0], re="0.5")] + HARPER_TERMS[1:])],
+     "not an element of Z^2"),
+    (["eta", dict(BLOCH, terms=[dict(HARPER_TERMS[0], re=True)] + HARPER_TERMS[1:])],
+     "JSON numbers, not (True"),
+    (["sobolev", dict(ELEMENT, terms=[dict(HARPER_TERMS[0], im="1")])], "JSON numbers"),
+    (["sobolev", {"group": "c3", "multiplier": {"kind": "trivial"}, "terms": [{"g": 2.7, "re": 1}]}],
+     "not an element index"),
+    (["sobolev", {"group": "c3", "multiplier": {"kind": "trivial"}, "terms": [{"g": True, "re": 1}]}],
+     "not an element index"),
+    (["eta", dict(ELEMENT, terms={"g": [1, 0], "re": 1.0})], "element terms must be a list"),
+    (["eta", dict(ELEMENT, terms=["g"])], "element terms must be a list"),
+    (["eta", {"matrix": {"re": [["1", 0], [0, True]]}}], "matrix 're' must be a list of rows"),
+    (["eta", {"matrix": {"re": [[1, 0], [0, 1]], "im": [[0, True], [0, 0]]}}], "matrix 'im'"),
+    (["spectral-flow", {"path": {"A0": {"re": [[-1, 0], [0, "1"]]}, "A1": FLOW["path"]["A1"]}}],
+     "matrix 're'"),
+    (["sobolev", dict(SOBOLEV, s=["1"])], "s must be a list of JSON numbers"),
+], ids=["cycle", "truncation radius", "chain radius", "n-grid", "initial samples", "float g",
+        "string re", "float g and string re", "bool re", "string im", "float index",
+        "bool index", "terms object", "terms of strings", "matrix re", "matrix im",
+        "flow matrix", "string order"])
+def test_oversized_or_misread_input_exits_2_at_once(capsys, tmp_path, argv, named):
+    if isinstance(argv[1], dict):
+        argv = [argv[0], "--config", write_config(tmp_path, "config.json", argv[1])]
+    target = tmp_path / "out.json"
+    start = time.perf_counter()
+    code = main([*argv, "--out", str(target)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+    assert named in captured.err, captured.err
+    assert not target.exists()
+    assert elapsed < 1.0
+
+
 # A butterfly whose first block overflows: its fibers are not finite.
 OVERFLOWING_BUTTERFLY = ["butterfly", "--qmax", "1", "--kgrid", "2", "--coefficients",
                          "5e307,5e307,5e307,5e307"]
@@ -818,9 +870,9 @@ def _fuzzed_config(draw):
         config["terms"] = draw(st.sampled_from([5, "terms", {"g": [0, 0], "re": 1.0}, None]))
     elif fault == "float s_grid":
         config["s_grid"].append(draw(st.sampled_from([0.5, 1.0])))
-    # A number as a string may still parse ("1.0" as a coefficient), and huge numbers may
-    # have a finite answer; every other fault must not.
-    refused = fault not in (None, "string", "huge") or config.get("zero_tol") == 10**400
+    # Huge numbers may have a finite answer; every other fault must not, and a number
+    # given as a string is refused wherever it stands.
+    refused = fault not in (None, "huge") or config.get("zero_tol") == 10**400
     return command, config, fault, refused
 
 

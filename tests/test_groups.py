@@ -21,7 +21,7 @@ from twistlab import (
     symmetric_group,
     trivial_group,
 )
-from twistlab.groups import MAX_TABLE_ORDER, _bfs_lengths
+from twistlab.groups import MAX_BALL_ELEMENTS, MAX_TABLE_ORDER, _bfs_lengths
 
 Z2 = FreeAbelianGroup(2)
 S3 = symmetric_group(3)
@@ -79,6 +79,31 @@ def test_a_ball_needs_a_radius_of_at_least_zero():
         assert group.ball(0) == [group.identity()]
         with pytest.raises(GroupError, match="radius >= 0, not -1"):
             group.ball(-1)
+
+
+def test_a_ball_holds_at_most_its_bound():
+    assert len(Z2.ball(44)) == 3961
+    assert len(FreeAbelianGroup(4).ball(8)) == 3649
+    for group, radius in ((Z2, 45), (FreeAbelianGroup(1), 10**18), (PROD, 44),
+                          (ProductGroup(S3, FreeAbelianGroup(1)), 2048)):
+        with pytest.raises(GroupError, match=f"more than {MAX_BALL_ELEMENTS} elements"):
+            group.ball(radius)
+
+
+def test_a_ball_stops_enumerating_one_element_past_its_bound(monkeypatch):
+    group = FreeAbelianGroup(2)
+    made = []
+    elements = group._ball_elements
+
+    def counted(radius):
+        for g in elements(radius):
+            made.append(g)
+            yield g
+
+    monkeypatch.setattr(group, "_ball_elements", counted)
+    with pytest.raises(GroupError):
+        group.ball(10**9)
+    assert len(made) == MAX_BALL_ELEMENTS + 1
 
 
 def test_ball_is_inverse_closed():
@@ -254,10 +279,10 @@ def test_homomorphism_verify_rejects_non_hom():
         bad.verify()
 
 
-def test_from_table_homomorphism():
+def test_a_homomorphism_of_finite_groups_verifies():
     c6 = cyclic_group(6)
     c3 = cyclic_group(3)
-    pi = Homomorphism.from_table(c6, c3, [g % 3 for g in range(6)])
+    pi = Homomorphism(c6, c3, lambda g: g % 3)
     pi.verify()
     assert pi(4) == 1
 
@@ -299,6 +324,22 @@ def test_group_json_round_trip(group):
     assert back == group
     for g in sample(group, 10, seed=9):
         assert back.element_from_json(group.element_to_json(g)) == g
+
+
+@pytest.mark.parametrize("group, data", [
+    (Z2, [1.9, 0]), (Z2, [1.0, 0]), (Z2, [True, 0]), (Z2, ["1", 0]), (Z2, [1]), (Z2, 1), (Z2, "10"),
+    (S3, 2.7), (S3, 2.0), (S3, True), (S3, "2"), (S3, 6), (S3, [2]),
+    (PROD, [[1, 0], 2.0]), (PROD, [[1.5, 0], 2]), (PROD, [[1, 0]]),
+])
+def test_json_elements_are_checked_not_coerced(group, data):
+    with pytest.raises(GroupError):
+        group.element_from_json(data)
+
+
+def test_json_elements_of_the_right_kind_are_read():
+    assert Z2.element_from_json([1, -2]) == (1, -2)
+    assert S3.element_from_json(5) == 5
+    assert PROD.element_from_json([[1, 0], 2]) == ((1, 0), 2)
 
 
 def test_conjugacy_classes_partition_s4():

@@ -23,9 +23,29 @@ from twistlab.multipliers import (
     LatticeGeometry,
     MultiplierError,
 )
-from twistlab.phases import Phase
+from twistlab.phases import Phase, as_rational
 
 GEOMETRY = LatticeGeometry("1/3")
+
+
+def transition(cover, i, j, x):
+    """The transition g_ij at x, as a projection reads it."""
+    return cover._point(x).transitions[i][j]
+
+
+def lift(cover, patch, x):
+    """The torus lift of x through a patch, as Fractions."""
+    return tuple(Fraction(a, b) for a, b in cover._point(x).lifts[patch])
+
+
+def phase_turns(cover, i, j, x):
+    """The turns of the phase of P_ij at x."""
+    return Fraction(*cover._point(x)._phase_pair(i, j))
+
+
+def psi_turns(geometry, g, x):
+    """psi_g(x) / (2 pi) at a rational point x, from the integer pair of LatticeGeometry."""
+    return Fraction(*geometry._psi_pair(g, *(as_rational(v).as_integer_ratio() for v in x)))
 
 
 def test_partition_of_unity_sums_to_one():
@@ -41,23 +61,23 @@ def test_transitions_form_an_additive_cocycle():
     torus = TorusCover(GEOMETRY, lift_shifts=[(1, 0), (0, 1), (2, 3), (0, 0)])
     for x in torus.grid(5):
         for i in range(4):
-            assert torus.transition(i, i, x) == (0, 0)
+            assert transition(torus, i, i, x) == (0, 0)
             for j in range(4):
-                gij = torus.transition(i, j, x)
-                gji = torus.transition(j, i, x)
+                gij = transition(torus, i, j, x)
+                gji = transition(torus, j, i, x)
                 assert gij == (-gji[0], -gji[1])
                 for k in range(4):
-                    gjk = torus.transition(j, k, x)
-                    gik = torus.transition(i, k, x)
+                    gjk = transition(torus, j, k, x)
+                    gik = transition(torus, i, k, x)
                     assert (gij[0] + gjk[0], gij[1] + gjk[1]) == gik
 
 
 def test_circle_transition_winding():
     cover = CircleCover(3)
-    values = {cover.transition(0, 1, Fraction(k, 16))[0] for k in range(16)}
+    values = {transition(cover, 0, 1, Fraction(k, 16))[0] for k in range(16)}
     assert values == {0, 3} or values == {0, -3}
     with pytest.raises(TypeError):
-        cover.transition(0, 1, 0.3)
+        transition(cover, 0, 1, 0.3)
 
 
 def test_circle_projection_identities_are_exact():
@@ -102,6 +122,17 @@ def test_pairing_default_cochain_is_the_coordinate():
         lott_pairing_circle(cover, cochain=coord, n_grid=256)
 
 
+def test_grids_past_the_bound_are_refused():
+    past = mishchenko.MAX_GRID_POINTS + 1
+    circle, torus = circle_projection(1), torus_projection(GEOMETRY)
+    calls = [lambda: lott_pairing_circle(CircleCover(1), n_grid=past),
+             lambda: circle.verify(past), lambda: circle.rank_trace(past),
+             lambda: torus.verify(1025), lambda: torus.rank_trace(1025)]
+    for call in calls:
+        with pytest.raises(CoverError, match="more than 1048576 grid points"):
+            call()
+
+
 def test_pairing_rejects_wrong_degree():
     area_like = GroupCochain(FreeAbelianGroup(1), 0, lambda g: 1.0)
     with pytest.raises(CoverError):
@@ -133,9 +164,9 @@ def test_circle_transitions_are_fraction_lift_differences(n_grid, winding):
             for j in range(2):
                 step = fraction_lift(i, x) - fraction_lift(j, x)
                 assert step.denominator == 1
-                assert cover.transition(i, j, x) == (winding * int(step),)
+                assert transition(cover, i, j, x) == (winding * int(step),)
                 with pytest.raises(TypeError):
-                    cover.transition(i, j, float(x))
+                    transition(cover, i, j, float(x))
 
 
 @pytest.mark.parametrize("n_grid", [3, 7, 48])
@@ -149,12 +180,12 @@ def test_torus_transitions_and_lifts_match_fraction_lifts(n_grid):
             for p, s in zip(cover.patches, shifts)
         ]
         for i in range(4):
-            assert cover.lift(i, x) == lifts[i]
+            assert lift(cover, i, x) == lifts[i]
             for j in range(4):
                 step = (lifts[i][0] - lifts[j][0], lifts[i][1] - lifts[j][1])
                 assert all(v.denominator == 1 for v in step)
-                assert cover.transition(i, j, x) == (int(step[0]), int(step[1]))
-                assert cover.phase_turns(i, j, x) == -GEOMETRY.psi_turns(step, lifts[j])
+                assert transition(cover, i, j, x) == (int(step[0]), int(step[1]))
+                assert phase_turns(cover, i, j, x) == -psi_turns(GEOMETRY, step, lifts[j])
 
 
 def test_covers_build_one_point_per_base_point(monkeypatch):
@@ -177,11 +208,11 @@ def test_covers_build_one_point_per_base_point(monkeypatch):
     # A point follows what it depends on, not only the argument.
     circle = CircleCover(2)
     circle.winding = 3
-    assert circle.transition(0, 1, x[0]) == (-3,)
+    assert transition(circle, 0, 1, x[0]) == (-3,)
     torus = TorusCover(GEOMETRY)
     torus.lift_shifts = ((1, 0), (0, 1), (2, 3), (-4, 0))
-    assert torus.lift(3, x) == (Fraction(5, 7) - 4, Fraction(2, 3))
-    assert torus.lift(3, (Fraction(5, 7) + 1, "-1/3")) == (Fraction(5, 7) - 4, Fraction(2, 3))
+    assert lift(torus, 3, x) == (Fraction(5, 7) - 4, Fraction(2, 3))
+    assert lift(torus, 3, (Fraction(5, 7) + 1, "-1/3")) == (Fraction(5, 7) - 4, Fraction(2, 3))
 
 
 @pytest.mark.parametrize("make", [
@@ -254,7 +285,7 @@ def reference_phase_turns(cover, i, j, x):
     if isinstance(cover, CircleCover):
         return Fraction(0)
     g = reference_transition(cover, i, j, x)
-    return -cover.geometry.psi_turns(g, reference_lifts(cover, x)[j])
+    return -psi_turns(cover.geometry, g, reference_lifts(cover, x)[j])
 
 
 def reference_matrix_at(cover, sigma, x):
@@ -457,7 +488,7 @@ def test_circle_projection_equals_the_reference_bitwise(n_grid, winding):
         assert proj.defects_at(x) == reference_defects_at(cover, cover.sigma, x)
         for i in range(2):
             for j in range(2):
-                assert cover.phase_turns(i, j, x) == reference_phase_turns(cover, i, j, x)
+                assert phase_turns(cover, i, j, x) == reference_phase_turns(cover, i, j, x)
     assert proj.verify(n_grid) == reference_verify(cover, n_grid)
     assert same_float(proj.rank_trace(n_grid), reference_rank_trace(cover, n_grid))
 
@@ -552,6 +583,6 @@ def test_phase_values_equal_the_phase_of_the_turns_bitwise(geometry, shifts):
     for x in points:
         point = cover._point(x)
         for i, j in itertools.product(range(4), repeat=2):
-            want = Phase(point.phase_turns(i, j)).value
+            want = Phase(Fraction(*point._phase_pair(i, j))).value
             got = point.phase_value(i, j)
             assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())

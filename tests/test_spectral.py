@@ -113,6 +113,27 @@ def test_spectral_flow_rejects_too_few_samples(sizes):
         spectral_flow(path, initial_samples=sizes[0], max_refinements=sizes[1])
 
 
+@pytest.mark.parametrize("initial_samples", [spectral.MAX_FLOW_SAMPLES + 1, 10**8])
+def test_spectral_flow_refuses_more_initial_samples_than_its_bound(initial_samples):
+    calls = []
+    path = MatrixPath(lambda t: calls.append(t) or np.diag([t - 0.5, 1.0]))
+    with pytest.raises(SpectralError, match="initial_samples <= 4096"):
+        spectral_flow(path, initial_samples=initial_samples)
+    assert calls == []  # the path was never sampled
+
+
+def test_spectral_flow_takes_initial_samples_up_to_its_bound():
+    path = MatrixPath.linear(np.diag([-1.0]), np.diag([1.0]))
+    res = spectral_flow(path, initial_samples=spectral.MAX_FLOW_SAMPLES)
+    assert res.flow == 1 and res.samples >= spectral.MAX_FLOW_SAMPLES
+
+
+@pytest.mark.parametrize("n", [2, spectral.MAX_CYCLE_VERTICES + 1, 10**12])
+def test_cycle_complex_refuses_sizes_outside_its_range(n):
+    with pytest.raises(SpectralError, match="3 to 4096 vertices"):
+        cycle_complex(n)
+
+
 def test_truncation_eta_rejects_a_negative_radius(monkeypatch):
     a = harper_element(magnetic_multiplier("1/3"))
     solved = []
@@ -368,10 +389,11 @@ def test_spectral_flow_stable_under_extra_refinement():
 def test_matrix_path_from_samples_interpolates():
     mats = [np.diag([-1.0]), np.diag([0.0]), np.diag([3.0])]
     path = MatrixPath.from_samples(mats)
-    assert path.matrix(0.0)[0, 0] == -1.0
-    assert path.matrix(0.5)[0, 0] == 0.0
-    assert path.matrix(1.0)[0, 0] == 3.0
-    assert abs(path.matrix(0.25)[0, 0] + 0.5) < 1e-15
+    # A 1 x 1 path is its own eigenvalue.
+    assert path.eigenvalues(0.0)[0] == -1.0
+    assert path.eigenvalues(0.5)[0] == 0.0
+    assert path.eigenvalues(1.0)[0] == 3.0
+    assert abs(path.eigenvalues(0.25)[0] + 0.5) < 1e-15
 
 
 def test_graded_matrix_validates_anticommutation():

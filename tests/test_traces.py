@@ -16,6 +16,7 @@ from twistlab import (
     ProductMultiplier,
     TraceError,
     TraceFunctional,
+    TwistlabError,
     UnitaryRep,
     all_characters,
     character_functionals,
@@ -29,7 +30,6 @@ from twistlab import (
     magnetic_multiplier,
     matrix_trace,
     product_trace,
-    pullback_trace,
     regular_trace,
     summation_trace,
     symmetric_group,
@@ -126,16 +126,6 @@ def test_product_trace_rejects_wrong_factor():
     sigma = ProductMultiplier(pg, trivial_multiplier(S3), trivial_multiplier(C3))
     with pytest.raises(TraceError):
         product_trace(regular_trace(trivial_multiplier(C3)), sigma)
-
-
-def test_pullback_to_point_group_sums_coefficients(rng):
-    point = cyclic_group(1)
-    collapse = Homomorphism.from_table(S3, point, [0] * 6)
-    sigma = trivial_multiplier(S3)
-    tau = pullback_trace(collapse, regular_trace(trivial_multiplier(point)), sigma)
-    a = random_element(sigma, rng, 4, 2)
-    total = sum(a.coefficient(g) for g in a.support())
-    assert abs(tau(a) - total) <= 1e-12
 
 
 def test_pullback_weights_need_finite_support():
@@ -312,6 +302,13 @@ def test_trace_json_round_trip():
     back = trace_from_json(tau.to_json(), sigma)
     assert back.weights() == tau.weights()
     assert back.kind == "conjugacy"
+
+
+@pytest.mark.parametrize("weight", [{"g": 1, "re": True}, {"g": 1, "re": "1"}, {"g": 1.0, "re": 1.0},
+                                    {"g": True, "re": 1.0}])
+def test_trace_json_weights_are_checked_not_coerced(weight):
+    with pytest.raises(TwistlabError):
+        trace_from_json({"weights": [weight]}, trivial_multiplier(S3))
 
 
 def test_functional_rejects_foreign_elements():
