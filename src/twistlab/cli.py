@@ -125,9 +125,9 @@ def load_config(path: str) -> dict:
     return data
 
 
-def _config_int(cfg: dict, key: str, default: int | None = None) -> int:
-    """cfg[key] (or the default) as a JSON integer; floats, bools and strings are rejected."""
-    value = cfg.get(key, default)
+def _config_int(cfg: dict, key: str) -> int:
+    """cfg[key] as a JSON integer; floats, bools and strings are rejected."""
+    value = cfg[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key} must be an integer, not {value!r}")
     return value
@@ -216,10 +216,13 @@ def _cmd_eta(args) -> int:
         else:
             operator = element_from_config(cfg)
             s_grid = _config_list(cfg, "s_grid")
-            # Each s is parsed here, so that a float fails before the base solve.
-            options = {"method": cfg.get("method", "bloch"), "kgrid": _config_int(cfg, "kgrid", 64),
-                       "radius": _config_int(cfg, "radius", 8),
-                       "s_grid": None if s_grid is None else [as_rational(s) for s in s_grid]}
+            # A key the config leaves out keeps eta_operator's default.  Each s is parsed
+            # here, so that a float fails before the base solve.
+            options = {key: _config_int(cfg, key) for key in ("kgrid", "radius") if key in cfg}
+            if "method" in cfg:
+                options["method"] = cfg["method"]
+            if s_grid is not None:
+                options["s_grid"] = [as_rational(s) for s in s_grid]
     res = eta_operator(operator, normalization=args.eta_normalization,
                        zero_tol=cfg.get("zero_tol"), **options)
     emit(_eta_result_json(res), args.out)
@@ -238,12 +241,8 @@ def _cmd_spectral_flow(args) -> int:
             path = MatrixPath.linear(parse_matrix(pcfg["A0"]), parse_matrix(pcfg["A1"]))
         else:
             raise ConfigError(f"unknown path generator {pcfg.get('generator')!r}")
-    res = spectral_flow(
-        path,
-        zero_tol=cfg.get("zero_tol"),
-        initial_samples=_config_int(cfg, "initial_samples", 17),
-        max_refinements=_config_int(cfg, "max_refinements", 12),
-    )
+    counts = {key: _config_int(cfg, key) for key in ("initial_samples", "max_refinements") if key in cfg}
+    res = spectral_flow(path, zero_tol=cfg.get("zero_tol"), **counts)
     emit(
         {
             "flow": res.flow,

@@ -15,6 +15,7 @@ growth fits for cochains.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 import random
@@ -27,7 +28,7 @@ import numpy as np
 from .algebra import AlgebraElement
 from .errors import TwistlabError
 from .groups import Group, FreeAbelianGroup
-from .multipliers import Multiplier
+from .multipliers import CheckReport, Multiplier
 from .spectral import relative_tol
 
 
@@ -65,16 +66,13 @@ class GroupCochain:
         return GroupCochain(self.group, n + 1, dfn)
 
     def check_invariance(self) -> float:
-        """Worst defect of left invariance over 100 random translates."""
+        """Worst defect of left invariance over 100 random translates (NaN when one is NaN)."""
         rng = random.Random(17)
-        worst = 0.0
         grp = self.group
-        for _ in range(100):
-            h = grp.random_element(rng, 3)
-            args = tuple(grp.random_element(rng, 3) for _ in range(self.degree + 1))
-            shifted = tuple(grp.multiply(h, g) for g in args)
-            worst = max(worst, abs(self(*shifted) - self(*args)))
-        return worst
+        draw = functools.partial(grp.random_element, rng, 3)
+        cases = ((draw(), tuple(draw() for _ in range(self.degree + 1))) for _ in range(100))
+        return CheckReport.from_cases(
+            cases, lambda h, args: abs(self(*(grp.multiply(h, g) for g in args)) - self(*args))).worst_defect
 
     @classmethod
     def area_z2(cls, group: FreeAbelianGroup) -> "GroupCochain":
@@ -184,16 +182,9 @@ class CyclicCochain:
         rng = random.Random(seed)
         grp = self.group
         e = grp.identity()
-        for _ in range(200):
-            gammas = [grp.random_element(rng, 3) for _ in range(self.degree + 1)]
-            prod = e
-            for g in gammas:
-                prod = grp.multiply(prod, g)
-            if prod == e:
-                continue
-            if self.basis_value(gammas) != 0:
-                return False
-        return True
+        samples = ([grp.random_element(rng, 3) for _ in range(self.degree + 1)] for _ in range(200))
+        off = ((gammas,) for gammas in samples if functools.reduce(grp.multiply, gammas, e) != e)
+        return CheckReport.from_cases(off, lambda gammas: abs(self.basis_value(gammas))).passed
 
 
 def convolution_phase(sigma: Multiplier, gammas: Sequence) -> complex:
@@ -233,7 +224,7 @@ def to_cyclic(c: GroupCochain, sigma: Multiplier) -> CyclicCochain:
 
 def transfer_boundary_defect(c: GroupCochain, sigma: Multiplier, samples: int = 200,
                              seed: int = 23) -> float:
-    """Worst |b tau_c - tau_{dc}| over sampled delta tuples.
+    """Worst |b tau_c - tau_{dc}| over sampled delta tuples (NaN when one is NaN).
 
     Both sides are multilinear, so delta tuples witness the identity on
     the whole algebra.
@@ -242,12 +233,9 @@ def transfer_boundary_defect(c: GroupCochain, sigma: Multiplier, samples: int = 
     rhs = to_cyclic(c.differential(), sigma)
     rng = random.Random(seed)
     grp = sigma.group
-    worst = 0.0
-    arity = c.degree + 2
-    for _ in range(samples):
-        gammas = tuple(grp.random_element(rng, 2) for _ in range(arity))
-        worst = max(worst, abs(lhs.basis_value(gammas) - rhs.basis_value(gammas)))
-    return worst
+    cases = ((tuple(grp.random_element(rng, 2) for _ in range(c.degree + 2)),) for _ in range(samples))
+    return CheckReport.from_cases(
+        cases, lambda gammas: abs(lhs.basis_value(gammas) - rhs.basis_value(gammas))).worst_defect
 
 
 def sobolev_inner(a: AlgebraElement, b: AlgebraElement, s: float) -> complex:
@@ -372,6 +360,7 @@ def cochain_growth(c: GroupCochain, radii: Sequence[int]) -> float:
 
     Every tuple (e, *tail) has the degree + 1 arguments that ``c`` takes, so
     its function is called directly, with the same complex value as c(e, *tail).
+    Raises CohomologyError for a NaN value or an infinite supremum.
     """
     grp = c.group
     fn = c._fn
@@ -393,6 +382,10 @@ def cochain_growth(c: GroupCochain, radii: Sequence[int]) -> float:
             value = abs(complex(fn(e, *tail)))
             if value > worst:  # max(worst, value), one call less
                 worst = value
+            elif math.isnan(value):
+                raise CohomologyError(f"the cochain is NaN at (e, *{tail!r})")
+        if not math.isfinite(worst):
+            raise CohomologyError(f"the cochain's supremum over ball({r}) is infinite")
         sups.append(worst)
     return growth_fit(list(radii), sups)
 

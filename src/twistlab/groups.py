@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 import random
 from collections import deque
@@ -22,6 +23,15 @@ from .errors import TwistlabError
 
 class GroupError(TwistlabError):
     """Raised for malformed descriptors or foreign elements."""
+
+
+def _integer(x, what: str) -> int:
+    """x as an int when it is an integer that is not a bool (numpy integers pass); else GroupError."""
+    if type(x) is int:
+        return x
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise GroupError(f"{what} must be an integer, not {x!r}")
+    return int(x)
 
 
 class Group:
@@ -101,7 +111,8 @@ class FiniteTableGroup(Group):
 
     mul[i][j] is the index of the product of elements i and j; inverses
     are read off the table.  The generator list must be closed under
-    inversion so word length is symmetric.
+    inversion so word length is symmetric.  Entries, the identity and the
+    generators are integers, never coerced: GroupError otherwise.
     """
 
     kind = "finite-table"
@@ -114,8 +125,8 @@ class FiniteTableGroup(Group):
         label: str = "",
     ):
         self.n = len(mul)
-        self.mul_table = tuple(tuple(int(x) for x in row) for row in mul)
-        self.identity_index = int(identity_index)
+        self.mul_table = tuple(tuple(_integer(x, "a table entry") for x in row) for row in mul)
+        self.identity_index = _integer(identity_index, "the identity index")
         self.label = label
         if self.n == 0:
             raise GroupError("empty multiplication table")
@@ -125,7 +136,8 @@ class FiniteTableGroup(Group):
         self.inverse_table = self._derive_inverses()
         if generator_indices is None:
             generator_indices = [i for i in range(self.n) if i != self.identity_index]
-        self.generator_indices = tuple(dict.fromkeys(int(i) for i in generator_indices))
+        self.generator_indices = tuple(dict.fromkeys(_integer(i, "a generator index")
+                                                     for i in generator_indices))
         self._lengths: dict | None = None
         self.validate()
 
@@ -428,7 +440,8 @@ class Homomorphism:
 
     @classmethod
     def from_matrix(cls, domain: FreeAbelianGroup, codomain: FreeAbelianGroup, matrix: Sequence[Sequence[int]]) -> "Homomorphism":
-        rows = [tuple(int(x) for x in row) for row in matrix]
+        """The map g -> matrix g; GroupError for a matrix entry that is not an integer."""
+        rows = [tuple(_integer(x, "a matrix entry") for x in row) for row in matrix]
         if len(rows) != codomain.rank or any(len(r) != domain.rank for r in rows):
             raise GroupError("matrix shape must be codomain.rank x domain.rank")
 

@@ -28,7 +28,8 @@ Pairings and tables have a JSON form; product multipliers have none, and
 ``{"kind": "trivial"}`` reads on every group kind.
 
 ``CheckReport`` is the one record of a checked law in the package; its
-``how`` tells a decided verdict from an exhaustive or a sampled one.
+``how`` tells a decided verdict from an exhaustive or a sampled one, and
+``CheckReport.from_cases`` is the one rule that builds it from evaluated cases.
 """
 
 from __future__ import annotations
@@ -409,6 +410,19 @@ class CheckReport:
 
     def __bool__(self) -> bool:
         return self.passed
+
+    @classmethod
+    def from_cases(cls, cases, defect: Callable, tol: float = 0.0, how: str = "sampled") -> "CheckReport":
+        """The worst defect(*case) over the cases, with the first worst case as witness; the
+        law holds at worst <= tol.  A NaN defect is worse than any number: the first one is
+        the witness, and the law fails."""
+        worst, witness, checked = 0.0, None, 0
+        for checked, case in enumerate(cases, 1):
+            d = defect(*case)
+            if d > worst or (math.isnan(d) and not math.isnan(worst)):
+                worst, witness = d, case
+        holds = worst <= tol
+        return cls(holds, checked, worst, None if holds else witness, how)
 
 
 def _is_small(group: Group) -> bool:

@@ -13,7 +13,8 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from typing import Callable, Sequence
+from collections.abc import Mapping
+from typing import Sequence
 
 import numpy as np
 
@@ -31,50 +32,41 @@ class TraceError(TwistlabError):
 class TraceFunctional:
     """Linear functional tau(a) = sum_g weight(g) a_g on a twisted algebra.
 
-    Weights are stored either as a finite dict or as a callable for
-    functionals with infinite support (summation, pullback along a map
-    with infinite kernel).  ``weights()`` materializes the finite dict
-    when one exists and raises otherwise.
+    ``weights`` is a finite mapping g -> c_g, or a callable g -> c_g for
+    functionals whose support may be infinite (summation, characters).
+    ``support`` lists the elements of nonzero weight when the mapping is
+    finite, else it is None.
     """
 
-    def __init__(self, sigma: Multiplier, weights=None, weight_fn: Callable | None = None,
-                 kind: str = "custom", label: str = ""):
-        if (weights is None) == (weight_fn is None):
-            raise TraceError("provide exactly one of weights or weight_fn")
+    def __init__(self, sigma: Multiplier, weights, kind: str = "custom", label: str = ""):
+        if isinstance(weights, Mapping):
+            table = {g: complex(c) for g, c in weights.items() if complex(c) != 0}
+            self.support, self._weight = list(table), lambda g: table.get(g, 0.0 + 0.0j)
+        elif callable(weights):
+            self.support, self._weight = None, weights
+        else:
+            raise TraceError(f"weights must be a mapping or a callable, not {weights!r}")
         self.sigma = sigma
         self.group = sigma.group
-        self._weights = None
-        self._weight_fn = weight_fn
-        if weights is not None:
-            self._weights = {g: complex(c) for g, c in weights.items() if complex(c) != 0}
         self.kind = kind
         self.label = label or kind
 
     def weight(self, g) -> complex:
-        if self._weights is not None:
-            return self._weights.get(g, 0.0 + 0.0j)
-        return complex(self._weight_fn(g))
+        return complex(self._weight(g))
 
     def weights(self) -> dict:
-        """Finite weight map; materialized from the group when possible."""
-        if self._weights is not None:
-            return dict(self._weights)
-        if self.group.is_finite():
-            out = {}
-            for g in self.group.elements():
-                c = complex(self._weight_fn(g))
-                if c != 0:
-                    out[g] = c
-            return out
-        raise TraceError(f"{self.label}: no finite weight support on an infinite group")
+        """Finite weight map, over the support or else over a finite group's elements."""
+        if self.support is None and not self.group.is_finite():
+            raise TraceError(f"{self.label}: no finite weight support on an infinite group")
+        elements = self.group.elements() if self.support is None else self.support
+        return {g: c for g in elements if (c := self.weight(g)) != 0}
 
     def value(self, a: AlgebraElement) -> complex:
+        """The sum over the support, or over a's sorted support when the support is None."""
         if not _same_multiplier(a.sigma, self.sigma):
             raise TraceError("element lives on a different twisted algebra")
-        if self._weights is not None:
-            return sum((c * a.coefficient(g) for g, c in self._weights.items()), 0.0 + 0.0j)
-        return sum((complex(self._weight_fn(g)) * a.coefficient(g) for g in a.support()),
-                   0.0 + 0.0j)
+        elements = a.support() if self.support is None else self.support
+        return sum((self.weight(g) * a.coefficient(g) for g in elements), 0.0 + 0.0j)
 
     __call__ = value
 
@@ -119,12 +111,12 @@ def summation_trace(sigma: Multiplier) -> TraceFunctional:
     magnetic lattice algebra it fails the trace law and the failure is
     the basic obstruction to delocalized functionals there.
     """
-    return TraceFunctional(sigma, weight_fn=lambda g: 1.0, kind="summation", label="tr_sum")
+    return TraceFunctional(sigma, lambda g: 1.0, kind="summation", label="tr_sum")
 
 
 def character_functional(sigma: Multiplier, chi: PhaseMap) -> TraceFunctional:
     """Weight map g -> chi(g) for a character chi of the group."""
-    return TraceFunctional(sigma, weight_fn=lambda g: chi(g), kind="character")
+    return TraceFunctional(sigma, chi, kind="character")
 
 
 def conjugacy_functional(sigma: Multiplier, g) -> TraceFunctional:
@@ -160,17 +152,10 @@ def product_trace(tau_left: TraceFunctional, sigma: Multiplier) -> TraceFunction
         raise TraceError("product trace needs a product group")
     if tau_left.group != group.left:
         raise TraceError("left functional must live on the left factor")
-    e_r = group.right.identity()
-    try:
-        weights = {(g, e_r): c for g, c in tau_left.weights().items()}
-        return TraceFunctional(sigma, weights, kind="product",
-                               label=f"{tau_left.label}(x)tr_e")
-    except TraceError:
-        fn = tau_left.weight
-        return TraceFunctional(
-            sigma,
-            weight_fn=lambda pair: fn(pair[0]) if pair[1] == e_r else 0.0,
-            kind="product", label=f"{tau_left.label}(x)tr_e")
+    e_r, fn = group.right.identity(), tau_left.weight
+    weights = ({(g, e_r): fn(g) for g in tau_left.support} if tau_left.support is not None
+               else lambda pair: fn(pair[0]) if pair[1] == e_r else 0.0)
+    return TraceFunctional(sigma, weights, kind="product", label=f"{tau_left.label}(x)tr_e")
 
 
 class UnitaryRep:
@@ -241,18 +226,15 @@ class UnitaryRep:
     def verify(self) -> CheckReport:
         """u(g) u(h) = u(gh) on every pair and u(g) unitary (witness (g, None)), each to the
         largest entry of the difference; passes at relative_tol(1.0), the scale of unitary entries."""
-        worst, witness = 0.0, None
         eye = np.eye(self.dim)
         mats, mul, elements = self._matrices, self.group.multiply, self.group.elements()
-        for g in elements:
-            cases = [((g, None), mats[g] @ mats[g].conj().T - eye)]
-            cases += [((g, h), mats[g] @ mats[h] - mats[mul(g, h)]) for h in elements]
-            for case, diff in cases:
-                defect = float(np.abs(diff).max())
-                if defect > worst:
-                    worst, witness = defect, case
-        passed = worst <= relative_tol(1.0)
-        return CheckReport(passed, len(elements) ** 2, worst, None if passed else witness, "exhaustive")
+
+        def defect(g, h):
+            diff = mats[g] @ mats[g].conj().T - eye if h is None else mats[g] @ mats[h] - mats[mul(g, h)]
+            return float(np.abs(diff).max())
+
+        cases = ((g, h) for g in elements for h in (None, *elements))
+        return CheckReport.from_cases(cases, defect, relative_tol(1.0), "exhaustive")
 
 
 def unitary_trace(u: UnitaryRep, pi: Homomorphism, tau_h: TraceFunctional,
@@ -265,8 +247,7 @@ def unitary_trace(u: UnitaryRep, pi: Homomorphism, tau_h: TraceFunctional,
     """
     if u.group != sigma.group:
         raise TraceError("representation must live on the algebra group")
-    return TraceFunctional(sigma, weight_fn=lambda g: u.character(g) * tau_h.weight(pi(g)),
-                           kind="unitary")
+    return TraceFunctional(sigma, lambda g: u.character(g) * tau_h.weight(pi(g)), kind="unitary")
 
 
 def matrix_trace(tau: TraceFunctional, blocks: Sequence[Sequence[AlgebraElement]]) -> complex:
@@ -290,26 +271,16 @@ def _sample_pairs(sigma: Multiplier, rng: random.Random):
         yield random_element(sigma, rng, 3, 2), random_element(sigma, rng, 3, 2)
 
 
-def _worst_case(samples, defect: Callable) -> CheckReport:
-    """Worst defect(*sample) over the samples with its first witness; the law holds at <= 1e-10.
-
-    A NaN defect is worse than any number: the first one is the witness, and the law fails.
-    """
-    worst, witness, checked = 0.0, None, 0
-    for checked, sample in enumerate(samples, 1):
-        d = defect(*sample)
-        if d > worst or (math.isnan(d) and not math.isnan(worst)):
-            worst, witness = d, sample
-    holds = worst <= 1e-10
-    return CheckReport(holds, checked, worst, None if holds else witness, "sampled")
+# The defect at which an audit's law holds: absolute, whatever the functional's scale (ROADMAP item 15).
+_AUDIT_TOL = 1e-10
 
 
 def check_trace_property(tau: TraceFunctional, seed: int = 11) -> CheckReport:
     """Sample tau(a b) = tau(b a) on 40 random pairs, after every pair of deltas of ball(2) if
     that has at most 12 elements (so not on Z^2, where it has 13); keeps the worst witness."""
     rng = random.Random(seed)
-    return _worst_case(_sample_pairs(tau.sigma, rng),
-                       lambda a, b: abs(tau(a.convolve(b)) - tau(b.convolve(a))))
+    return CheckReport.from_cases(_sample_pairs(tau.sigma, rng),
+                                  lambda a, b: abs(tau(a.convolve(b)) - tau(b.convolve(a))), _AUDIT_TOL)
 
 
 def check_positivity(tau: TraceFunctional, seed: int = 12) -> CheckReport:
@@ -321,7 +292,7 @@ def check_positivity(tau: TraceFunctional, seed: int = 12) -> CheckReport:
 
     rng = random.Random(seed)
     samples = ((random_element(tau.sigma, rng, 3, 2),) for _ in range(40))
-    return _worst_case(samples, defect)
+    return CheckReport.from_cases(samples, defect, _AUDIT_TOL)
 
 
 def check_invariance(tau: TraceFunctional, chi: PhaseMap) -> CheckReport:
@@ -333,7 +304,8 @@ def check_invariance(tau: TraceFunctional, chi: PhaseMap) -> CheckReport:
     """
     rng = random.Random(13)
     samples = ((random_element(tau.sigma, rng, 3, 2),) for _ in range(40))
-    return _worst_case(samples, lambda a: abs(tau(a.apply_phase_map(chi, tau.sigma)) - tau(a)))
+    return CheckReport.from_cases(samples, lambda a: abs(tau(a.apply_phase_map(chi, tau.sigma)) - tau(a)),
+                                  _AUDIT_TOL)
 
 
 def character_functionals(sigma: Multiplier) -> list[TraceFunctional]:

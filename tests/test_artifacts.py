@@ -42,7 +42,9 @@ def _linear(a0, a1, **extra) -> dict:
 # name -> (subcommand, config or None, further arguments)
 CASES = {
     "verify-seed-0": ("verify", None, ["--suite", "all", "--seed", "0"]),
+    "verify-seed-1": ("verify", None, ["--suite", "all", "--seed", "1"]),
     "verify-seed-7": ("verify", None, ["--suite", "all", "--seed", "7"]),
+    "verify-seed-123": ("verify", None, ["--suite", "all", "--seed", "123"]),
     "eta-bloch-germ": ("eta", dict(ELEMENT, method="bloch", kgrid=32,
                                    s_grid=["9/10", "1", "11/10"]), []),
     "eta-truncation": ("eta", dict(ELEMENT, method="truncation", radius=6), []),
@@ -82,6 +84,8 @@ SHA256 = {
     "pairing-circle": "1dc569af52ebd20a209e0b8ed3e7d1e778da94fc82870027ccfd09c60aa2bbed",
     "sobolev-chain": "9ad009e11c1befbdead57bf99c063e35e792df8987eb0c77bb75c097da801d9e",
     "verify-seed-0": "1e28857e9fa752809d7b1bfebc7f71d10acc5e58a10b17047d72a04413c8b698",
+    "verify-seed-1": "c1e5eac0db9e00a5b82e5ff53a4f8c52e6321675438f0ce47f9f0f845660b500",
+    "verify-seed-123": "07d2784e7994968b51be432a961b9a5608971a1f402320762c7cb940e686a4f0",
     "verify-seed-7": "f70c2acafd1dfcae28e601106c91f0d01455f631f25011a32670baadd7f06e4e",
 }
 

@@ -1,5 +1,6 @@
 """End to end tests of the command line interface."""
 
+import inspect
 import io
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistlab import SpectralError, butterfly_csv, butterfly_rows, cli
+from twistlab import SpectralError, butterfly_csv, butterfly_rows, cli, eta_operator, spectral_flow
 from twistlab import verify as verify_mod
 from twistlab.cli import main
 from twistlab.verify import suite_names
@@ -648,10 +649,18 @@ HARPER_STRING_RE = [dict(HARPER_TERMS[0], re="0.5")] + HARPER_TERMS[1:]
     (["spectral-flow", {"path": {"A0": {"re": [[-1, 0], [0, "1"]]}, "A1": FLOW["path"]["A1"]}}],
      "matrix 're'"),
     (["sobolev", dict(SOBOLEV, s=["1"])], "s must be a list of JSON numbers"),
+    # int() once read this table as C2, and eta printed 1.1e-17.
+    (["eta", {"group": {"kind": "finite-table", "mul": [[0, 1.9], [True, "0"]], "identity": 0.7,
+                        "generators": ["1"]},
+              "multiplier": {"kind": "trivial"}, "terms": [{"g": 1, "re": 1.0}],
+              "method": "truncation", "radius": 1}], "a table entry must be an integer, not 1.9"),
+    (["sobolev", {"group": {"kind": "finite-table", "mul": [[0, 1], [1, 0]], "generators": ["1"]},
+                  "multiplier": {"kind": "trivial"}, "terms": [{"g": 1, "re": 1.0}]}],
+     "a generator index must be an integer, not '1'"),
 ], ids=["cycle", "truncation radius", "chain radius", "n-grid", "initial samples", "float g",
         "string re", "float g and string re", "bool re", "string im", "float index",
         "bool index", "terms object", "terms of strings", "matrix re", "matrix im",
-        "flow matrix", "string order"])
+        "flow matrix", "string order", "float table", "string generator"])
 def test_oversized_or_misread_input_exits_2_at_once(capsys, tmp_path, argv, named):
     if isinstance(argv[1], dict):
         argv = [argv[0], "--config", write_config(tmp_path, "config.json", argv[1])]
@@ -720,6 +729,19 @@ def test_eta_truncation_ignores_a_t_max_key(capsys, tmp_path):
     plain = write_config(tmp_path, "plain.json", TRUNCATION)
     with_t_max = write_config(tmp_path, "t_max.json", dict(TRUNCATION, t_max=3.0))
     outputs = [run(capsys, ["eta", "--config", cfg]) for cfg in (plain, with_t_max)]
+    assert outputs[0][0] == 0 and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command, config, library, keys", [
+    ("eta", ELEMENT, eta_operator, ("method", "kgrid", "radius")),
+    ("eta", dict(ELEMENT, method="truncation"), eta_operator, ("kgrid", "radius")),
+    ("spectral-flow", FLOW, spectral_flow, ("initial_samples", "max_refinements")),
+])
+def test_a_key_left_out_of_a_config_takes_the_library_default(capsys, tmp_path, command, config,
+                                                              library, keys):
+    defaults = {key: inspect.signature(library).parameters[key].default for key in keys}
+    outputs = [run(capsys, [command, "--config", write_config(tmp_path, "config.json", cfg)])
+               for cfg in (config, dict(config, **defaults))]
     assert outputs[0][0] == 0 and outputs[0] == outputs[1]
 
 

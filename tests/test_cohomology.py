@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -15,6 +16,7 @@ from twistlab import (
 from twistlab.algebra import random_element
 from twistlab.cohomology import (
     CohomologyError,
+    CyclicCochain,
     GroupCochain,
     cochain_growth,
     convolution_phase,
@@ -254,3 +256,32 @@ def reference_growth(c, radii):
 def test_cochain_growth_is_bit_equal_to_the_called_cochain(cochain, radii):
     assert cochain_growth(cochain, radii).hex() == reference_growth(cochain, radii).hex()
 
+
+
+NAN_COCHAIN = GroupCochain(Z2, 1, lambda g0, g1: math.nan)
+
+
+def test_a_nan_cochain_fails_the_transfer_and_invariance_checks():
+    # max(0.0, nan) is 0.0: both checks once read every NaN defect as a pass.
+    defect = transfer_boundary_defect(NAN_COCHAIN, magnetic_multiplier("1/3"), samples=50)
+    assert math.isnan(defect) and not defect <= 1e-12
+    assert math.isnan(NAN_COCHAIN.check_invariance())
+
+
+def test_a_nan_off_identity_value_is_not_localized():
+    sigma = trivial_multiplier(Z2)
+    assert not CyclicCochain(sigma, 1, lambda gammas: math.nan).is_localized()
+    assert CyclicCochain(sigma, 1, lambda gammas: math.nan if gammas[0] == Z2.inverse(gammas[1]) else 0.0
+                         ).is_localized()
+
+
+@pytest.mark.parametrize("cochain, named", [
+    (NAN_COCHAIN, "NaN"),
+    (GroupCochain(Z2, 1, lambda g0, g1: math.nan if g1 == (2, 0) else 1.0), "NaN at (e, *((2, 0),))"),
+    (GroupCochain(Z2, 1, lambda g0, g1: math.inf if g1 == (0, 3) else 1.0), "ball(3) is infinite"),
+    (GroupCochain(Z2, 2, lambda g0, g1, g2: complex(1.0, math.inf)), "ball(2) is infinite"),
+])
+def test_cochain_growth_refuses_nan_and_infinite_values(cochain, named):
+    # A NaN once dropped out of every supremum, and the fit of nothing was 0.0.
+    with pytest.raises(CohomologyError, match=re.escape(named)):
+        cochain_growth(cochain, [2, 3, 4])

@@ -4,6 +4,7 @@ import time
 from collections import deque
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -271,6 +272,36 @@ def test_homomorphism_projection_and_matrix():
     doubling.verify()
     assert doubling((1, 0)) == (2, 1)
     assert doubling((0, 1)) == (0, 1)
+
+
+def test_a_lattice_map_refuses_entries_that_are_not_integers():
+    # int() read 2.7 as 2, so (1,) went to (2,).
+    for entry in (2.7, 2.0, True, "2"):
+        with pytest.raises(GroupError, match="matrix entry must be an integer"):
+            Homomorphism.from_matrix(FreeAbelianGroup(1), FreeAbelianGroup(1), [[entry]])
+    assert Homomorphism.from_matrix(FreeAbelianGroup(1), FreeAbelianGroup(1), [[np.int64(2)]])((1,)) == (2,)
+
+
+@pytest.mark.parametrize("mul, identity, generators, named", [
+    ([[0, 1.9], [True, "0"]], 0.7, ["1"], "a table entry"),
+    ([[0, 1], [1, 0.0]], 0, None, "a table entry"),
+    ([[0, 1], [True, 0]], 0, None, "a table entry"),
+    ([[0, 1], [1, 0]], 0.0, None, "the identity index"),
+    ([[0, 1], [1, 0]], False, None, "the identity index"),
+    ([[0, 1], [1, 0]], 0, ["1"], "a generator index"),
+    ([[0, 1], [1, 0]], 0, [1.0], "a generator index"),
+], ids=["mixed", "float entry", "bool entry", "float identity", "bool identity", "string generator",
+        "float generator"])
+def test_a_table_group_refuses_indices_that_are_not_integers(mul, identity, generators, named):
+    with pytest.raises(GroupError, match=f"{named} must be an integer"):
+        FiniteTableGroup(mul, identity, generators)
+
+
+def test_a_table_group_takes_numpy_integers():
+    table = np.array([[0, 1], [1, 0]])
+    group = FiniteTableGroup(table, np.int64(0), [np.int32(1)])
+    assert group.mul_table == ((0, 1), (1, 0)) and group.generator_indices == (1,)
+    assert all(type(x) is int for row in group.mul_table for x in row)
 
 
 def test_homomorphism_verify_rejects_non_hom():

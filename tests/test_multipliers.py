@@ -834,3 +834,26 @@ def test_lazy_multipliers_are_compared_on_a_ball_of_radius_at_least_one():
             multipliers_equal(geometric, magnetic_multiplier("2/7"), radius=radius)
     assert not multipliers_equal(geometric, magnetic_multiplier("2/7"), radius=1)
     assert multipliers_equal(geometric, magnetic_multiplier("1/3"), radius=1)
+
+
+@pytest.mark.parametrize("defects, worst, witness_at", [
+    ([0.5, 2.0, 1.0, 2.0], 2.0, 1),  # the first worst case is the witness
+    ([0.5, 2.0, math.nan, 3.0, math.nan], math.nan, 2),  # a NaN is worse than any number
+    ([math.nan, math.inf], math.nan, 0),
+    ([0.0, 0.0], 0.0, None),
+    ([], 0.0, None),
+])
+def test_a_report_from_cases_keeps_the_first_worst_case(defects, worst, witness_at):
+    cases = [(d, i) for i, d in enumerate(defects)]
+    report = CheckReport.from_cases(cases, lambda d, i: d, 1.0, "exhaustive")
+    assert report.checked == len(defects) and report.how == "exhaustive"
+    assert struct.pack("d", report.worst_defect) == struct.pack("d", worst)
+    assert report.passed is (witness_at is None or worst <= 1.0)
+    assert report.witness == (None if report.passed else cases[witness_at])
+
+
+def test_a_report_from_cases_holds_at_its_tolerance():
+    assert CheckReport.from_cases([(1e-10,)], abs, 1e-10).passed
+    assert not CheckReport.from_cases([(2e-10,)], abs, 1e-10).passed
+    assert CheckReport.from_cases([(0.0,)], abs) == CheckReport(True, 1, 0.0, None, "sampled")
+    assert not CheckReport.from_cases([(5e-324,)], abs)

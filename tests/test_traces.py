@@ -151,7 +151,8 @@ def test_unitary_trace_value_independent_of_representation(rng):
 def test_unitary_rep_constructors():
     u = UnitaryRep.regular(S3)
     assert u.dim == 6
-    assert u.verify() == CheckReport(True, 36, 0.0, None, "exhaustive")
+    # n unitarity cases and n^2 product cases.
+    assert u.verify() == CheckReport(True, 42, 0.0, None, "exhaustive")
     chis = all_characters(S3)
     onedim = [UnitaryRep.from_character(chi) for chi in chis]
     assert all(r.dim == 1 for r in onedim)
@@ -168,9 +169,9 @@ NAN = float("nan")
 
 @pytest.mark.parametrize("check", [check_trace_property, check_positivity])
 @pytest.mark.parametrize("make", [
-    lambda: TraceFunctional(MAGNETIC, weight_fn=lambda g: NAN),
+    lambda: TraceFunctional(MAGNETIC, lambda g: NAN),
     lambda: TraceFunctional(MAGNETIC, {(0, 0): NAN}),
-], ids=["weight_fn", "dict"])
+], ids=["callable", "dict"])
 def test_a_nan_defect_fails_with_its_witness(check, make):
     report = check(make())
     assert not report.passed and cmath.isnan(report.worst_defect)
@@ -180,7 +181,7 @@ def test_a_nan_defect_fails_with_its_witness(check, make):
 def test_a_nan_defect_after_finite_ones_is_the_witness():
     # The summation weight fails the twisted trace law by a finite defect on
     # most pairs; a NaN weight at (1, 1) makes the pairs that reach it NaN.
-    tau = TraceFunctional(MAGNETIC, weight_fn=lambda g: NAN if g == (1, 1) else 1.0)
+    tau = TraceFunctional(MAGNETIC, lambda g: NAN if g == (1, 1) else 1.0)
     finite = check_trace_property(summation_trace(MAGNETIC))
     assert not finite.passed and finite.worst_defect > 1e-10
     report = check_trace_property(tau)
@@ -196,7 +197,7 @@ def test_unitary_rep_check_keeps_its_worst_witness():
         return UnitaryRep(S3, mats).verify()
 
     report = scaled(2.0)
-    assert not report and report.checked == 36 and report.how == "exhaustive"
+    assert not report and report.checked == 42 and report.how == "exhaustive"
     # 2P (2P)* - 1 = 3 on the diagonal, first met at the unitarity of 2P.
     assert report.worst_defect == 3.0
     assert report.witness == (TRANSPOSITION, None)
@@ -311,13 +312,49 @@ def test_trace_json_weights_are_checked_not_coerced(weight):
         trace_from_json({"weights": [weight]}, trivial_multiplier(S3))
 
 
+def test_a_mapping_and_a_callable_of_the_same_weights_agree_bit_for_bit(rng):
+    sigma = coboundary(PhaseMap.random_exact(S3, random.Random(5)))
+    table = {g: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for g in sorted(S3.elements())}
+    mapped, called = TraceFunctional(sigma, table), TraceFunctional(sigma, lambda g: table[g])
+    assert mapped.weights() == called.weights() == table
+    for _ in range(20):
+        a = random_element(sigma, rng, 4, 2)
+        assert mapped(a).real.hex() == called(a).real.hex()
+        assert mapped(a).imag.hex() == called(a).imag.hex()
+
+
+def test_the_support_is_known_exactly_for_finite_weight_maps():
+    e = MAGNETIC.group.identity()
+    assert regular_trace(MAGNETIC).support == [e]
+    assert summation_trace(MAGNETIC).support is None
+    assert character_functionals(trivial_multiplier(S3))[0].support is None
+    sigma = trivial_multiplier(S3)
+    assert sorted(conjugacy_functional(sigma, TRANSPOSITION).support) == sorted(S3.conjugacy_class(TRANSPOSITION))
+    # A zero weight is not in the support.
+    assert TraceFunctional(sigma, {0: 1.0, 1: 0.0}).support == [0]
+    C3 = cyclic_group(3)
+    finite = ProductMultiplier(ProductGroup(S3, C3), sigma, trivial_multiplier(C3))
+    assert sorted(product_trace(conjugacy_functional(sigma, TRANSPOSITION), finite).support) == \
+        sorted((g, 0) for g in S3.conjugacy_class(TRANSPOSITION))
+    infinite = ProductMultiplier(ProductGroup(FreeAbelianGroup(2), C3), LATTICE_TRIVIAL, trivial_multiplier(C3))
+    tau = product_trace(summation_trace(LATTICE_TRIVIAL), infinite)
+    assert tau.support is None
+    assert tau(AlgebraElement(infinite, [(((1, 2), 0), 2.0), (((3, 0), 1), 5.0)])) == 2.0
+
+
+@pytest.mark.parametrize("weights", [None, [((0, 0), 1.0)], 1.0], ids=["none", "list", "number"])
+def test_weights_are_a_mapping_or_a_callable(weights):
+    with pytest.raises(TraceError, match="mapping or a callable"):
+        TraceFunctional(MAGNETIC, weights)
+
+
 def test_functional_rejects_foreign_elements():
     tau = regular_trace(MAGNETIC)
     a = AlgebraElement(LATTICE_TRIVIAL, [((0, 0), 1.0)])
     with pytest.raises(TraceError):
         tau(a)
     with pytest.raises(TraceError):
-        TraceFunctional(MAGNETIC)
+        TraceFunctional(MAGNETIC, None)
 
 
 def test_product_trace_of_a_functional_without_finite_support_weighs_by_function():
