@@ -27,7 +27,7 @@ import reprlib
 from collections.abc import Iterable, Mapping
 
 from .errors import TwistlabError
-from .multipliers import Multiplier, MultiplierError, PhaseMap, decided_equal, is_cohomologous_via
+from .multipliers import Multiplier, MultiplierError, PhaseMap, _same_multiplier, is_cohomologous_via
 from .phases import root
 
 PRUNE_TOL = 1e-15
@@ -35,10 +35,6 @@ PRUNE_TOL = 1e-15
 
 class AlgebraError(TwistlabError):
     """Raised for mismatched algebras or malformed element data."""
-
-
-def _same_multiplier(a: Multiplier, b: Multiplier) -> bool:
-    return a is b or decided_equal(a, b) is True
 
 
 def _pruned(c: complex) -> complex | None:
@@ -226,15 +222,23 @@ def json_coefficient(term: dict) -> complex:
     return complex(float(re), float(im))
 
 
-def element_from_json(sigma: Multiplier, data: dict) -> AlgebraElement:
-    """The element {"terms": [{"g", "re", "im"}, ...]} of sigma's algebra: each g read by
-    the group's element_from_json, each coefficient by json_coefficient."""
-    terms = data.get("terms") if isinstance(data, dict) else None
+def json_terms(group, data, key: str = "terms") -> dict:
+    """{g: c} of data[key], a list of {"g", "re", "im"} objects read by element_from_json and
+    json_coefficient; a repeated g sums its coefficients in order.  AlgebraError for other data."""
+    terms = data.get(key) if isinstance(data, dict) else None
     if not isinstance(terms, list) or not all(isinstance(term, dict) for term in terms):
-        raise AlgebraError('element terms must be a list of {"g", "re", "im"} objects')
-    grp = sigma.group
-    return AlgebraElement(sigma, [(grp.element_from_json(term["g"]), json_coefficient(term))
-                                  for term in terms])
+        raise AlgebraError(f'element {key} must be a list of {{"g", "re", "im"}} objects')
+    out: dict = {}
+    for term in terms:
+        g, c = group.element_from_json(term["g"]), json_coefficient(term)
+        out[g] = out[g] + c if g in out else c
+    return out
+
+
+def element_from_json(sigma: Multiplier, data: dict) -> AlgebraElement:
+    """The element {"terms": [{"g", "re", "im"}, ...]} of sigma's algebra, its terms read by
+    json_terms: the coefficients of a repeated element sum."""
+    return AlgebraElement(sigma, json_terms(sigma.group, data))
 
 
 def projective_iso(z: PhaseMap, a: AlgebraElement, target: Multiplier,

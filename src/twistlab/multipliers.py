@@ -17,7 +17,8 @@ forms, and two normal forms are equal exactly when their pairings or
 tables differ by integers (Kleppner, Math. Ann. 1965), factor by factor on
 products.  Twists by random lattice phase maps (``TwistedMultiplier``)
 and the geometric construction from a lattice gauge potential stay lazy
-and are compared, still as exact turns, on a finite window.
+and are compared, still as exact turns, on a finite window, which
+``multipliers_equal`` reports as "exhaustive" or "sampled", not "decided".
 
 Every multiplier gives sigma(g, h) as an integer pair (n, d) for n / d
 turns, and its float as ``phases.root(n, d)``.  Normal forms take n from an
@@ -514,29 +515,36 @@ def _normal_form(sigma: Multiplier):
     return None
 
 
-def decided_equal(a: Multiplier, b: Multiplier) -> bool | None:
-    """Whether a = b, decided from normal forms; None when either side is lazy."""
-    if a.group != b.group:
-        return False
-    form_a, form_b = _normal_form(a), _normal_form(b)
-    if form_a is None or form_b is None:
-        return None
-    return form_a == form_b
+def _same_multiplier(a: Multiplier, b: Multiplier) -> bool:
+    """Whether a = b is decided: a is b, or equal normal forms on one group; False when either
+    side is lazy.  It evaluates no pair, and sits on every binary element operation."""
+    if a is b or a.group != b.group:
+        return a is b
+    form = _normal_form(a)
+    return form is not None and form == _normal_form(b)
 
 
-def multipliers_equal(a: Multiplier, b: Multiplier, radius: int = 5) -> bool:
-    """Whether a = b: decided from normal forms, else compared as rational
-    turns on an exhaustive finite or ball-restricted pair set."""
-    decided = decided_equal(a, b)
-    if decided is not None:
-        return decided
-    pairs = (a._pair(g, h) + b._pair(g, h) for g, h in _pair_set(a.group, radius))
-    return all((na * db - nb * da) % (da * db) == 0 for na, da, nb, db in pairs)
+def _turn_distance(na: int, da: int, nb: int, db: int) -> float:
+    """The distance mod 1 between na / da and nb / db turns: 0.0 only when equal, never an underflow."""
+    r = (na * db - nb * da) % (da * db)
+    return max(min(r, da * db - r) / (da * db), math.ulp(0.0)) if r else 0.0
+
+
+def multipliers_equal(a: Multiplier, b: Multiplier, radius: int = 5) -> CheckReport:
+    """Whether a = b: "decided" (no case evaluated, worst defect 0.0 or inf) for one object,
+    different groups or two normal forms (Kleppner), else the distance in turns between the exact
+    phases on each pair of a group of order <= 24 ("exhaustive") or of ball(radius) ("sampled")."""
+    same = _same_multiplier(a, b)
+    if same or a.group != b.group or (_normal_form(a) is not None and _normal_form(b) is not None):
+        return CheckReport(same, 0, 0.0 if same else math.inf, None, "decided")
+    how = "exhaustive" if _is_small(a.group) else "sampled"
+    return CheckReport.from_cases(_pair_set(a.group, radius),
+                                  lambda g, h: _turn_distance(*a._pair(g, h), *b._pair(g, h)), 0.0, how)
 
 
 def is_cohomologous_via(sigma: Multiplier, sigma_prime: Multiplier, z: PhaseMap,
-                        radius: int = 5) -> bool:
-    """Whether sigma' = sigma * dz."""
+                        radius: int = 5) -> CheckReport:
+    """Whether sigma' = sigma * dz, as multipliers_equal reports it."""
     return multipliers_equal(sigma.twist(z), sigma_prime, radius)
 
 

@@ -18,10 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, _same_multiplier, json_coefficient, random_element
+from .algebra import AlgebraElement, json_terms, random_element
 from .errors import TwistlabError
 from .groups import FiniteTableGroup, Homomorphism, ProductGroup
-from .multipliers import CheckReport, Multiplier, PhaseMap, all_characters, product_characters
+from .multipliers import (CheckReport, Multiplier, PhaseMap, _same_multiplier, all_characters,
+                          product_characters)
 from .spectral import relative_tol
 
 
@@ -32,14 +33,16 @@ class TraceError(TwistlabError):
 class TraceFunctional:
     """Linear functional tau(a) = sum_g weight(g) a_g on a twisted algebra.
 
-    ``weights`` is a finite mapping g -> c_g, or a callable g -> c_g for
-    functionals whose support may be infinite (summation, characters).
-    ``support`` lists the elements of nonzero weight when the mapping is
-    finite, else it is None.
+    ``weights`` is a finite mapping g -> c_g, each key an element of the
+    group, or a callable g -> c_g for functionals whose support may be
+    infinite (summation, characters).  ``support`` lists the elements of
+    nonzero weight when the mapping is finite, else it is None.
     """
 
     def __init__(self, sigma: Multiplier, weights, kind: str = "custom", label: str = ""):
         if isinstance(weights, Mapping):
+            for g in weights:
+                sigma.group.check_element(g)
             table = {g: complex(c) for g, c in weights.items() if complex(c) != 0}
             self.support, self._weight = list(table), lambda g: table.get(g, 0.0 + 0.0j)
         elif callable(weights):
@@ -90,12 +93,9 @@ class TraceFunctional:
 
 
 def trace_from_json(data: dict, sigma: Multiplier) -> TraceFunctional:
-    group = sigma.group
-    weights = {
-        group.element_from_json(item["g"]): json_coefficient(item)
-        for item in data["weights"]
-    }
-    return TraceFunctional(sigma, weights, kind=data.get("kind", "custom"),
+    """The functional {"kind", "label", "weights": [{"g", "re", "im"}, ...]}, its weights read by
+    algebra.json_terms as element terms are: the weights of a repeated element sum."""
+    return TraceFunctional(sigma, json_terms(sigma.group, data, "weights"), kind=data.get("kind", "custom"),
                            label=data.get("label", ""))
 
 

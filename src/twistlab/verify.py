@@ -24,6 +24,7 @@ from . import (
     spectral,
     traces,
 )
+from .multipliers import CheckReport
 
 
 @dataclass
@@ -56,6 +57,10 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
 
+    def add(self, name: str, check: CheckReport) -> None:
+        """Append the row of a checked law: its verdict and its worst defect."""
+        self.results.append(CheckResult(name, check.passed, check.worst_defect))
+
     def to_json(self) -> dict:
         return {
             "suite": self.suite,
@@ -67,25 +72,22 @@ class SuiteReport:
 def _suite_multiplier(seed: int) -> SuiteReport:
     rep = SuiteReport("multiplier")
     z2 = groups.FreeAbelianGroup(2)
+    z = multipliers.PhaseMap.random_exact(groups.symmetric_group(3), random.Random(seed + 1), denominator=12)
     for label, sigma in [
         ("trivial", multipliers.trivial_multiplier(z2)),
         ("landau-1/3", multipliers.magnetic_multiplier("1/3", "landau")),
         ("symmetric-1/3", multipliers.magnetic_multiplier("1/3", "symmetric")),
+        ("coboundary-s3", multipliers.coboundary(z)),  # exhaustive on S3, whatever the samples
     ]:
-        r = multipliers.verify_cocycle(sigma, samples=150, seed=seed)
-        rep.results.append(CheckResult(f"cocycle[{label}]", r.passed, r.worst_defect))
-    s3 = groups.symmetric_group(3)
-    z = multipliers.PhaseMap.random_exact(s3, random.Random(seed + 1), denominator=12)
-    r = multipliers.verify_cocycle(multipliers.coboundary(z), samples=0, seed=seed)
-    rep.results.append(CheckResult("cocycle[coboundary-s3]", r.passed, r.worst_defect))
+        rep.add(f"cocycle[{label}]", multipliers.verify_cocycle(sigma, samples=150, seed=seed))
     lan = multipliers.magnetic_multiplier("1/2", "landau")
     sym = multipliers.magnetic_multiplier("1/2", "symmetric")
     gauge = multipliers.PhaseMap.quadratic_on_lattice(z2, "1/4")
-    ok = multipliers.is_cohomologous_via(lan, sym, gauge, radius=4)
+    ok = multipliers.is_cohomologous_via(lan, sym, gauge, radius=4).passed
     rep.results.append(CheckResult("gauge[landau~symmetric]", ok))
     geom = multipliers.GeometricMultiplier(multipliers.LatticeGeometry("1/3", "landau"))
     direct = multipliers.magnetic_multiplier("1/3", "landau")
-    same = multipliers.multipliers_equal(geom, direct, radius=4)
+    same = multipliers.multipliers_equal(geom, direct, radius=4).passed
     rep.results.append(CheckResult("geometric=direct", same))
     curv = multipliers.LatticeGeometry("2/7", "symmetric").verify_curvature()
     rep.results.append(CheckResult("curvature=flux", curv))
@@ -100,31 +102,25 @@ def _suite_algebra(seed: int) -> SuiteReport:
         ("s3-coboundary", multipliers.coboundary(
             multipliers.PhaseMap.random_exact(groups.symmetric_group(3), random.Random(seed), 12))),
     ]
+    laws = [
+        ("associativity", lambda a, b, c: a.convolve(b).convolve(c).distance_l1(a.convolve(b.convolve(c)))),
+        ("involution", lambda a, b, c: a.convolve(b).star().distance_l1(b.star().convolve(a.star()))),
+    ]
     for label, sigma in cases:
-        worst_assoc = 0.0
-        worst_star = 0.0
-        for _ in range(40):
-            a = algebra.random_element(sigma, rng, 3, 2)
-            b = algebra.random_element(sigma, rng, 3, 2)
-            c = algebra.random_element(sigma, rng, 3, 2)
-            lhs = a.convolve(b).convolve(c)
-            rhs = a.convolve(b.convolve(c))
-            worst_assoc = max(worst_assoc, lhs.distance_l1(rhs))
-            worst_star = max(worst_star, a.convolve(b).star().distance_l1(b.star().convolve(a.star())))
-        rep.results.append(CheckResult(f"associativity[{label}]", worst_assoc <= 1e-12, worst_assoc))
-        rep.results.append(CheckResult(f"involution[{label}]", worst_star <= 1e-12, worst_star))
+        triples = [tuple(algebra.random_element(sigma, rng, 3, 2) for _ in range(3)) for _ in range(40)]
+        for law, defect in laws:
+            rep.add(f"{law}[{label}]", CheckReport.from_cases(triples, defect, 1e-12))
     sigma = multipliers.magnetic_multiplier("1/2", "landau")
     target = multipliers.magnetic_multiplier("1/2", "symmetric")
     z = multipliers.PhaseMap.quadratic_on_lattice(groups.FreeAbelianGroup(2), "-1/4")
-    worst_iso = 0.0
-    for _ in range(20):
-        a = algebra.random_element(sigma, rng, 3, 2)
-        b = algebra.random_element(sigma, rng, 3, 2)
-        fa = algebra.projective_iso(z, a, target, check=False)
-        fb = algebra.projective_iso(z, b, target, check=False)
-        lhs = algebra.projective_iso(z, a.convolve(b), target, check=False)
-        worst_iso = max(worst_iso, lhs.distance_l1(fa.convolve(fb)))
-    rep.results.append(CheckResult("gauge-iso-multiplicative", worst_iso <= 1e-12, worst_iso))
+
+    def iso(a):
+        return algebra.projective_iso(z, a, target, check=False)
+
+    pairs = ((algebra.random_element(sigma, rng, 3, 2), algebra.random_element(sigma, rng, 3, 2))
+             for _ in range(20))
+    rep.add("gauge-iso-multiplicative", CheckReport.from_cases(
+        pairs, lambda a, b: iso(a.convolve(b)).distance_l1(iso(a).convolve(iso(b))), 1e-12))
     return rep
 
 
@@ -133,16 +129,13 @@ def _suite_representations(seed: int) -> SuiteReport:
     sigma = multipliers.magnetic_multiplier("1/3", "landau")
     bm = representations.BlochMap(sigma)
     rng = random.Random(seed)
-    worst = 0.0
-    k1, k2 = 0.3, 1.1
-    for _ in range(30):
-        g = sigma.group.random_element(rng, 3)
-        h = sigma.group.random_element(rng, 3)
-        tg = bm.rep_matrix(g, k1, k2)
-        th = bm.rep_matrix(h, k1, k2)
-        tgh = bm.rep_matrix(sigma.group.multiply(g, h), k1, k2)
-        worst = max(worst, float(np.abs(tg @ th - sigma.value(g, h) * tgh).max()))
-    rep.results.append(CheckResult("projective-relation", worst <= 1e-12, worst))
+
+    def relation_defect(g, h):
+        tg, th, tgh = (bm.rep_matrix(x, 0.3, 1.1) for x in (g, h, sigma.group.multiply(g, h)))
+        return float(np.abs(tg @ th - sigma.value(g, h) * tgh).max())
+
+    pairs = ((sigma.group.random_element(rng, 3), sigma.group.random_element(rng, 3)) for _ in range(30))
+    rep.add("projective-relation", CheckReport.from_cases(pairs, relation_defect, 1e-12))
     h0 = representations.harper_element(multipliers.magnetic_multiplier("0/1", "landau"))
     s0 = representations.spectrum_union(h0, kgrid=32)
     edge = max(abs(s0.flat()[0] + 4.0), abs(s0.flat()[-1] - 4.0))
@@ -166,18 +159,15 @@ def _suite_traces(seed: int) -> SuiteReport:
     rep = SuiteReport("traces")
     sigma = multipliers.magnetic_multiplier("1/3", "landau")
     tre = traces.regular_trace(sigma)
-    chk = traces.check_trace_property(tre, seed=seed)
-    rep.results.append(CheckResult("regular-trace-law", chk.passed, chk.worst_defect))
-    chk = traces.check_positivity(tre, seed=seed)
-    rep.results.append(CheckResult("regular-positivity", chk.passed, chk.worst_defect))
+    rep.add("regular-trace-law", traces.check_trace_property(tre, seed=seed))
+    rep.add("regular-positivity", traces.check_positivity(tre, seed=seed))
     bad = traces.check_trace_property(traces.summation_trace(sigma), seed=seed)
     rep.results.append(CheckResult("summation-fails-when-twisted", not bad.passed, bad.worst_defect))
     s3 = groups.symmetric_group(3)
     triv = multipliers.trivial_multiplier(s3)
     transposition = next(g for g in s3.elements() if s3.element_order(g) == 2)
     cls = traces.conjugacy_functional(triv, transposition)
-    chk = traces.check_trace_property(cls, seed=seed)
-    rep.results.append(CheckResult("class-functional-trace", chk.passed, chk.worst_defect))
+    rep.add("class-functional-trace", traces.check_trace_property(cls, seed=seed))
     rep.results.append(CheckResult("class-functional-delocalized", cls.is_delocalized))
     n_chars = len(traces.character_functionals(triv))
     rep.results.append(CheckResult("s3-characters", n_chars == 2, float(n_chars)))
@@ -187,15 +177,14 @@ def _suite_traces(seed: int) -> SuiteReport:
 def _suite_spectral(seed: int) -> SuiteReport:
     rep = SuiteReport("spectral")
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(8):
-        n = int(rng.integers(2, 16))
+
+    def hermitian(n):
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        m = (m + m.conj().T) / 2
-        worst = max(worst, spectral.eigh(m).residual)
-    rep.results.append(CheckResult("eigh-residual", worst <= 1e-10, worst))
-    m = rng.standard_normal((14, 14)) + 1j * rng.standard_normal((14, 14))
-    m = (m + m.conj().T) / 2
+        return (m + m.conj().T) / 2
+
+    matrices = ((hermitian(int(rng.integers(2, 16))),) for _ in range(8))
+    rep.add("eigh-residual", CheckReport.from_cases(matrices, lambda m: spectral.eigh(m).residual, 1e-10))
+    m = hermitian(14)
     d = abs(spectral.eta_quadrature(m).eta - spectral.eta_closed_form(m))
     rep.results.append(CheckResult("eta-quadrature", d <= 1e-6, d))
     path = spectral.MatrixPath(lambda t: np.diag([t - 0.5, t + 1.0]))
@@ -208,9 +197,7 @@ def _suite_spectral(seed: int) -> SuiteReport:
     gm = spectral.GradedMatrix(mat, np.array([1.0] * 4 + [-1.0] * 3))
     ms = spectral.mckean_singer(gm)
     rep.results.append(CheckResult("mckean-singer", ms["max_deviation"] <= 1e-8, ms["max_deviation"]))
-    dl = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    dl = (dl + dl.conj().T) / 2
-    pr = spectral.product_eta_check(dl, gm)
+    pr = spectral.product_eta_check(hermitian(4), gm)
     rep.results.append(CheckResult("product-eta", pr["defect"] <= 1e-8, pr["defect"]))
     even, odd = spectral.cycle_complex(12)
     br = spectral.twisted_betti(even, odd)

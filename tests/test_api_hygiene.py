@@ -424,8 +424,8 @@ def test_a_second_check_record_is_found():
 # Private names that one module of the package may read from another, with the
 # reason.  Every other private name is read only in the module that defines it.
 PRIVATE_READS_ALLOWED = {
-    "algebra._same_multiplier": "a trace accepts exactly the elements of its own algebra",
     "algebra._pruned": "a Mishchenko projection prunes each entry's coefficient as elements do",
+    "multipliers._same_multiplier": "a trace accepts exactly the elements of its own algebra",
     "representations._in_order": "verify.run_suites runs its suites on the butterfly's two-process schedule",
 }
 

@@ -1,5 +1,6 @@
 """End to end tests of the command line interface."""
 
+import dataclasses
 import inspect
 import io
 import json
@@ -51,6 +52,20 @@ def test_verify_all_suites_pass(capsys):
     assert len(payload["suites"]) == len(suite_names())
     checks = {c["name"]: c for suite in payload["suites"] for c in suite["checks"]}
     assert checks["moment-match"] == {"name": "moment-match", "passed": True, "detail": "saturated"}
+
+
+def test_a_nan_residual_fails_the_eigh_row(monkeypatch):
+    # The first of the row's eight decompositions reports a NaN residual; a max() fold drops it.
+    calls, eigh = [], verify_mod.spectral.eigh
+
+    def nan_first(m):
+        out = eigh(m)
+        calls.append(m)
+        return dataclasses.replace(out, residual=math.nan) if len(calls) == 1 else out
+
+    monkeypatch.setattr(verify_mod.spectral, "eigh", nan_first)
+    row = verify_mod.run_suite("spectral", 7).results[0]
+    assert row.name == "eigh-residual" and not row.passed and math.isnan(row.value)
 
 
 def test_emit_refuses_nan_and_infinity(capsys, tmp_path):

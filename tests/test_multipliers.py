@@ -35,8 +35,8 @@ from twistlab.multipliers import (
     ProductMultiplier,
     TableMultiplier,
     TwistedMultiplier,
+    _same_multiplier,
     _table_cocycle_holds,
-    decided_equal,
 )
 from twistlab.phases import Phase, as_rational, rational_str
 
@@ -44,6 +44,12 @@ Z2 = FreeAbelianGroup(2)
 S3 = symmetric_group(3)
 THETA = Fraction(1, 3)
 X, Y = (1, 0), (0, 1)
+
+
+def equality(a, b):
+    """The route and the verdict of multipliers_equal(a, b)."""
+    report = multipliers_equal(a, b)
+    return report.how, report.passed
 
 
 def s3_coboundary():
@@ -237,16 +243,16 @@ def test_trivial_multiplier_is_a_zero_normal_form(name):
         assert struct.pack("<dd", value.real, value.imag) == one
         assert sigma.turns(g, h) == 0
     assert verify_cocycle(sigma, samples=200, seed=5)
-    assert decided_equal(sigma, multiplier_from_json({"kind": "trivial"}, group)) is True
+    assert equality(sigma, multiplier_from_json({"kind": "trivial"}, group)) == ("decided", True)
     for s in (0, 2, Fraction(-3, 7)):
-        assert decided_equal(sigma.power(s), sigma) is True
+        assert equality(sigma.power(s), sigma) == ("decided", True)
     with pytest.raises(TypeError):
         sigma.power(0.5)
     if isinstance(group, ProductGroup):
         with pytest.raises(MultiplierError, match="no JSON form"):
             sigma.to_json()
     else:
-        assert decided_equal(multiplier_from_json(sigma.to_json(), group), sigma) is True
+        assert equality(multiplier_from_json(sigma.to_json(), group), sigma) == ("decided", True)
 
 
 def test_trivial_multiplier_needs_a_group():
@@ -333,7 +339,7 @@ def test_multiplier_json_round_trips():
         back = multiplier_from_json(sigma.to_json(), sigma.group)
         assert multipliers_equal(back, sigma)
         # Both sides have normal forms, so equality is decided without a window.
-        assert decided_equal(back, sigma) is True
+        assert equality(back, sigma) == ("decided", True)
 
 
 def test_power_json_round_trip():
@@ -358,7 +364,7 @@ def test_coboundary_twist_payload_writes_back_and_reads_again():
     for data, group in payloads:
         sigma = multiplier_from_json(data, group)
         again = multiplier_from_json(sigma.to_json(), group)
-        assert decided_equal(again, sigma) is True
+        assert equality(again, sigma) == ("decided", True)
 
 
 def test_lazy_multipliers_have_no_json_form():
@@ -382,21 +388,21 @@ def test_constructions_return_normal_forms():
     assert lan.twist(PhaseMap.quadratic_on_lattice(Z2, Fraction(1, 6))).pairing == (
         (0, Fraction(1, 6)), (Fraction(-1, 6), 0))
     assert isinstance(lan.twist(PhaseMap.random_exact(Z2, random.Random(3))), TwistedMultiplier)
-    assert decided_equal(lan.conjugate(), lan.power(-1)) is True
+    assert equality(lan.conjugate(), lan.power(-1)) == ("decided", True)
 
 
 def test_decided_equality_of_normal_forms():
     shifted = BilinearMultiplier(Z2, [[2, THETA - 1], [-3, 0]])
-    assert decided_equal(shifted, magnetic_multiplier(THETA)) is True
-    assert decided_equal(magnetic_multiplier(THETA, "symmetric"), magnetic_multiplier(THETA)) is False
+    assert equality(shifted, magnetic_multiplier(THETA)) == ("decided", True)
+    assert equality(magnetic_multiplier(THETA, "symmetric"), magnetic_multiplier(THETA)) == ("decided", False)
     prod = ProductGroup(Z2, S3)
-    assert decided_equal(
+    assert equality(
         trivial_multiplier(prod),
         ProductMultiplier(prod, trivial_multiplier(Z2), trivial_multiplier(S3)),
-    ) is True
-    assert decided_equal(trivial_multiplier(S3), s3_coboundary()[0]) is False
-    assert decided_equal(trivial_multiplier(Z2), trivial_multiplier(FreeAbelianGroup(3))) is False
-    assert decided_equal(GeometricMultiplier(LatticeGeometry(THETA)), magnetic_multiplier(THETA)) is None
+    ) == ("decided", True)
+    assert equality(trivial_multiplier(S3), s3_coboundary()[0]) == ("decided", False)
+    assert equality(trivial_multiplier(Z2), trivial_multiplier(FreeAbelianGroup(3))) == ("decided", False)
+    assert equality(GeometricMultiplier(LatticeGeometry(THETA)), magnetic_multiplier(THETA))[0] != "decided"
 
 
 def test_rational_power_of_a_twist_twists_the_power():
@@ -405,13 +411,13 @@ def test_rational_power_of_a_twist_twists_the_power():
     for s in (Fraction(1, 2), Fraction(-3, 7), 2):
         power = sigma.twist(z).power(s)
         assert power.pairing is not None
-        assert decided_equal(power, sigma.power(s).twist(z.scaled(s))) is True
+        assert equality(power, sigma.power(s).twist(z.scaled(s))) == ("decided", True)
     # A tabulated coboundary keeps the turns of z unreduced, so its powers
     # are the coboundaries of the powers of z.
     _, z3 = s3_coboundary()
     for s in (Fraction(1, 2), Fraction(2, 3)):
         power = trivial_multiplier(S3).twist(z3).power(s)
-        assert decided_equal(power, coboundary(z3.scaled(s))) is True
+        assert equality(power, coboundary(z3.scaled(s))) == ("decided", True)
         assert verify_cocycle(power)
     # A lazy twist scales z before reducing its turns mod 1 as well.
     lazy_z = PhaseMap.random_exact(Z2, random.Random(21))
@@ -550,7 +556,7 @@ def test_lazy_equality_agrees_with_the_fraction_test():
     for a, b in ((twisted, shifted), (twisted, unequal), (geometric, geometric.power(1))):
         old = all((a.turns(g, h) - b.turns(g, h)).denominator == 1
                   for g in Z2.ball(3) for h in Z2.ball(3))
-        assert multipliers_equal(a, b, radius=3) is old
+        assert multipliers_equal(a, b, radius=3).passed is old
     assert multipliers_equal(twisted, shifted, radius=3)
     assert not multipliers_equal(twisted, unequal, radius=3)
 
@@ -762,7 +768,7 @@ def test_a_nonzero_offset_at_the_identity_still_raises():
 
 def test_lazy_equality_compares_turns_mod_one():
     geometric = GeometricMultiplier(LatticeGeometry("1/3"))
-    assert decided_equal(geometric, magnetic_multiplier("2/3")) is None
+    assert equality(geometric, magnetic_multiplier("2/3"))[0] != "decided"
     assert not multipliers_equal(geometric, magnetic_multiplier("2/3"))
     assert multipliers_equal(geometric, magnetic_multiplier("1/3"))
     integral = GeometricMultiplier(LatticeGeometry("1/3", offsets=lambda g: 3 * g[0] - g[1] * g[1]))
@@ -857,3 +863,79 @@ def test_a_report_from_cases_holds_at_its_tolerance():
     assert not CheckReport.from_cases([(2e-10,)], abs, 1e-10).passed
     assert CheckReport.from_cases([(0.0,)], abs) == CheckReport(True, 1, 0.0, None, "sampled")
     assert not CheckReport.from_cases([(5e-324,)], abs)
+
+
+def test_equality_of_two_pairings_is_decided():
+    a = BilinearMultiplier(FreeAbelianGroup(3), [[0, 1, 0], [0, 0, 0], [Fraction(1, 2), 0, 0]])
+    b = BilinearMultiplier(FreeAbelianGroup(3), [[2, 0, -1], [0, 0, 3], [Fraction(-1, 2), 0, 5]])
+    assert multipliers_equal(a, b) == CheckReport(True, 0, 0.0, None, "decided")
+    assert multipliers_equal(a, a.power(2)) == CheckReport(False, 0, math.inf, None, "decided")
+
+
+def test_a_lazy_multiplier_on_z2_is_sampled_on_the_square_of_a_ball():
+    geometric = GeometricMultiplier(LatticeGeometry(THETA))
+    report = multipliers_equal(geometric, magnetic_multiplier(THETA), radius=3)
+    assert len(Z2.ball(3)) == 25
+    assert report == CheckReport(True, 25 ** 2, 0.0, None, "sampled")
+
+
+def test_a_lazy_product_twist_on_a_small_group_is_checked_on_every_pair():
+    group = ProductGroup(S3, cyclic_group(2))
+    left = PhaseMap.random_exact(S3, random.Random(4), denominator=12)
+    right = PhaseMap.random_exact(group.right, random.Random(5), denominator=12)
+    z = PhaseMap.product(group, left, right)
+    lazy = trivial_multiplier(group).twist(z)
+    normal = ProductMultiplier(group, coboundary(left), coboundary(right))
+    assert isinstance(lazy, TwistedMultiplier)
+    assert multipliers_equal(lazy, normal) == CheckReport(True, 12 ** 2, 0.0, None, "exhaustive")
+    assert is_cohomologous_via(trivial_multiplier(group), normal, z) == multipliers_equal(lazy, normal)
+    other = ProductMultiplier(group, trivial_multiplier(S3), coboundary(right))
+    assert not multipliers_equal(lazy, other) and multipliers_equal(lazy, other).how == "exhaustive"
+
+
+class Nudged(Multiplier):
+    """base with the turns of one pair moved by a rational amount: lazy, and no cocycle."""
+
+    kind = "nudged"
+
+    def __init__(self, base, at, turns):
+        super().__init__(base.group)
+        self.base, self.at, self.nudge = base, at, Fraction(turns)
+
+    def _pair(self, g, h):
+        turns = self.base.turns(g, h) + (self.nudge if (g, h) == self.at else 0)
+        return turns.numerator, turns.denominator
+
+
+@pytest.mark.parametrize("turns", [Fraction(1, 10 ** 12), Fraction(-1, 10 ** 12), Fraction(1, 10 ** 400)],
+                         ids=["1e-12", "-1e-12", "1e-400"])
+def test_lazy_multipliers_that_differ_at_one_pair_fail_there(turns):
+    base = GeometricMultiplier(LatticeGeometry(THETA))
+    at = ((1, -1), (0, 2))
+    report = multipliers_equal(base, Nudged(base, at, turns), radius=2)
+    assert not report.passed and report.how == "sampled" and report.checked == 13 ** 2
+    assert report.witness == at
+    assert 0.0 < report.worst_defect == max(float(abs(turns)), 5e-324)
+    assert multipliers_equal(base, Nudged(base, at, 1), radius=2).passed  # a whole turn moves no phase
+
+
+def test_multipliers_on_different_groups_are_decided_unequal():
+    lazy = GeometricMultiplier(LatticeGeometry(THETA))
+    for a, b in ((trivial_multiplier(Z2), trivial_multiplier(FreeAbelianGroup(3))),
+                 (lazy, trivial_multiplier(S3))):
+        assert multipliers_equal(a, b) == CheckReport(False, 0, math.inf, None, "decided")
+
+
+def test_the_normal_form_comparison_evaluates_no_pair(monkeypatch):
+    def no_pair(self, g, h):
+        raise AssertionError("a pair was evaluated")
+
+    for cls in (Multiplier, ProductMultiplier, TwistedMultiplier, GeometricMultiplier):
+        monkeypatch.setattr(cls, "_pair", no_pair)
+    sigma, _ = s3_coboundary()
+    lazy = GeometricMultiplier(LatticeGeometry(THETA))
+    assert _same_multiplier(BilinearMultiplier(Z2, [[2, THETA - 1], [-3, 0]]), magnetic_multiplier(THETA))
+    assert _same_multiplier(sigma.power(1), sigma) and not _same_multiplier(sigma, trivial_multiplier(S3))
+    assert _same_multiplier(lazy, lazy) and not _same_multiplier(lazy, magnetic_multiplier(THETA))
+    assert not _same_multiplier(trivial_multiplier(Z2), trivial_multiplier(S3))
+    assert multipliers_equal(sigma.power(1), sigma).how == "decided"

@@ -2,12 +2,14 @@
 
 import cmath
 import random
+import re
 
 import numpy as np
 import pytest
 
 from twistlab import (
     AlgebraElement,
+    AlgebraError,
     CheckReport,
     FreeAbelianGroup,
     Homomorphism,
@@ -26,6 +28,7 @@ from twistlab import (
     coboundary,
     conjugacy_functional,
     cyclic_group,
+    element_from_json,
     linear_combination,
     magnetic_multiplier,
     matrix_trace,
@@ -355,6 +358,27 @@ def test_functional_rejects_foreign_elements():
         tau(a)
     with pytest.raises(TraceError):
         TraceFunctional(MAGNETIC, None)
+
+
+@pytest.mark.parametrize("weights, foreign", [
+    ({(0, 0, 0): 1.0, "x": 2.0}, (0, 0, 0)), ({(0, 0): 1.0, "x": 0.0}, "x"), ({(0, 0.0): 1.0}, (0, 0.0)),
+])
+def test_a_weight_map_holds_only_elements_of_the_group(weights, foreign):
+    with pytest.raises(TwistlabError, match=re.escape(repr(foreign))):
+        TraceFunctional(MAGNETIC, weights)
+
+
+def test_a_repeated_element_sums_its_weights_as_element_terms_do():
+    payload = [{"g": [0, 0], "re": 1.0}, {"g": [1, 0], "im": 2.0}, {"g": [0, 0], "re": 5.0}]
+    tau = trace_from_json({"weights": payload}, MAGNETIC)
+    assert tau.weights() == {(0, 0): 6, (1, 0): 2j}
+    assert tau.weights() == element_from_json(MAGNETIC, {"terms": payload}).coeffs
+
+
+@pytest.mark.parametrize("data", [{"weights": {"g": [0, 0], "re": 1.0}}, {"weights": ["g"]}, {}, []])
+def test_trace_json_weights_must_be_a_list_of_objects(data):
+    with pytest.raises(AlgebraError, match="element weights must be a list"):
+        trace_from_json(data, MAGNETIC)
 
 
 def test_product_trace_of_a_functional_without_finite_support_weighs_by_function():
