@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import AlgebraElement
-from .errors import TwistlabError
+from .errors import TwistlabError, require_int
 from .groups import Group, FreeAbelianGroup
 from .multipliers import CheckReport, Multiplier
 from .spectral import relative_tol
@@ -40,10 +40,8 @@ class GroupCochain:
     """Homogeneous group cochain: function on (degree+1)-tuples."""
 
     def __init__(self, group: Group, degree: int, fn: Callable):
-        if degree < 0:
-            raise CohomologyError("degree must be nonnegative")
         self.group = group
-        self.degree = degree
+        self.degree = require_int(degree, 0, CohomologyError, "degree must be an integer >= 0")
         self._fn = fn
 
     def __call__(self, *args) -> complex:
@@ -300,8 +298,7 @@ def derivation_chain(a: AlgebraElement, j_max: int = 4) -> DerivationChainReport
     """
     from .representations import left_regular
 
-    if j_max < 0:
-        raise CohomologyError(f"chain order j_max must be >= 0, not {j_max}")
+    require_int(j_max, 0, CohomologyError, "chain order j_max must be an integer >= 0")
     # First, so that an order or a norm too large for a float fails as a CohomologyError.
     sobolev = [sobolev_norm(a, j) for j in range(j_max + 1)]
     radius = a.support_radius()

@@ -18,7 +18,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import TwistlabError
+from .errors import TwistlabError, require_int
 
 
 class GroupError(TwistlabError):
@@ -63,9 +63,8 @@ class Group:
         return False
 
     def ball(self, radius: int) -> list:
-        """Elements with word length <= radius (>= 0), sorted by (length, key); at most MAX_BALL_ELEMENTS."""
-        if radius < 0:
-            raise GroupError(f"a ball needs radius >= 0, not {radius}")
+        """Elements of word length <= radius (an int >= 0), by (length, key); at most MAX_BALL_ELEMENTS."""
+        require_int(radius, 0, GroupError, "a ball needs an integer radius >= 0")
         elems = list(itertools.islice(self._ball_elements(radius), MAX_BALL_ELEMENTS + 1))
         if len(elems) > MAX_BALL_ELEMENTS:
             raise GroupError(f"the ball of radius {radius} has more than {MAX_BALL_ELEMENTS} elements")
@@ -276,9 +275,7 @@ class FreeAbelianGroup(Group):
     kind = "free-abelian"
 
     def __init__(self, rank: int):
-        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-            raise GroupError(f"rank must be an integer of at least 1, got {rank!r}")
-        self.rank = rank
+        self.rank = require_int(rank, 1, GroupError, "rank must be an integer of at least 1")
 
     def identity(self) -> tuple:
         return (0,) * self.rank

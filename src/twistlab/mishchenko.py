@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 
 from .algebra import AlgebraElement, _pruned
 from .cohomology import GroupCochain, inhomogeneous
-from .errors import TwistlabError
+from .errors import TwistlabError, require_int
 from .groups import FreeAbelianGroup
 from .multipliers import (
     GeometricMultiplier,
@@ -85,8 +85,7 @@ MAX_GRID_POINTS = 1 << 20  # a projection's grid is a list of n_grid^dim Fractio
 
 
 def _check_grid(n_grid: int, dim: int = 1) -> None:
-    if n_grid < 1:
-        raise CoverError(f"a cover grid needs n_grid >= 1, got {n_grid}")
+    require_int(n_grid, 1, CoverError, "a cover grid needs an integer n_grid >= 1")
     if n_grid ** dim > MAX_GRID_POINTS:
         raise CoverError(f"n_grid = {n_grid} gives more than {MAX_GRID_POINTS} grid points")
 

@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import TwistlabError
+from .errors import TwistlabError, require_int
 from .groups import (
     FiniteTableGroup,
     FreeAbelianGroup,
@@ -434,8 +434,7 @@ def _is_small(group: Group) -> bool:
 def _sample_triples(group: Group, samples: int, seed: int) -> list:
     if _is_small(group):
         return list(itertools.product(group.elements(), repeat=3))
-    if samples < 1:
-        raise MultiplierError(f"a sampled cocycle check needs samples >= 1, not {samples}")
+    require_int(samples, 1, MultiplierError, "a sampled cocycle check needs an integer samples >= 1")
     rng = random.Random(seed)
     return [tuple(group.random_element(rng, 4) for _ in range(3)) for _ in range(samples)]
 
@@ -494,8 +493,7 @@ def verify_cocycle(sigma: Multiplier, samples: int = 1000, seed: int = 0) -> Che
 def _pair_set(group: Group, radius: int):
     if _is_small(group):
         return itertools.product(group.elements(), repeat=2)
-    if radius < 1:
-        raise MultiplierError(f"comparing multipliers on a ball needs radius >= 1, not {radius}")
+    require_int(radius, 1, MultiplierError, "comparing multipliers on a ball needs an integer radius >= 1")
     return itertools.product(group.ball(radius), repeat=2)
 
 

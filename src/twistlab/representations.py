@@ -3,16 +3,16 @@
 Two routes: ball-truncated compressions of the left regular
 representation, and clock-and-shift Bloch fibers for Z^2 elements with a
 rational magnetic multiplier.  The fiber route powers the Hofstadter
-butterfly sweep and the k-grid trace formulas through one engine,
-``BlochMap.blocks``, which checks and solves the fibers block by block.
-A fiber has one nonzero per row and term, so blocks are built and checked
-at those entries only.  The butterfly CSV is made per block too: one
-%-template per block, filled with all of its eigenvalues at once, gives one
-text chunk.  With two usable CPUs a forked helper builds, solves and
-formats every other block of the sweep, and the chunks still come out in
-grid order; a process builds a flux's map and strings only if it solves
-one of the flux's blocks.  Bloch eta's sign traces are split between the
-processes the same way.
+butterfly sweep and the k-grid trace formulas.  ``BlochMap.blocks``
+checks and solves one element's fibers block by block and hands each block
+to a work function (fiber eigenvalues, or Bloch eta's sign traces); with
+two usable CPUs a forked helper solves every other block, and only work's
+results cross the pipe.  A fiber has one nonzero per row and term, so
+blocks are built and checked at those entries only.  The butterfly splits
+its blocks across all fluxes the same way, and a process builds a flux's
+map and strings only if it solves one of the flux's blocks: one
+%-template per block, filled with all of its eigenvalues at once, gives
+one text chunk, and the chunks come out in grid order.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .algebra import AlgebraElement
+from .errors import require_int
 from .groups import FreeAbelianGroup
 from .multipliers import Multiplier, MultiplierError, magnetic_multiplier
 from .phases import Phase
@@ -46,6 +47,12 @@ from .spectral import SpectralError, relative_tol
 # as the 60 of 2^16 did (0.18 s built dense), and the 953 of 2^12 0.22 s;
 # with the helper each process does half of that work.
 _BLOCK_ENTRIES = 1 << 14
+
+# Largest n^2 * q of a Bloch grid (8 MB of eigenvalues) and kgrid^2 * qmax^2
+# of a butterfly sweep.  Blocks bound the rest: qmax 1 at kgrid 1024 peaks at
+# 36 MB (VmHWM; 31 MB after import) and its helper at 30 MB, each holding
+# one block of 2^14 rows and its text.
+MAX_FIBER_ENTRIES = 2**20
 
 
 @dataclass
@@ -89,6 +96,9 @@ def harper_element(sigma: Multiplier, coefficients: Sequence[float] = (1.0, 1.0,
     """
     if not isinstance(sigma.group, FreeAbelianGroup) or sigma.group.rank != 2:
         raise MultiplierError("harper elements live on Z^2")
+    coefficients = tuple(coefficients)
+    if len(coefficients) != 4:
+        raise MultiplierError(f"a harper element needs four coefficients, not {len(coefficients)}")
     c1, c2, c3, c4 = (complex(c) for c in coefficients)
     dx = AlgebraElement.delta(sigma, (1, 0))
     dy = AlgebraElement.delta(sigma, (0, 1))
@@ -173,31 +183,41 @@ class BlochMap:
         """Uniform Bloch grid on [0, 2 pi), endpoint excluded."""
         return 2.0 * np.pi * np.arange(n) / n
 
-    def blocks(self, a: AlgebraElement, n: int, vectors: bool = False, only=None):
-        """Solved fibers of a over the uniform n x n grid, one block at a time.
+    def blocks(self, a: AlgebraElement, n: int, work, vectors: bool = False, only=None):
+        """work(part, eigenvalues, vectors, k1f, k2f) per solved block of a's fibers, in grid order.
 
-        Blocks of at most _BLOCK_ENTRIES entries, or one fiber, run in
-        lexicographic (k1, k2) order.  Each is (part, eigenvalues, vectors):
-        its slice of the flat grid, eigenvalues ascending per fiber, and the
-        eigh vectors if asked for, else None; nothing else of a block stays
-        alive while the caller holds it.  With only, a boolean mask over the
-        flat grid, blocks without a marked fiber are skipped.  Raises
-        SpectralError if a fiber is not Hermitian, checked at the nonzero
-        pattern of a's terms and its transpose, or if a fiber or its
-        spectrum is not finite.
+        Blocks of at most _BLOCK_ENTRIES entries, or one fiber, tile the n x n
+        grid in lexicographic (k1, k2) order.  work gets a block's slice of
+        the flat grid, eigenvalues ascending per fiber, eigh vectors if asked
+        for (else None) and flat momenta, in the process that solved it and
+        after its fiber stack is freed.  Via _in_order, with two usable CPUs
+        a forked helper solves every other block; one block forks nothing.
+        With only, a boolean mask over the flat grid, blocks without a
+        marked fiber are skipped.  Raises SpectralError at the call unless n
+        is an int >= 1 with n^2 * q <= MAX_FIBER_ENTRIES, and at its block's
+        place if a fiber is not Hermitian (checked at the nonzero pattern of
+        a's terms and its transpose) or a fiber or its spectrum not finite.
         """
         entries, tol, parts = self._plan(a, n, only)
-        for part, k1s, k2s in parts:
-            yield (part, *self._solve(a, k1s, k2s, entries, tol, vectors))
+
+        def solve(block):
+            part, k1s, k2s = block
+            eigs, vecs = self._solve(a, k1s, k2s, entries, tol, vectors)
+            return work(part, eigs, vecs, *_flat_grid(k1s, k2s))
+
+        # A list, so that a grid of one block forks no helper.
+        return _in_order(list(parts), solve)
 
     def _plan(self, a: AlgebraElement, n: int, only=None):
         """(entries, tol, parts): the Hermitian check of a's fibers and the blocks of blocks().
 
         parts yields (part, k1s, k2s) per block: its slice of the flat grid
-        and its momenta.
+        and its momenta.  Raises SpectralError for a grid blocks() refuses.
         """
-        if n < 1:
-            raise SpectralError("a Bloch grid needs at least one point per axis")
+        require_int(n, 1, SpectralError, "a Bloch grid needs an integer kgrid >= 1")
+        if n * n * self.q > MAX_FIBER_ENTRIES:
+            raise SpectralError(f"a Bloch grid needs kgrid^2 * q at most {MAX_FIBER_ENTRIES}, "
+                                f"not {n}^2 * {self.q}")
         # Fibers are zero off the clock-and-shift pattern of a's terms, and
         # the defect at an entry equals the defect at its transpose, so the
         # pattern entries give the defect of the whole fiber.
@@ -233,31 +253,11 @@ class BlochMap:
 
     def eigenvalues(self, a: AlgebraElement, n: int) -> np.ndarray:
         """Fiber eigenvalues over the n x n grid, shape (n*n, q), in (k1, k2) order."""
+        blocks = self.blocks(a, n, lambda part, eigs, vecs, k1f, k2f: (part, eigs))
         out = np.empty((n * n, self.q))
-        for part, eigs, _ in self.blocks(a, n):
+        for part, eigs in blocks:
             out[part] = eigs
         return out
-
-    def sign_trace_blocks(self, a: AlgebraElement, n: int, gs, tol: float, only=None):
-        """(part, eigenvalues, {g: sign_traces}) per block of blocks(a, n, only=only), in order.
-
-        Signs are taken against tol: eigenvalues at or below it in modulus
-        count as 0.  The blocks are solved by _in_order, so with two usable
-        CPUs a forked helper solves every other one; only the eigenvalues
-        and traces of a block cross the pipe.  A block that raises, raises
-        here at its place.
-        """
-        entries, hermitian_tol, parts = self._plan(a, n, only)
-
-        def solve(block):
-            part, k1s, k2s = block
-            eigs, vecs = self._solve(a, k1s, k2s, entries, hermitian_tol, True)
-            signs = np.where(np.abs(eigs) > tol, np.sign(eigs), 0.0)
-            k1f, k2f = _flat_grid(k1s, k2s)
-            return part, eigs, {g: self.sign_traces(vecs, signs, g, k1f, k2f) for g in gs}
-
-        # A list, so that a grid of one block forks no helper.
-        return _in_order(list(parts), solve)
 
     def sign_traces(self, vecs: np.ndarray, signs: np.ndarray, g, k1f: np.ndarray,
                     k2f: np.ndarray) -> np.ndarray:
@@ -352,8 +352,7 @@ def algebraic_moment(a: AlgebraElement, n: int) -> complex:
     multiplier kind: at most ceil(n / 2) convolutions, each of at most half
     the radius.  n = 0 gives 1.  Raises SpectralError unless n is an int >= 0.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise SpectralError(f"a moment needs an integer order n >= 0, not {n!r}")
+    require_int(n, 0, SpectralError, "a moment needs an integer order n >= 0")
     return _moment(_powers(a, (n + 1) // 2), n)
 
 
@@ -405,8 +404,7 @@ def moment_match_study(a: AlgebraElement, n_max: int = 8, grids: Sequence[int] =
     such saturated sequences report infinite order.  Raises SpectralError
     unless n_max is an int >= 1 and grids is not empty.
     """
-    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
-        raise SpectralError(f"a moment study needs an integer n_max >= 1, not {n_max!r}")
+    require_int(n_max, 1, SpectralError, "a moment study needs an integer n_max >= 1")
     grids = list(grids)
     if not grids:
         raise SpectralError("a moment study needs at least one grid")
@@ -438,13 +436,6 @@ def reduced_fractions(qmax: int) -> Iterator[Fraction]:
                 yield Fraction(p, q)
 
 
-# Largest kgrid^2 * qmax^2 that butterfly_csv accepts.  The CSV is made one
-# block at a time, so this bounds run time, not memory: qmax 1 at kgrid 1024
-# peaks at 36 MB (VmHWM; 31 MB after import) and its helper at 30 MB, each
-# holding one block of 2^14 rows and its text.
-MAX_FIBER_ENTRIES = 2**20
-
-
 def butterfly_csv(qmax: int, kgrid: int, coefficients: Sequence[float] = (1.0, 1.0, 1.0, 1.0)) -> Iterator[str]:
     """CSV text of the Hofstadter sweep: one chunk per Bloch block, the header first.
 
@@ -455,11 +446,12 @@ def butterfly_csv(qmax: int, kgrid: int, coefficients: Sequence[float] = (1.0, 1
     slot per row; the chunks come out in grid order either way.  The header
     comes with the first block's chunk, so a sweep that fails there yields
     no text.  Raises SpectralError at the call, before any text or fork,
-    unless qmax, kgrid >= 1, (kgrid * qmax)^2 <= MAX_FIBER_ENTRIES and the
-    coefficients are four finite numbers with c1 == c2 and c3 == c4 exactly.
+    unless qmax and kgrid are ints >= 1 with (kgrid * qmax)^2 <=
+    MAX_FIBER_ENTRIES and the coefficients are four finite numbers with
+    c1 == c2 and c3 == c4 exactly.
     """
-    if qmax < 1 or kgrid < 1:
-        raise SpectralError("a butterfly sweep needs qmax >= 1 and kgrid >= 1")
+    for size in (qmax, kgrid):
+        require_int(size, 1, SpectralError, "a butterfly sweep needs integers qmax >= 1 and kgrid >= 1")
     if (kgrid * qmax) ** 2 > MAX_FIBER_ENTRIES:
         raise SpectralError(f"a butterfly sweep needs kgrid^2 * qmax^2 at most {MAX_FIBER_ENTRIES}")
     if len(coefficients) != 4 or not all(map(cmath.isfinite, coefficients)):

@@ -7,9 +7,9 @@ first: square, finite and Hermitian.  Eta invariants come in a closed form
 (half the signature) and a quadrature form for the heat-kernel integral;
 both support the two normalizations found in the literature (with and
 without the factor 2 in the denominator).  Bloch eta solves its fibers
-block by block; with two usable CPUs a forked helper solves half the
-blocks.  Spectral flow solves each sample once, at its own t, and decides
-each refinement round in one array pass over them.  Every default threshold
+through ``BlochMap.blocks``; with two usable CPUs a forked helper solves
+half the blocks.  Spectral flow solves each sample once, at its own t, and
+decides each refinement round in one array pass.  Every default threshold
 is relative_tol of a scale of the input, so scaling by 2^k changes no result.
 """
 
@@ -20,12 +20,13 @@ import numbers
 import reprlib
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .algebra import AlgebraElement
-from .errors import TwistlabError
+from .errors import TwistlabError, require_int
 from .phases import as_rational
 
 
@@ -249,16 +250,17 @@ def eta_operator(operator, tau=None, method: str = "bloch", normalization: str =
 
     method 'bloch': Z^2 with rational magnetic multiplier; the spectral
     sign function is computed per Bloch fiber, and the trace weights are
-    read off the gathered sign entries of BlochMap.sign_traces.  With two
-    usable CPUs a forked helper solves half the Bloch blocks
-    (BlochMap.sign_trace_blocks); the result does not change.  The error
-    is the change from the every-other-point subgrid for kgrid 4 and even
-    kgrid >= 8, else from a separate max(4, kgrid // 2) grid; kgrid^2 * q
-    is at most MAX_FIBER_ENTRIES.
+    read off the gathered sign entries of BlochMap.sign_traces, the work
+    of BlochMap.blocks.  With two usable CPUs a forked helper solves half
+    the Bloch blocks; the result does not change.  The error is the change
+    from the every-other-point subgrid for kgrid 4 and even kgrid >= 8,
+    else from a separate max(4, kgrid // 2) grid; BlochMap.blocks refuses
+    a kgrid that is not an int >= 1 with kgrid^2 * q <= MAX_FIBER_ENTRIES.
     method 'truncation': the sign of the left regular truncation to the
     ball of radius r, read at the identity column against the trace
     weights; the change from radius max(2, r - 2), or from radius 0 at
-    r = 2, is reported as the error; Group.ball refuses r < 0 (GroupError).
+    r = 2, is reported as the error; Group.ball refuses an r that is not
+    an int >= 0 (GroupError).
     method 'dense': plain matrix input with the matrix trace; reduces to
     eta_closed_form.
 
@@ -302,13 +304,9 @@ def _eta_bloch(a: AlgebraElement, tau, normalization: str, kgrid: int,
     (2 pi i / m is 2 pi (2i) / (2m) bit for bit, so nothing is solved again),
     else a separate max(4, kgrid // 2) grid.
     """
-    from .representations import MAX_FIBER_ENTRIES, BlochMap
+    from .representations import BlochMap
 
     bm = BlochMap(a.sigma)
-    # The eigenvalue array below holds kgrid^2 * q floats at once.
-    if kgrid * kgrid * bm.q > MAX_FIBER_ENTRIES:
-        raise SpectralError(f"Bloch eta needs kgrid^2 * q at most {MAX_FIBER_ENTRIES}, "
-                            f"not {kgrid}^2 * {bm.q}")
     weights = _weights_of_trace(tau, a.group)
     scale = _eta_scale(normalization)
     # Each fiber is a sum of c_g times unitaries, so bound >= the default
@@ -323,23 +321,31 @@ def _eta_bloch(a: AlgebraElement, tau, normalization: str, kgrid: int,
         total = sum(complex(c) * complex(traces[g].mean() / bm.q) for g, c in weights.items())
         return scale * complex(total).real
 
+    def signed(tol: float, part, ev, vecs, k1f, k2f):
+        """BlochMap.blocks' work, once tol is bound: a block's eigenvalues and sign traces."""
+        signs = np.where(np.abs(ev) > tol, np.sign(ev), 0.0)
+        return part, ev, {g: bm.sign_traces(vecs, signs, g, k1f, k2f) for g in weights}
+
     etas = []
     for n in (kgrid,) if subgrid else (kgrid, coarse):
+        # blocks() checks the grid before the n^2-sized arrays are made.
+        blocks = bm.blocks(a, n, partial(signed, bound if zero_tol is None else zero_tol), vectors=True)
         evals = np.empty((n * n, bm.q))
         traces = {g: np.empty(n * n, dtype=complex) for g in weights}
 
-        def solve(tol: float, only=None) -> None:
-            for part, ev, block_traces in bm.sign_trace_blocks(a, n, weights, tol, only):
+        def gather(blocks) -> None:
+            for part, ev, block_traces in blocks:
                 evals[part] = ev
                 for g, trace in traces.items():
                     trace[part] = block_traces[g]
 
-        solve(bound if zero_tol is None else zero_tol)
+        gather(blocks)
         if zero_tol is None:
             # Blocks left alone have no eigenvalue at or below either, so
             # after this every fiber's signs are taken against zero_tol.
             zero_tol = default_zero_tol(evals.reshape(-1))
-            solve(zero_tol, np.abs(evals).min(axis=1) <= max(bound, zero_tol))
+            only = np.abs(evals).min(axis=1) <= max(bound, zero_tol)
+            gather(bm.blocks(a, n, partial(signed, zero_tol), vectors=True, only=only))
         if not etas:
             kernel = kernel_report(evals.reshape(-1), zero_tol)
         etas.append(eta_of(traces))
@@ -452,9 +458,11 @@ def spectral_flow(path: MatrixPath, zero_tol: float | None = None,
     round that adds none ends the refinement and is not counted.
     """
     zero_tol = _zero_tol(zero_tol)
-    if not 2 <= initial_samples <= MAX_FLOW_SAMPLES or max_refinements < 0:
-        raise SpectralError(f"spectral flow needs 2 <= initial_samples <= {MAX_FLOW_SAMPLES} "
-                            "and max_refinements >= 0")
+    sizes = (f"spectral flow needs integers 2 <= initial_samples <= {MAX_FLOW_SAMPLES} "
+             "and max_refinements >= 0")
+    if require_int(initial_samples, 2, SpectralError, sizes) > MAX_FLOW_SAMPLES:
+        raise SpectralError(f"{sizes}, not {initial_samples}")
+    require_int(max_refinements, 0, SpectralError, sizes)
     ev0 = path.eigenvalues(0.0)
     ev1 = path.eigenvalues(1.0)
     if zero_tol is None:

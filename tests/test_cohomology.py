@@ -170,8 +170,9 @@ def test_derivation_chain_identity_column_is_exact(rng):
 
 def test_chain_order_and_sobolev_order_are_checked():
     a = AlgebraElement(magnetic_multiplier("1/3"), [((1, 0), 1.0)])
-    with pytest.raises(CohomologyError, match="j_max"):
-        derivation_chain(a, j_max=-1)
+    for j_max in (-1, 1.5, True):
+        with pytest.raises(CohomologyError, match="j_max"):
+            derivation_chain(a, j_max=j_max)
     assert derivation_chain(a, j_max=0).chain_norms == pytest.approx([1.0])
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(CohomologyError, match="finite"):

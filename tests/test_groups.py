@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from collections import deque
 from fractions import Fraction
@@ -80,6 +81,10 @@ def test_a_ball_needs_a_radius_of_at_least_zero():
         assert group.ball(0) == [group.identity()]
         with pytest.raises(GroupError, match="radius >= 0, not -1"):
             group.ball(-1)
+        # ball(2.5) once gave ball(2), and ball(True) ball(1).
+        for radius in (2.5, True, "2", None):
+            with pytest.raises(GroupError, match=f"integer radius >= 0, not {re.escape(repr(radius))}"):
+                group.ball(radius)
 
 
 def test_a_ball_holds_at_most_its_bound():

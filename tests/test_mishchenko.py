@@ -219,7 +219,7 @@ def test_covers_build_one_point_per_base_point(monkeypatch):
     lambda: circle_projection(1),
     lambda: torus_projection(GEOMETRY),
 ])
-@pytest.mark.parametrize("n_grid", [0, -3])
+@pytest.mark.parametrize("n_grid", [0, -3, 2.5, True])
 def test_projection_rejects_empty_grids(make, n_grid):
     proj = make()
     with pytest.raises(CoverError, match="n_grid >= 1"):

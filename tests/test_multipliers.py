@@ -825,7 +825,7 @@ def test_how_names_the_route_and_only_pairings_are_decided():
 
 def test_a_sampled_cocycle_check_needs_one_sample():
     geometric = GeometricMultiplier(LatticeGeometry("1/3"))
-    for samples in (0, -1):
+    for samples in (0, -1, 2.5, True):
         with pytest.raises(MultiplierError, match="samples >= 1"):
             verify_cocycle(geometric, samples=samples)
     assert verify_cocycle(geometric, samples=1) == CheckReport(True, 1, 0.0, None, "sampled")
@@ -835,7 +835,7 @@ def test_a_sampled_cocycle_check_needs_one_sample():
 
 def test_lazy_multipliers_are_compared_on_a_ball_of_radius_at_least_one():
     geometric = GeometricMultiplier(LatticeGeometry("1/3"))
-    for radius in (-1, 0):
+    for radius in (-1, 0, 1.5, True):
         with pytest.raises(MultiplierError, match="radius >= 1"):
             multipliers_equal(geometric, magnetic_multiplier("2/7"), radius=radius)
     assert not multipliers_equal(geometric, magnetic_multiplier("2/7"), radius=1)

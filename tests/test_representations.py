@@ -4,6 +4,8 @@ import itertools
 import math
 import os
 import random
+import re
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -279,6 +281,20 @@ def test_left_regular_refuses_a_negative_radius():
         left_regular(harper, radius=-1)
 
 
+def test_a_truncation_radius_must_be_an_int():
+    harper = harper_element(magnetic_multiplier(Fraction(1, 3)))
+    # Radius 2.5 once gave radius 2's eta with error_bound 0.0 and params radius 2.5.
+    for radius in (2.5, True, 3.0):
+        with pytest.raises(GroupError, match="integer radius >= 0"):
+            eta_operator(harper, method="truncation", radius=radius)
+
+
+@pytest.mark.parametrize("coefficients", [(), (1.0,) * 3, (1.0,) * 5])
+def test_a_harper_element_needs_four_coefficients(coefficients):
+    with pytest.raises(MultiplierError, match=f"four coefficients, not {len(coefficients)}$"):
+        harper_element(magnetic_multiplier(Fraction(1, 3)), coefficients)
+
+
 def test_butterfly_rows_format_and_determinism():
     rows1 = list(butterfly_rows(3, 4))
     rows2 = list(butterfly_rows(3, 4))
@@ -345,7 +361,10 @@ def test_percent_and_format_spec_give_the_same_digits():
     assert "".join(f"{v:.17g}," for v in values) == ("%.17g," * len(values)) % tuple(values)
 
 
-@pytest.mark.parametrize("qmax, kgrid", [(0, 4), (-1, 4), (3, 0), (3, -2)])
+# butterfly_csv(2.5, 4) once yielded the header and flux 0 before a TypeError,
+# and butterfly_csv(2, True) swept as kgrid 1.
+@pytest.mark.parametrize("qmax, kgrid", [(0, 4), (-1, 4), (3, 0), (3, -2), (2.5, 4), (2, True),
+                                         (True, 4), (3, 4.0), ("3", 4)])
 def test_butterfly_sweeps_reject_empty_sizes_before_the_header(qmax, kgrid):
     for sweep in (butterfly_csv, butterfly_rows):
         with pytest.raises(SpectralError, match="qmax >= 1 and kgrid >= 1"):
@@ -621,33 +640,47 @@ def test_bloch_map_needs_a_pairing_on_z2():
             BlochMap(sigma)
 
 
-def test_bloch_blocks_tile_the_grid_in_order(monkeypatch):
+def _solved(part, eigs, vecs, k1f, k2f):
+    """A work function of BlochMap.blocks: everything it is given."""
+    return part, eigs, vecs, k1f, k2f
+
+
+def test_bloch_blocks_tile_the_grid_in_order(monkeypatch, schedule):
     sigma = magnetic_multiplier(Fraction(1, 3))
     h = harper_element(sigma, (1.0, 1.0, 0.5, 0.5))
     bloch = BlochMap(sigma)
     ks = bloch.grid(5)
     whole = np.linalg.eigvalsh(bloch.fiber_stack(h, ks, ks))
+    k1f, k2f = representations._flat_grid(ks, ks)
     # Fibers per block: part of one k1 row, or as many whole rows as fit.
     for entries, fibers in ((1, 1), (9 * 3, 3), (9 * 7, 5), (9 * 12, 10), (9 * 25, 25)):
         monkeypatch.setattr(representations, "_BLOCK_ENTRIES", entries)
-        parts = [(part, eigs) for part, eigs, _ in bloch.blocks(h, 5)]
-        assert [p.start for p, _ in parts] == [0] + [p.stop for p, _ in parts[:-1]]
-        assert parts[-1][0].stop == 25
-        assert max(p.stop - p.start for p, _ in parts) == fibers
-        assert np.array_equal(np.concatenate([e for _, e in parts]), whole)
+        for cpus in (1, 2):
+            schedule(cpus)
+            parts = list(bloch.blocks(h, 5, _solved))
+            assert [p.start for p, *_ in parts] == [0] + [p[0].stop for p in parts[:-1]]
+            assert parts[-1][0].stop == 25
+            assert max(p.stop - p.start for p, *_ in parts) == fibers
+            assert np.array_equal(np.concatenate([e for _, e, *_ in parts]), whole)
+            # work gets each block's flat momenta, and vectors only if asked for.
+            for part, _, vecs, k1s, k2s in parts:
+                assert vecs is None
+                assert np.array_equal(k1s, k1f[part]) and np.array_equal(k2s, k2f[part])
 
 
-def test_bloch_blocks_build_each_clock_shift_matrix_once(monkeypatch):
+def test_bloch_blocks_build_each_clock_shift_matrix_once(monkeypatch, schedule):
     sigma = magnetic_multiplier(Fraction(2, 5))
     h = harper_element(sigma, (1.0, 1.0, 0.5, 0.5))
     bloch = BlochMap(sigma)
     whole = np.linalg.eigvalsh(BlochMap(sigma).fiber_stack(h, bloch.grid(6), bloch.grid(6)))
+    # One process, so every block's terms are seen here.
+    schedule(1)
     built = []
     nonzeros = bloch._nonzeros
     monkeypatch.setattr(bloch, "_nonzeros", lambda g, scalar: built.append(g) or nonzeros(g, scalar))
     monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 25 * 4)
     for _ in range(2):
-        parts = [eigs for _, eigs, _ in bloch.blocks(h, 6)]
+        parts = [eigs for _, eigs, *_ in bloch.blocks(h, 6, _solved)]
         assert len(parts) == 12
         assert np.array_equal(np.concatenate(parts), whole)
     assert sorted(built) == sorted(h.coeffs)
@@ -655,7 +688,7 @@ def test_bloch_blocks_build_each_clock_shift_matrix_once(monkeypatch):
     assert all(part.shape == (bloch.q,) for term in bloch._terms.values() for part in term)
 
 
-def test_bloch_blocks_keep_no_fiber_stack_alive_between_blocks(monkeypatch):
+def test_bloch_blocks_keep_no_fiber_stack_alive_between_blocks(monkeypatch, schedule):
     sigma = magnetic_multiplier(Fraction(2, 5))
     h = harper_element(sigma)
     stacks = []
@@ -666,14 +699,22 @@ def test_bloch_blocks_keep_no_fiber_stack_alive_between_blocks(monkeypatch):
         stacks.append(weakref.ref(stack))
         return stack
 
+    def work(part, eigs, vecs, k1f, k2f):
+        freed.append(stacks[-1]() is None)
+        return eigs
+
+    # One process, so every stack is made here.
+    schedule(1)
     monkeypatch.setattr(BlochMap, "fiber_stack", recording_fiber_stack)
     monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 25 * 4)
+    freed = []
     for vectors in (False, True):
-        blocks = BlochMap(sigma).blocks(h, 6, vectors=vectors)
+        blocks = BlochMap(sigma).blocks(h, 6, work, vectors=vectors)
         for _ in range(3):
             next(blocks)
             assert stacks[-1]() is None
     assert len(stacks) == 6
+    assert freed == [True] * 6
 
 
 def _magnetic_harper(theta, mass=0.0):
@@ -785,7 +826,7 @@ def _bits(x):
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 7, 8, 30])
-def test_fiber_stacks_are_bit_equal_to_the_dense_sum(monkeypatch, q):
+def test_fiber_stacks_are_bit_equal_to_the_dense_sum(monkeypatch, schedule, q):
     # At q = 1 and 2 different terms share entries, so the term order counts.
     rng = np.random.default_rng(1500 + q)
     for gauge in ("landau", "symmetric"):
@@ -809,7 +850,9 @@ def test_fiber_stacks_are_bit_equal_to_the_dense_sum(monkeypatch, q):
         monkeypatch.setattr(BlochMap, "fiber_stack", lambda self, a, k1s, k2s: built.append(
             (k1s, k2s, fiber_stack(self, a, k1s, k2s))) or built[-1][2])
         monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 3 * q * q)
-        eigs = [e for _, e, _ in bloch.blocks(h, 5)]
+        # One process, so every stack is recorded here.
+        schedule(1)
+        eigs = [e for _, e, *_ in bloch.blocks(h, 5, _solved)]
         monkeypatch.undo()
         assert len(built) == len(eigs) > 1
         for (k1s, k2s, stack), e in zip(built, eigs):
@@ -832,9 +875,85 @@ def test_the_hermitian_check_reads_the_dense_defect(monkeypatch, theta):
         with pytest.raises(SpectralError) as dense:
             _dense_hermitian_check(a, _dense_fiber_stack(bloch, a, ks, ks))
         with pytest.raises(SpectralError) as sparse:
-            next(bloch.blocks(a, 4))
+            next(bloch.blocks(a, 4, _solved))
         assert str(sparse.value) == str(dense.value)
     # A zero element has no nonzero entry to check, and passes.
     zero = AlgebraElement(sigma, {})
     _dense_hermitian_check(zero, _dense_fiber_stack(bloch, zero, ks, ks))
     assert np.array_equal(bloch.eigenvalues(zero, 4), np.zeros((16, bloch.q)))
+
+
+def test_fiber_eigenvalues_do_not_depend_on_the_schedule(monkeypatch, schedule):
+    h = _magnetic_harper(Fraction(2, 5), 0.5)
+    # 3 fibers per block: 12 blocks at kgrid 6, 21 at 7 and 10 at 5.
+    monkeypatch.setattr(representations, "_BLOCK_ENTRIES", 3 * 25)
+    solved = []
+    solve = BlochMap._solve
+    monkeypatch.setattr(BlochMap, "_solve", lambda self, *args: solved.append(1) or solve(self, *args))
+    runs = []
+    for cpus in (1, 2):
+        schedule(cpus)
+        solved.clear()
+        spec = spectrum_union(h, kgrid=7)
+        study = moment_match_study(h, 4, grids=(5, 7))
+        eigs = BlochMap(h.sigma).eigenvalues(h, 6)
+        runs.append(([_bits(eigs), _bits(spec.eigenvalues)],
+                     (spec.bands, spec.gaps, study.errors, study.convergence), len(solved)))
+    (arrays, fields, blocks), (arrays2, fields2, here) = runs
+    assert all(np.array_equal(x, y) for x, y in zip(arrays, arrays2))
+    assert fields2 == fields
+    per_call = [21, 10, 21, 12]
+    assert blocks == sum(per_call)
+    # With two processes this one solves the even-numbered blocks of each call only.
+    assert here == sum((n + 1) // 2 for n in per_call)
+
+
+def test_the_spectra_of_verify_fork_no_helper(monkeypatch, schedule):
+    # Each is one block at the default size, so it stays in one process.
+    def no_fork():
+        raise AssertionError("a grid of one block forks no helper")
+
+    schedule(2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    for theta in ("0/1", "1/2"):
+        spectrum_union(harper_element(magnetic_multiplier(theta, "landau")), kgrid=32)
+    moment_match_study(harper_element(magnetic_multiplier("1/4", "landau")), n_max=6, grids=(8, 16, 32))
+
+
+BLOCH_GRID_CALLS = {
+    "spectrum_union": lambda h, n: spectrum_union(h, kgrid=n),
+    "moment_match_study": lambda h, n: moment_match_study(h, 2, grids=(n,)),
+    "eigenvalues": lambda h, n: BlochMap(h.sigma).eigenvalues(h, n),
+    "blocks": lambda h, n: BlochMap(h.sigma).blocks(h, n, _solved),
+    "eta_operator": lambda h, n: eta_operator(h, kgrid=n),
+}
+
+
+@pytest.mark.parametrize("call", sorted(BLOCH_GRID_CALLS))
+def test_bloch_grids_past_the_bound_are_refused_before_any_allocation(call):
+    h = harper_element(magnetic_multiplier(Fraction(1, 3)))
+    # 10^5 once asked numpy for 224 GiB and raised MemoryError; 592^2 * 3 is
+    # the least grid past the bound at q = 3.
+    for n in (10**5, 592):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpectralError, match=rf"kgrid\^2 \* q at most 1048576, not {n}\^2 \* 3$"):
+                BLOCH_GRID_CALLS[call](h, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    # 591^2 * 3 is within it; blocks() is not run, so nothing is solved.
+    BlochMap(h.sigma).blocks(h, 591, _solved).close()
+
+
+# eta_operator halves kgrid for its coarse grid first, so a string or None
+# raises TypeError there.
+@pytest.mark.parametrize("call, n", [
+    (call, n) for call in sorted(BLOCH_GRID_CALLS) for n in (0, -1, True, 2.5, 4.0, "4", None)
+    if call != "eta_operator" or isinstance(n, (int, float))])
+def test_a_bloch_grid_needs_an_int_kgrid(call, n):
+    h = harper_element(magnetic_multiplier(Fraction(1, 3)))
+    # eta_operator(h, kgrid=True) once ran as kgrid 1 and reported kgrid True.
+    with pytest.raises(SpectralError, match=f"integer kgrid >= 1, not {re.escape(repr(n))}$"):
+        BLOCH_GRID_CALLS[call](h, n)

@@ -106,7 +106,9 @@ def test_an_integer_zero_tol_is_kept_as_given():
         assert type(twisted_betti(even, odd, zero_tol=tol).zero_tol) is int
 
 
-@pytest.mark.parametrize("sizes", [(1, 12), (0, 12), (17, -1)])
+# max_refinements 1.5 once ran 2 rounds, and initial_samples 2.5 raised numpy's TypeError.
+@pytest.mark.parametrize("sizes", [(1, 12), (0, 12), (17, -1), (2.5, 12), (17.0, 12), (True, 12),
+                                   (17, 1.5), (17, True), (17, None)])
 def test_spectral_flow_rejects_too_few_samples(sizes):
     path = MatrixPath.linear(np.diag([-1.0, 1.0]), np.diag([1.0, 1.0]))
     with pytest.raises(SpectralError, match="initial_samples"):
@@ -539,8 +541,10 @@ def _reference_eta_bloch(a, tau, normalization, kgrid, zero_tol):
         evals = np.empty((n * n, bm.q))
         traces = {g: np.empty(n * n, dtype=complex) for g in weights}
 
-        def sign_traces(tol, only=None):
-            for part, ev, vecs in bm.blocks(a, n, vectors=True, only=only):
+        def solve_signs(tol, only=None):
+            blocks = bm.blocks(a, n, lambda part, ev, vecs, k1f, k2f: (part, ev, vecs), vectors=True,
+                               only=only)
+            for part, ev, vecs in blocks:
                 evals[part] = ev
                 signs = np.where(np.abs(ev) > tol, np.sign(ev), 0.0)
                 sign_ops = np.einsum("kij,kj,klj->kil", vecs, signs, vecs.conj())
@@ -549,10 +553,10 @@ def _reference_eta_bloch(a, tau, normalization, kgrid, zero_tol):
                     tmats = wave[:, None, None] * dense[g][None, :, :]
                     trace[part] = np.einsum("kij,kij->k", sign_ops, tmats.conj())
 
-        sign_traces(bound if zero_tol is None else zero_tol)
+        solve_signs(bound if zero_tol is None else zero_tol)
         if zero_tol is None:
             zero_tol = default_zero_tol(evals.reshape(-1))
-            sign_traces(zero_tol, np.abs(evals).min(axis=1) <= max(bound, zero_tol))
+            solve_signs(zero_tol, np.abs(evals).min(axis=1) <= max(bound, zero_tol))
         if not etas:
             kernel = kernel_report(evals.reshape(-1), zero_tol)
         total = sum(complex(c) * complex(traces[g].mean() / bm.q) for g, c in weights.items())
