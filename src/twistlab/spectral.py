@@ -313,9 +313,6 @@ def _eta_bloch(a: AlgebraElement, tau, normalization: str, kgrid: int,
     # zero_tol.  Signs are taken against bound until that is known; then the
     # blocks with an eigenvalue at or below either are solved again.
     bound = relative_tol(a.norm_l1())
-    # kgrid 4 against a 4-grid of its own would bound nothing.
-    coarse = 2 if kgrid == 4 else max(4, kgrid // 2)
-    subgrid = 2 * coarse == kgrid
 
     def eta_of(traces: dict) -> float:
         total = sum(complex(c) * complex(traces[g].mean() / bm.q) for g, c in weights.items())
@@ -326,10 +323,15 @@ def _eta_bloch(a: AlgebraElement, tau, normalization: str, kgrid: int,
         signs = np.where(np.abs(ev) > tol, np.sign(ev), 0.0)
         return part, ev, {g: bm.sign_traces(vecs, signs, g, k1f, k2f) for g in weights}
 
+    # blocks() checks kgrid before coarse and the n^2-sized arrays are made from it.
+    blocks = bm.blocks(a, kgrid, partial(signed, bound if zero_tol is None else zero_tol), vectors=True)
+    # kgrid 4 against a 4-grid of its own would bound nothing.
+    coarse = 2 if kgrid == 4 else max(4, kgrid // 2)
+    subgrid = 2 * coarse == kgrid
     etas = []
     for n in (kgrid,) if subgrid else (kgrid, coarse):
-        # blocks() checks the grid before the n^2-sized arrays are made.
-        blocks = bm.blocks(a, n, partial(signed, bound if zero_tol is None else zero_tol), vectors=True)
+        if etas:
+            blocks = bm.blocks(a, n, partial(signed, zero_tol), vectors=True)
         evals = np.empty((n * n, bm.q))
         traces = {g: np.empty(n * n, dtype=complex) for g in weights}
 
