@@ -47,7 +47,6 @@ from .groups import (
 )
 from .mishchenko import CircleCover, lott_pairing_circle
 from .multipliers import multiplier_from_json
-from .phases import as_rational
 from .representations import butterfly_csv
 from .spectral import (
     MatrixPath,
@@ -215,14 +214,11 @@ def _cmd_eta(args) -> int:
             operator, options = parse_matrix(cfg["matrix"]), {"method": cfg.get("method", "dense")}
         else:
             operator = element_from_config(cfg)
-            s_grid = _config_list(cfg, "s_grid")
-            # A key the config leaves out keeps eta_operator's default.  Each s is parsed
-            # here, so that a float fails before the base solve.
+            # A key the config leaves out keeps eta_operator's default; it checks s_grid.
             options = {key: _config_int(cfg, key) for key in ("kgrid", "radius") if key in cfg}
+            options["s_grid"] = cfg.get("s_grid")
             if "method" in cfg:
                 options["method"] = cfg["method"]
-            if s_grid is not None:
-                options["s_grid"] = [as_rational(s) for s in s_grid]
     res = eta_operator(operator, normalization=args.eta_normalization,
                        zero_tol=cfg.get("zero_tol"), **options)
     emit(_eta_result_json(res), args.out)

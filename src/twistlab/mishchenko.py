@@ -317,8 +317,7 @@ def lott_pairing_circle(cover: CircleCover, cochain: GroupCochain | None = None,
         cochain = GroupCochain.coordinate_z(cover.group, 0)
     if cochain.degree != 1:
         raise CoverError("the circle pairing takes a degree one cochain")
-    if n_grid < 3:
-        raise CoverError(f"centered differences need n_grid >= 3, got {n_grid}")
+    require_int(n_grid, 3, CoverError, "centered differences need an integer n_grid >= 3")
     _check_grid(n_grid)
     cbar = inhomogeneous(cochain)
     n = n_grid

@@ -183,8 +183,8 @@ class BlochMap:
         """Uniform Bloch grid on [0, 2 pi), endpoint excluded."""
         return 2.0 * np.pi * np.arange(n) / n
 
-    def blocks(self, a: AlgebraElement, n: int, work, vectors: bool = False, only=None):
-        """work(part, eigenvalues, vectors, k1f, k2f) per solved block of a's fibers, in grid order.
+    def blocks(self, a: AlgebraElement, n: int, work, vectors: bool = False):
+        """work(part, eigenvalues, vectors, k1f, k2f) per block of a's fibers, in grid order.
 
         Blocks of at most _BLOCK_ENTRIES entries, or one fiber, tile the n x n
         grid in lexicographic (k1, k2) order.  work gets a block's slice of
@@ -192,13 +192,12 @@ class BlochMap:
         for (else None) and flat momenta, in the process that solved it and
         after its fiber stack is freed.  Via _in_order, with two usable CPUs
         a forked helper solves every other block; one block forks nothing.
-        With only, a boolean mask over the flat grid, blocks without a
-        marked fiber are skipped.  Raises SpectralError at the call unless n
-        is an int >= 1 with n^2 * q <= MAX_FIBER_ENTRIES, and at its block's
-        place if a fiber is not Hermitian (checked at the nonzero pattern of
-        a's terms and its transpose) or a fiber or its spectrum not finite.
+        Raises SpectralError at the call unless n is an int >= 1 with
+        n^2 * q <= MAX_FIBER_ENTRIES, and at its block's place if a fiber is
+        not Hermitian (checked at the nonzero pattern of a's terms and its
+        transpose) or a fiber or its spectrum not finite.
         """
-        entries, tol, parts = self._plan(a, n, only)
+        entries, tol, parts = self._plan(a, n)
 
         def solve(block):
             part, k1s, k2s = block
@@ -208,11 +207,12 @@ class BlochMap:
         # A list, so that a grid of one block forks no helper.
         return _in_order(list(parts), solve)
 
-    def _plan(self, a: AlgebraElement, n: int, only=None):
+    def _plan(self, a: AlgebraElement, n: int):
         """(entries, tol, parts): the Hermitian check of a's fibers and the blocks of blocks().
 
-        parts yields (part, k1s, k2s) per block: its slice of the flat grid
-        and its momenta.  Raises SpectralError for a grid blocks() refuses.
+        parts yields (part, k1s, k2s) for every block of the grid: its slice
+        of the flat grid and its momenta.  Raises SpectralError for a grid
+        blocks() refuses.
         """
         require_int(n, 1, SpectralError, "a Bloch grid needs an integer kgrid >= 1")
         if n * n * self.q > MAX_FIBER_ENTRIES:
@@ -229,8 +229,6 @@ class BlochMap:
         tol = relative_tol(a.norm_l1())
         ks = self.grid(n)
         parts = ((part, ks[k1], ks[k2]) for part, k1, k2 in _grid_blocks(self.q, n))
-        if only is not None:
-            parts = (block for block in parts if only[block[0]].any())
         return np.nonzero(pattern), tol, parts
 
     def _solve(self, a: AlgebraElement, k1s: np.ndarray, k2s: np.ndarray, entries, tol: float,

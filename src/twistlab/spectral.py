@@ -210,14 +210,20 @@ def eta_quadrature(a, t_max: float | None = None, normalization: str = "half") -
     the substitution t = u^2; the tail beyond t_max is bounded by
     sum erfc(|lambda| sqrt(t_max)) / 2 over nonzero eigenvalues.  When the
     requested window makes the tail bound exceed 1e-6 the call fails and
-    reports the t_max needed.
+    reports the t_max needed.  A t_max that is not a finite number > 0 is
+    refused before anything is solved.
     """
+    if t_max is not None and (isinstance(t_max, bool) or not isinstance(t_max, numbers.Real)
+                              or not 0 < t_max <= sys.float_info.max):
+        raise SpectralError(f"t_max must be a finite number > 0, not {reprlib.repr(t_max)}")
     ev = eigvalsh(a)
     zero_tol = default_zero_tol(ev)
     nonzero = ev[np.abs(ev) > zero_tol]
     scale = _eta_scale(normalization)
     if nonzero.size == 0:
-        return EtaResult(0.0, 0.0, "quadrature", {"t_max": 0.0, "zero_tol": zero_tol})
+        return EtaResult(0.0, 0.0, "quadrature",
+                         {"t_max": 0.0, "zero_tol": zero_tol, "normalization": normalization},
+                         kernel=kernel_report(ev, zero_tol))
     lam_min = float(np.abs(nonzero).min())
     required = (5.0 / lam_min) ** 2
     if t_max is None:
@@ -264,9 +270,11 @@ def eta_operator(operator, tau=None, method: str = "bloch", normalization: str =
     method 'dense': plain matrix input with the matrix trace; reduces to
     eta_closed_form.
 
-    With s_grid the multiplier is raised to each rational power s and the
-    germ {s: eta} is tabulated.  Raises SpectralError for any other method
-    and for a method that does not fit the operator.
+    With s_grid, a list or tuple of exact rationals (ints, Fractions or
+    "p/q" strings, checked before any solve), the multiplier is raised to
+    each power s and the germ {s: eta} is tabulated after the base eta; s = 1
+    is the base eta, bit for bit.  Raises SpectralError for any other method,
+    for a method that does not fit the operator, and for any other s_grid.
     """
     if method not in ("bloch", "truncation", "dense"):
         raise SpectralError(f"unknown eta method {method!r}")
@@ -274,91 +282,91 @@ def eta_operator(operator, tau=None, method: str = "bloch", normalization: str =
         raise SpectralError("the dense eta method needs a matrix, not an algebra element")
     if method != "dense" and not isinstance(operator, AlgebraElement):
         raise SpectralError("bloch/truncation methods need an algebra element")
+    if s_grid is not None:
+        if not isinstance(s_grid, (list, tuple)):
+            raise SpectralError(f"s_grid must be a list of exact rationals, not {reprlib.repr(s_grid)}")
+        try:
+            s_grid = [as_rational(s) for s in s_grid]
+        except (TypeError, ValueError) as exc:
+            raise SpectralError(f"s_grid must be a list of exact rationals: {exc}") from None
     zero_tol = _zero_tol(zero_tol)
     if method == "dense":
         ev = eigvalsh(operator)
-        eta = eta_closed_form(ev, zero_tol, normalization)
-        return EtaResult(eta, 0.0, "dense", {"normalization": normalization},
-                         kernel=kernel_report(ev, zero_tol))
+        return EtaResult(eta_closed_form(ev, zero_tol, normalization), 0.0, "dense",
+                         {"normalization": normalization}, kernel=kernel_report(ev, zero_tol))
+
+    def eta(element: AlgebraElement) -> EtaResult:
+        if method == "bloch":
+            return _eta_bloch(element, tau, normalization, kgrid, zero_tol)
+        return _eta_truncation(element, tau, normalization, radius, zero_tol)
+
+    base = eta(operator)
     if s_grid is not None:
-        args = (tau, method, normalization, kgrid, radius, None, zero_tol)
-        base = eta_operator(operator, *args)
-        germ = {}
-        for s in map(as_rational, s_grid):
-            # sigma^1 is sigma, so its eta is the base eta, bit for bit.
-            res = base if s == 1 else eta_operator(
-                AlgebraElement._from_dict(operator.sigma.power(s), operator.coeffs), *args)
-            germ[str(s)] = res.eta
-        base.germ = germ
-        return base
-    if method == "bloch":
-        return _eta_bloch(operator, tau, normalization, kgrid, zero_tol)
-    return _eta_truncation(operator, tau, normalization, radius, zero_tol)
+        base.germ = {str(s): base.eta if s == 1 else
+                     eta(AlgebraElement._from_dict(operator.sigma.power(s), operator.coeffs)).eta
+                     for s in s_grid}
+    return base
 
 
 def _eta_bloch(a: AlgebraElement, tau, normalization: str, kgrid: int,
                zero_tol: float | None) -> EtaResult:
     """Bloch eta on the kgrid x kgrid grid; error_bound is its change on a coarser grid.
 
-    That is every other point of the full grid for kgrid 4 and even kgrid >= 8
-    (2 pi i / m is 2 pi (2i) / (2m) bit for bit, so nothing is solved again),
-    else a separate max(4, kgrid // 2) grid.
+    Every grid is solved by solve(n, tol), which returns its eigenvalues and
+    its sign traces against tol.  The coarser grid is every other point of
+    the full grid for kgrid 4 and even kgrid >= 8 (2 pi i / m is
+    2 pi (2i) / (2m) bit for bit, so nothing is solved again), else a
+    separate max(4, kgrid // 2) grid.
     """
     from .representations import BlochMap
 
     bm = BlochMap(a.sigma)
     weights = _weights_of_trace(tau, a.group)
     scale = _eta_scale(normalization)
-    # Each fiber is a sum of c_g times unitaries, so bound >= the default
-    # zero_tol.  Signs are taken against bound until that is known; then the
-    # blocks with an eigenvalue at or below either are solved again.
-    bound = relative_tol(a.norm_l1())
 
     def eta_of(traces: dict) -> float:
         total = sum(complex(c) * complex(traces[g].mean() / bm.q) for g, c in weights.items())
         return scale * complex(total).real
 
     def signed(tol: float, part, ev, vecs, k1f, k2f):
-        """BlochMap.blocks' work, once tol is bound: a block's eigenvalues and sign traces."""
+        """BlochMap.blocks' work: a block's eigenvalues and its sign traces against tol."""
         signs = np.where(np.abs(ev) > tol, np.sign(ev), 0.0)
         return part, ev, {g: bm.sign_traces(vecs, signs, g, k1f, k2f) for g in weights}
 
-    # blocks() checks kgrid before coarse and the n^2-sized arrays are made from it.
-    blocks = bm.blocks(a, kgrid, partial(signed, bound if zero_tol is None else zero_tol), vectors=True)
-    # kgrid 4 against a 4-grid of its own would bound nothing.
-    coarse = 2 if kgrid == 4 else max(4, kgrid // 2)
-    subgrid = 2 * coarse == kgrid
-    etas = []
-    for n in (kgrid,) if subgrid else (kgrid, coarse):
-        if etas:
-            blocks = bm.blocks(a, n, partial(signed, zero_tol), vectors=True)
+    def solve(n: int, tol: float) -> tuple:
+        """(eigenvalues of shape (n * n, q), {g: sign trace per fiber}) of the n x n grid."""
+        # blocks() checks n before the n^2-sized arrays are made.
+        blocks = bm.blocks(a, n, partial(signed, tol), vectors=True)
         evals = np.empty((n * n, bm.q))
         traces = {g: np.empty(n * n, dtype=complex) for g in weights}
+        for part, ev, block_traces in blocks:
+            evals[part] = ev
+            for g, trace in traces.items():
+                trace[part] = block_traces[g]
+        return evals, traces
 
-        def gather(blocks) -> None:
-            for part, ev, block_traces in blocks:
-                evals[part] = ev
-                for g, trace in traces.items():
-                    trace[part] = block_traces[g]
-
-        gather(blocks)
-        if zero_tol is None:
-            # Blocks left alone have no eigenvalue at or below either, so
-            # after this every fiber's signs are taken against zero_tol.
-            zero_tol = default_zero_tol(evals.reshape(-1))
-            only = np.abs(evals).min(axis=1) <= max(bound, zero_tol)
-            gather(bm.blocks(a, n, partial(signed, zero_tol), vectors=True, only=only))
-        if not etas:
-            kernel = kernel_report(evals.reshape(-1), zero_tol)
-        etas.append(eta_of(traces))
-    if subgrid:
+    # Each fiber is a sum of c_g times unitaries, so bound >= the default
+    # zero_tol.  Signs are taken against bound until that is known; the grid
+    # is solved again only if an eigenvalue is at or below either, as a fiber
+    # with none gets the same signs against both.
+    bound = relative_tol(a.norm_l1())
+    evals, traces = solve(kgrid, bound if zero_tol is None else zero_tol)
+    if zero_tol is None:
+        zero_tol = default_zero_tol(evals.reshape(-1))
+        if np.abs(evals).min() <= max(bound, zero_tol):
+            evals, traces = solve(kgrid, zero_tol)
+    eta = eta_of(traces)
+    # kgrid 4 against a 4-grid of its own would bound nothing.
+    coarse = 2 if kgrid == 4 else max(4, kgrid // 2)
+    if 2 * coarse == kgrid:
         # A copy, so the mean sums in the order of a separately solved grid.
-        etas.append(eta_of({g: np.ascontiguousarray(t.reshape(kgrid, kgrid)[::2, ::2]).reshape(-1)
-                            for g, t in traces.items()}))
-    eta, eta_half = etas
-    return EtaResult(eta, abs(eta - eta_half), "bloch",
+        coarse_traces = {g: np.ascontiguousarray(t.reshape(kgrid, kgrid)[::2, ::2]).reshape(-1)
+                         for g, t in traces.items()}
+    else:
+        coarse_traces = solve(coarse, zero_tol)[1]
+    return EtaResult(eta, abs(eta - eta_of(coarse_traces)), "bloch",
                      {"kgrid": kgrid, "zero_tol": zero_tol, "normalization": normalization},
-                     kernel=kernel)
+                     kernel=kernel_report(evals.reshape(-1), zero_tol))
 
 
 def _eta_truncation(a: AlgebraElement, tau, normalization: str, radius: int,
@@ -640,8 +648,9 @@ def cycle_complex(n: int) -> tuple[np.ndarray, np.ndarray]:
     d maps vertex functions to edge functions, (df)(j) = f(j+1) - f(j);
     returns (d^T d, d d^T) for 3 <= n <= MAX_CYCLE_VERTICES.
     """
-    if not 3 <= n <= MAX_CYCLE_VERTICES:
-        raise SpectralError(f"a cycle complex needs 3 to {MAX_CYCLE_VERTICES} vertices, not {n}")
+    message = f"a cycle complex needs an integer of 3 to {MAX_CYCLE_VERTICES} vertices"
+    if require_int(n, 3, SpectralError, message) > MAX_CYCLE_VERTICES:
+        raise SpectralError(f"{message}, not {n}")
     d = np.zeros((n, n))
     for j in range(n):
         d[j, j] = -1.0

@@ -10,8 +10,9 @@ the module that defines them.  Every function, class and method is
 referenced outside its own definition somewhere in ``src/``, ``scripts/``,
 ``perfbench/`` or ``tests/``, and one that only ``tests/`` references is kept
 for a stated reason.  Every exception class of the package
-derives from the one base, ``errors.TwistlabError``, and every record of
-a check is ``multipliers.CheckReport``.
+derives from the one base, ``errors.TwistlabError``, every record of
+a check is ``multipliers.CheckReport``, and Bloch fibers are planned and
+solved only in ``BlochMap.blocks`` and the butterfly's flux and chunk.
 """
 
 import ast
@@ -376,6 +377,44 @@ def test_a_second_prune_is_found():
         "traces": "from . import algebra\ntol = 10 * algebra.PRUNE_TOL\n",
     }
     assert prune_tol_sites(sources) == ["algebra._pruned", "mishchenko.P.entry", "traces"]
+
+
+# The functions that may call BlochMap._plan or BlochMap._solve, with the reason.
+# Every other solve of Bloch fibers goes through BlochMap.blocks, so that a grid
+# has one block loop: one check of its size, one schedule and one Hermitian check.
+BLOCK_LOOP_SITES_ALLOWED = {
+    "representations.BlochMap.blocks": "the one block loop: plans the grid",
+    "representations.BlochMap.blocks.solve": "the one block loop: solves each block for its work",
+    "representations._butterfly_flux": "the butterfly plans a flux once for all of its CSV chunks",
+    "representations._butterfly_chunk": "the butterfly solves one block per CSV chunk",
+    "spectral.MatrixPath.eigenvalues": "MatrixPath._solve, a path's own eigensolver, not BlochMap's",
+}
+
+
+def _calls_block_loop(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("_plan", "_solve"))
+
+
+def block_loop_sites(sources=None) -> list[str]:
+    """Every site of the package, or of sources ({module: text}), that calls _plan or _solve."""
+    return _package_sites(sources, _calls_block_loop)
+
+
+def test_bloch_blocks_are_solved_in_one_loop():
+    assert sorted(block_loop_sites()) == sorted(BLOCK_LOOP_SITES_ALLOWED)
+
+
+def test_a_second_block_loop_is_found():
+    sources = {
+        "representations": "class BlochMap:\n    def blocks(self, a, n):\n"
+                           "        return self._plan(a, n)\n",
+        "spectral": "def _eta_bloch(bm, a):\n    entries, tol, parts = bm._plan(a, 8)\n"
+                    "    return [bm._solve(a, k1, k2, entries, tol, True) for _, k1, k2 in parts]\n"
+                    "def f(path):\n    path._solve = len\n    return path._fn\n",
+    }
+    assert block_loop_sites(sources) == ["representations.BlochMap.blocks", "spectral._eta_bloch",
+                                         "spectral._eta_bloch"]
 
 
 # The classes that may declare a `passed` field, with the reason.  Every check of

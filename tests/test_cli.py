@@ -352,7 +352,7 @@ def test_eta_bloch_germ_of_a_coboundary_twist(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command, key, value", [
-    ("eta", "s_grid", "12"), ("eta", "s_grid", 7),
+    ("eta", "s_grid", "12"), ("eta", "s_grid", 7), ("eta", "s_grid", [0.9]),
     ("sobolev", "s", "12"), ("sobolev", "s", 7), ("sobolev", "s", None),
 ])
 def test_a_list_option_that_is_not_a_list_exits_2(capsys, tmp_path, command, key, value):
@@ -365,6 +365,7 @@ def test_a_list_option_that_is_not_a_list_exits_2(capsys, tmp_path, command, key
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert f"{key} must be a list" in captured.err
 
 

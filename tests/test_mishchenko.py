@@ -228,6 +228,12 @@ def test_projection_rejects_empty_grids(make, n_grid):
         proj.rank_trace(n_grid)
 
 
+@pytest.mark.parametrize("n_grid", [2, 0, -3, 2.5, 5.0, "5", None, True])
+def test_pairing_rejects_grids_too_small_for_centered_differences(n_grid):
+    with pytest.raises(CoverError, match="an integer n_grid >= 3"):
+        lott_pairing_circle(CircleCover(1), n_grid=n_grid)
+
+
 def test_pairing_rejects_a_torus_cover():
     with pytest.raises(CoverError, match="Z\\^1"):
         lott_pairing_circle(torus_projection(GEOMETRY).cover, n_grid=16)

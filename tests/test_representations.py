@@ -457,8 +457,8 @@ def test_a_process_builds_only_the_fluxes_it_solves(monkeypatch, schedule):
                         lambda self, sigma: built.append(os.getpid()) or init(self, sigma))
     thetas = []
     plan = BlochMap._plan
-    monkeypatch.setattr(BlochMap, "_plan", lambda self, a, n, only=None: (
-        thetas.append(self.theta) or plan(self, a, n, only)))
+    monkeypatch.setattr(BlochMap, "_plan", lambda self, a, n: (
+        thetas.append(self.theta) or plan(self, a, n)))
     csvs = []
     for cpus in (1, 2):
         schedule(cpus)

@@ -130,7 +130,7 @@ def test_spectral_flow_takes_initial_samples_up_to_its_bound():
     assert res.flow == 1 and res.samples >= spectral.MAX_FLOW_SAMPLES
 
 
-@pytest.mark.parametrize("n", [2, spectral.MAX_CYCLE_VERTICES + 1, 10**12])
+@pytest.mark.parametrize("n", [2, spectral.MAX_CYCLE_VERTICES + 1, 10**12, 10.0, "5", None, True])
 def test_cycle_complex_refuses_sizes_outside_its_range(n):
     with pytest.raises(SpectralError, match="3 to 4096 vertices"):
         cycle_complex(n)
@@ -231,6 +231,22 @@ def test_eta_quadrature_reports_insufficient_window():
     a = np.diag([1.0, -0.5])
     with pytest.raises(SpectralError):
         eta_quadrature(a, t_max=0.5)
+
+
+@pytest.mark.parametrize("t_max", [math.nan, math.inf, -1, 0, 0.0, True, "5", 10**400])
+def test_eta_quadrature_refuses_a_window_that_is_no_finite_positive_number(monkeypatch, t_max):
+    solved = []
+    monkeypatch.setattr(spectral, "eigvalsh", lambda m: solved.append(m))
+    with pytest.raises(SpectralError, match="t_max must be a finite number > 0"):
+        eta_quadrature(np.diag([1.0, -0.5]), t_max=t_max)
+    assert solved == []
+
+
+def test_eta_quadrature_of_the_zero_operator_reports_its_kernel():
+    res = eta_quadrature(np.zeros((3, 3)), normalization="full")
+    assert (res.eta, res.error_bound) == (0.0, 0.0)
+    assert res.params == {"t_max": 0.0, "zero_tol": 0.0, "normalization": "full"}
+    assert (res.kernel.dim, res.kernel.zero_tol) == (3, 0.0)
 
 
 def test_kernel_report_flags_ambiguous_values():
@@ -525,7 +541,9 @@ def _dense_term(bloch, g):
 def _reference_eta_bloch(a, tau, normalization, kgrid, zero_tol):
     """Bloch eta as first written: every fiber's full q x q sign operator,
     its Frobenius pairing with T_k(g), and a separately solved half grid
-    (kgrid 4 against the 2-grid, as _eta_bloch does)."""
+    (kgrid 4 against the 2-grid, as _eta_bloch does).  Without a zero_tol
+    the whole grid is always solved again against the default one;
+    _eta_bloch skips that when no eigenvalue is at or below the bound."""
     from twistlab.representations import BlochMap, _flat_grid
     from twistlab.spectral import EtaResult, _eta_scale, _weights_of_trace
 
@@ -541,9 +559,8 @@ def _reference_eta_bloch(a, tau, normalization, kgrid, zero_tol):
         evals = np.empty((n * n, bm.q))
         traces = {g: np.empty(n * n, dtype=complex) for g in weights}
 
-        def solve_signs(tol, only=None):
-            blocks = bm.blocks(a, n, lambda part, ev, vecs, k1f, k2f: (part, ev, vecs), vectors=True,
-                               only=only)
+        def solve_signs(tol):
+            blocks = bm.blocks(a, n, lambda part, ev, vecs, k1f, k2f: (part, ev, vecs), vectors=True)
             for part, ev, vecs in blocks:
                 evals[part] = ev
                 signs = np.where(np.abs(ev) > tol, np.sign(ev), 0.0)
@@ -556,7 +573,7 @@ def _reference_eta_bloch(a, tau, normalization, kgrid, zero_tol):
         solve_signs(bound if zero_tol is None else zero_tol)
         if zero_tol is None:
             zero_tol = default_zero_tol(evals.reshape(-1))
-            solve_signs(zero_tol, np.abs(evals).min(axis=1) <= max(bound, zero_tol))
+            solve_signs(zero_tol)
         if not etas:
             kernel = kernel_report(evals.reshape(-1), zero_tol)
         total = sum(complex(c) * complex(traces[g].mean() / bm.q) for g, c in weights.items())
@@ -708,6 +725,26 @@ def test_bloch_eta_bounds_the_grid_of_every_power(monkeypatch):
         eta_operator(h, kgrid=8, s_grid=["11/10"])
 
 
+@pytest.mark.parametrize("s_grid", ["12", 7, [0.9], [True], ["x/y"], ["1/0"], [None], {"1": 1}])
+def test_eta_refuses_an_s_grid_of_no_exact_rationals_before_any_solve(monkeypatch, s_grid):
+    solved = []
+    for name in ("_eta_bloch", "_eta_truncation"):
+        monkeypatch.setattr(spectral, name, lambda *args: solved.append(args))
+    h = harper_element(magnetic_multiplier("1/3"))
+    for method in ("bloch", "truncation"):
+        with pytest.raises(SpectralError, match="s_grid must be a list of exact rationals"):
+            eta_operator(h, method=method, kgrid=16, s_grid=s_grid)
+    assert solved == []
+
+
+def test_eta_takes_an_s_grid_tuple_of_ints_fractions_and_strings():
+    sigma = magnetic_multiplier(Fraction(1, 3))
+    shifted = harper_element(sigma) + 0.5 * AlgebraElement.unit(sigma)
+    res = eta_operator(shifted, kgrid=8, s_grid=(1, Fraction(1, 2), "2"))
+    assert list(res.germ) == ["1", "1/2", "2"]
+    assert res.germ["1"] == res.eta
+
+
 def _eta_hex(res):
     """The float fields of an eta result by float.hex, so signed zeros count."""
     return (res.eta.hex(), res.error_bound.hex(),
@@ -735,7 +772,7 @@ def _bloch_eta_cases():
         # The invariants workload: 1, 7 and 64 blocks at s = 1, 9/10 and 11/10.
         "invariants": (harper_element(third) + 0.5 * AlgebraElement.unit(third),
                        {"kgrid": 32, "s_grid": ["9/10", "1", "11/10"]}),
-        # A kernel at a band edge and zero modes: blocks are solved again with only=.
+        # A kernel at a band edge and zero modes: the full grid is solved again.
         "band edge": (harper_element(seventh) + mass * AlgebraElement.unit(seventh), {"kgrid": 32}),
         "zero modes": (harper_element(fifth), {"kgrid": 32}),
         "zero_tol": (harper_element(fifth), {"kgrid": 32, "zero_tol": 1e-6}),
@@ -755,10 +792,10 @@ def test_bloch_eta_does_not_depend_on_the_schedule(monkeypatch, schedule, case):
     solves = []
     plan = BlochMap._plan
 
-    def counted_plan(self, a, n, only=None):
-        entries, tol, parts = plan(self, a, n, only)
+    def counted_plan(self, a, n):
+        entries, tol, parts = plan(self, a, n)
         parts = list(parts)
-        solves.append((only is not None, len(parts)))
+        solves.append(((self.theta, n), len(parts)))
         return entries, tol, iter(parts)
 
     monkeypatch.setattr(BlochMap, "_plan", counted_plan)
@@ -770,8 +807,32 @@ def test_bloch_eta_does_not_depend_on_the_schedule(monkeypatch, schedule, case):
     assert results[1] == results[0]
     # Each case solves more than one block somewhere, so the helper takes part.
     assert max(blocks for _, blocks in solves) > 1
+    grids = [grid for grid, _ in solves]
     if case in ("band edge", "zero modes"):
-        assert any(only for only, _ in solves)
+        # kgrid has a kernel, so it is solved twice; its coarse grid is a subgrid.
+        assert grids == [grids[0]] * 2
+    if case in ("invariants", "zero_tol"):
+        assert len(set(grids)) == len(grids)
+
+
+def test_the_invariants_eta_plans_one_grid_per_power(monkeypatch):
+    from twistlab.representations import BlochMap
+
+    element, kwargs = _bloch_eta_cases()["invariants"]
+    plans = []
+    plan = BlochMap._plan
+
+    def counted_plan(self, a, n):
+        entries, tol, parts = plan(self, a, n)
+        parts = list(parts)
+        plans.append((str(self.theta), n, len(parts)))
+        return entries, tol, iter(parts)
+
+    monkeypatch.setattr(BlochMap, "_plan", counted_plan)
+    eta_operator(element, **kwargs)
+    # The base eta, then s = 9/10 and 11/10; s = 1 is the base result, and no
+    # grid has an eigenvalue at the bound, so none is solved again.
+    assert plans == [("1/3", 32, 1), ("3/10", 32, 7), ("11/30", 32, 64)]
 
 
 @pytest.mark.parametrize("failing", [0, 1])  # a block of this process, then the helper's
